@@ -33,7 +33,21 @@ class InvariantError(HarmonizerError):
 
 
 class State:
-    """Mutable harmonization state over a fixed subdivided graph."""
+    """Mutable harmonization state over a fixed subdivided graph.
+
+    `image`, `parent` and `target` are the source of truth: the image of
+    every edge (oriented from its endpoint 0, None once collapsed), the
+    cluster union-find, and the host vertex of every cluster root.
+
+    `dart_index` maps each cluster root to the set of (edge id, end) pairs
+    of the non-collapsed edges with that end in the cluster.  Only two
+    mutators change it: `collapse` removes the edge's two pairs, and
+    `union` merges the smaller set into the larger.  `set_image` and
+    `retarget` leave it alone, because a dart's half-edge is read from
+    `image` when it is needed.  Code that writes `image`, `parent` or
+    `target` directly bypasses the index and must not call `darts`
+    afterwards.
+    """
 
     def __init__(self, fbar):
         self.gbar = fbar.graph
@@ -43,9 +57,13 @@ class State:
         self.image = list(fbar.edge_image)   # oriented from endpoint 0
         self.target = {v: fbar.vertex_map[v] for v in range(self.gbar.num_vertices)}
         self.version = 0
+        self.dart_index = {v: set() for v in range(self.gbar.num_vertices)}
         for e, (u, v) in enumerate(self.gbar.edges):
             if self.image[e] is None:
                 self.union(u, v)
+            else:
+                self.dart_index[self.find(u)].add((e, 0))
+                self.dart_index[self.find(v)].add((e, 1))
 
     def find(self, x):
         while self.parent[x] != x:
@@ -62,29 +80,30 @@ class State:
         keep, drop = (ra, rb) if ra < rb else (rb, ra)
         self.parent[drop] = keep
         del self.target[drop]
+        big, small = self.dart_index[keep], self.dart_index.pop(drop)
+        if len(big) < len(small):
+            big, small = small, big
+        big |= small
+        self.dart_index[keep] = big
         return keep
 
     def cluster_vertices(self):
         return sorted(self.target)
 
     def darts(self, r):
-        """(edge id, end, outgoing half-edge) triples at cluster r."""
-        out = []
-        for e, (u, v) in enumerate(self.gbar.edges):
-            h = self.image[e]
-            if h is None:
-                continue
-            if self.find(u) == r:
-                out.append((e, 0, h))
-            if self.find(v) == r:
-                out.append((e, 1, self.host.twin[h]))
-        return out
+        """(edge id, end, outgoing half-edge) triples at cluster r, in
+        (edge id, end) order."""
+        image, twin = self.image, self.host.twin
+        return [(e, end, image[e] if end == 0 else twin[image[e]])
+                for e, end in sorted(self.dart_index.get(r, ()))]
 
     def set_image(self, e, h_from_endpoint0):
         self.image[e] = h_from_endpoint0
 
     def collapse(self, e):
         u, v = self.gbar.edges[e]
+        self.dart_index[self.find(u)].discard((e, 0))
+        self.dart_index[self.find(v)].discard((e, 1))
         self.image[e] = None
         self.union(u, v)
 
@@ -92,10 +111,7 @@ class State:
         self.target[self.find(r)] = t_vertex
 
     def total_length(self):
-        return sum(1 for h in self.image if h is not None)
-
-    def edge_lengths(self):
-        return tuple(0 if h is None else 1 for h in self.image)
+        return len(self.image) - self.image.count(None)
 
     def check_version(self, v):
         if v != self.version:
@@ -146,8 +162,9 @@ CCW = "counterclockwise"
 
 
 def _slot_positions(t, x):
-    slots = t.vertex_slots[x]
-    return slots, {h: i for i, h in enumerate(slots)}
+    """The clockwise slots at x, and the table of every half-edge's
+    position within the slots of its tail."""
+    return t.vertex_slots[x], t.slot_index
 
 
 def _used_slots(state, r):
@@ -155,10 +172,9 @@ def _used_slots(state, r):
 
 
 def _has_loop(state, r):
-    for e, (u, v) in enumerate(state.gbar.edges):
-        if state.image[e] is not None and state.find(u) == state.find(v) == r:
-            return True
-    return False
+    """Does some non-collapsed edge have both ends in cluster r?"""
+    ends = state.dart_index.get(r, ())
+    return len({e for e, _ in ends}) < len(ends)
 
 
 def find_flip(state, skip=()):
@@ -308,18 +324,18 @@ def _find_balancing_pass(state, color):
     # split graph: one copy per occupied corner
     copies = {}          # (vertex, a-slot) -> copy id
     copy_list = []
-    copy_darts = {}
+    used = {}            # vertex -> outgoing half-edges of its darts
     for r in verts:
-        for (e, end, g) in state.darts(r):
+        gs = used[r] = [g for (_, _, g) in state.darts(r)]
+        for g in gs:
             key = (r, _corner_of(t, state.target[r], g, color))
             if key not in copies:
                 copies[key] = len(copy_list)
                 copy_list.append(key)
-            copy_darts.setdefault(copies[key], []).append((e, end, g))
     marks = []
     for c, (r, a) in enumerate(copy_list):
         left, right = _left_right(t, state.target[r], a)
-        gs = [g for (_, _, g) in state.darts(r)]
+        gs = used[r]
         if any(g in right for g in gs):
             marks.append("red")
         elif any(g in left for g in gs):
@@ -734,7 +750,6 @@ def harmonize(f, budget=None, audit=None):
         restart = False
         if state.gbar.num_vertices == 0:
             break
-        root = state.find(0)
         # step 1: flip anything but the root
         while True:
             if interrupt(1):

@@ -123,13 +123,6 @@ class Triangulation:
             return None
         return self.next[t]
 
-    def rot_ccw(self, h):
-        p = self.prev(h)
-        t = self.twin[p]
-        if t == NO_TWIN:
-            return None
-        return t
-
     # -- vertices ----------------------------------------------------------
 
     def _build_vertex_slots(self):
@@ -141,6 +134,7 @@ class Triangulation:
                 raise StructureError("negative origin at %d" % h)
             out[v].append(h)
         slots = []
+        slot_index = [-1] * n
         boundary = []
         broken = set()
         for v, hs in enumerate(out):
@@ -176,9 +170,13 @@ class Triangulation:
                 broken.add(v)
                 chain = sorted(hs)
                 is_bnd = any(self.twin[h] == NO_TWIN for h in hs)
+            for i, h in enumerate(chain):
+                slot_index[h] = i
             slots.append(tuple(chain))
             boundary.append(is_bnd)
         self.vertex_slots = tuple(slots)
+        # position of every half-edge within the slots of its tail
+        self.slot_index = tuple(slot_index)
         self._vertex_on_boundary = tuple(boundary)
         self.broken_rotation = frozenset(broken)
 

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -187,6 +188,16 @@ def test_stress_deterministic(capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_stress_readme_example(capsys):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        line = next(ln for ln in fh if ln.startswith("redtri stress"))
+    argv = line.split("#", 1)[0].split()[1:]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "violations 0" in out
 
 
 def test_stress_empty(capsys):

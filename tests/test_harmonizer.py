@@ -371,3 +371,66 @@ def test_harmonize_keeps_graph_and_endpoints(doubled):
         w = f2.edge_map[e]
         assert w.start == f2.vertex_map[u]
         assert w.end(doubled) == f2.vertex_map[v]
+
+
+# -- dart index ------------------------------------------------------------
+
+def scan_darts(state, r):
+    """Cluster r's darts by a scan over every edge: the index's oracle."""
+    out = []
+    for e, (u, v) in enumerate(state.gbar.edges):
+        h = state.image[e]
+        if h is None:
+            continue
+        if state.find(u) == r:
+            out.append((e, 0, h))
+        if state.find(v) == r:
+            out.append((e, 1, state.host.twin[h]))
+    return out
+
+
+def scan_has_loop(state, r):
+    return any(state.image[e] is not None
+               and state.find(u) == state.find(v) == r
+               for e, (u, v) in enumerate(state.gbar.edges))
+
+
+def assert_index_matches_scan(state):
+    state.check_consistent()
+    for r in state.cluster_vertices():
+        assert state.darts(r) == scan_darts(state, r)
+        assert harmonizer._has_loop(state, r) == scan_has_loop(state, r)
+
+
+@pytest.fixture(scope="module")
+def subdivided(doubled):
+    return surface.subdivide(doubled)
+
+
+# seed 81 on the doubled host harmonizes with a balancing; the torus host
+# has loop edges, so its clusters can hold loops
+@pytest.mark.parametrize("host_name,seed", [
+    ("doubled", s) for s in (0, 1, 3, 5, 7, 81)] + [
+    ("subdivided", s) for s in (0, 1, 5, 7)] + [
+    ("torus", s) for s in (1, 7, 13)])
+def test_dart_index_matches_scan(request, host_name, seed):
+    host = request.getfixturevalue(host_name)
+    f = random_drawing(host, random.Random(seed), max_vertices=8, detour=5)
+    assert_index_matches_scan(state_of(f))
+    kinds = []
+    loops = []
+
+    def audit(state, move):
+        kinds.append(type(move).__name__)
+        assert_index_matches_scan(state)
+        loops.extend(r for r in state.cluster_vertices()
+                     if harmonizer._has_loop(state, r))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # the torus warning
+        harmonize(f, audit=audit)
+    assert kinds
+    if (host_name, seed) == ("doubled", 81):
+        assert "Balancing" in kinds
+    if host_name == "torus":
+        assert loops
