@@ -7,6 +7,7 @@ All commands are deterministic for fixed inputs and flags.  Exit codes:
 """
 
 import argparse
+import functools
 import random
 import sys
 
@@ -15,7 +16,13 @@ from .boundary import Anchor, BoundaryError
 from .drawing import DrawingError, read_drawing, write_drawing
 from .harmonizer import HarmonizerError, harmonize, write_trace
 from .surface import StructureError, validate_reducing
-from .walkcalc import ReductionStalled, Stalled, WalkError
+from .walkcalc import (
+    BoundaryTurnError,
+    Reduced,
+    ReductionStalled,
+    Stalled,
+    WalkError,
+)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -94,19 +101,22 @@ def cmd_reduce(args):
         w = walkcalc.read_walk(_read_file(args.walk), t)
     except WalkError as exc:
         raise InputError("bad walk %s: %s" % (args.walk, exc))
-    if w.closed:
-        r = walkcalc.reduce_closed(w, t, budget=args.budget)
-        if isinstance(r, Stalled):
-            _emit("stalled reason=%s\n" % r.reason +
-                  walkcalc.write_walk(r.walk), args.output)
-            return EXIT_OK
-        _emit(walkcalc.write_walk(r.walk), args.output)
-        return EXIT_OK
     try:
-        r = walkcalc.reduce_open(w, t, budget=args.budget)
+        if w.closed:
+            r = walkcalc.reduce_closed(w, t, budget=args.budget)
+        else:
+            r = walkcalc.reduce_open(w, t, budget=args.budget)
     except ReductionStalled as exc:
         sys.stderr.write("reduction stalled: %s\n" % exc)
         return EXIT_DOMAIN
+    except BoundaryTurnError as exc:
+        raise InputError("bad walk %s: %s" % (args.walk, exc))
+    if isinstance(r, Stalled):
+        _emit("stalled reason=%s\n" % r.reason + walkcalc.write_walk(r.walk),
+              args.output)
+        return EXIT_OK
+    if isinstance(r, Reduced):
+        r = r.walk
     _emit(walkcalc.write_walk(r), args.output)
     return EXIT_OK
 
@@ -374,9 +384,15 @@ def build_parser():
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser, built once per process: each build leaves a few hundred
+    objects of cyclic garbage."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "budget", None) is not None and args.budget < 0:
         sys.stderr.write("budget must be >= 0\n")
         return EXIT_INPUT

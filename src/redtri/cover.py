@@ -29,6 +29,7 @@ class CoverChart:
         self.origin = []
         self.proj = []      # chart half-edge -> base half-edge
         self.proj_v = []    # chart vertex -> base vertex
+        self.out = []       # chart vertex -> its half-edges, ascending
         self.basepoint = basepoint
         h0 = base.vertex_slots[basepoint][0]
         self._new_triangle(h0, [basepoint, base.head(h0),
@@ -44,6 +45,7 @@ class CoverChart:
             else:
                 ids.append(len(self.proj_v))
                 self.proj_v.append(c)
+                self.out.append([])
         h = len(self.next)
         self.next.extend([h + 1, h + 2, h])
         self.twin.extend([NO_TWIN] * 3)
@@ -52,6 +54,8 @@ class CoverChart:
             self.proj.append(bh)
             bh = self.base.next[bh]
         self.origin.extend(ids)
+        for i, v in enumerate(ids):
+            self.out[v].append(h + i)
         return h, h + 1, h + 2
 
     # -- chart-local accessors --------------------------------------------
@@ -70,7 +74,7 @@ class CoverChart:
         return None if t == NO_TWIN else self.next[t]
 
     def out_slots(self, v):
-        return [h for h in range(len(self.next)) if self.origin[h] == v]
+        return list(self.out[v])
 
     def star_complete(self, v):
         hs = self.out_slots(v)

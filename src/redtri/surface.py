@@ -569,18 +569,25 @@ def gadget_boundary_edges(g):
 
 
 class _Disjoint:
-    """Disjoint union of triangulations, re-gluable along boundary edges."""
+    """Disjoint union of triangulations, re-gluable along boundary edges.
+
+    Each part's vertices get fresh labels; gluing merges the labels of the
+    endpoints in a union-find whose root is the smallest label of its class,
+    and `build` numbers the roots densely in label order.
+    """
 
     def __init__(self):
         self.next = []
         self.twin = []
-        self.origin = []
+        self.origin = []    # vertex label at add time, never rewritten
         self.color = []
+        self.rep = []       # union-find parent per vertex label
         self.parts = []  # (he_offset, vertex_offset, size) per part
 
     def add(self, t, mirror=False):
         hoff = len(self.next)
-        voff = (max(self.origin) + 1) if self.origin else 0
+        voff = len(self.rep)
+        self.rep.extend(range(voff, voff + t.num_vertices))
         n = len(t.next)
         if not mirror:
             for h in range(n):
@@ -617,19 +624,23 @@ class _Disjoint:
     def _head(self, h):
         return self.origin[self.next[h]]
 
+    def _find(self, v):
+        rep = self.rep
+        while rep[v] != v:
+            rep[v] = rep[rep[v]]
+            v = rep[v]
+        return v
+
     def _identify(self, a, b):
-        if a == b:
-            return
-        keep, drop = (a, b) if a < b else (b, a)
-        for i, v in enumerate(self.origin):
-            if v == drop:
-                self.origin[i] = keep
+        a, b = self._find(a), self._find(b)
+        if a != b:
+            self.rep[max(a, b)] = min(a, b)
 
     def build(self):
         b = MapBuilder()
         b.next = list(self.next)
         b.twin = list(self.twin)
-        b.origin = list(self.origin)
+        b.origin = [self._find(v) for v in self.origin]
         b.color = list(self.color)
         return b.build()
 

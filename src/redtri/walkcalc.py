@@ -4,9 +4,32 @@ A turn at an interior vertex v measures the clockwise rotation distance from
 the slot by which a walk enters (the reversal of its incoming edge) to the
 slot by which it leaves.  Turns 0, +1, -1 and +-2 with a red face on the left
 of the incoming edge are bad; a walk is reduced when all its turns are good.
+
+Reduction rewrites one bad corner per step.  Corner i sits between edges
+i-1 and i; a closed walk's wrap corner 0 comes first.  Each step rewrites
+the leftmost spur (turn 0), otherwise the leftmost +-1 turn, otherwise the
+leftmost 2_r turn.  A turn that cannot be taken (at a boundary vertex,
+say) raises its error on the first step at which it lies left of every
+spur.  A walk whose rewrites revisit a state (a closed walk: up to
+rotation) stalls there: `reduce_open` raises ReductionStalled("state
+recurred"), `reduce_closed` returns Stalled(w, "cycle") with the recurring
+state.  After `budget` rewrites (default 4 (L + 1) (H + 1) for L edges on H
+half-edges) both stop with "budget exhausted" / Stalled(w, "budget"), even
+if the last rewrite left the walk reduced.
+
+Cost: the walk is a doubly linked list whose labels increase along it; a
+rewrite puts its at most two new edges under the labels of the two it
+replaces, so labels keep the order of the walk.  One lazy-deletion heap of
+corner labels per bad kind (and one for corners that raise) finds the next
+corner, and only the corners next to a rewrite are classified again.  A
+state key (length plus a sum of hashes of consecutive edge pairs, taken
+cyclically for closed walks, so rotation-invariant) is kept up to date in
+O(1); a recurrence is confirmed exactly by replaying the reduction.  Set-up
+and the result are O(L); a step is O(log L).
 """
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .surface import NO_TWIN, RED
 
@@ -91,7 +114,16 @@ def turn(t, w, i):
     return turn_at(t, e1, e2)
 
 
-def turn_at(t, e1, e2):
+def _slot_position(t, slots, h):
+    """Position of h among `slots`; ValueError if it is not one of them."""
+    i = t.slot_index[h]
+    if 0 <= i < len(slots) and slots[i] == h:
+        return i
+    return slots.index(h)
+
+
+def _turn_steps(t, e1, e2):
+    """(clockwise steps, degree) of the turn from e1 into e2."""
     v = t.head(e1)
     if t.tail(e2) != v:
         raise WalkError("edges not incident")
@@ -99,9 +131,25 @@ def turn_at(t, e1, e2):
         raise BoundaryTurnError("turn at boundary vertex %d" % v)
     slots = t.vertex_slots[v]
     d = len(slots)
-    enter = t.twin[e1]
-    steps = (slots.index(e2) - slots.index(enter)) % d
+    steps = (_slot_position(t, slots, e2)
+             - _slot_position(t, slots, t.twin[e1])) % d
+    return steps, d
+
+
+def turn_at(t, e1, e2):
+    steps, d = _turn_steps(t, e1, e2)
     return Turn(steps, d, t.color_left(e1))
+
+
+def _bad_value(t, e1, e2):
+    """Signed value of the turn from e1 into e2 if it is bad, else None
+    (`classify(turn_at(t, e1, e2))` without building the Turn)."""
+    k, d = _turn_steps(t, e1, e2)
+    if 2 * k > d:
+        k -= d
+    if -1 <= k <= 1 or ((k == 2 or k == -2) and t.color_left(e1) == RED):
+        return k
+    return None
 
 
 def classify(turn_):
@@ -133,39 +181,219 @@ def _rewrite(t, e1, e2, k):
     raise WalkError("not a bad turn: %d" % k)
 
 
-def _find_bad(t, w):
-    """Position of the next corner to rewrite: spurs, then 1-turns, then 2_r."""
-    found = {0: None, 1: None, 2: None}
-    for i in corner_positions(w):
-        tu = turn(t, w, i)
-        if classify(tu) == BAD:
-            a = abs(tu.signed_value)
-            if found[a] is None:
-                found[a] = (i, tu.signed_value)
-            if a == 0:
-                break
-    for a in (0, 1, 2):
-        if found[a] is not None:
-            return found[a]
-    return None
+# corner kinds, each with a heap of corner labels: a bad corner's kind is
+# the absolute value of its turn
+SPUR, ONE, TWO_R, RAISES = range(4)
 
 
-def _apply_at(t, w, i, k):
-    hes = list(w.half_edges)
-    if i == 0:  # wrap corner of a closed walk
-        repl = _rewrite(t, hes[-1], hes[0], k)
-        hes = hes[1:-1]
-        # split the replacement across the wrap: last edge(s) in front
-        if len(repl) == 1:
-            hes = hes + repl
+class _Reduction:
+    """A walk under rewriting.
+
+    Labels index the parallel lists: `edge`, the neighbours `nxt`/`prv`
+    (-1 past the ends of an open walk, cyclic for a closed one), and per
+    corner (keyed by the label of its second edge) `kind`, `value` (the
+    signed turn, or the exception the turn raises) and `pair` (the hash of
+    its two edges, summed in `pair_sum`).
+    """
+
+    def __init__(self, t, w):
+        self.t = t
+        self.walk = w
+        self.closed = w.closed
+        n = len(w.half_edges)
+        self.edge = list(w.half_edges)
+        self.nxt = list(range(1, n + 1))
+        self.prv = list(range(-1, n - 1))
+        if n:
+            self.nxt[-1] = 0 if w.closed else -1
+            self.prv[0] = n - 1 if w.closed else -1
+        self.first = 0 if n else -1
+        self.size = n
+        self.start = w.start
+        self.steps = 0
+        self.kind = [None] * n
+        self.value = [None] * n
+        self.pair = [0] * n
+        self.pair_sum = 0
+        self.heaps = ([], [], [], [])
+        for x in range(n):
+            self._classify(x)
+
+    def _classify(self, x):
+        """Classify the corner at label x afresh (none at an open start)."""
+        self.pair_sum -= self.pair[x]
+        p = self.prv[x]
+        if p < 0:
+            self.pair[x] = 0
+            self.kind[x] = None
+            return
+        e1, e2 = self.edge[p], self.edge[x]
+        self.pair[x] = h = hash((e1, e2))
+        self.pair_sum += h
+        try:
+            k = _bad_value(self.t, e1, e2)
+        except (BoundaryTurnError, WalkError, ValueError) as exc:
+            kind, k = RAISES, exc
+        else:
+            kind = None if k is None else abs(k)
+        self.kind[x] = kind
+        self.value[x] = k
+        if kind is not None:
+            heappush(self.heaps[kind], x)
+
+    def _leftmost(self, kind):
+        heap, kinds = self.heaps[kind], self.kind
+        while heap and kinds[heap[0]] != kind:
+            heappop(heap)
+        return heap[0] if heap else None
+
+    def _unlink(self, x):
+        p, q = self.prv[x], self.nxt[x]
+        if p >= 0:
+            self.nxt[p] = q
+        if q >= 0:
+            self.prv[q] = p
+        self.size -= 1
+        if self.first == x:
+            self.first = q if self.size else -1
+        self.pair_sum -= self.pair[x]
+        self.pair[x] = 0
+        self.kind[x] = None
+
+    def _grow(self, x, h):
+        """Make the one-edge closed walk x two edges long: h goes after x,
+        under label x + 1 (no label after x is in use)."""
+        y = x + 1
+        if y == len(self.edge):
+            for lst in (self.edge, self.nxt, self.prv, self.kind, self.value):
+                lst.append(None)
+            self.pair.append(0)
+        self.edge[y] = h
+        self.nxt[x] = self.prv[x] = y
+        self.nxt[y] = self.prv[y] = x
+        self.size = 2
+        return y
+
+    def step(self):
+        """Rewrite the next bad corner; False when the walk is reduced."""
+        spur, raises = self._leftmost(SPUR), self._leftmost(RAISES)
+        if raises is not None and (spur is None or raises < spur):
+            raise self.value[raises]
+        b = spur
+        for kind in (ONE, TWO_R):
+            if b is None:
+                b = self._leftmost(kind)
+        if b is None:
+            return False
+        edge, nxt = self.edge, self.nxt
+        a = self.prv[b]
+        repl = _rewrite(self.t, edge[a], edge[b], self.value[b])
+        # the new edges take the labels of a then b, in walk order; the
+        # wrap corner of a closed walk (b first, a last) is no exception
+        if a == b:  # the one corner of a one-edge closed walk
+            if len(repl) == 2:
+                edge[b] = repl[1]
+                touched = [b, self._grow(b, repl[0])]
+            elif repl:
+                edge[b] = repl[0]
+                touched = [b]
+            else:
+                self._unlink(b)
+                touched = []
         elif len(repl) == 2:
-            hes = [repl[1]] + hes + [repl[0]]
-    else:
-        repl = _rewrite(t, hes[i - 1], hes[i], k)
-        hes[i - 1:i + 1] = repl
-    if hes:
-        return Walk.from_half_edges(t, hes, w.closed)
-    return Walk(w.start, (), w.closed)
+            edge[a], edge[b] = repl
+            touched = [a, b, nxt[b]]
+        elif repl:
+            edge[a] = repl[0]
+            self._unlink(b)
+            touched = [a, nxt[a]]
+        else:
+            self._unlink(a)
+            self._unlink(b)
+            touched = [nxt[b]] if self.size else []
+        touched = sorted({x for x in touched if x >= 0})
+        self._check_junctions(touched)
+        for x in touched:
+            self._classify(x)
+        if self.size:
+            self.start = self.t.tail(edge[self.first])
+        self.steps += 1
+        return True
+
+    def _check_junctions(self, labels):
+        """Raise what Walk.from_half_edges raises on the new walk: only the
+        edge pairs ending at these labels (in walk order) are new."""
+        t, edge = self.t, self.edge
+        wraps = True
+        for x in labels:
+            p = self.prv[x]
+            if p >= 0 and t.head(edge[p]) != t.tail(edge[x]):
+                if x != self.first:
+                    raise WalkError("half-edges %d,%d not consecutive"
+                                    % (edge[p], edge[x]))
+                wraps = False
+        if not wraps:
+            raise WalkError("closed walk does not wrap")
+
+    def half_edges(self):
+        out = []
+        x = self.first
+        for _ in range(self.size):
+            out.append(self.edge[x])
+            x = self.nxt[x]
+        return tuple(out)
+
+    def key(self):
+        """Equal for equal states (closed walks: up to rotation)."""
+        if self.closed or not self.size:
+            return self.size, self.pair_sum
+        return self.size, self.pair_sum, self.edge[self.first]
+
+    def result(self):
+        if not self.steps:
+            return self.walk
+        if self.size:
+            return Walk.from_half_edges(self.t, self.half_edges(),
+                                        self.closed)
+        return Walk(self.start, (), self.closed)
+
+
+def _same_state(a, b, closed):
+    if not closed or a == b:
+        return a == b
+    if len(a) != len(b):
+        return False
+    sa, sb = ",".join(map(str, a)), ",".join(map(str, b))
+    return ",%s," % sb in ",%s,%s," % (sa, sa)
+
+
+def _recurs(t, w, earlier, state):
+    """Whether the reduction of w passes through `state` at one of the
+    (ascending) step numbers `earlier`: replays it from the start."""
+    r = _Reduction(t, w)
+    for i in earlier:
+        while r.steps < i:
+            r.step()
+        if _same_state(r.half_edges(), state, w.closed):
+            return True
+    return False
+
+
+def _reduce(w, t, budget):
+    """Run the rewrites; returns the reduction and None (reduced), "cycle"
+    (the first state equal to an earlier one) or "budget"."""
+    if budget is None:
+        budget = 4 * (len(w) + 1) * (len(t.next) + 1)
+    r = _Reduction(t, w)
+    seen = {r.key(): [0]}
+    for step in range(1, budget + 1):
+        if not r.step():
+            return r, None
+        earlier = seen.setdefault(r.key(), [])
+        if earlier and _recurs(t, w, earlier, r.half_edges()):
+            return r, "cycle"
+        earlier.append(step)
+    return r, "budget"
 
 
 def reduce_open(w, t, budget=None):
@@ -176,18 +404,12 @@ def reduce_open(w, t, budget=None):
     """
     if w.closed:
         raise WalkError("reduce_open needs an open walk")
-    if budget is None:
-        budget = 4 * (len(w) + 1) * (len(t.next) + 1)
-    seen = {w.half_edges}
-    for _ in range(budget):
-        nxt = _find_bad(t, w)
-        if nxt is None:
-            return w
-        w = _apply_at(t, w, *nxt)
-        if w.half_edges in seen:
-            raise ReductionStalled("state recurred")
-        seen.add(w.half_edges)
-    raise ReductionStalled("budget exhausted")
+    r, stall = _reduce(w, t, budget)
+    if stall == "cycle":
+        raise ReductionStalled("state recurred")
+    if stall == "budget":
+        raise ReductionStalled("budget exhausted")
+    return r.result()
 
 
 @dataclass(frozen=True)
@@ -201,30 +423,13 @@ class Stalled:
     reason: str  # "cycle" or "budget"
 
 
-def _canonical(w):
-    """Closed walks compare up to cyclic rotation."""
-    hes = w.half_edges
-    if not hes:
-        return hes
-    return min(hes[i:] + hes[:i] for i in range(len(hes)))
-
-
 def reduce_closed(w, t, budget=None):
     if not w.closed:
         raise WalkError("reduce_closed needs a closed walk")
-    if budget is None:
-        budget = 4 * (len(w) + 1) * (len(t.next) + 1)
-    seen = {_canonical(w)}
-    for _ in range(budget):
-        nxt = _find_bad(t, w)
-        if nxt is None:
-            return Reduced(w)
-        w = _apply_at(t, w, *nxt)
-        key = _canonical(w)
-        if key in seen:
-            return Stalled(w, "cycle")
-        seen.add(key)
-    return Stalled(w, "budget")
+    r, stall = _reduce(w, t, budget)
+    if stall is None:
+        return Reduced(r.result())
+    return Stalled(r.result(), stall)
 
 
 # -- fixtures --------------------------------------------------------------

@@ -86,3 +86,43 @@ def closed_left_cycle(t, seed_he):
         i = slots.index(t.twin[e])
         e = slots[(i + 3) % len(slots)]
     return path[seen[e]:]
+
+
+def random_closed_walk(t, rng, detour):
+    """Half-edges of a closed walk: random steps from a random vertex, then
+    a shortest path home (at least one step)."""
+    u = rng.randrange(t.num_vertices)
+    hes = []
+    while not hes:
+        hes = random_path(t, rng, u, u, max(detour, 1))
+    return hes
+
+
+def short_closed_walks(t, length):
+    """Every closed half-edge walk of the given length (1 to 3)."""
+    def extend(hes):
+        if len(hes) == length:
+            if t.head(hes[-1]) == t.tail(hes[0]):
+                yield tuple(hes)
+            return
+        for h in t.vertex_slots[t.head(hes[-1])]:
+            yield from extend(hes + [h])
+
+    for h in range(len(t.next)):
+        yield from extend([h])
+
+
+def pinched_sphere(color):
+    """A sphere of two triangles, each with two sides glued to each other,
+    glued along a loop at vertex 0 (degree 4, the other two vertices degree
+    1).  The loop's turn into itself is 2 with a `color` face on its left,
+    so a one-edge closed walk can have a bad corner, which no other test
+    host allows."""
+    from redtri.surface import BLUE, MapBuilder
+    b = MapBuilder()
+    h, x, y = b.new_face(0, 0, 1, color)
+    h2, x2, y2 = b.new_face(0, 0, 2, BLUE)
+    b.glue(x, y)
+    b.glue(x2, y2)
+    b.glue(h, h2)
+    return b.build()

@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 
@@ -86,6 +87,45 @@ def test_reduce_spur(capsys, tmp_path, torus_path):
     code, out, _ = run(capsys, "reduce", torus_path, str(p))
     assert code == 0
     assert "he=-" in out
+
+
+def test_reduce_boundary_turn(capsys, tmp_path):
+    """A walk that turns at a rim vertex is malformed input: exit 2 with
+    one error line, no traceback."""
+    p = surface.build_disk_patch(2, random.Random(1))
+    h = next(h for h in range(len(p.next))
+             if p.is_boundary_vertex(p.head(h)))
+    g = next(g for g in p.vertex_slots[p.head(h)] if g != p.twin[h])
+    from redtri.walkcalc import write_walk
+    tri = tmp_path / "patch.tri"
+    tri.write_text(surface.write_tri(p))
+    w = tmp_path / "rim.walk"
+    w.write_text(write_walk(Walk.from_half_edges(p, (h, g))))
+    code, out, err = run(capsys, "reduce", str(tri), str(w))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "boundary vertex %d" % p.head(h) in err
+
+
+def test_main_leaves_no_argparse_garbage(capsys, tmp_path):
+    """main builds its parser once per process, so repeated calls leave
+    nothing for the cycle collector."""
+    out = str(tmp_path / "torus.tri")
+    assert main(["fixtures", "torus", "-o", out]) == 0
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(10):
+            assert main(["fixtures", "torus", "-o", out]) == 0
+        gc.collect()
+        left = [o for o in gc.garbage
+                if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == []
 
 
 def test_reduce_identity(capsys, tmp_path, torus_path):

@@ -10,9 +10,11 @@ from redtri.walkcalc import (
     GOOD,
     BoundaryTurnError,
     Reduced,
+    ReductionStalled,
     Stalled,
     Turn,
     Walk,
+    WalkError,
     classify,
     corner_positions,
     is_reduced,
@@ -25,7 +27,14 @@ from redtri.walkcalc import (
     write_walk,
 )
 
-from conftest import make_patch
+import walk_oracle
+from conftest import (
+    make_patch,
+    pinched_sphere,
+    random_closed_walk,
+    random_path,
+    short_closed_walks,
+)
 
 
 def all_closed_walks(t, max_len):
@@ -224,3 +233,105 @@ def test_walk_validation(torus):
     g = next(g for g in range(len(p.next)) if p.tail(g) != p.head(h))
     with pytest.raises(walkcalc.WalkError):
         Walk.from_half_edges(p, (h, g))
+
+
+# -- the incremental engine against the scan reducer ------------------------
+
+HOSTS = {
+    "torus": surface.build_torus,
+    "doubled crown4": lambda: surface.double_with_gadgets(surface.crown(4)),
+    "patch r2": lambda: make_patch(1, radius=2),
+    "patch r3": lambda: make_patch(4, radius=3),
+    "pinched sphere": lambda: pinched_sphere(surface.RED),
+}
+_host_cache = {}
+
+
+def host_and_short_walks(name):
+    """The host and all its closed walks of length 1 to 3."""
+    if name not in _host_cache:
+        t = HOSTS[name]()
+        short = [hes for n in (1, 2, 3) for hes in short_closed_walks(t, n)]
+        _host_cache[name] = t, short
+    return _host_cache[name]
+
+
+def outcome(reduce, w, t, budget):
+    """What a reduction returns, or the type and message of what it
+    raises."""
+    try:
+        return "return", reduce(w, t, budget=budget)
+    except (ReductionStalled, BoundaryTurnError, WalkError,
+            ValueError) as exc:
+        return "raise", type(exc), str(exc)
+
+
+def assert_matches_oracle(w, t, budget):
+    if w.closed:
+        new, old = reduce_closed, walk_oracle.reduce_closed
+    else:
+        new, old = reduce_open, walk_oracle.reduce_open
+    assert outcome(new, w, t, budget) == outcome(old, w, t, budget)
+
+
+@given(st.sampled_from(sorted(HOSTS)),
+       st.sampled_from(("open", "closed", "short")),
+       st.integers(min_value=0, max_value=2 ** 32),
+       st.integers(min_value=0, max_value=40),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=5)))
+@settings(max_examples=400, deadline=None)
+def test_reduction_matches_scan_oracle(name, shape, seed, detour, budget):
+    """Same walk (half-edges, start, rotation), stall reason and exception
+    as the scan reducer, on closed and bounded hosts, for walks that reach
+    the rim of a patch, closed walks of length 1-3, and small budgets."""
+    t, short = host_and_short_walks(name)
+    rng = random.Random(seed)
+    if shape == "open":
+        u, v = rng.randrange(t.num_vertices), rng.randrange(t.num_vertices)
+        w = Walk.from_half_edges(t, random_path(t, rng, u, v, detour),
+                                 start=u)
+    elif shape == "closed":
+        w = Walk.from_half_edges(t, random_closed_walk(t, rng, detour),
+                                 closed=True)
+    else:
+        w = Walk.from_half_edges(t, rng.choice(short), closed=True)
+    assert_matches_oracle(w, t, budget)
+
+
+@pytest.mark.parametrize("budget", [None, 0, 1, 2, 3, 4, 5])
+def test_torus_stalled_walk_matches_oracle(torus, budget):
+    assert_matches_oracle(torus_stalled_walk(torus), torus, budget)
+
+
+@pytest.mark.parametrize("budget", [None, 0, 1, 2, 3])
+def test_one_edge_closed_walk_grows(budget):
+    """A bad corner on a one-edge closed walk rewrites it into two edges,
+    the second replacement edge first; a spur then empties it."""
+    t = pinched_sphere(surface.RED)
+    w = Walk.from_half_edges(t, (0,), closed=True)
+    assert str(turn(t, w, 0)) == "2_r"
+    assert_matches_oracle(w, t, budget)
+    if budget is None:
+        assert reduce_closed(w, t) == Reduced(Walk(1, (), True))
+
+
+def test_long_walks_match_oracle():
+    """Walks a few hundred edges long, where the heaps hold many corners."""
+    doubled, _ = host_and_short_walks("doubled crown4")
+    p = make_patch(7, radius=5)
+    deep = {v for v in range(p.num_vertices)
+            if not any(p.is_boundary_vertex(p.head(h))
+                       for h in p.vertex_slots[v])}
+    for seed in range(3):
+        rng = random.Random(seed)
+        hes = random_closed_walk(doubled, rng, 250)
+        assert_matches_oracle(
+            Walk.from_half_edges(doubled, hes, closed=True), doubled, None)
+        x = rng.choice(sorted(deep))
+        hes = []
+        while len(hes) < 300:
+            h = rng.choice(p.vertex_slots[x])
+            if p.head(h) in deep:
+                hes.append(h)
+                x = p.head(h)
+        assert_matches_oracle(Walk.from_half_edges(p, hes), p, None)
