@@ -24,8 +24,11 @@ corner labels per bad kind (and one for corners that raise) finds the next
 corner, and only the corners next to a rewrite are classified again.  A
 state key (length plus a sum of hashes of consecutive edge pairs, taken
 cyclically for closed walks, so rotation-invariant) is kept up to date in
-O(1); a recurrence is confirmed exactly by replaying the reduction.  Set-up
-and the result are O(L); a step is O(log L).
+O(1); a recurrence is confirmed exactly by replaying the reduction, and so
+is a key shared by two different states (the sum can collide, e.g. for
+a a b a b b and a b a a b b on a one-vertex host), at the cost of a replay.
+Set-up and the result are O(L); a step is O(log L).  Nothing bounds the
+number of steps by O(L): the budget is the only limit.
 """
 
 from dataclasses import dataclass
@@ -122,8 +125,7 @@ def _slot_position(t, slots, h):
     return slots.index(h)
 
 
-def _turn_steps(t, e1, e2):
-    """(clockwise steps, degree) of the turn from e1 into e2."""
+def turn_at(t, e1, e2):
     v = t.head(e1)
     if t.tail(e2) != v:
         raise WalkError("edges not incident")
@@ -133,23 +135,7 @@ def _turn_steps(t, e1, e2):
     d = len(slots)
     steps = (_slot_position(t, slots, e2)
              - _slot_position(t, slots, t.twin[e1])) % d
-    return steps, d
-
-
-def turn_at(t, e1, e2):
-    steps, d = _turn_steps(t, e1, e2)
     return Turn(steps, d, t.color_left(e1))
-
-
-def _bad_value(t, e1, e2):
-    """Signed value of the turn from e1 into e2 if it is bad, else None
-    (`classify(turn_at(t, e1, e2))` without building the Turn)."""
-    k, d = _turn_steps(t, e1, e2)
-    if 2 * k > d:
-        k -= d
-    if -1 <= k <= 1 or ((k == 2 or k == -2) and t.color_left(e1) == RED):
-        return k
-    return None
 
 
 def classify(turn_):
@@ -231,10 +217,11 @@ class _Reduction:
         self.pair[x] = h = hash((e1, e2))
         self.pair_sum += h
         try:
-            k = _bad_value(self.t, e1, e2)
+            tu = turn_at(self.t, e1, e2)
         except (BoundaryTurnError, WalkError, ValueError) as exc:
             kind, k = RAISES, exc
         else:
+            k = tu.signed_value if classify(tu) == BAD else None
             kind = None if k is None else abs(k)
         self.kind[x] = kind
         self.value[x] = k
