@@ -5,7 +5,10 @@ of every harmonizer case below, each preceded by a `# case` line.  Any
 change to the move search, the move order or the drawing writer shows up
 here.  WALK_GOLDEN_SHA256 does the same for walk reduction: the
 `write_walk` output (or the stall reason, or the exception raised) of
-`reduce_open` / `reduce_closed` on a fixed walk corpus.  A change that is
+`reduce_open` / `reduce_closed` on a fixed walk corpus.  OUTPUT_GOLDEN_SHA256
+covers the constructors: every `redtri fixtures` output, `write_tri` of
+seeded disk patches and of their crowned closures, and one `redtri stress`
+sweep.  A change that is
 meant to alter the output must say so and update the constant.
 """
 
@@ -191,3 +194,48 @@ def walk_corpus_digest():
 
 def test_walk_golden_outputs():
     assert walk_corpus_digest() == WALK_GOLDEN_SHA256
+
+
+# -- constructors and the stress sweep ---------------------------------------
+
+OUTPUT_GOLDEN_SHA256 = (
+    "79de055de170febc50e156f4d0d66bcb6c4b573d34b80cec0928de68a925b476")
+
+
+def output_corpus():
+    """(case name, text) for the built-in fixtures, disk patches, crowned
+    patches and one stress sweep."""
+    from redtri.boundary import attach_crowns
+    from redtri.cli import FIXTURES
+
+    for name in sorted(FIXTURES):
+        yield "fixture %s" % name, FIXTURES[name]()
+    for radius in range(1, 5):
+        for seed in range(10):
+            p = surface.build_disk_patch(radius, random.Random(seed))
+            yield "patch %d %d" % (radius, seed), surface.write_tri(p)
+            bverts = sorted({p.tail(h) for h in p.boundary_half_edges()})
+            for label, need in (("plain", {}),
+                                ("need", {x: x % 4 for x in bverts})):
+                t0, spokes = attach_crowns(p, need)
+                yield ("crowned %s %d %d" % (label, radius, seed),
+                       surface.write_tri(t0) + repr(sorted(spokes.items())))
+
+
+def output_corpus_digest(tmp_path):
+    from redtri.cli import main
+
+    sha = hashlib.sha256()
+    for name, text in output_corpus():
+        sha.update(("# %s\n" % name).encode())
+        sha.update(text.encode())
+    out = tmp_path / "stress.txt"
+    assert main(["stress", "--seed", "0", "--count", "20", "--sizes", "8",
+                 "-o", str(out)]) == 0
+    sha.update(b"# stress\n")
+    sha.update(out.read_bytes())
+    return sha.hexdigest()
+
+
+def test_output_golden(tmp_path):
+    assert output_corpus_digest(tmp_path) == OUTPUT_GOLDEN_SHA256
