@@ -16,8 +16,8 @@ from .surface import (
     NO_TWIN,
     MapBuilder,
     _double_with_gadgets_unchecked,
-    opposite_color,
-    validate_reducing,
+    _grow_ring,
+    validate_reducing,  # perfbench/tracer.py patches this name
 )
 from .walkcalc import Walk
 
@@ -152,44 +152,6 @@ def build_star_extension(f, anchor):
 
 # -- crowns and doubling ---------------------------------------------------
 
-def _attach_crown(b, boundary, nverts, need):
-    """Tent every boundary edge and fan every boundary vertex of one cycle;
-    a vertex with k anchored vertices ends with at least k+6 crown spokes."""
-    apex = []
-    tent = []
-    for h in boundary:
-        a, v = b.origin[h], b.head(h)
-        m = nverts
-        nverts += 1
-        apex.append(m)
-        col = opposite_color(b.color[h])
-        tent.append(b.new_face(v, a, m, col))
-        b.glue(tent[-1][0], h)
-    degree = [0] * nverts
-    for o in b.origin:
-        degree[o] += 1
-    n = len(boundary)
-    for i in range(n):
-        w = b.origin[boundary[i]]
-        k = degree[w] + 1
-        t = max(6, k, k + need.get(w, 0) + 4)
-        if t % 2:
-            t += 1
-        j = t - k + 1
-        col = opposite_color(b.color[tent[i][1]])
-        m, m_prev = apex[i], apex[i - 1]
-        xs = [m] + [nverts + s for s in range(j - 1)] + [m_prev]
-        nverts += j - 1
-        prev_free = tent[i][1]
-        for s in range(j):
-            fc = b.new_face(xs[s], w, xs[s + 1], col)
-            b.glue(fc[0], prev_free)
-            prev_free = fc[1]
-            col = opposite_color(col)
-        b.glue(prev_free, tent[i - 1][2])
-    return nverts
-
-
 def attach_crowns(t, need):
     """Close every boundary cycle of t with a fitted crown.
 
@@ -197,14 +159,17 @@ def attach_crowns(t, need):
     crown-interior half-edges, clockwise from the old outgoing boundary edge.
     """
     b = MapBuilder()
-    b.next = list(t.next)
-    b.twin = list(t.twin)
-    b.origin = list(t.origin)
-    b.color = [t.face_color[t.face_of[h]] for h in range(len(t.next))]
+    b.add(t)
     nverts = t.num_vertices
     bverts = set()
+
+    def target(w, k):
+        # n anchored vertices at w leave it at least n + 6 crown spokes
+        d = max(6, k, k + need.get(w, 0) + 4)
+        return d + d % 2
+
     for cyc in t.boundary_cycles():
-        nverts = _attach_crown(b, cyc, nverts, need)
+        nverts = _grow_ring(b, cyc, nverts, target)[1]
         bverts.update(t.origin[h] for h in cyc)
     t0 = b.build()
     spokes = {}
@@ -244,9 +209,9 @@ def extend_for_harmonization(f, anchor):
     anchor.validate(f)
     need = {x: anchor.count_at(x) for x in anchor.orders}
     t0, spokes = attach_crowns(t, need)
+    # `harmonize` validates tdot, raising HarmonizerError if it is not a
+    # closed reducing host
     tdot, info = _double_with_gadgets_unchecked(t0)
-    rep = validate_reducing(tdot)
-    assert rep.ok and tdot.is_closed(), sorted(rep.kinds())
     mirr = info["mirror"][0]
 
     def base_vertex(w):

@@ -3,7 +3,7 @@ export.
 
 All commands are deterministic for fixed inputs and flags.  Exit codes:
 0 success, 1 domain failure (validation violations, stalls, guard hits),
-2 malformed input.
+2 malformed input or a host the command cannot use (see FAILURES).
 """
 
 import argparse
@@ -13,9 +13,10 @@ import sys
 
 from . import boundary, cover, drawing, harmonizer, surface, walkcalc
 from .boundary import Anchor, BoundaryError
+from .cover import CoverError
 from .drawing import DrawingError, read_drawing, write_drawing
 from .harmonizer import HarmonizerError, harmonize, write_trace
-from .surface import StructureError, validate_reducing
+from .surface import FormatError, StructureError, records, validate_reducing
 from .walkcalc import (
     BoundaryTurnError,
     Reduced,
@@ -41,13 +42,6 @@ def _read_file(path):
         raise InputError(str(exc))
 
 
-def _load_tri(path):
-    try:
-        return surface.read_tri(_read_file(path))
-    except StructureError as exc:
-        raise InputError("bad triangulation %s: %s" % (path, exc))
-
-
 def _emit(text, path):
     if path is None:
         sys.stdout.write(text)
@@ -59,7 +53,7 @@ def _emit(text, path):
 # -- commands ---------------------------------------------------------------
 
 def cmd_validate(args):
-    t = _load_tri(args.tri)
+    t = surface.read_tri(_read_file(args.tri))
     rep = validate_reducing(t)
     lines = []
     for v in rep.violations:
@@ -73,22 +67,13 @@ def cmd_validate(args):
 
 
 def cmd_harmonize(args):
-    t = _load_tri(args.tri)
-    try:
-        f, anchor = read_drawing(_read_file(args.drw), t)
-    except DrawingError as exc:
-        raise InputError("bad drawing %s: %s" % (args.drw, exc))
-    try:
-        if args.anchors:
-            if anchor is None:
-                anchor = {}
-            f2, trace = boundary.harmonize_rel_anchor(
-                f, Anchor(anchor), budget=args.budget)
-        else:
-            f2, trace = harmonize(f, budget=args.budget)
-    except (HarmonizerError, BoundaryError) as exc:
-        sys.stderr.write("harmonize failed: %s\n" % exc)
-        return EXIT_DOMAIN
+    t = surface.read_tri(_read_file(args.tri))
+    f, anchor = read_drawing(_read_file(args.drw), t)
+    if args.anchors:
+        f2, trace = boundary.harmonize_rel_anchor(
+            f, Anchor(anchor or {}), budget=args.budget)
+    else:
+        f2, trace = harmonize(f, budget=args.budget)
     _emit(write_drawing(f2), args.output)
     if args.trace:
         _emit(write_trace(trace), args.trace)
@@ -96,21 +81,12 @@ def cmd_harmonize(args):
 
 
 def cmd_reduce(args):
-    t = _load_tri(args.tri)
-    try:
-        w = walkcalc.read_walk(_read_file(args.walk), t)
-    except WalkError as exc:
-        raise InputError("bad walk %s: %s" % (args.walk, exc))
-    try:
-        if w.closed:
-            r = walkcalc.reduce_closed(w, t, budget=args.budget)
-        else:
-            r = walkcalc.reduce_open(w, t, budget=args.budget)
-    except ReductionStalled as exc:
-        sys.stderr.write("reduction stalled: %s\n" % exc)
-        return EXIT_DOMAIN
-    except BoundaryTurnError as exc:
-        raise InputError("bad walk %s: %s" % (args.walk, exc))
+    t = surface.read_tri(_read_file(args.tri))
+    w = walkcalc.read_walk(_read_file(args.walk), t)
+    if w.closed:
+        r = walkcalc.reduce_closed(w, t, budget=args.budget)
+    else:
+        r = walkcalc.reduce_open(w, t, budget=args.budget)
     if isinstance(r, Stalled):
         _emit("stalled reason=%s\n" % r.reason + walkcalc.write_walk(r.walk),
               args.output)
@@ -145,11 +121,8 @@ def cmd_fixtures(args):
 
 
 def cmd_probe(args):
-    t = _load_tri(args.tri)
-    try:
-        f, _ = read_drawing(_read_file(args.drw), t)
-    except DrawingError as exc:
-        raise InputError("bad drawing %s: %s" % (args.drw, exc))
+    t = surface.read_tri(_read_file(args.tri))
+    f, _ = read_drawing(_read_file(args.drw), t)
     if not (0 <= args.vertex < f.graph.num_vertices):
         raise InputError("vertex out of range")
     side = cover.LEFT if args.side == "left" else cover.RIGHT
@@ -163,42 +136,6 @@ def cmd_probe(args):
     return EXIT_OK
 
 
-def _random_stress_drawing(host, rng, max_vertices, detour=4):
-    from .walkcalc import Walk
-    n = rng.randrange(1, max_vertices + 1)
-    vmap = [rng.randrange(host.num_vertices) for _ in range(n)]
-    edges = [(rng.randrange(i + 1), i + 1) for i in range(n - 1)]
-    for _ in range(rng.randrange(3)):
-        edges.append((rng.randrange(n), rng.randrange(n)))
-    emap = []
-    for u, v in edges:
-        hes = []
-        x = vmap[u]
-        for _ in range(rng.randrange(detour + 1)):
-            h = rng.choice(host.vertex_slots[x])
-            hes.append(h)
-            x = host.head(h)
-        prev = {x: None}
-        queue = [x]
-        while vmap[v] not in prev:
-            nxt = []
-            for y in queue:
-                for h in host.vertex_slots[y]:
-                    z = host.head(h)
-                    if z not in prev:
-                        prev[z] = h
-                        nxt.append(z)
-            queue = nxt
-        tail = []
-        y = vmap[v]
-        while prev[y] is not None:
-            tail.append(prev[y])
-            y = host.tail(prev[y])
-        hes.extend(reversed(tail))
-        emap.append(Walk.from_half_edges(host, hes, start=vmap[u]))
-    return drawing.Drawing(drawing.Graph(n, edges), host, vmap, emap)
-
-
 def cmd_stress_real(args):
     host = surface.double_with_gadgets(surface.crown(4))
     lines = ["# seed moves len-before len-after budget ratio"]
@@ -206,7 +143,7 @@ def cmd_stress_real(args):
     max_ratio = 0.0
     for i in range(args.count):
         rng = random.Random(args.seed + i)
-        f = _random_stress_drawing(host, rng, args.sizes)
+        f = drawing.random_drawing(host, rng, args.sizes, max_extra_edges=2)
         per0, total0 = f.lengths()
         f2, trace = harmonize(f, budget=args.budget)
         per2, total2 = f2.lengths()
@@ -298,23 +235,16 @@ def _export_svg_trace(trace):
 
 def cmd_export(args):
     text = _read_file(args.input)
-    head = ""
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            head = line.split()[0]
-            break
+    # the first record tells a .tri file from a trace (which may be empty)
+    seen = []
+    records(text, {kind: (1, lambda *fields, kind=kind: seen.append(kind))
+                   for kind in ("tri", "he", "face", "move")})
+    head = seen[0] if seen else "move"
     if head == "tri":
-        try:
-            t = surface.read_tri(text)
-        except StructureError as exc:
-            raise InputError(str(exc))
+        t = surface.read_tri(text)
         out = _export_dot(t) if args.format == "dot" else _export_svg_tri(t)
-    elif head in ("move", ""):
-        try:
-            trace = harmonizer.read_trace(text)
-        except HarmonizerError as exc:
-            raise InputError(str(exc))
+    elif head == "move":
+        trace = harmonizer.read_trace(text)
         if args.format == "dot":
             raise InputError("traces export to svg only")
         out = _export_svg_trace(trace)
@@ -391,6 +321,16 @@ def _parser():
     return build_parser()
 
 
+# (exceptions, exit code, stderr prefix): malformed input, or a host the
+# command cannot work on, exits 2; a failure of the routine itself exits 1
+FAILURES = (
+    ((InputError, FormatError, StructureError, DrawingError, WalkError,
+      BoundaryTurnError, CoverError), EXIT_INPUT, "error"),
+    ((HarmonizerError, BoundaryError), EXIT_DOMAIN, "harmonize failed"),
+    ((ReductionStalled,), EXIT_DOMAIN, "reduction stalled"),
+)
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
     if getattr(args, "budget", None) is not None and args.budget < 0:
@@ -398,9 +338,12 @@ def main(argv=None):
         return EXIT_INPUT
     try:
         return args.func(args)
-    except InputError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return EXIT_INPUT
+    except Exception as exc:
+        for errors, code, prefix in FAILURES:
+            if isinstance(exc, errors):
+                sys.stderr.write("%s: %s\n" % (prefix, exc))
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -64,10 +64,7 @@ class CoverChart:
         return self.origin[self.next[h]]
 
     def prev(self, h):
-        g = h
-        while self.next[g] != h:
-            g = self.next[g]
-        return g
+        return self.next[self.next[h]]  # every chart face is a triangle
 
     def rot_cw(self, h):
         t = self.twin[h]
@@ -92,8 +89,7 @@ class CoverChart:
             if len(incomplete) != 1:
                 raise CoverError("pinched chart vertex %d" % v)
             # cw-last slot: the outgoing slot with no face on its right
-            last = next(h for h in hs if self.twin[h] == NO_TWIN
-                        and self.origin[h] == v and self._is_cw_last(h, hs))
+            last = next(h for h in hs if self.twin[h] == NO_TWIN)
             bh = self.base.twin[self.proj[last]]  # base side of the new face
             x = self.head(last)
             if len(hs) == d - 1:
@@ -111,10 +107,6 @@ class CoverChart:
                 third = self.base.head(self.base.next[bh])
                 c0, c1, c2 = self._new_triangle(bh, [("v", x), ("v", v), third])
                 self._glue(c0, last)
-
-    def _is_cw_last(self, h, hs):
-        # h is the cw-last slot iff no existing face sits right of h
-        return self.twin[h] == NO_TWIN
 
     def _glue(self, a, b):
         if self.twin[a] != NO_TWIN or self.twin[b] != NO_TWIN:
@@ -187,20 +179,7 @@ class CoverChart:
 
     def triangulation(self):
         """Immutable snapshot (for validation and turn arithmetic)."""
-        colors = {}
-        seen = [False] * len(self.next)
-        for h in range(len(self.next)):
-            if seen[h]:
-                continue
-            orbit = [h]
-            seen[h] = True
-            g = self.next[h]
-            while g != h:
-                seen[g] = True
-                orbit.append(g)
-                g = self.next[g]
-            colors[min(orbit)] = self.base.face_color[
-                self.base.face_of[self.proj[h]]]
+        colors = {h: self.color_left(h) for h in range(len(self.next))}
         return Triangulation(self.next, self.twin, self.origin, colors)
 
     def color_left(self, h):

@@ -8,7 +8,8 @@ simplicial drawing (subdivide long edges) and then through a homomorphism
 
 from dataclasses import dataclass
 
-from .walkcalc import Walk, WalkError
+from .surface import FormatError, UnionFind, int_list, records
+from .walkcalc import Walk
 
 
 class DrawingError(Exception):
@@ -53,6 +54,8 @@ class Drawing:
         self.edge_map = tuple(edge_map)
         if len(self.vertex_map) != graph.num_vertices:
             raise DrawingError("vertex_map size mismatch")
+        if any(not 0 <= x < host.num_vertices for x in self.vertex_map):
+            raise DrawingError("vertex image out of range")
         if len(self.edge_map) != graph.num_edges():
             raise DrawingError("edge_map size mismatch")
         for i, (u, v) in enumerate(graph.edges):
@@ -83,13 +86,6 @@ class SimplicialDrawing:
     provenance: tuple        # per vertex, None or (G-edge id, index)
     edge_origin: tuple       # per edge, (G-edge id, segment index)
     base_graph: object
-
-    def image_walk(self, base_edge_id):
-        hes = []
-        for e, (b, _) in enumerate(self.edge_origin):
-            if b == base_edge_id and self.edge_image[e] is not None:
-                hes.append(self.edge_image[e])
-        return hes
 
 
 def factor_simplicial(f):
@@ -142,23 +138,15 @@ def clusters_and_spurs(fbar):
     edges map to the same directed T-edge.
     """
     g = fbar.graph
-    parent = list(range(g.num_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(g.num_vertices)
     for e, (u, v) in enumerate(g.edges):
         if fbar.edge_image[e] is None:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
+            uf.union(u, v)
+    # clusters in order of their smallest vertex, the root
     groups = {}
     for v in range(g.num_vertices):
-        groups.setdefault(find(v), []).append(v)
-    clusters = tuple(tuple(sorted(m)) for _, m in sorted(groups.items()))
+        groups.setdefault(uf.find(v), []).append(v)
+    clusters = tuple(map(tuple, groups.values()))
     cluster_of = [0] * g.num_vertices
     for c, members in enumerate(clusters):
         for v in members:
@@ -221,15 +209,60 @@ def unfactor(fbar):
     g0 = fbar.base_graph
     t = fbar.host
     vmap = fbar.vertex_map[:g0.num_vertices]
+    walks = [[] for _ in g0.edges]
+    for (b, _), h in zip(fbar.edge_origin, fbar.edge_image):
+        if h is not None:
+            walks[b].append(h)
+    emap = [Walk.from_half_edges(t, hes, start=vmap[u])
+            for (u, _), hes in zip(g0.edges, walks)]
+    return Drawing(g0, t, vmap, emap)
+
+
+# -- random drawings ---------------------------------------------------------
+
+def random_path(t, rng, u, v, detour):
+    """Half-edges of a walk from u to v: a random prefix, then a shortest
+    path back."""
+    hes = []
+    x = u
+    for _ in range(rng.randrange(detour + 1)):
+        h = rng.choice(t.vertex_slots[x])
+        hes.append(h)
+        x = t.head(h)
+    # BFS from x to v over outgoing slots
+    prev = {x: None}
+    queue = [x]
+    while v not in prev:
+        nxt = []
+        for y in queue:
+            for h in t.vertex_slots[y]:
+                z = t.head(h)
+                if z not in prev:
+                    prev[z] = h
+                    nxt.append(z)
+        queue = nxt
+    tail = []
+    y = v
+    while prev[y] is not None:
+        h = prev[y]
+        tail.append(h)
+        y = t.tail(h)
+    hes.extend(reversed(tail))
+    return hes
+
+
+def random_drawing(host, rng, max_vertices=5, max_extra_edges=3, detour=4):
+    """A small connected graph drawn with random walks on the host."""
+    n = rng.randrange(1, max_vertices + 1)
+    vmap = [rng.randrange(host.num_vertices) for _ in range(n)]
+    edges = [(rng.randrange(i + 1), i + 1) for i in range(n - 1)]
+    for _ in range(rng.randrange(max_extra_edges + 1)):
+        edges.append((rng.randrange(n), rng.randrange(n)))
     emap = []
-    for i, (u, v) in enumerate(g0.edges):
-        hes = fbar.image_walk(i)
-        emap.append(Walk.from_half_edges(t, hes, start=vmap[u]))
-    return Drawing(g0, t, vmap, tuple(emap))
-
-
-def lengths(f):
-    return f.lengths()
+    for u, v in edges:
+        hes = random_path(host, rng, vmap[u], vmap[v], detour)
+        emap.append(Walk.from_half_edges(host, hes, start=vmap[u]))
+    return Drawing(Graph(n, edges), host, vmap, emap)
 
 
 # -- DRW v1 text format ----------------------------------------------------
@@ -254,35 +287,31 @@ def read_drawing(text, host):
     edges = []
     walks = []
     anchor = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "vertex":
-            if parts[2] != "at":
-                raise DrawingError("bad vertex line: %r" % raw)
-            vmap[int(parts[1])] = int(parts[3])
-        elif parts[0] == "edge":
-            e, u, v = int(parts[1]), int(parts[2]), int(parts[3])
-            kv = dict(p.split("=", 1) for p in parts[4:])
-            hes = [] if kv["walk"] == "-" else [int(x) for x in kv["walk"].split(",")]
-            edges.append((u, v))
-            walks.append(hes)
-        elif parts[0] == "anchor":
-            kv = dict(p.split("=", 1) for p in parts[2:])
-            anchor[int(parts[1])] = [int(x) for x in kv["order"].split(",")]
-        else:
-            raise DrawingError("bad line: %r" % raw)
-    n = (max(vmap) + 1) if vmap else 0
+
+    def vertex(v, at, x, fields):
+        v = int(v)
+        if at != "at" or fields or v in vmap:
+            raise ValueError("expected one vertex V at X per vertex")
+        vmap[v] = int(x)
+
+    def edge(e, u, v, fields):
+        int(e)  # edge ids follow the order of the lines
+        edges.append((int(u), int(v)))
+        walks.append(int_list(fields["walk"], len(host.next)))
+
+    def anchor_at(x, fields):
+        anchor[int(x)] = list(int_list(fields["order"]))
+
+    records(text, {"vertex": (3, vertex), "edge": (3, edge),
+                   "anchor": (1, anchor_at)})
+    n = len(vmap)
+    if set(vmap) != set(range(n)):
+        raise FormatError("vertex ids are not 0..%d" % (n - 1))
+    if any(not 0 <= v < n for vs in anchor.values() for v in vs):
+        raise FormatError("anchored vertex out of range")
     vertex_map = [vmap[v] for v in range(n)]
     g = Graph(n, edges)
-    emap = []
-    for i, hes in enumerate(walks):
-        u = g.edges[i][0]
-        try:
-            emap.append(Walk.from_half_edges(host, hes, start=vertex_map[u]))
-        except WalkError as exc:
-            raise DrawingError(str(exc))
+    emap = [Walk.from_half_edges(host, hes, start=vertex_map[u])
+            for (u, _), hes in zip(g.edges, walks)]
     f = Drawing(g, host, vertex_map, emap)
     return (f, anchor) if anchor else (f, None)

@@ -7,11 +7,10 @@ decrease the total.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .drawing import Drawing, DrawingError, factor_simplicial
-from .surface import BLUE, RED, opposite_color, validate_reducing
-from .walkcalc import Walk
+from .drawing import factor_simplicial, unfactor
+from .surface import BLUE, RED, UnionFind, int_list, records, validate_reducing
 
 
 class HarmonizerError(Exception):
@@ -32,7 +31,7 @@ class InvariantError(HarmonizerError):
     """A certified applicability promise failed during application."""
 
 
-class State:
+class State(UnionFind):
     """Mutable harmonization state over a fixed subdivided graph.
 
     `image`, `parent` and `target` are the source of truth: the image of
@@ -50,10 +49,10 @@ class State:
     """
 
     def __init__(self, fbar):
+        super().__init__(fbar.graph.num_vertices)
         self.gbar = fbar.graph
         self.host = fbar.host
         self.fbar = fbar
-        self.parent = list(range(self.gbar.num_vertices))
         self.image = list(fbar.edge_image)   # oriented from endpoint 0
         self.target = {v: fbar.vertex_map[v] for v in range(self.gbar.num_vertices)}
         self.version = 0
@@ -65,20 +64,14 @@ class State:
                 self.dart_index[self.find(u)].add((e, 0))
                 self.dart_index[self.find(v)].add((e, 1))
 
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
     def union(self, a, b):
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return ra
         if self.target[ra] != self.target[rb]:
             raise InvariantError("merging clusters with different targets")
-        keep, drop = (ra, rb) if ra < rb else (rb, ra)
-        self.parent[drop] = keep
+        keep = super().union(ra, rb)
+        drop = rb if keep == ra else ra
         del self.target[drop]
         big, small = self.dart_index[keep], self.dart_index.pop(drop)
         if len(big) < len(small):
@@ -161,12 +154,6 @@ CW = "clockwise"
 CCW = "counterclockwise"
 
 
-def _slot_positions(t, x):
-    """The clockwise slots at x, and the table of every half-edge's
-    position within the slots of its tail."""
-    return t.vertex_slots[x], t.slot_index
-
-
 def _used_slots(state, r):
     return sorted({h for (_, _, h) in state.darts(r)})
 
@@ -193,7 +180,7 @@ def flip_at(state, r):
         return None
     t = state.host
     x = state.target[r]
-    slots, pos = _slot_positions(t, x)
+    slots, pos = t.vertex_slots[x], t.slot_index
     d = len(slots)
     a, b = used
     # the corner must span exactly two slots clockwise, blue face first
@@ -232,7 +219,7 @@ def shortening_at(state, r):
         return None
     t = state.host
     x = state.target[r]
-    slots, pos = _slot_positions(t, x)
+    slots, pos = t.vertex_slots[x], t.slot_index
     d = len(slots)
     if d < 6:
         return None
@@ -293,7 +280,7 @@ def apply_shortening(state, m):
 def _corner_of(t, x, g, cycle_color):
     """The a-slot of the corner that the dart with outgoing half-edge g
     occupies, for cycles whose turns carry the given subscript color."""
-    slots, pos = _slot_positions(t, x)
+    slots, pos = t.vertex_slots[x], t.slot_index
     d = len(slots)
     if t.color_left(g) == cycle_color:
         return slots[(pos[g] - 3) % d]   # forward (b) dart
@@ -301,7 +288,7 @@ def _corner_of(t, x, g, cycle_color):
 
 
 def _left_right(t, x, a):
-    slots, pos = _slot_positions(t, x)
+    slots, pos = t.vertex_slots[x], t.slot_index
     d = len(slots)
     i = pos[a]
     left = {slots[(i + 1) % d], slots[(i + 2) % d]}
@@ -357,23 +344,13 @@ def _find_balancing_pass(state, color):
         else:
             edges.append((cv, cu, e))
     # undirected components over copies
-    n = len(copy_list)
-    comp = list(range(n))
-
-    def root(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
+    comp = UnionFind(len(copy_list))
     for (cu, cv, _) in edges:
-        ru, rv = root(cu), root(cv)
-        if ru != rv:
-            comp[max(ru, rv)] = min(ru, rv)
-    groups = {}
-    for c in range(n):
-        groups.setdefault(root(c), []).append(c)
-    for _, members in sorted(groups.items()):
+        comp.union(cu, cv)
+    groups = {}     # in order of their smallest copy, the root
+    for c in range(len(copy_list)):
+        groups.setdefault(comp.find(c), []).append(c)
+    for members in groups.values():
         if any(marks[c] == "red" for c in members):
             continue
         if not any(marks[c] == "green" for c in members):
@@ -436,7 +413,7 @@ def _rotation_shortens(state, movers, rotation):
     mover_a = dict(movers)
     which = 2 if rotation == CCW else 1
     for r, a in movers:
-        slots, pos = _slot_positions(t, state.target[r])
+        slots, pos = t.vertex_slots[state.target[r]], t.slot_index
         d = len(slots)
         l = slots[(pos[a] + which) % d]
         for (e, end, g) in state.darts(r):
@@ -464,7 +441,7 @@ def apply_balancing(state, m):
     before = state.total_length()
 
     def lslot(r, k, h=None):
-        slots, pos = _slot_positions(t, state.target[r])
+        slots, pos = t.vertex_slots[state.target[r]], t.slot_index
         if h is not None:  # step of dart h relative to the corner's a-slot
             return (pos[h] - pos[mover_a[r]]) % len(slots)
         return slots[(pos[mover_a[r]] + k) % len(slots)]
@@ -495,7 +472,7 @@ def apply_balancing(state, m):
     for e, h in new_images.items():
         state.set_image(e, h)
     for r, a in m.movers:
-        slots, pos = _slot_positions(t, state.target[r])
+        slots, pos = t.vertex_slots[state.target[r]], t.slot_index
         d = len(slots)
         k = 2 if m.rotation == CCW else 1
         state.retarget(r, t.head(slots[(pos[a] + k) % d]))
@@ -655,20 +632,18 @@ def write_trace(trace):
 
 def read_trace(text):
     trace = MoveTrace()
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] != "move":
-            raise HarmonizerError("bad trace line: %r" % raw)
-        kv = dict(p.split("=", 1) for p in parts[2:])
-        kind = kv["kind"]
-        ids = tuple(int(x) for x in
-                    (kv.get("vertex") or kv.get("cycle")).split(","))
-        before, after = kv["len"].split("->")
-        trace.entries.append(TraceEntry(kind, ids, int(before), int(after),
-                                        int(kv["phase"])))
+
+    def move(n, fields):
+        int(n)  # move numbers follow the order of the lines
+        kind = fields["kind"]
+        if kind not in ("flip", "short", "bal"):
+            raise ValueError("unknown move kind %r" % kind)
+        ids = int_list(fields["cycle" if kind == "bal" else "vertex"])
+        before, after = map(int, fields["len"].split("->"))
+        trace.entries.append(TraceEntry(kind, ids, before, after,
+                                        int(fields["phase"])))
+
+    records(text, {"move": (1, move)})
     return trace
 
 
@@ -682,19 +657,10 @@ def default_budget(host, gbar):
 
 
 def state_to_drawing(state):
-    fbar = state.fbar
-    g0 = fbar.base_graph
-    t = state.host
-    vmap = [state.target[state.find(v)] for v in range(g0.num_vertices)]
-    segments = {}
-    for e, (b, _) in enumerate(fbar.edge_origin):
-        segments.setdefault(b, []).append(e)
-    emap = []
-    for i, (u, v) in enumerate(g0.edges):
-        hes = [state.image[e] for e in segments.get(i, ())
-               if state.image[e] is not None]
-        emap.append(Walk.from_half_edges(t, hes, start=vmap[u]))
-    return Drawing(g0, t, vmap, emap)
+    n = state.fbar.base_graph.num_vertices
+    vmap = tuple(state.target[state.find(v)] for v in range(n))
+    return unfactor(replace(state.fbar, vertex_map=vmap,
+                            edge_image=tuple(state.image)))
 
 
 def harmonize(f, budget=None, audit=None):

@@ -8,6 +8,7 @@ never identified by vertex pairs.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 
 RED = "r"
 BLUE = "b"
@@ -24,6 +25,10 @@ TWIN_BROKEN = "TwinBroken"
 
 class StructureError(Exception):
     """Malformed half-edge tables (bad indices, broken vertex chains)."""
+
+
+class FormatError(Exception):
+    """A malformed record in one of the text formats."""
 
 
 @dataclass(frozen=True)
@@ -45,11 +50,56 @@ def opposite_color(c):
     return BLUE if c == RED else RED
 
 
+class UnionFind:
+    """Disjoint sets of the labels 0..n-1, with path halving; the root of
+    a set is its smallest label."""
+
+    def __init__(self, n=0):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b):
+        """Merge the sets of a and b; returns the root of the union."""
+        a, b = self.find(a), self.find(b)
+        if b < a:
+            a, b = b, a
+        self.parent[b] = a
+        return a
+
+
+def face_orbits(next_):
+    """The orbits of the permutation next_, each starting at its smallest
+    member, in order of that member, and the orbit index of every element."""
+    face_of = [-1] * len(next_)
+    faces = []
+    for h in range(len(next_)):
+        if face_of[h] != -1:
+            continue
+        orbit = [h]
+        face_of[h] = len(faces)
+        g = next_[h]
+        while g != h:
+            if face_of[g] != -1:
+                raise StructureError("next is not a permutation")
+            face_of[g] = len(faces)
+            orbit.append(g)
+            g = next_[g]
+        faces.append(tuple(orbit))
+    return tuple(faces), face_of
+
+
 class Triangulation:
     """An immutable triangulated surface with 2-colored faces.
 
-    Construct from parallel half-edge arrays plus per-face colors keyed by
-    the smallest half-edge id of the face orbit.
+    Construct from parallel half-edge arrays plus a dict of colors in
+    which the smallest half-edge id of each face orbit gives the face's
+    color (other keys are ignored).
     """
 
     def __init__(self, next_, twin, origin, face_colors):
@@ -59,39 +109,24 @@ class Triangulation:
         self.next = tuple(next_)
         self.twin = tuple(twin)
         self.origin = tuple(origin)
-        for h in range(n):
-            if not (0 <= self.next[h] < n):
-                raise StructureError("next out of range at %d" % h)
-            t = self.twin[h]
-            if t != NO_TWIN and not (0 <= t < n):
-                raise StructureError("twin out of range at %d" % h)
+        # every vertex has a half-edge, so vertex ids are below n as well
+        if n and not (0 <= min(self.next) and max(self.next) < n
+                      and NO_TWIN <= min(self.twin) and max(self.twin) < n
+                      and 0 <= min(self.origin) and max(self.origin) < n):
+            h = next(h for h in range(n)
+                     if not (0 <= self.next[h] < n and 0 <= self.origin[h] < n
+                             and NO_TWIN <= self.twin[h] < n))
+            raise StructureError("next, twin or origin out of range at %d" % h)
 
         # faces = orbits of next (any length; the validator flags non-triangles)
-        face_of = [-1] * n
-        faces = []
-        for h in range(n):
-            if face_of[h] != -1:
-                continue
-            orbit = [h]
-            face_of[h] = len(faces)
-            g = self.next[h]
-            while g != h:
-                if face_of[g] != -1:
-                    raise StructureError("next is not a permutation")
-                face_of[g] = len(faces)
-                orbit.append(g)
-                g = self.next[g]
-            faces.append(tuple(orbit))
+        self.faces, face_of = face_orbits(self.next)
         self.face_of = tuple(face_of)
-        self.faces = tuple(faces)
         colors = []
         for orbit in self.faces:
-            rep = min(orbit)
-            if rep not in face_colors:
-                raise StructureError("missing color for face at half-edge %d" % rep)
-            c = face_colors[rep]
+            c = face_colors.get(orbit[0])
             if c not in (RED, BLUE):
-                raise StructureError("bad color %r" % (c,))
+                raise StructureError("bad color %r for face at half-edge %d"
+                                     % (c, orbit[0]))
             colors.append(c)
         self.face_color = tuple(colors)
 
@@ -127,12 +162,21 @@ class Triangulation:
 
     def _build_vertex_slots(self):
         n = len(self.next)
+        twin = self.twin
+        # clockwise successor of every slot; -1 past the last slot of a
+        # boundary vertex, whose chain starts at the half-edge after a
+        # twin-less one
+        succ = [-1] * n
         out = [[] for _ in range(self.num_vertices)]
-        for h in range(n):
-            v = self.origin[h]
-            if v < 0:
-                raise StructureError("negative origin at %d" % h)
+        starts_at = {}
+        for h, v in enumerate(self.origin):
             out[v].append(h)
+            t = twin[h]
+            if t == NO_TWIN:
+                g = self.next[h]
+                starts_at.setdefault(self.origin[g], []).append(g)
+            else:
+                succ[h] = self.next[t]
         slots = []
         slot_index = [-1] * n
         boundary = []
@@ -141,35 +185,26 @@ class Triangulation:
             if not hs:
                 raise StructureError("vertex %d has no half-edge" % v)
             # clockwise chain; a vertex is interior iff the chain is cyclic
-            starts = [h for h in hs if self.twin[self.prev(h)] == NO_TWIN]
-            ok = True
-            if not starts:
-                h0 = min(hs)
-                chain = [h0]
-                g = self.rot_cw(h0)
-                while g is not None and g != h0 and len(chain) <= len(hs):
-                    chain.append(g)
-                    g = self.rot_cw(g)
-                if g != h0 or len(chain) != len(hs):
-                    ok = False
-                is_bnd = False
+            starts = starts_at.get(v)
+            h0 = starts[0] if starts else hs[0]
+            chain = [h0]
+            g = succ[h0]
+            while g != -1 and len(chain) <= len(hs):
+                if g == h0 and not starts:
+                    break
+                chain.append(g)
+                g = succ[g]
+            if starts:
+                ok = len(starts) == 1 and len(chain) == len(hs)
             else:
-                if len(starts) != 1:
-                    ok = False
-                chain = [starts[0]]
-                g = self.rot_cw(starts[0])
-                while g is not None and len(chain) <= len(hs):
-                    chain.append(g)
-                    g = self.rot_cw(g)
-                if len(chain) != len(hs):
-                    ok = False
-                is_bnd = True
+                ok = g == h0 and len(chain) == len(hs)
+            is_bnd = bool(starts)
             if not ok:
                 # twin structure is damaged; keep a usable slot list anyway so
                 # the validator can still report what is wrong
                 broken.add(v)
-                chain = sorted(hs)
-                is_bnd = any(self.twin[h] == NO_TWIN for h in hs)
+                chain = hs
+                is_bnd = any(twin[h] == NO_TWIN for h in hs)
             for i, h in enumerate(chain):
                 slot_index[h] = i
             slots.append(tuple(chain))
@@ -207,17 +242,7 @@ class Triangulation:
         return self.num_vertices - self.num_edges() + len(self.faces)
 
     def num_boundary_components(self):
-        seen = set()
-        count = 0
-        for h in self.boundary_half_edges():
-            if h in seen:
-                continue
-            count += 1
-            g = h
-            while g not in seen:
-                seen.add(g)
-                g = self._boundary_successor(g)
-        return count
+        return len(self.boundary_cycles())
 
     def _boundary_successor(self, h):
         # next boundary half-edge along the boundary walk (interior on the left)
@@ -297,10 +322,17 @@ def validate_reducing(t):
     return ValidationReport(not violations, tuple(violations))
 
 
-class MapBuilder:
-    """Mutable half-edge scratchpad used by the constructors."""
+class MapBuilder(UnionFind):
+    """Mutable half-edge scratchpad used by the constructors.
+
+    Vertices are labels chosen by the caller (`new_face`) or allocated per
+    added triangulation (`add`).  Gluing two sides merges the labels of
+    their endpoints in the union-find, and `build` numbers the roots (the
+    smallest label of each class) densely in label order.
+    """
 
     def __init__(self):
+        super().__init__()
         self.next = []
         self.twin = []
         self.origin = []
@@ -316,45 +348,54 @@ class MapBuilder:
         self.color.extend([color, color, color])
         return h01, h12, h20
 
+    def add(self, t, mirror=False):
+        """Copy t (reversed and recolored if `mirror`) with fresh vertex
+        labels; returns the offsets of its half-edges and labels."""
+        hoff = len(self.next)
+        voff = len(self.parent)
+        self.parent.extend(range(voff, voff + t.num_vertices))
+        if not mirror:
+            self.next.extend(g + hoff for g in t.next)
+            self.origin.extend(v + voff for v in t.origin)
+            self.color.extend(t.face_color[f] for f in t.face_of)
+        else:
+            # each half-edge keeps its id but runs the other way: its next
+            # is its old predecessor, and the face colors swap
+            prev = [0] * len(t.next)
+            for h, g in enumerate(t.next):
+                prev[g] = h
+            self.next.extend(g + hoff for g in prev)
+            self.origin.extend(t.origin[g] + voff for g in t.next)
+            self.color.extend(opposite_color(t.face_color[f])
+                              for f in t.face_of)
+        self.twin.extend(NO_TWIN if g == NO_TWIN else g + hoff for g in t.twin)
+        return hoff, voff
+
     def glue(self, h, g):
         if self.twin[h] != NO_TWIN or self.twin[g] != NO_TWIN:
             raise StructureError("double glue")
+        # h runs a -> b, so its twin g runs b -> a
+        for a, b in ((self.origin[h], self.head(g)),
+                     (self.origin[g], self.head(h))):
+            if a != b:
+                top = max(a, b) + 1
+                self.parent.extend(range(len(self.parent), top))
+                self.union(a, b)
         self.twin[h] = g
         self.twin[g] = h
 
     def head(self, h):
         return self.origin[self.next[h]]
 
-    def identify_vertices(self, keep, drop):
-        if keep == drop:
-            return
-        for i, v in enumerate(self.origin):
-            if v == drop:
-                self.origin[i] = keep
-
-    def compact_vertices(self):
-        """Renumber vertices densely, preserving relative order."""
-        used = sorted(set(self.origin))
-        remap = {v: i for i, v in enumerate(used)}
-        self.origin = [remap[v] for v in self.origin]
-        return remap
-
     def build(self):
-        self.compact_vertices()
-        face_colors = {}
-        seen = [False] * len(self.next)
-        for h in range(len(self.next)):
-            if seen[h]:
-                continue
-            orbit = [h]
-            seen[h] = True
-            g = self.next[h]
-            while g != h:
-                seen[g] = True
-                orbit.append(g)
-                g = self.next[g]
-            face_colors[min(orbit)] = self.color[h]
-        return Triangulation(self.next, self.twin, self.origin, face_colors)
+        top = max(self.origin, default=-1) + 1
+        self.parent.extend(range(len(self.parent), top))
+        root = [self.find(v) for v in range(top)]
+        used = sorted({root[v] for v in self.origin})
+        dense = {v: i for i, v in enumerate(used)}
+        origin = [dense[root[v]] for v in self.origin]
+        return Triangulation(self.next, self.twin, origin,
+                             dict(enumerate(self.color)))
 
 
 def build_torus():
@@ -442,17 +483,12 @@ def crown(k):
             b.glue(faces[i][1], faces[i + 1][2])  # diag of D_t / diag of U_t
         else:
             b.glue(faces[i][0], faces[i + 1][2])  # right of U_t / left of D_{t+1}
+    # close, identifying the endpoints of the glued sides
     if k % 2 == 0:
-        n = k // 2
-        # close: right side of U_{n-1} is (u_n, w_n) ~ left side of D_0 (w_0, u_0)
-        b.identify_vertices(0, 2 * n)
-        b.identify_vertices(1, 2 * n + 1)
+        # right side of U_{n-1} (u_n, w_n) ~ left side of D_0 (w_0, u_0)
         b.glue(faces[k - 1][0], faces[0][2])
     else:
-        n = (k - 1) // 2
-        # close: diag of D_n is (u_{n+1}, w_n) ~ left side of D_0 (w_0, u_0)
-        b.identify_vertices(0, 2 * (n + 1))
-        b.identify_vertices(1, 2 * n + 1)
+        # diag of D_n (u_{n+1}, w_n) ~ left side of D_0 (w_0, u_0)
         b.glue(faces[k - 1][1], faces[0][2])
     return b.build()
 
@@ -478,15 +514,20 @@ def build_disk_patch(radius, rng):
         b.glue(tris[i][2], tris[(i + 1) % t0][0])
     boundary = [tris[i][1] for i in range(t0)]
     nverts = 1 + t0
+
+    def target(w, k):
+        return rng.choice([d for d in (6, 8) if d >= k])
+
     for _ in range(radius - 1):
-        boundary, nverts = _grow_ring(b, boundary, nverts, rng)
+        boundary, nverts = _grow_ring(b, boundary, nverts, target)
     return b.build()
 
 
-def _grow_ring(b, boundary, nverts, rng):
-    """Tent every boundary edge, then fan every boundary vertex; returns the
-    new boundary (CCW half-edge list) and the updated vertex count."""
-    n = len(boundary)
+def _grow_ring(b, boundary, nverts, target):
+    """Tent every edge of a boundary cycle, then fan every boundary vertex w
+    up to degree target(w, k), where k, the least target, is its degree
+    with both of its tents in place; returns the new boundary (CCW
+    half-edge list) and the updated vertex count."""
     apex = []
     tent = []
     for h in boundary:
@@ -501,14 +542,12 @@ def _grow_ring(b, boundary, nverts, rng):
     degree = [0] * nverts
     for o in b.origin:
         degree[o] += 1
-    new_boundary = []
-    for i in range(n):
-        # fan at w = origin(boundary[i]), from apex[i] back to apex[i-1]
-        h = boundary[i]
+    out = []
+    for i, h in enumerate(boundary):
+        # fan at w = origin(h), from apex[i] back to apex[i-1]
         w = b.origin[h]
         k = degree[w] + 1  # +1: the edge to apex[i-1] is incoming-only so far
-        t = rng.choice([d for d in (6, 8) if d >= k])
-        j = t - k + 1
+        j = target(w, k) - k + 1
         col = opposite_color(b.color[tent[i][1]])
         m, m_prev = apex[i], apex[i - 1]
         xs = [m] + [nverts + s for s in range(j - 1)] + [m_prev]
@@ -523,10 +562,7 @@ def _grow_ring(b, boundary, nverts, rng):
             col = opposite_color(col)
         # close the fan against the tent over the previous boundary edge
         b.glue(prev_free, tent[i - 1][2])
-        new_boundary.append(list(reversed(fan_sides)))
-    out = []
-    for i in range(n):
-        out.extend(new_boundary[i])
+        out.extend(reversed(fan_sides))
     return out, nverts
 
 
@@ -568,87 +604,10 @@ def gadget_boundary_edges(g):
     return c, a
 
 
-class _Disjoint:
-    """Disjoint union of triangulations, re-gluable along boundary edges.
-
-    Each part's vertices get fresh labels; gluing merges the labels of the
-    endpoints in a union-find whose root is the smallest label of its class,
-    and `build` numbers the roots densely in label order.
-    """
-
-    def __init__(self):
-        self.next = []
-        self.twin = []
-        self.origin = []    # vertex label at add time, never rewritten
-        self.color = []
-        self.rep = []       # union-find parent per vertex label
-        self.parts = []  # (he_offset, vertex_offset, size) per part
-
-    def add(self, t, mirror=False):
-        hoff = len(self.next)
-        voff = len(self.rep)
-        self.rep.extend(range(voff, voff + t.num_vertices))
-        n = len(t.next)
-        if not mirror:
-            for h in range(n):
-                self.next.append(t.next[h] + hoff)
-                tw = t.twin[h]
-                self.twin.append(tw + hoff if tw != NO_TWIN else NO_TWIN)
-                self.origin.append(t.origin[h] + voff)
-                self.color.append(t.face_color[t.face_of[h]])
-        else:
-            # reversed orientation: each half-edge keeps its id but is re-aimed
-            # tail<->head, next becomes the old prev of the twin walk; easiest
-            # is to rebuild faces with reversed vertex order and swapped colors.
-            prev = [0] * n
-            for h in range(n):
-                prev[t.next[h]] = h
-            for h in range(n):
-                self.next.append(prev[h] + hoff)
-                tw = t.twin[h]
-                self.twin.append(tw + hoff if tw != NO_TWIN else NO_TWIN)
-                self.origin.append(t.head(h) + voff)
-                self.color.append(opposite_color(t.face_color[t.face_of[h]]))
-        self.parts.append((hoff, voff, n))
-        return hoff, voff
-
-    def glue(self, h, g):
-        if self.twin[h] != NO_TWIN or self.twin[g] != NO_TWIN:
-            raise StructureError("double glue")
-        # identify endpoints: h runs a->b, its twin g must run b->a
-        self._identify(self.origin[h], self._head(g))
-        self._identify(self.origin[g], self._head(h))
-        self.twin[h] = g
-        self.twin[g] = h
-
-    def _head(self, h):
-        return self.origin[self.next[h]]
-
-    def _find(self, v):
-        rep = self.rep
-        while rep[v] != v:
-            rep[v] = rep[rep[v]]
-            v = rep[v]
-        return v
-
-    def _identify(self, a, b):
-        a, b = self._find(a), self._find(b)
-        if a != b:
-            self.rep[max(a, b)] = min(a, b)
-
-    def build(self):
-        b = MapBuilder()
-        b.next = list(self.next)
-        b.twin = list(self.twin)
-        b.origin = [self._find(v) for v in self.origin]
-        b.color = list(self.color)
-        return b.build()
-
-
 def build_three_gadget():
     """Three 1-gadgets chained along their colored boundary edges."""
     g1 = build_one_gadget()
-    d = _Disjoint()
+    d = MapBuilder()
     offs = [d.add(g1)[0] for _ in range(3)]
     reds, blues = [], []
     r, bl = gadget_boundary_edges(g1)
@@ -676,7 +635,7 @@ def _double_with_gadgets_unchecked(t0):
     info = {"base": (hoff, voff), "mirror": (hoff, voff), "gadget_hes": set}."""
     g3 = build_three_gadget()
     g3_red, g3_blue = gadget_boundary_edges(g3)
-    d = _Disjoint()
+    d = MapBuilder()
     base_off, base_voff = d.add(t0)
     mirr_off, mirr_voff = d.add(t0, mirror=True)
     gadget_lo = len(d.next)
@@ -704,15 +663,56 @@ def _double_with_gadgets_unchecked(t0):
     return out, info
 
 
-def euler_characteristic(t):
-    return t.euler_characteristic()
+# -- text formats ------------------------------------------------------------
+
+_EQUALS = repeat("=")
 
 
-def genus(t):
-    return t.genus()
+def records(text, handlers):
+    """Hand each record of a line-oriented text format to its handler.
+
+    A record is a non-blank line with its `#` comment cut off: a keyword,
+    k positional fields, then `key=value` fields, where `handlers[keyword]`
+    is (k, handler).  The handler gets the positional fields and a dict of
+    the `key=value` fields, all strings, and converts and checks them
+    itself.  A malformed record raises FormatError naming its line: an
+    unknown keyword, too few fields, a field after the positional ones
+    without exactly one `=`, or a ValueError (a bad value) or KeyError (a
+    missing key) raised by the handler.
+    """
+    for n, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line[:line.index("#")]
+        parts = line.split()
+        if not parts:
+            continue
+        k, handle = handlers.get(parts[0], (0, None))
+        try:
+            if handle is None:
+                raise ValueError("unknown record")
+            if len(parts) <= k:
+                raise ValueError("too few fields")
+            k += 1
+            # field.split("="), which dict() rejects unless it has two parts
+            handle(*parts[1:k], dict(map(str.split, parts[k:], _EQUALS)))
+        except KeyError as exc:
+            raise FormatError("line %d: no %s= in %r"
+                              % (n, exc.args[0], line.strip())) from None
+        except ValueError as exc:
+            raise FormatError("line %d: %s in %r"
+                              % (n, exc, line.strip())) from None
 
 
-# -- TRI v1 text format ----------------------------------------------------
+def int_list(text, stop=None):
+    """The integers of a comma-separated field ("-" for none), each in
+    range(stop) if stop is given; ValueError otherwise."""
+    ids = () if text == "-" else tuple(map(int, text.split(",")))
+    if stop is not None:
+        for i in ids:
+            if not 0 <= i < stop:
+                raise ValueError("%d out of range(%d)" % (i, stop))
+    return ids
+
 
 def write_tri(t):
     lines = ["tri %d" % len(t.next)]
@@ -727,32 +727,34 @@ def write_tri(t):
 
 
 def read_tri(text):
-    n = None
     next_ = twin = origin = None
     face_colors = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "tri":
-            n = int(parts[1])
-            next_ = [NO_TWIN] * n
-            twin = [NO_TWIN] * n
-            origin = [NO_TWIN] * n
-        elif parts[0] == "he":
-            if n is None:
-                raise StructureError("he before header")
-            h = int(parts[1])
-            kv = dict(p.split("=", 1) for p in parts[2:])
-            next_[h] = int(kv["next"])
-            twin[h] = NO_TWIN if kv["twin"] == "-" else int(kv["twin"])
-            origin[h] = int(kv["origin"])
-        elif parts[0] == "face":
-            kv = dict(p.split("=", 1) for p in parts[2:])
-            face_colors[int(kv["he"])] = kv["color"]
-        else:
-            raise StructureError("bad line: %r" % raw)
-    if n is None:
-        raise StructureError("missing tri header")
+
+    def header(n, fields):
+        nonlocal next_, twin, origin
+        n = int(n)
+        if next_ is not None:
+            raise ValueError("a second header")
+        if not 0 <= n <= len(text):  # each half-edge takes a line
+            raise ValueError("half-edge count out of range")
+        next_, twin, origin = [NO_TWIN] * n, [NO_TWIN] * n, [NO_TWIN] * n
+
+    def half_edge(h, fields):
+        h = int(h)
+        if next_ is None:
+            raise ValueError("half-edge before the header")
+        if not 0 <= h < len(next_):
+            raise ValueError("half-edge %d out of range" % h)
+        next_[h] = int(fields["next"])
+        tw = fields["twin"]
+        twin[h] = NO_TWIN if tw == "-" else int(tw)
+        origin[h] = int(fields["origin"])
+
+    def face(i, fields):
+        face_colors[int(fields["he"])] = fields["color"]
+
+    records(text, {"tri": (1, header), "he": (1, half_edge),
+                   "face": (1, face)})
+    if next_ is None:
+        raise FormatError("missing tri header")
     return Triangulation(next_, twin, origin, face_colors)

@@ -34,7 +34,7 @@ number of steps by O(L): the budget is the only limit.
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .surface import NO_TWIN, RED
+from .surface import NO_TWIN, RED, FormatError, int_list, records
 
 GOOD = "good"
 BAD = "bad"
@@ -439,16 +439,19 @@ def write_walk(w):
 
 
 def read_walk(text, t):
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] != "walk":
-            raise WalkError("bad walk line: %r" % raw)
-        kv = dict(p.split("=", 1) for p in parts[1:])
-        closed = kv["closed"] == "1"
-        start = int(kv["start"])
-        hes = [] if kv["he"] == "-" else [int(x) for x in kv["he"].split(",")]
-        return Walk.from_half_edges(t, hes, closed, start=start)
-    raise WalkError("no walk line")
+    walks = []
+
+    def walk(fields):
+        if fields["closed"] not in ("0", "1"):
+            raise ValueError("closed must be 0 or 1")
+        start = int(fields["start"])
+        if not 0 <= start < t.num_vertices:
+            raise ValueError("start vertex %d out of range" % start)
+        hes = int_list(fields["he"], len(t.next))
+        walks.append(Walk.from_half_edges(t, hes, fields["closed"] == "1",
+                                          start=start))
+
+    records(text, {"walk": (0, walk)})
+    if len(walks) != 1:
+        raise FormatError("expected one walk record, found %d" % len(walks))
+    return walks[0]

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from redtri import surface
+from redtri.drawing import random_drawing, random_path  # shared with the tests
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -19,58 +20,6 @@ def torus():
 
 def make_patch(seed, radius=3):
     return surface.build_disk_patch(radius, random.Random(seed))
-
-
-def _out_slots(t, v):
-    return t.vertex_slots[v]
-
-
-def random_path(t, rng, u, v, detour):
-    """Half-edges of a walk from u to v: a random prefix, then a shortest
-    path back."""
-    hes = []
-    x = u
-    for _ in range(rng.randrange(detour + 1)):
-        h = rng.choice(_out_slots(t, x))
-        hes.append(h)
-        x = t.head(h)
-    # BFS from x to v over outgoing slots
-    prev = {x: None}
-    queue = [x]
-    while v not in prev:
-        nxt = []
-        for y in queue:
-            for h in _out_slots(t, y):
-                z = t.head(h)
-                if z not in prev:
-                    prev[z] = h
-                    nxt.append(z)
-        queue = nxt
-    tail = []
-    y = v
-    while prev[y] is not None:
-        h = prev[y]
-        tail.append(h)
-        y = t.tail(h)
-    hes.extend(reversed(tail))
-    return hes
-
-
-def random_drawing(host, rng, max_vertices=5, max_extra_edges=3, detour=4):
-    """A small connected graph drawn with random walks on the host."""
-    from redtri.drawing import Drawing, Graph
-    from redtri.walkcalc import Walk
-
-    n = rng.randrange(1, max_vertices + 1)
-    vmap = [rng.randrange(host.num_vertices) for _ in range(n)]
-    edges = [(rng.randrange(i + 1), i + 1) for i in range(n - 1)]
-    for _ in range(rng.randrange(max_extra_edges + 1)):
-        edges.append((rng.randrange(n), rng.randrange(n)))
-    emap = []
-    for u, v in edges:
-        hes = random_path(host, rng, vmap[u], vmap[v], detour)
-        emap.append(Walk.from_half_edges(host, hes, start=vmap[u]))
-    return Drawing(Graph(n, edges), host, vmap, emap)
 
 
 def closed_left_cycle(t, seed_he):

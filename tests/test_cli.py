@@ -1,8 +1,11 @@
+import contextlib
 import gc
+import io
 import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from redtri import drawing, surface
 from redtri.cli import main
@@ -286,3 +289,119 @@ def test_probe_cli(capsys, tmp_path, torus_path):
                        "--vertex", "0", "--side", "left")
     assert code == 0
     assert out.startswith("escapes witness=")
+
+
+# -- malformed input: exit 2 with one error line -----------------------------
+
+TORUS_DRW = "vertex 0 at 0\nvertex 1 at 0\nedge 0 0 1 walk=5\n"
+
+# (case, file name, its text, command line with {tri} and {file} for the
+# torus fixture and the malformed file)
+MALFORMED = [
+    ("tri-not-a-number", "x.tri", "tri x\n", ["validate", "{file}"]),
+    ("tri-missing-twin", "x.tri", "tri 1\nhe 0 next=0 origin=0\n",
+     ["validate", "{file}"]),
+    ("tri-he-out-of-range", "x.tri", "tri 1\nhe 5 next=0 twin=- origin=0\n",
+     ["validate", "{file}"]),
+    ("tri-negative-count", "x.tri", "tri -1\n", ["validate", "{file}"]),
+    # rejected before any table of that size is allocated
+    ("tri-huge-count", "x.tri", "tri %d\n" % 10 ** 15, ["validate", "{file}"]),
+    ("tri-huge-vertex-id", "x.tri",
+     "tri 1\nhe 0 next=0 twin=- origin=%d\nface 0 color=r he=0\n" % 10 ** 15,
+     ["validate", "{file}"]),
+    ("drw-vertex-off-host", "x.drw", "vertex 0 at 99\n",
+     ["harmonize", "{tri}", "{file}"]),
+    ("drw-vertex-gap", "x.drw", "vertex 0 at 0\nvertex 2 at 0\n",
+     ["harmonize", "{tri}", "{file}"]),
+    ("drw-negative-half-edges", "x.drw",
+     "vertex 0 at 0\nvertex 1 at 0\nedge 0 0 1 walk=-2,-5\n",
+     ["harmonize", "{tri}", "{file}"]),
+    ("walk-negative-half-edge", "x.walk", "walk closed=0 start=0 he=-2\n",
+     ["reduce", "{tri}", "{file}"]),
+    ("trace-without-vertex", "x.trc", "move 0 kind=flip len=3->3 phase=1\n",
+     ["export", "{file}"]),
+]
+
+
+@pytest.mark.parametrize("name,text,argv",
+                         [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_input_exits_2(capsys, tmp_path, torus_path, name, text,
+                                 argv):
+    p = tmp_path / name
+    p.write_text(text)
+    argv = [a.format(tri=torus_path, file=str(p)) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_probe_on_bounded_host_exits_2(capsys, tmp_path):
+    p = make_patch(1, radius=2)
+    g = drawing.Graph(1, [])
+    tp, dp = write_drawing_files(tmp_path, p, drawing.Drawing(g, p, [0], []))
+    code, out, err = run(capsys, "probe", tp, dp, "--vertex", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- fuzzing: mutated inputs never escape as a traceback ---------------------
+
+FUZZ_FILES = {
+    "torus.tri": None,    # the torus fixture, written by the test
+    "f.drw": TORUS_DRW + "anchor 0 order=0,1\n",
+    "w.walk": "walk closed=0 start=0 he=0,5\n",
+    "t.trc": ("move 0 kind=short vertex=0 len=5->3 phase=1\n"
+              "move 1 kind=bal cycle=1,2 len=3->2 phase=2\n"),
+}
+# per mutated file, the command lines that read it
+FUZZ_COMMANDS = {
+    "torus.tri": [["validate", "torus.tri"], ["export", "torus.tri"],
+                  ["reduce", "torus.tri", "w.walk"]],
+    "f.drw": [["harmonize", "torus.tri", "f.drw", "--budget", "20"],
+              ["probe", "torus.tri", "f.drw", "--vertex", "0"]],
+    "w.walk": [["reduce", "torus.tri", "w.walk"]],
+    "t.trc": [["export", "t.trc"]],
+}
+FUZZ_ALPHABET = "0123456789-=,>#\n abfhilnortvw"
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    for name, text in FUZZ_FILES.items():
+        if text is None:
+            text = surface.write_tri(surface.build_torus())
+        (d / name).write_text(text)
+    return d
+
+
+@pytest.mark.filterwarnings("ignore:torus host")
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzz_mutated_inputs(fuzz_dir, data):
+    name = data.draw(st.sampled_from(sorted(FUZZ_FILES)))
+    text = (fuzz_dir / name).read_text()
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(text)))
+        kind = data.draw(st.sampled_from(("insert", "delete", "replace")))
+        c = data.draw(st.sampled_from(FUZZ_ALPHABET))
+        if kind == "insert":
+            text = text[:i] + c + text[i:]
+        elif kind == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + c + text[i + 1:]
+    mutated = fuzz_dir / ("mutated-" + name)
+    mutated.write_text(text)
+    argv = data.draw(st.sampled_from(FUZZ_COMMANDS[name]))
+    argv = [str(mutated) if a == name else str(fuzz_dir / a) if "." in a
+            else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
