@@ -293,8 +293,6 @@ def test_probe_cli(capsys, tmp_path, torus_path):
 
 # -- malformed input: exit 2 with one error line -----------------------------
 
-TORUS_DRW = "vertex 0 at 0\nvertex 1 at 0\nedge 0 0 1 walk=5\n"
-
 # (case, file name, its text, command line with {tri} and {file} for the
 # torus fixture and the malformed file)
 MALFORMED = [
@@ -349,7 +347,8 @@ def test_probe_on_bounded_host_exits_2(capsys, tmp_path):
 
 FUZZ_FILES = {
     "torus.tri": None,    # the torus fixture, written by the test
-    "f.drw": TORUS_DRW + "anchor 0 order=0,1\n",
+    "f.drw": ("vertex 0 at 0\nvertex 1 at 0\nedge 0 0 1 walk=5\n"
+              "anchor 0 order=0,1\n"),
     "w.walk": "walk closed=0 start=0 he=0,5\n",
     "t.trc": ("move 0 kind=short vertex=0 len=5->3 phase=1\n"
               "move 1 kind=bal cycle=1,2 len=3->2 phase=2\n"),

@@ -5,11 +5,11 @@ of every harmonizer case below, each preceded by a `# case` line.  Any
 change to the move search, the move order or the drawing writer shows up
 here.  WALK_GOLDEN_SHA256 does the same for walk reduction: the
 `write_walk` output (or the stall reason, or the exception raised) of
-`reduce_open` / `reduce_closed` on a fixed walk corpus.  OUTPUT_GOLDEN_SHA256
-covers the constructors: every `redtri fixtures` output, `write_tri` of
-seeded disk patches and of their crowned closures, and one `redtri stress`
-sweep.  A change that is
-meant to alter the output must say so and update the constant.
+`reduce_open` / `reduce_closed` on a fixed walk corpus.
+OUTPUT_GOLDEN_SHA256 covers the constructors: every `redtri fixtures`
+output, `write_tri` of seeded disk patches and of their crowned closures,
+and one `redtri stress` sweep.  A change that is meant to alter the output
+must say so and update the constant.
 """
 
 import hashlib
@@ -203,8 +203,8 @@ OUTPUT_GOLDEN_SHA256 = (
 
 
 def output_corpus():
-    """(case name, text) for the built-in fixtures, disk patches, crowned
-    patches and one stress sweep."""
+    """(case name, text) for the built-in fixtures, disk patches and
+    crowned patches."""
     from redtri.boundary import attach_crowns
     from redtri.cli import FIXTURES
 
