@@ -316,6 +316,10 @@ MALFORMED = [
      ["harmonize", "{tri}", "{file}"]),
     ("walk-negative-half-edge", "x.walk", "walk closed=0 start=0 he=-2\n",
      ["reduce", "{tri}", "{file}"]),
+    ("walk-stray-field", "x.walk", "walk closed=0 start=0 he=0 junk\n",
+     ["reduce", "{tri}", "{file}"]),
+    ("walk-unknown-record", "x.walk", "walk closed=0 start=0 he=0\nbogus 1\n",
+     ["reduce", "{tri}", "{file}"]),
     ("trace-without-vertex", "x.trc", "move 0 kind=flip len=3->3 phase=1\n",
      ["export", "{file}"]),
 ]
