@@ -331,12 +331,21 @@ FAILURES = (
 )
 
 
+# the least value of each numeric option; a smaller one is malformed input
+MINIMUM = {"budget": 0, "depth": 0, "window": 1, "sizes": 1, "count": 0}
+
+
+def _check_numbers(args):
+    for name, least in MINIMUM.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise InputError("--%s must be >= %d" % (name, least))
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
-    if getattr(args, "budget", None) is not None and args.budget < 0:
-        sys.stderr.write("budget must be >= 0\n")
-        return EXIT_INPUT
     try:
+        _check_numbers(args)
         return args.func(args)
     except Exception as exc:
         for errors, code, prefix in FAILURES:

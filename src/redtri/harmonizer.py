@@ -4,6 +4,15 @@ State: the subdivided graph stays fixed; clusters of its vertices (with a
 common target) only ever grow; every edge image is a single half-edge or
 collapsed.  Flips preserve all lengths, shortenings and balancings strictly
 decrease the total.
+
+The three moves share one rotation rule, `_rotate`: a cluster moves to the
+head of one of its slots, the pivot.  A dart on the pivot collapses, and a
+dart on the slot after or before the pivot turns with the cluster.  A
+shortening pivots on the first slot of a run of one or two used slots and
+on the middle slot of a run of three.  A flip is a shortening across an
+empty slot: its pivot is the free slot between its two used ones.  A
+balancing moves each vertex of a component across slot l2 of its corner
+(counterclockwise) or l1 (clockwise).
 """
 
 import warnings
@@ -154,14 +163,52 @@ CW = "clockwise"
 CCW = "counterclockwise"
 
 
-def _used_slots(state, r):
-    return sorted({h for (_, _, h) in state.darts(r)})
-
-
 def _has_loop(state, r):
     """Does some non-collapsed edge have both ends in cluster r?"""
     ends = state.dart_index.get(r, ())
     return len({e for e, _ in ends}) < len(ends)
+
+
+def _corner(state, r):
+    """(run, width): cluster r's used slots in clockwise order, starting
+    after the widest gap between them, and the number of slots the run
+    spans.  None unless r uses one to three slots and holds no loop."""
+    used = {h for (_, _, h) in state.darts(r)}
+    if not 1 <= len(used) <= 3 or _has_loop(state, r):
+        return None
+    t = state.host
+    slots, pos = t.vertex_slots[state.target[r]], t.slot_index
+    d, n = len(slots), len(used)
+    ps = sorted(pos[h] for h in used)
+    # a lone slot's gap is the whole circle
+    gap, i = max(((ps[k] - ps[k - 1]) % d or d, k) for k in range(n))
+    return tuple(slots[ps[(i + k) % n]] for k in range(n)), d + 1 - gap
+
+
+def _rotate(t, h, pivot):
+    """The new half-edge of a dart on slot h when its cluster moves to
+    head(pivot), or None when it collapses.  h is the pivot slot, the slot
+    after it or the slot before it."""
+    if h == pivot:
+        return None
+    if h == t.next[t.twin[pivot]]:
+        return t.twin[t.next[h]]
+    return t.next[t.next[t.twin[h]]]
+
+
+def _move(state, r, pivot, target):
+    """Move cluster r to `target` across its slot `pivot`; returns the edges
+    that collapse, for the caller to collapse once every image is set."""
+    t = state.host
+    collapses = []
+    for (e, end, h) in state.darts(r):
+        new = _rotate(t, h, pivot)
+        if new is None:
+            collapses.append(e)
+        else:
+            state.set_image(e, new if end == 0 else t.twin[new])
+    state.retarget(r, target)
+    return collapses
 
 
 def find_flip(state, skip=()):
@@ -175,32 +222,20 @@ def find_flip(state, skip=()):
 
 
 def flip_at(state, r):
-    used = _used_slots(state, r)
-    if len(used) != 2 or _has_loop(state, r):
-        return None
+    """A flip: two used slots with one empty slot between them, the blue
+    face first.  It is a shortening across the empty (pivot) slot."""
+    run, width = _corner(state, r) or ((), 0)
     t = state.host
-    x = state.target[r]
-    slots, pos = t.vertex_slots[x], t.slot_index
-    d = len(slots)
-    a, b = used
-    # the corner must span exactly two slots clockwise, blue face first
-    for s1, s2 in ((a, b), (b, a)):
-        if (pos[s2] - pos[s1]) % d == 2 and t.color_left(s1) == BLUE:
-            mid = slots[(pos[s1] + 1) % d]
-            return Flip(r, t.head(mid), s1, s2, state.version)
-    return None
+    if len(run) != 2 or width != 3 or t.color_left(run[0]) != BLUE:
+        return None
+    s1, s2 = run
+    return Flip(r, t.head(t.next[t.twin[s1]]), s1, s2, state.version)
 
 
 def apply_flip(state, m):
     state.check_version(m.version)
     t = state.host
-    s1, s2 = m.s1, m.s2
-    new_s1 = t.next[t.next[t.twin[s1]]]
-    new_s2 = t.twin[t.next[s2]]
-    for (e, end, h) in state.darts(m.vertex):
-        new = new_s1 if h == s1 else new_s2
-        state.set_image(e, new if end == 0 else t.twin[new])
-    state.retarget(m.vertex, m.target)
+    _move(state, m.vertex, t.next[t.twin[m.s1]], m.target)
     state.version += 1
     return state
 
@@ -213,61 +248,26 @@ def find_shortening(state):
     return None
 
 
+def _pivot(run):
+    """A shortening's pivot: the first slot of a run of one or two, the
+    middle one of a run of three."""
+    return run[(len(run) - 1) // 2]
+
+
 def shortening_at(state, r):
-    used = _used_slots(state, r)
-    if not 1 <= len(used) <= 3 or _has_loop(state, r):
+    run, width = _corner(state, r) or ((), 0)
+    if not run or width != len(run):
         return None
     t = state.host
-    x = state.target[r]
-    slots, pos = t.vertex_slots[x], t.slot_index
-    d = len(slots)
-    if d < 6:
+    if len(t.vertex_slots[state.target[r]]) < 6:
         return None
-    # find a clockwise-consecutive arrangement of the used slots
-    for first in used:
-        run = [slots[(pos[first] + i) % d] for i in range(len(used))]
-        if sorted(run) == used:
-            break
-    else:
-        return None
-    if len(run) == 1:
-        tgt = t.head(run[0])
-    elif len(run) == 2:
-        tgt = t.head(run[0])
-    else:
-        tgt = t.head(run[1])
-    return Shortening(r, tgt, tuple(run), state.version)
+    return Shortening(r, t.head(_pivot(run)), run, state.version)
 
 
 def apply_shortening(state, m):
     state.check_version(m.version)
-    t = state.host
-    run = m.run
     before = state.total_length()
-    collapses = []
-    if len(run) == 1:
-        collapses = [e for (e, _, _) in state.darts(m.vertex)]
-    elif len(run) == 2:
-        s1, s2 = run
-        new_s2 = t.twin[t.next[t.next[t.twin[s1]]]]
-        for (e, end, h) in state.darts(m.vertex):
-            if h == s1:
-                collapses.append(e)
-            else:
-                state.set_image(e, new_s2 if end == 0 else t.twin[new_s2])
-    else:
-        s1, s2, s3 = run
-        new_s1 = t.next[t.next[t.twin[s1]]]
-        new_s3 = t.twin[t.next[s3]]
-        for (e, end, h) in state.darts(m.vertex):
-            if h == s1:
-                state.set_image(e, new_s1 if end == 0 else t.twin[new_s1])
-            elif h == s3:
-                state.set_image(e, new_s3 if end == 0 else t.twin[new_s3])
-            else:
-                collapses.append(e)
-    state.retarget(m.vertex, m.target)
-    for e in collapses:
+    for e in _move(state, m.vertex, _pivot(m.run), m.target):
         state.collapse(e)
     if not state.total_length() < before:
         raise InvariantError("shortening did not shorten")
@@ -287,16 +287,6 @@ def _corner_of(t, x, g, cycle_color):
     return g                             # backward (a) dart
 
 
-def _left_right(t, x, a):
-    slots, pos = t.vertex_slots[x], t.slot_index
-    d = len(slots)
-    i = pos[a]
-    left = {slots[(i + 1) % d], slots[(i + 2) % d]}
-    corner = {a, slots[(i + 3) % d]}
-    right = set(slots) - left - corner
-    return left, right
-
-
 def find_balancing(state):
     for color in (RED, BLUE):
         m = _find_balancing_pass(state, color)
@@ -307,6 +297,7 @@ def find_balancing(state):
 
 def _find_balancing_pass(state, color):
     t = state.host
+    pos = t.slot_index
     verts = state.cluster_vertices()
     # split graph: one copy per occupied corner
     copies = {}          # (vertex, a-slot) -> copy id
@@ -319,16 +310,14 @@ def _find_balancing_pass(state, color):
             if key not in copies:
                 copies[key] = len(copy_list)
                 copy_list.append(key)
+    # a copy is red with a dart right of its corner, green with one on its
+    # left (1 or 2 clockwise steps from the a-slot; 0 and 3 are the corner)
     marks = []
-    for c, (r, a) in enumerate(copy_list):
-        left, right = _left_right(t, state.target[r], a)
-        gs = used[r]
-        if any(g in right for g in gs):
-            marks.append("red")
-        elif any(g in left for g in gs):
-            marks.append("green")
-        else:
-            marks.append("plain")
+    for r, a in copy_list:
+        d = len(t.vertex_slots[state.target[r]])
+        steps = {(pos[g] - pos[a]) % d for g in used[r]}
+        marks.append("red" if steps - {0, 1, 2, 3} else
+                     "green" if steps & {1, 2} else "plain")
     # directed split edges: tail at the dart whose image face has the cycle color
     edges = []
     for e, (u, v) in enumerate(state.gbar.edges):
@@ -358,17 +347,15 @@ def _find_balancing_pass(state, color):
         cyc = _directed_cycle(members, edges)
         if cyc is None:
             continue
-        seen_verts = {}
-        for c in members:
-            r = copy_list[c][0]
-            assert r not in seen_verts, \
-                "vertex with two corner copies in one balanced component"
-            seen_verts[r] = c
-        movers = tuple(sorted((copy_list[c][0], copy_list[c][1])
-                              for c in members))
+        movers = tuple(sorted(copy_list[c] for c in members))
+        assert len(dict(movers)) == len(movers), \
+            "vertex with two corner copies in one balanced component"
         cycle = tuple(copy_list[c][0] for c in cyc)
-        rotation = _choose_rotation(state, movers, color)
-        if rotation is None:
+        if _rotation_shortens(state, movers, CW):
+            rotation = CW
+        elif _rotation_shortens(state, movers, CCW):
+            rotation = CCW
+        else:
             raise InvariantError("balanced component admits no shortening rotation")
         return Balancing(cycle, movers, rotation, color, state.version)
     return None
@@ -407,31 +394,19 @@ def _directed_cycle(members, edges):
 
 def _rotation_shortens(state, movers, rotation):
     """Does this rotation collapse at least one edge?  (An edge collapses
-    when exactly one endpoint moves and its dart sits on the collapsing
-    left slot: l2 counterclockwise, l1 clockwise.)"""
+    when exactly one endpoint moves and its dart sits on the pivot slot:
+    l2 counterclockwise, l1 clockwise.)"""
     t = state.host
     mover_a = dict(movers)
-    which = 2 if rotation == CCW else 1
+    k = 2 if rotation == CCW else 1
     for r, a in movers:
-        slots, pos = t.vertex_slots[state.target[r]], t.slot_index
-        d = len(slots)
-        l = slots[(pos[a] + which) % d]
+        slots = t.vertex_slots[state.target[r]]
+        pivot = slots[(t.slot_index[a] + k) % len(slots)]
         for (e, end, g) in state.darts(r):
-            if g != l:
-                continue
-            u, v = state.gbar.edges[e]
-            other = state.find(v if end == 0 else u)
-            if other not in mover_a:
+            far = state.find(state.gbar.edges[e][1 - end])
+            if g == pivot and far not in mover_a:
                 return True
     return False
-
-
-def _choose_rotation(state, movers, color):
-    if _rotation_shortens(state, movers, CW):
-        return CW
-    if _rotation_shortens(state, movers, CCW):
-        return CCW
-    return None
 
 
 def apply_balancing(state, m):
@@ -471,11 +446,9 @@ def apply_balancing(state, m):
             new_images[e] = res[1]
     for e, h in new_images.items():
         state.set_image(e, h)
-    for r, a in m.movers:
-        slots, pos = t.vertex_slots[state.target[r]], t.slot_index
-        d = len(slots)
-        k = 2 if m.rotation == CCW else 1
-        state.retarget(r, t.head(slots[(pos[a] + k) % d]))
+    k = 2 if m.rotation == CCW else 1
+    for r, _ in m.movers:
+        state.retarget(r, t.head(lslot(r, k)))
     for e in collapses:
         state.collapse(e)
     if not state.total_length() < before:
@@ -486,37 +459,23 @@ def apply_balancing(state, m):
 
 def _remap_dart(t, r, other, h, rotation, other_moves, lslot):
     """New image (oriented out of r) for the edge whose dart at mover r has
-    outgoing half-edge h; `other` is the cluster at the far end."""
+    outgoing half-edge h; `other` is the cluster at the far end.  Movers go
+    across their pivot slot: l2 counterclockwise, l1 clockwise."""
     step = lslot(r, 0, h)
     nxt, twn = t.next, t.twin
-    if rotation == CCW:
-        if step == 3:    # forward cycle dart b
+    k = 2 if rotation == CCW else 1
+    if step == 0:        # backward cycle dart a: the other end remaps it
+        return None
+    if step == 3:        # forward cycle dart b
+        if rotation == CCW:
             return ("set", twn[nxt[nxt[twn[nxt[h]]]]])
-        if step == 0:    # backward cycle dart a: the other end remaps it
-            return None
-        if step == 2:    # l2: the collapsing slot
-            if not other_moves:
-                return ("collapse", None)
-            return ("set", lslot(other, 2))
-        if step == 1:    # l1
-            if not other_moves:
-                return ("set", nxt[nxt[twn[h]]])
-            return ("set", twn[lslot(r, 2)])
+        return ("set", twn[nxt[nxt[twn[lslot(r, 1)]]]])
+    if step not in (1, 2):
         raise InvariantError("mover dart outside its corner")
-    else:
-        if step == 3:
-            return ("set", twn[nxt[nxt[twn[lslot(r, 1)]]]])
-        if step == 0:
-            return None
-        if step == 1:    # l1: the collapsing slot
-            if not other_moves:
-                return ("collapse", None)
-            return ("set", lslot(other, 1))
-        if step == 2:    # l2
-            if not other_moves:
-                return ("set", twn[nxt[nxt[twn[lslot(r, 1)]]]])
-            return ("set", twn[lslot(r, 1)])
-        raise InvariantError("mover dart outside its corner")
+    if other_moves:      # l1 or l2, and the far end moves too
+        return ("set", lslot(other, k) if step == k else twn[lslot(r, k)])
+    new = _rotate(t, h, lslot(r, k))
+    return ("collapse", None) if new is None else ("set", new)
 
 
 # -- left-blue digraph and orderings ---------------------------------------
@@ -711,52 +670,42 @@ def harmonize(f, budget=None, audit=None):
             return True
         return False
 
-    restart = True
-    while restart:
-        restart = False
-        if state.gbar.num_vertices == 0:
-            break
-        # step 1: flip anything but the root
+    def flip_all(phase, skip=()):
+        """Flip until no flip applies; True when a move interrupted."""
         while True:
-            if interrupt(1):
-                restart = True
-                break
-            mv = find_flip(state, skip={state.find(0)})
+            if interrupt(phase):
+                return True
+            mv = find_flip(state, skip)
             if mv is None:
-                break
-            do(mv, "flip", 1)
-        if restart:
-            continue
-        # step 2: cyclic flips along a proper monotonic ordering
+                return False
+            do(mv, "flip", phase)
+
+    def cyclic_flips():
+        """Flip along a proper monotonic ordering until a whole round of it
+        is idle; True when a move interrupted."""
         try:
             order = proper_monotonic_ordering(state, left_blue_direction(state))
         except HarmonizerError:
-            order = None
-        if order:
-            idle, i = 0, 0
-            while idle < len(order):
-                if interrupt(2):
-                    restart = True
-                    break
-                v = order[i % len(order)]
-                mv = flip_at(state, v)
-                if mv is not None:
-                    do(mv, "flip", 2)
-                    idle = 0
-                else:
-                    idle += 1
-                i += 1
-            if restart:
-                continue
-        # step 3: flip anything
-        while True:
-            if interrupt(3):
-                restart = True
-                break
-            mv = find_flip(state)
-            if mv is None:
-                break
-            do(mv, "flip", 3)
+            return False
+        idle, i = 0, 0
+        while idle < len(order):
+            if interrupt(2):
+                return True
+            mv = flip_at(state, order[i % len(order)])
+            if mv is not None:
+                do(mv, "flip", 2)
+                idle = 0
+            else:
+                idle += 1
+            i += 1
+        return False
+
+    # step 1 flips anything but the root, step 2 flips cyclically, step 3
+    # flips anything; a shortening or a balancing restarts at step 1
+    while state.gbar.num_vertices:
+        if not (flip_all(1, {state.find(0)}) or cyclic_flips()
+                or flip_all(3)):
+            break
     return state_to_drawing(state), trace
 
 

@@ -67,6 +67,14 @@ class Turn:
         return "%d_%s" % (self.signed_value, self.subscript)
 
 
+def _check_range(t, hes):
+    """Raise on the first half-edge id that is not on the host."""
+    n = len(t.next)
+    for h in hes:
+        if not 0 <= h < n:
+            raise WalkError("half-edge %d out of range" % h)
+
+
 @dataclass(frozen=True)
 class Walk:
     start: int
@@ -76,8 +84,10 @@ class Walk:
     @classmethod
     def from_half_edges(cls, t, hes, closed=False, start=None):
         hes = tuple(hes)
+        _check_range(t, hes)
+        origin, nxt = t.origin, t.next
         for a, b in zip(hes, hes[1:]):
-            if t.head(a) != t.tail(b):
+            if origin[nxt[a]] != origin[b]:
                 raise WalkError("half-edges %d,%d not consecutive" % (a, b))
         if hes:
             if closed and t.head(hes[-1]) != t.tail(hes[0]):
@@ -299,7 +309,7 @@ class _Reduction:
             self._unlink(b)
             touched = [nxt[b]] if self.size else []
         touched = sorted({x for x in touched if x >= 0})
-        self._check_junctions(touched)
+        self._check_junctions(touched, repl)
         for x in touched:
             self._classify(x)
         if self.size:
@@ -307,10 +317,12 @@ class _Reduction:
         self.steps += 1
         return True
 
-    def _check_junctions(self, labels):
-        """Raise what Walk.from_half_edges raises on the new walk: only the
-        edge pairs ending at these labels (in walk order) are new."""
+    def _check_junctions(self, labels, new):
+        """Raise what Walk.from_half_edges raises on the new walk: the new
+        edges must be on the host, and only the edge pairs ending at these
+        labels (in walk order) are new."""
         t, edge = self.t, self.edge
+        _check_range(t, new)
         wraps = True
         for x in labels:
             p = self.prv[x]

@@ -391,12 +391,33 @@ def test_flip_phase_bounds():
                 maxk = max(maxk, check_cyclic_segment(f, snaps, ents, i, j))
             nseg[e.phase - 1] += 1
             i = j
-    assert sum(nseg) > 0
+    assert all(nseg)    # each of the three steps flips somewhere
     print("flip phases: %d/%d/%d segments per step, max k %d"
           % (nseg[0], nseg[1], nseg[2], maxk))
 
 
 # -- balancing detector equivalence ----------------------------------------
+
+def oracle_corner_of(t, x, g, cycle_color):
+    """The a-slot of the corner that the dart with outgoing half-edge g
+    occupies at x: the slot three counterclockwise steps back for a forward
+    dart (cycle color on its left), g itself for a backward one."""
+    slots = t.vertex_slots[x]
+    if t.color_left(g) == cycle_color:
+        return slots[(slots.index(g) - 3) % len(slots)]
+    return g
+
+
+def oracle_left_right(t, x, a):
+    """The slot sets left of the corner at a-slot a (one and two steps
+    clockwise) and right of it (every slot but those and the corner a, b)."""
+    slots = t.vertex_slots[x]
+    d = len(slots)
+    i = slots.index(a)
+    left = {slots[(i + 1) % d], slots[(i + 2) % d]}
+    corner = {a, slots[(i + 3) % d]}
+    return left, set(slots) - left - corner
+
 
 def balancing_oracle(state):
     """Search all simple directed cycles of corner copies joined by 3-turn
@@ -407,7 +428,7 @@ def balancing_oracle(state):
     darts = {r: state.darts(r) for r in roots}
     for color in (RED, surface.BLUE):
         def corner(r, g):
-            return hz._corner_of(t, state.target[r], g, color)
+            return oracle_corner_of(t, state.target[r], g, color)
 
         adj = {}
         und = {}
@@ -473,7 +494,7 @@ def balancing_oracle(state):
             ok = True
             pulled_left = False
             for (r, a) in comp:
-                left, right = hz._left_right(t, state.target[r], a)
+                left, right = oracle_left_right(t, state.target[r], a)
                 gs = [g for (_, _, g) in darts[r]]
                 if any(g in right for g in gs):
                     ok = False

@@ -110,6 +110,20 @@ def test_reduce_boundary_turn(capsys, tmp_path):
     assert "boundary vertex %d" % p.head(h) in err
 
 
+def test_reduce_off_the_rim(capsys, tmp_path):
+    """A reduction whose rewrite would leave the surface at the rim is
+    malformed input, not a walk through half-edge -1."""
+    p = make_patch(0, radius=2)
+    from redtri.walkcalc import write_walk
+    tri = tmp_path / "patch.tri"
+    tri.write_text(surface.write_tri(p))
+    w = tmp_path / "rim.walk"
+    w.write_text(write_walk(Walk.from_half_edges(p, (48, 49))))
+    code, out, err = run(capsys, "reduce", str(tri), str(w))
+    assert code == 2 and out == ""
+    assert err == "error: half-edge -1 out of range\n"
+
+
 def test_main_leaves_no_argparse_garbage(capsys, tmp_path):
     """main builds its parser once per process, so repeated calls leave
     nothing for the cycle collector."""
@@ -293,6 +307,9 @@ def test_probe_cli(capsys, tmp_path, torus_path):
 
 # -- malformed input: exit 2 with one error line -----------------------------
 
+# a well-formed drawing on the torus fixture
+DRW = "vertex 0 at 0\nvertex 1 at 0\nedge 0 0 1 walk=5\n"
+
 # (case, file name, its text, command line with {tri} and {file} for the
 # torus fixture and the malformed file)
 MALFORMED = [
@@ -322,6 +339,17 @@ MALFORMED = [
      ["reduce", "{tri}", "{file}"]),
     ("trace-without-vertex", "x.trc", "move 0 kind=flip len=3->3 phase=1\n",
      ["export", "{file}"]),
+    # numeric options below their least value
+    ("budget-negative", "x.drw", DRW, ["harmonize", "{tri}", "{file}",
+                                       "--budget", "-1"]),
+    ("window-zero", "x.drw", DRW, ["probe", "{tri}", "{file}", "--vertex",
+                                   "0", "--window", "0"]),
+    ("window-negative", "x.drw", DRW, ["probe", "{tri}", "{file}",
+                                       "--vertex", "0", "--window", "-1"]),
+    ("depth-negative", "x.drw", DRW, ["probe", "{tri}", "{file}", "--vertex",
+                                      "0", "--depth", "-1"]),
+    ("sizes-zero", "unused", "", ["stress", "--sizes", "0"]),
+    ("count-negative", "unused", "", ["stress", "--count", "-1"]),
 ]
 
 

@@ -46,7 +46,7 @@ from test_boundary import anchored_ends, boundary_path_drawing
 GOLDEN_SHA256 = (
     "bf96d837dab0f1f0fa3118bca96e425640a8d3821d850dade0374cb630a9d90b")
 WALK_GOLDEN_SHA256 = (
-    "e01655a1559d469065040a83e56cfe4a039de16cc4a61280fc0c422eb2376e90")
+    "843ea3a7e14a6290574bb1ee5c90d1a7836619dfba2abe970acf994ebf6eabc2")
 
 # (max_vertices, detour, seeds) for random drawings on doubled crown4; the
 # seeds after range(30) are ones whose harmonization includes a balancing

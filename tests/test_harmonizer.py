@@ -1,3 +1,4 @@
+import itertools
 import random
 import warnings
 
@@ -165,6 +166,162 @@ def test_no_shortening_with_spread_slots(doubled):
     st = state_of(corner_drawing(t, x, s1, s2))
     # slots two apart are not clockwise-consecutive
     assert shortening_at(st, 1) is None
+
+
+def fan_state(t, x, out_slots):
+    """Vertex 0 at x with one edge per slot; every other edge points into
+    vertex 0, so its dart there is the edge's end 1."""
+    edges, emap = [], []
+    for i, s in enumerate(out_slots):
+        if i % 2:
+            edges.append((i + 1, 0))
+            emap.append(Walk.from_half_edges(t, (t.twin[s],), start=t.head(s)))
+        else:
+            edges.append((0, i + 1))
+            emap.append(Walk.from_half_edges(t, (s,), start=x))
+    vmap = [x] + [t.head(s) for s in out_slots]
+    return state_of(Drawing(Graph(len(vmap), edges), t, vmap, emap))
+
+
+def corner_cases(t):
+    """(x, used slots) for every set of 1-3 slots inside a window of five
+    consecutive slots at x, counted once (the window starts at a used slot)."""
+    for x in range(t.num_vertices):
+        slots = t.vertex_slots[x]
+        d = len(slots)
+        for i in range(d):
+            for k in range(3):
+                for rest in itertools.combinations(range(1, 5), k):
+                    yield x, [slots[i]] + [slots[(i + j) % d] for j in rest]
+
+
+def brute_corner(t, x, used):
+    """The expected flip (s1, s2, mid) and shortening run at x, or None."""
+    slots = t.vertex_slots[x]
+    d = len(slots)
+    flip = None
+    pairs = itertools.permutations(used) if len(used) == 2 else ()
+    for s1, s2 in pairs:
+        if (slots.index(s2) - slots.index(s1)) % d == 2 \
+                and t.color_left(s1) == BLUE:
+            flip = (s1, s2, slots[(slots.index(s1) + 1) % d])
+    run = None
+    for s in used:
+        cand = [slots[(slots.index(s) + j) % d] for j in range(len(used))]
+        if d >= 6 and set(cand) == set(used):
+            run = tuple(cand)
+    return flip, run
+
+
+def image_out_of_0(st, e):
+    """Edge e's image oriented out of vertex 0, or None once collapsed."""
+    h = st.image[e]
+    if h is None or st.gbar.edges[e][0] == 0:
+        return h
+    return st.host.twin[h]
+
+
+def test_corner_classifier_exhaustive(doubled):
+    """flip_at and shortening_at on every small corner of doubled crown4
+    agree with a brute-force rule, and applying them gives the images of
+    the explicit per-move formulas."""
+    t = doubled
+    nxt, twn = t.next, t.twin
+    flips = shortenings = 0
+    for x, used in corner_cases(t):
+        flip, run = brute_corner(t, x, used)
+        st = fan_state(t, x, used)
+        m = flip_at(st, 0)
+        assert (m is None) == (flip is None), (x, used)
+        if m is not None:
+            s1, s2, mid = flip
+            assert (m.s1, m.s2, m.target) == (s1, s2, t.head(mid))
+            apply_flip(st, m)
+            st.check_consistent()
+            assert st.target[st.find(0)] == t.head(mid)
+            want = {s1: nxt[nxt[twn[s1]]], s2: twn[nxt[s2]]}
+            assert [image_out_of_0(st, e) for e in range(len(used))] == \
+                [want[s] for s in used]
+            flips += 1
+        st = fan_state(t, x, used)
+        m = shortening_at(st, 0)
+        assert (m is None) == (run is None), (x, used)
+        if m is not None:
+            assert m.run == run
+            if len(run) == 1:
+                want, to = {run[0]: None}, run[0]
+            elif len(run) == 2:
+                want = {run[0]: None,
+                        run[1]: twn[nxt[nxt[twn[run[0]]]]]}
+                to = run[0]
+            else:
+                want = {run[0]: nxt[nxt[twn[run[0]]]], run[1]: None,
+                        run[2]: twn[nxt[run[2]]]}
+                to = run[1]
+            assert m.target == t.head(to)
+            apply_shortening(st, m)
+            st.check_consistent()
+            assert st.target[st.find(0)] == t.head(to)
+            assert [image_out_of_0(st, e) for e in range(len(used))] == \
+                [want[s] for s in used]
+            shortenings += 1
+    assert flips and shortenings
+
+
+def old_remap(t, rotation, step, other_moves, h, l1, l2, other_l):
+    """The balancing image formulas, one per case, as first written."""
+    nxt, twn = t.next, t.twin
+    if step == 0:
+        return None
+    if rotation == CCW:
+        if step == 3:
+            return ("set", twn[nxt[nxt[twn[nxt[h]]]]])
+        if step == 2:
+            return ("set", other_l[2]) if other_moves else ("collapse", None)
+        return ("set", twn[l2] if other_moves else nxt[nxt[twn[h]]])
+    if step == 3:
+        return ("set", twn[nxt[nxt[twn[l1]]]])
+    if step == 1:
+        return ("set", other_l[1]) if other_moves else ("collapse", None)
+    return ("set", twn[l1] if other_moves else twn[nxt[nxt[twn[l1]]]])
+
+
+def test_remap_dart_formulas(doubled):
+    """Every branch of _remap_dart, including the ones no harmonization on
+    the test hosts reaches (an l1 or l2 dart whose far end also moves),
+    against the explicit formulas.  Mover 0 has its a-slot at every slot of
+    every vertex; the far-end mover 1 sits at the dart's head."""
+    t = doubled
+    for x in range(t.num_vertices):
+        slots = t.vertex_slots[x]
+        d = len(slots)
+        for i, a in enumerate(slots):
+            l1, l2 = slots[(i + 1) % d], slots[(i + 2) % d]
+            for step in range(5):
+                h = slots[(i + step) % d]
+                y = t.head(h)
+                ys = t.vertex_slots[y]
+                corner = {0: (x, a), 1: (y, ys[(ys.index(t.twin[h]) + 3)
+                                                 % len(ys)])}
+
+                def lslot(r, k, g=None):
+                    at, ar = corner[r]
+                    s = t.vertex_slots[at]
+                    if g is not None:
+                        return (s.index(g) - s.index(ar)) % len(s)
+                    return s[(s.index(ar) + k) % len(s)]
+
+                other_l = {k: lslot(1, k) for k in (1, 2)}
+                for rotation in (CW, CCW):
+                    for other_moves in (False, True):
+                        args = (t, 0, 1, h, rotation, other_moves, lslot)
+                        if step == 4:   # right of the corner
+                            with pytest.raises(InvariantError):
+                                harmonizer._remap_dart(*args)
+                            continue
+                        assert harmonizer._remap_dart(*args) == old_remap(
+                            t, rotation, step, other_moves, h, l1, l2,
+                            other_l), (x, a, step, rotation, other_moves)
 
 
 # -- balancing -------------------------------------------------------------
