@@ -13,8 +13,14 @@ on the middle slot of a run of three.  A flip is a shortening across an
 empty slot: its pivot is the free slot between its two used ones.  A
 balancing moves each vertex of a component across slot l2 of its corner
 (counterclockwise) or l1 (clockwise).
+
+The searches do not scan the drawing.  `State` records which clusters each
+move touches, and a search first re-examines just those: a cluster's corner
+decides its flip and its shortening, and a balancing needs only the
+split-graph components that hold its corner copies.
 """
 
+import heapq
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -52,9 +58,19 @@ class State(UnionFind):
     mutators change it: `collapse` removes the edge's two pairs, and
     `union` merges the smaller set into the larger.  `set_image` and
     `retarget` leave it alone, because a dart's half-edge is read from
-    `image` when it is needed.  Code that writes `image`, `parent` or
-    `target` directly bypasses the index and must not call `darts`
-    afterwards.
+    `image` when it is needed.  `collapse` also keeps `length`, the
+    number of non-collapsed edges, up to date.
+
+    `dirty` holds the vertices whose clusters changed since the last
+    search.  All four mutators add to it: `set_image` and `collapse` both
+    ends of the edge, `union` the kept root and the dropped one, `retarget`
+    the cluster.  Every vertex starts dirty.  A search first re-examines
+    the clusters of the dirty vertices (`_refresh`) and so keeps the move
+    indexes up to date: `flips` and `shortenings`, the clusters where such
+    a move applies, and `splits`, the split graph of each cycle color.
+
+    Code that writes `image`, `parent` or `target` directly bypasses the
+    indexes and must not call `darts` or a search afterwards.
     """
 
     def __init__(self, fbar):
@@ -65,6 +81,11 @@ class State(UnionFind):
         self.image = list(fbar.edge_image)   # oriented from endpoint 0
         self.target = {v: fbar.vertex_map[v] for v in range(self.gbar.num_vertices)}
         self.version = 0
+        self.length = len(self.image) - self.image.count(None)
+        self.dirty = set(range(self.gbar.num_vertices))
+        self.flips = _Candidates()
+        self.shortenings = _Candidates()
+        self.splits = (_SplitGraph(RED), _SplitGraph(BLUE))
         self.dart_index = {v: set() for v in range(self.gbar.num_vertices)}
         for e, (u, v) in enumerate(self.gbar.edges):
             if self.image[e] is None:
@@ -81,6 +102,7 @@ class State(UnionFind):
             raise InvariantError("merging clusters with different targets")
         keep = super().union(ra, rb)
         drop = rb if keep == ra else ra
+        self.dirty.update((keep, drop))
         del self.target[drop]
         big, small = self.dart_index[keep], self.dart_index.pop(drop)
         if len(big) < len(small):
@@ -100,20 +122,25 @@ class State(UnionFind):
                 for e, end in sorted(self.dart_index.get(r, ()))]
 
     def set_image(self, e, h_from_endpoint0):
+        self.dirty.update(self.gbar.edges[e])
         self.image[e] = h_from_endpoint0
 
     def collapse(self, e):
         u, v = self.gbar.edges[e]
+        self.dirty.update((u, v))
         self.dart_index[self.find(u)].discard((e, 0))
         self.dart_index[self.find(v)].discard((e, 1))
+        if self.image[e] is not None:
+            self.length -= 1
         self.image[e] = None
         self.union(u, v)
 
     def retarget(self, r, t_vertex):
+        self.dirty.add(r)
         self.target[self.find(r)] = t_vertex
 
     def total_length(self):
-        return len(self.image) - self.image.count(None)
+        return self.length
 
     def check_version(self, v):
         if v != self.version:
@@ -121,6 +148,7 @@ class State(UnionFind):
                                  % (v, self.version))
 
     def check_consistent(self):
+        assert self.length == len(self.image) - self.image.count(None)
         for e, (u, v) in enumerate(self.gbar.edges):
             h = self.image[e]
             ru, rv = self.find(u), self.find(v)
@@ -129,6 +157,61 @@ class State(UnionFind):
             else:
                 assert self.host.tail(h) == self.target[ru], e
                 assert self.host.head(h) == self.target[rv], e
+
+
+class _Candidates:
+    """The clusters where one kind of move applies: `live` maps each root
+    to its move (stamped with the version it was found at), and `heap`
+    holds the roots with lazy deletion: a root that left `live` stays in
+    the heap until it comes to the top."""
+
+    def __init__(self):
+        self.live = {}
+        self.heap = []
+
+    def update(self, r, move):
+        if move is None:
+            self.live.pop(r, None)
+            return
+        if r not in self.live:
+            heapq.heappush(self.heap, r)
+        self.live[r] = move
+
+    def first(self, version, skip=()):
+        """The move at the smallest live root outside `skip`, or None."""
+        heap, live = self.heap, self.live
+        held = []
+        while heap and (heap[0] not in live or heap[0] in skip):
+            r = heapq.heappop(heap)
+            if r in live:
+                held.append(r)
+        m = live[heap[0]] if heap else None
+        for r in held:
+            heapq.heappush(heap, r)
+        return None if m is None else replace(m, version=version)
+
+
+def _refresh(state):
+    """Re-examine the clusters of the dirty vertices: reclassify their
+    corners for `flips` and `shortenings` now, and queue the vertices for
+    the split graphs, which catch up when a balancing is searched."""
+    dirty = state.dirty
+    if not dirty:
+        return
+    state.dirty = set()
+    for split in state.splits:
+        split.pending |= dirty
+    roots = set()
+    for v in dirty:
+        r = state.find(v)
+        if r != v:      # not a root (any more)
+            state.flips.update(v, None)
+            state.shortenings.update(v, None)
+        roots.add(r)
+    for r in roots:
+        corner = _corner(state, r)
+        state.flips.update(r, _flip(state, r, corner))
+        state.shortenings.update(r, _shortening(state, r, corner))
 
 
 # -- moves -----------------------------------------------------------------
@@ -212,19 +295,19 @@ def _move(state, r, pivot, target):
 
 
 def find_flip(state, skip=()):
-    for r in state.cluster_vertices():
-        if r in skip:
-            continue
-        m = flip_at(state, r)
-        if m is not None:
-            return m
-    return None
+    """The flip at the smallest cluster outside `skip` that has one."""
+    _refresh(state)
+    return state.flips.first(state.version, skip)
 
 
 def flip_at(state, r):
     """A flip: two used slots with one empty slot between them, the blue
     face first.  It is a shortening across the empty (pivot) slot."""
-    run, width = _corner(state, r) or ((), 0)
+    return _flip(state, r, _corner(state, r))
+
+
+def _flip(state, r, corner):
+    run, width = corner or ((), 0)
     t = state.host
     if len(run) != 2 or width != 3 or t.color_left(run[0]) != BLUE:
         return None
@@ -241,11 +324,9 @@ def apply_flip(state, m):
 
 
 def find_shortening(state):
-    for r in state.cluster_vertices():
-        m = shortening_at(state, r)
-        if m is not None:
-            return m
-    return None
+    """The shortening at the smallest cluster that has one."""
+    _refresh(state)
+    return state.shortenings.first(state.version)
 
 
 def _pivot(run):
@@ -255,7 +336,11 @@ def _pivot(run):
 
 
 def shortening_at(state, r):
-    run, width = _corner(state, r) or ((), 0)
+    return _shortening(state, r, _corner(state, r))
+
+
+def _shortening(state, r, corner):
+    run, width = corner or ((), 0)
     if not run or width != len(run):
         return None
     t = state.host
@@ -287,86 +372,140 @@ def _corner_of(t, x, g, cycle_color):
     return g                             # backward (a) dart
 
 
+class _SplitGraph:
+    """The corner-copy split graph of one cycle color, kept up to date.
+
+    A copy (r, a) is the corner with a-slot a at cluster r.  Every dart of
+    r belongs to the copy of its corner, and every non-collapsed edge joins
+    the copies of its two darts, directed away from the dart with the
+    cycle color on its left.  A copy is red with a dart of r right of its
+    corner, green with one on its left (1 or 2 clockwise steps from the
+    a-slot; 0 and 3 are the corner).  A component qualifies for a
+    balancing when it has no red copy, some green one and a directed
+    cycle.  The qualifying ones wait in a min-heap under their smallest
+    (root, first dart) key: the order in which a scan over the clusters
+    and their darts meets them.
+
+    `pending` holds the vertices whose clusters changed since the last
+    `refresh`, which rebuilds only the components that held or now hold
+    a copy of one of those clusters."""
+
+    def __init__(self, color):
+        self.color = color
+        self.pending = set()
+        self.at = {}        # root -> its copies
+        self.darts = {}     # copy -> its darts, in (edge id, end) order
+        self.copy_of = {}   # (edge id, end) -> copy
+        self.mark = {}      # copy -> "red", "green" or "plain"
+        self.comp = {}      # copy -> component id
+        self.members = {}   # component id -> copies, in key order
+        self.found = {}     # qualifying component id -> (cycle, movers)
+        self.heap = []      # (key, id) of qualifying components
+        self.ids = 0
+
+    def first(self, state):
+        """(cycle, movers) of the first qualifying component, or None."""
+        self.refresh(state)
+        heap = self.heap
+        while heap and heap[0][1] not in self.found:
+            heapq.heappop(heap)
+        return self.found[heap[0][1]] if heap else None
+
+    def refresh(self, state):
+        if not self.pending:
+            return
+        pending, self.pending = self.pending, set()
+        roots = {state.find(v) for v in pending}
+        for v in pending | roots:
+            for c in self.at.pop(v, ()):
+                cid = self.comp.get(c)     # None once its component is freed
+                members = self.members.pop(cid, None)
+                if members is not None:
+                    self.found.pop(cid, None)
+                    for m in members:
+                        del self.comp[m]
+                for e, end, _ in self.darts.pop(c):
+                    del self.copy_of[(e, end)]
+                del self.mark[c]
+        new = [c for r in roots for c in self._copies(state, r)]
+        # an untouched copy of a freed component kept its edges to the
+        # touched clusters, so the new copies reach it
+        for c in new:
+            if c not in self.comp:
+                self._component(state, c)
+
+    def _copies(self, state, r):
+        """Split cluster r's darts into copies and mark them."""
+        t, x = state.host, state.target[r]
+        pos, d = t.slot_index, len(t.vertex_slots[x])
+        darts = state.darts(r)
+        copies = {}
+        for dart in darts:
+            c = (r, _corner_of(t, x, dart[2], self.color))
+            copies.setdefault(c, []).append(dart)
+            self.copy_of[dart[:2]] = c
+        for c, ds in copies.items():
+            self.darts[c] = ds
+            steps = {(pos[g] - pos[c[1]]) % d for _, _, g in darts}
+            self.mark[c] = ("red" if steps - {0, 1, 2, 3} else
+                            "green" if steps & {1, 2} else "plain")
+        self.at[r] = list(copies)
+        return copies
+
+    def _component(self, state, c0):
+        """Gather the component of copy c0 and queue it if it qualifies."""
+        cid, self.ids = self.ids, self.ids + 1
+        members = [c0]
+        self.comp[c0] = cid
+        for c in members:
+            for e, end, _ in self.darts[c]:
+                o = self.copy_of[(e, 1 - end)]
+                if o not in self.comp:
+                    self.comp[o] = cid
+                    members.append(o)
+        members.sort(key=self._key)
+        self.members[cid] = members
+        marks = {self.mark[c] for c in members}
+        if "red" in marks or "green" not in marks:
+            return
+        t = state.host
+        adj = {c: [self.copy_of[(e, 1 - end)] for e, end, g in self.darts[c]
+                   if t.color_left(g) == self.color] for c in members}
+        cyc = _directed_cycle(members, adj)
+        if cyc is not None:
+            movers = tuple(sorted(members))
+            self.found[cid] = (tuple(c[0] for c in cyc), movers)
+            heapq.heappush(self.heap, (self._key(members[0]), cid))
+
+    def _key(self, c):
+        """(root, first dart): a scan over the clusters and their darts
+        meets the copies in this order."""
+        return c[0], self.darts[c][0][:2]
+
+
 def find_balancing(state):
-    for color in (RED, BLUE):
-        m = _find_balancing_pass(state, color)
-        if m is not None:
-            return m
-    return None
-
-
-def _find_balancing_pass(state, color):
-    t = state.host
-    pos = t.slot_index
-    verts = state.cluster_vertices()
-    # split graph: one copy per occupied corner
-    copies = {}          # (vertex, a-slot) -> copy id
-    copy_list = []
-    used = {}            # vertex -> outgoing half-edges of its darts
-    for r in verts:
-        gs = used[r] = [g for (_, _, g) in state.darts(r)]
-        for g in gs:
-            key = (r, _corner_of(t, state.target[r], g, color))
-            if key not in copies:
-                copies[key] = len(copy_list)
-                copy_list.append(key)
-    # a copy is red with a dart right of its corner, green with one on its
-    # left (1 or 2 clockwise steps from the a-slot; 0 and 3 are the corner)
-    marks = []
-    for r, a in copy_list:
-        d = len(t.vertex_slots[state.target[r]])
-        steps = {(pos[g] - pos[a]) % d for g in used[r]}
-        marks.append("red" if steps - {0, 1, 2, 3} else
-                     "green" if steps & {1, 2} else "plain")
-    # directed split edges: tail at the dart whose image face has the cycle color
-    edges = []
-    for e, (u, v) in enumerate(state.gbar.edges):
-        h = state.image[e]
-        if h is None:
+    """A balancing of the first qualifying component, red cycles first."""
+    _refresh(state)
+    for split in state.splits:
+        found = split.first(state)
+        if found is None:
             continue
-        ru, rv = state.find(u), state.find(v)
-        cu = copies[(ru, _corner_of(t, state.target[ru], h, color))]
-        hv = t.twin[h]
-        cv = copies[(rv, _corner_of(t, state.target[rv], hv, color))]
-        if t.color_left(h) == color:
-            edges.append((cu, cv, e))
-        else:
-            edges.append((cv, cu, e))
-    # undirected components over copies
-    comp = UnionFind(len(copy_list))
-    for (cu, cv, _) in edges:
-        comp.union(cu, cv)
-    groups = {}     # in order of their smallest copy, the root
-    for c in range(len(copy_list)):
-        groups.setdefault(comp.find(c), []).append(c)
-    for members in groups.values():
-        if any(marks[c] == "red" for c in members):
-            continue
-        if not any(marks[c] == "green" for c in members):
-            continue
-        cyc = _directed_cycle(members, edges)
-        if cyc is None:
-            continue
-        movers = tuple(sorted(copy_list[c] for c in members))
+        cycle, movers = found
         assert len(dict(movers)) == len(movers), \
             "vertex with two corner copies in one balanced component"
-        cycle = tuple(copy_list[c][0] for c in cyc)
         if _rotation_shortens(state, movers, CW):
             rotation = CW
         elif _rotation_shortens(state, movers, CCW):
             rotation = CCW
         else:
             raise InvariantError("balanced component admits no shortening rotation")
-        return Balancing(cycle, movers, rotation, color, state.version)
+        return Balancing(cycle, movers, rotation, split.color, state.version)
     return None
 
 
-def _directed_cycle(members, edges):
-    mset = set(members)
-    adj = {c: [] for c in members}
-    for (cu, cv, _) in edges:
-        if cu in mset and cv in mset:
-            adj[cu].append(cv)
+def _directed_cycle(members, adj):
+    """The first directed cycle of a depth-first search that starts from
+    the members in order and follows each copy's out-edges in order."""
     state = {c: 0 for c in members}
     stack_path = []
 
@@ -384,7 +523,7 @@ def _directed_cycle(members, edges):
         state[c] = 2
         return None
 
-    for c in sorted(members):
+    for c in members:
         if state[c] == 0:
             r = dfs(c)
             if r is not None:
@@ -423,14 +562,12 @@ def apply_balancing(state, m):
 
     new_images = {}
     collapses = []
-    for e, (u, v) in enumerate(state.gbar.edges):
+    # the edges with a dart at a mover
+    for e in sorted({e for r in mover_a for e, _ in state.dart_index[r]}):
+        u, v = state.gbar.edges[e]
         h = state.image[e]
-        if h is None:
-            continue
         ru, rv = state.find(u), state.find(v)
         um, vm = ru in mover_a, rv in mover_a
-        if not um and not vm:
-            continue
         # per-dart local remap; derive from whichever endpoint moves
         res = None
         if um:
@@ -526,22 +663,6 @@ def proper_monotonic_ordering(state, digraph):
     if len(order) != len(verts):
         raise HarmonizerError("digraph is cyclic")
     return order
-
-
-def is_proper_monotonic(state, digraph, order):
-    """Independent checker: edges point forward, sources form a prefix."""
-    idx = {v: i for i, v in enumerate(order)}
-    for a, b in digraph.values():
-        if idx[a] >= idx[b]:
-            return False
-    heads = {b for _, b in digraph.values()}
-    seen_nonsource = False
-    for v in order:
-        if v in heads:
-            seen_nonsource = True
-        elif seen_nonsource:
-            return False
-    return True
 
 
 # -- trace and routine -----------------------------------------------------
@@ -682,7 +803,11 @@ def harmonize(f, budget=None, audit=None):
 
     def cyclic_flips():
         """Flip along a proper monotonic ordering until a whole round of it
-        is idle; True when a move interrupted."""
+        is idle; True when a move interrupted.  Step 1 has just found no
+        interrupting move and no flip but at the pinned root, so with no
+        flip at all the whole round would be idle."""
+        if find_flip(state) is None:
+            return False
         try:
             order = proper_monotonic_ordering(state, left_blue_direction(state))
         except HarmonizerError:

@@ -95,6 +95,8 @@ class Walk:
             start = t.tail(hes[0])
         elif start is None:
             raise WalkError("empty walk needs a start vertex")
+        elif not 0 <= start < t.num_vertices:
+            raise WalkError("start vertex %d out of range" % start)
         return cls(start, hes, closed)
 
     def __len__(self):

@@ -9,8 +9,8 @@ import itertools
 import random
 from collections import deque
 
+from redtri import boundary, surface, walkcalc
 from redtri import harmonizer as hz
-from redtri import surface, walkcalc
 from redtri.boundary import Anchor, extend_for_harmonization, harmonize_rel_anchor
 from redtri.drawing import Drawing, Graph, factor_simplicial
 from redtri.surface import (
@@ -21,7 +21,9 @@ from redtri.surface import (
 )
 from redtri.walkcalc import GOOD, Reduced, Stalled, Walk, classify, turn, turn_at
 
-from conftest import closed_left_cycle, make_patch, random_drawing
+import test_golden
+from conftest import closed_left_cycle, make_patch, random_drawing, random_path
+from move_oracle import scan_balancing, scan_flip, scan_shortening
 
 
 # -- shared helpers --------------------------------------------------------
@@ -239,36 +241,41 @@ def run_with_lengths(f):
     return f2, trace, snaps
 
 
-def test_monotone_harmonization():
+def monotone_corpus():
+    """(host, drawing): 60 small random drawings on doubled crown4 and 60
+    on its subdivision."""
     base = surface.double_with_gadgets(surface.crown(4))
-    hosts = [base, surface.subdivide(base)]
-    runs = 0
-    max_ratio = 0.0
-    for hi, host in enumerate(hosts):
+    for hi, host in enumerate([base, surface.subdivide(base)]):
         for seed in range(60):
             rng = random.Random(1000 * hi + seed)
-            f = random_drawing(host, rng, max_vertices=8, max_extra_edges=4,
-                               detour=3)
-            assert f.graph.num_edges() <= 40
-            assert all(len(w) <= 10 for w in f.edge_map)
-            f2, trace, snaps = run_with_lengths(f)
-            prev = list(f.lengths()[0])
-            for entry, snap in zip(trace.entries, snaps):
-                assert entry.after <= entry.before
-                if entry.kind in ("short", "bal"):
-                    assert entry.after < entry.before
-                assert all(b <= a for a, b in zip(prev, snap))
-                prev = snap
-            per0, _ = f.lengths()
-            per2, _ = f2.lengths()
-            assert all(b <= a for a, b in zip(per0, per2))
-            assert hz.is_locally_stable(f2)
-            _, trace2 = hz.harmonize(f2)
-            assert len(trace2.entries) == 0
-            budget = hz.default_budget(host, factor_simplicial(f).graph)
-            assert len(trace.entries) <= budget
-            max_ratio = max(max_ratio, len(trace.entries) / budget)
-            runs += 1
+            yield host, random_drawing(host, rng, max_vertices=8,
+                                       max_extra_edges=4, detour=3)
+
+
+def test_monotone_harmonization():
+    runs = 0
+    max_ratio = 0.0
+    for host, f in monotone_corpus():
+        assert f.graph.num_edges() <= 40
+        assert all(len(w) <= 10 for w in f.edge_map)
+        f2, trace, snaps = run_with_lengths(f)
+        prev = list(f.lengths()[0])
+        for entry, snap in zip(trace.entries, snaps):
+            assert entry.after <= entry.before
+            if entry.kind in ("short", "bal"):
+                assert entry.after < entry.before
+            assert all(b <= a for a, b in zip(prev, snap))
+            prev = snap
+        per0, _ = f.lengths()
+        per2, _ = f2.lengths()
+        assert all(b <= a for a, b in zip(per0, per2))
+        assert hz.is_locally_stable(f2)
+        _, trace2 = hz.harmonize(f2)
+        assert len(trace2.entries) == 0
+        budget = hz.default_budget(host, factor_simplicial(f).graph)
+        assert len(trace.entries) <= budget
+        max_ratio = max(max_ratio, len(trace.entries) / budget)
+        runs += 1
     assert runs >= 100
     print("monotone: %d runs, max moves/budget ratio %.4f"
           % (runs, max_ratio))
@@ -558,6 +565,96 @@ def test_balancing_detector_equivalence():
     assert found >= 5
     print("balancing: 50 fixtures, %d with a witness, 0 disagreements"
           % found)
+
+
+# -- indexed searches on a running state ------------------------------------
+
+def geodesic_corpus(count):
+    """Drawings on doubled crown4 of one or two reduced closed 3-turn walks
+    drawn on themselves, plus a few pendant edges and short paths between
+    their vertices.  About one in ten harmonizes with a balancing."""
+    host = surface.double_with_gadgets(surface.crown(4))
+    cycles = {}
+    for h in range(len(host.next)):
+        cyc = closed_left_cycle(host, h)
+        w = Walk.from_half_edges(host, cyc, closed=True)
+        if walkcalc.is_reduced(host, w):
+            cycles.setdefault(frozenset(cyc), cyc)
+    cycles = sorted(cycles.values())
+    rng = random.Random(5)
+    for _ in range(count):
+        vmap, edges, emap = [], [], []
+        for _ in range(rng.choice([1, 1, 2])):
+            cyc = rng.choice(cycles)
+            q, base = len(cyc), len(vmap)
+            vmap += [host.tail(h) for h in cyc]
+            edges += [(base + i, base + (i + 1) % q) for i in range(q)]
+            emap += [Walk.from_half_edges(host, (h,)) for h in cyc]
+        for _ in range(rng.randrange(1, 6)):
+            i = rng.randrange(len(vmap))
+            v = vmap[i]
+            if rng.random() < 0.6:
+                h = rng.choice(host.vertex_slots[v])
+                edges.append((i, len(vmap)))
+                vmap.append(host.head(h))
+                emap.append(Walk.from_half_edges(host, (h,)))
+            else:
+                j = rng.randrange(len(vmap))
+                edges.append((i, j))
+                emap.append(Walk.from_half_edges(
+                    host, random_path(host, rng, v, vmap[j], 3), start=v))
+        yield Drawing(Graph(len(vmap), edges), host, vmap, emap)
+
+
+def components(split):
+    """A split graph's components and the (cycle, movers) of each one that
+    qualifies for a balancing."""
+    return sorted((tuple(m), split.found.get(cid))
+                  for cid, m in split.members.items())
+
+
+def test_indexed_searches_match_scans(monkeypatch):
+    """After every move of the golden, step-2, monotone and geodesic
+    corpora, the indexed searches return exactly what the full scans over
+    every cluster and the from-scratch split graph return, a balancing
+    exists exactly when the exhaustive oracle finds one, and the kept split
+    graphs have the components of freshly built ones.  The extra searches
+    leave the golden digests unchanged."""
+    kinds = {}
+
+    def check(state, move):
+        kinds[type(move).__name__] = kinds.get(type(move).__name__, 0) + 1
+        assert hz.find_shortening(state) == scan_shortening(state)
+        assert hz.find_flip(state) == scan_flip(state)
+        pinned = {state.find(0)}
+        assert hz.find_flip(state, pinned) == scan_flip(state, pinned)
+        mine = hz.find_balancing(state)
+        assert mine == scan_balancing(state)
+        assert (mine is None) == (balancing_oracle(state) is None)
+        for split in state.splits:      # every component, not just the first
+            fresh = hz._SplitGraph(split.color)
+            fresh.pending = set(range(state.gbar.num_vertices))
+            fresh.refresh(state)
+            split.refresh(state)
+            assert components(split) == components(fresh)
+
+    def audited(f, budget=None, audit=None):
+        def both(state, move):
+            if audit is not None:
+                audit(state, move)
+            check(state, move)
+        return hz.harmonize(f, budget=budget, audit=both)
+
+    monkeypatch.setattr(test_golden, "harmonize", audited)
+    monkeypatch.setattr(boundary, "harmonize", audited)
+    assert test_golden.corpus_digest() == test_golden.GOLDEN_SHA256
+    assert test_golden.step2_digest() == test_golden.STEP2_GOLDEN_SHA256
+    for _, f in monotone_corpus():
+        audited(f)
+    for f in geodesic_corpus(100):
+        audited(f)
+    assert kinds["Flip"] and kinds["Shortening"] and kinds["Balancing"] >= 20
+    print("indexed searches: %s moves checked" % kinds)
 
 
 # -- boundary guard --------------------------------------------------------

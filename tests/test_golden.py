@@ -6,6 +6,8 @@ change to the move search, the move order or the drawing writer shows up
 here.  WALK_GOLDEN_SHA256 does the same for walk reduction: the
 `write_walk` output (or the stall reason, or the exception raised) of
 `reduce_open` / `reduce_closed` on a fixed walk corpus.
+STEP2_GOLDEN_SHA256 pins the cyclic flips of step 2, which the harmonizer
+corpus never reaches, on the seeds whose harmonization flips there.
 OUTPUT_GOLDEN_SHA256 covers the constructors: every `redtri fixtures`
 output, `write_tri` of seeded disk patches and of their crowned closures,
 and one `redtri stress` sweep.  A change that is meant to alter the output
@@ -97,6 +99,34 @@ def corpus_digest():
 @pytest.mark.filterwarnings("error")
 def test_golden_outputs():
     assert corpus_digest() == GOLDEN_SHA256
+
+
+# seeds of random_drawing(doubled crown4) at its default sizes whose
+# harmonization flips in step 2, along a proper monotonic ordering
+STEP2_SEEDS = [14, 47, 72, 100, 112, 115]
+STEP2_GOLDEN_SHA256 = (
+    "c3a42b6f4a0217aea043ddaeede4d180f65a89bad07a83d91353e4e0a69ddadc")
+
+
+def step2_corpus():
+    doubled = surface.double_with_gadgets(surface.crown(4))
+    for seed in STEP2_SEEDS:
+        f = random_drawing(doubled, random.Random(seed))
+        yield "step 2 seed %d" % seed, harmonize(f)
+
+
+def step2_digest():
+    sha = hashlib.sha256()
+    for name, (f2, trace) in step2_corpus():
+        assert any(e.kind == "flip" and e.phase == 2 for e in trace.entries)
+        sha.update(("# %s\n" % name).encode())
+        sha.update(write_trace(trace).encode())
+        sha.update(write_drawing(f2).encode())
+    return sha.hexdigest()
+
+
+def test_step2_golden_outputs():
+    assert step2_digest() == STEP2_GOLDEN_SHA256
 
 
 # -- walk reduction ---------------------------------------------------------

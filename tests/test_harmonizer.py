@@ -24,7 +24,6 @@ from redtri.harmonizer import (
     flip_at,
     harmonize,
     is_locally_stable,
-    is_proper_monotonic,
     left_blue_direction,
     proper_monotonic_ordering,
     read_trace,
@@ -35,6 +34,7 @@ from redtri.surface import BLUE, RED
 from redtri.walkcalc import Walk
 
 from conftest import closed_left_cycle, random_drawing
+from move_oracle import is_proper_monotonic
 
 
 @pytest.fixture(scope="module")
@@ -528,6 +528,45 @@ def test_harmonize_keeps_graph_and_endpoints(doubled):
         w = f2.edge_map[e]
         assert w.start == f2.vertex_map[u]
         assert w.end(doubled) == f2.vertex_map[v]
+
+
+# -- work per move ---------------------------------------------------------
+
+def work_per_move(host, monkeypatch, max_vertices):
+    """Corner evaluations and copies gathered into rebuilt split-graph
+    components, per move, over eight drawings of the given size."""
+    counts = {"corner": 0, "copies": 0}
+    corner, component = harmonizer._corner, harmonizer._SplitGraph._component
+
+    def counted_corner(state, r):
+        counts["corner"] += 1
+        return corner(state, r)
+
+    def counted_component(split, state, c0):
+        component(split, state, c0)
+        counts["copies"] += len(split.members[split.comp[c0]])
+
+    monkeypatch.setattr(harmonizer, "_corner", counted_corner)
+    monkeypatch.setattr(harmonizer._SplitGraph, "_component",
+                        counted_component)
+    moves = 0
+    for seed in range(8):
+        f = random_drawing(host, random.Random(seed),
+                           max_vertices=max_vertices,
+                           max_extra_edges=max_vertices // 2, detour=8)
+        moves += len(harmonize(f)[1])
+    return {k: n / moves for k, n in counts.items()}
+
+
+def test_search_work_per_move_stays_flat(doubled, monkeypatch):
+    """A move re-examines only the clusters it touched: from drawings of at
+    most 16 vertices to ones of at most 120 (about ten times the clusters)
+    the search work per move grows by less than 3x.  Scanning every
+    cluster before every move, the corner evaluations grow 10x here."""
+    small = work_per_move(doubled, monkeypatch, 16)
+    large = work_per_move(doubled, monkeypatch, 120)
+    for k in small:
+        assert large[k] <= 3 * small[k], (k, small, large)
 
 
 # -- dart index ------------------------------------------------------------

@@ -235,6 +235,15 @@ def test_walk_validation(torus):
         Walk.from_half_edges(p, (h, g))
 
 
+@pytest.mark.parametrize("start", [10**9, -1, 1])
+def test_empty_walk_start_range_checked(torus, start):
+    """The start vertex of an empty walk is checked when the walk is built;
+    the torus has one vertex."""
+    with pytest.raises(walkcalc.WalkError, match="out of range"):
+        Walk.from_half_edges(torus, (), start=start)
+    assert Walk.from_half_edges(torus, (), start=0).start == 0
+
+
 # -- the incremental engine against the scan reducer ------------------------
 
 HOSTS = {
