@@ -57,6 +57,8 @@ class Anchor:
             if not (0 <= x < t.num_vertices) or not t.is_boundary_vertex(x):
                 raise BoundaryError("anchor at non-boundary vertex %d" % x)
             for v in vs:
+                if not 0 <= v < len(f.vertex_map):
+                    raise BoundaryError("anchored vertex %d out of range" % v)
                 if f.vertex_map[v] != x:
                     raise BoundaryError(
                         "anchored vertex %d is not drawn at %d" % (v, x))
@@ -70,84 +72,6 @@ def _boundary_corner(t, x):
     if t.twin[h_out] != NO_TWIN or t.twin[h_in] != NO_TWIN:
         raise BoundaryError("vertex %d is not on the boundary" % x)
     return h_out, h_in
-
-
-# -- the relative weak-embedding graph M* ----------------------------------
-
-@dataclass(frozen=True)
-class StarExtension:
-    graph: object        # M*: the 1-skeleton plus stems
-    rotation: tuple      # per M*-vertex, clockwise tuple of edge ids
-    ggraph: object       # G*: G plus one pendant edge per anchored vertex
-    vertex_map: tuple    # per G*-vertex, an M*-vertex
-    edge_walks: tuple    # per G*-edge, a tuple of M*-edge ids
-    stems: tuple         # M*-edge ids of the stems, in scan order
-    tips: tuple          # G*-vertex ids of the pendant ends
-
-
-def _edge_ids(t):
-    eid = {}
-    edges = []
-    for h in range(len(t.next)):
-        g = t.twin[h]
-        if g == NO_TWIN or h < g:
-            eid[h] = len(edges)
-            edges.append((t.tail(h), t.head(h)))
-    for h in range(len(t.next)):
-        g = t.twin[h]
-        if g != NO_TWIN and h > g:
-            eid[h] = eid[g]
-    return eid, edges
-
-
-def build_star_extension(f, anchor):
-    """M*, G*, f* with the stems of each boundary corner placed so that the
-    two boundary edges and the stems are consecutive in the rotation."""
-    t = f.host
-    if t.is_closed():
-        raise BoundaryError("host has no boundary")
-    anchor.validate(f)
-    eid, medges = _edge_ids(t)
-    mvertices = t.num_vertices
-    gvertices = f.graph.num_vertices
-    gedges = list(f.graph.edges)
-    walks = [tuple(eid[h] for h in w.half_edges) for w in f.edge_map]
-    stems = []
-    tips = []
-    stem_at = {}     # boundary T-vertex -> list of stem edge ids
-    for x in sorted(anchor.orders):
-        stem_at[x] = []
-        for v in anchor.orders[x]:
-            stem_vertex = mvertices
-            mvertices += 1
-            stem_edge = len(medges)
-            medges.append((x, stem_vertex))
-            stem_at[x].append(stem_edge)
-            tip = gvertices
-            gvertices += 1
-            gedges.append((v, tip))
-            walks.append((stem_edge,))
-            stems.append(stem_edge)
-            tips.append(tip)
-    rotation = []
-    for x in range(t.num_vertices):
-        slots = t.vertex_slots[x]
-        rot = [eid[h] for h in slots]
-        if t.is_boundary_vertex(x):
-            _, h_in = _boundary_corner(t, x)
-            rot.extend(stem_at.get(x, ()))
-            rot.append(eid[h_in])
-        rotation.append(tuple(rot))
-    for e in range(len(medges)):
-        if medges[e][1] >= t.num_vertices:
-            rotation.append((e,))   # each stem tip has a single edge-end
-    mgraph = Graph(mvertices, medges)
-    ggraph = Graph(gvertices, gedges)
-    vmap = list(f.vertex_map)
-    for i, tip in enumerate(tips):
-        vmap.append(medges[stems[i]][1])
-    return StarExtension(mgraph, tuple(rotation), ggraph, tuple(vmap),
-                         tuple(walks), tuple(stems), tuple(tips))
 
 
 # -- crowns and doubling ---------------------------------------------------
@@ -211,8 +135,7 @@ def extend_for_harmonization(f, anchor):
     t0, spokes = attach_crowns(t, need)
     # `harmonize` validates tdot, raising HarmonizerError if it is not a
     # closed reducing host
-    tdot, info = _double_with_gadgets_unchecked(t0)
-    mirr = info["mirror"][0]
+    tdot, mirr = _double_with_gadgets_unchecked(t0)
 
     def base_vertex(w):
         return tdot.origin[t0.vertex_slots[w][0]]

@@ -8,7 +8,6 @@ frontier vertices, which keeps the explored region simply connected.
 from dataclasses import dataclass
 
 from .surface import NO_TWIN, RED, Triangulation, validate_reducing
-from .walkcalc import Turn, turn_at
 
 LEFT = "left"
 RIGHT = "right"
@@ -20,9 +19,12 @@ class CoverError(Exception):
 
 class CoverChart:
     def __init__(self, base, basepoint=0):
+        """A chart whose vertex 0 lies over the base vertex basepoint."""
         rep = validate_reducing(base)
         if not rep.ok or not base.is_closed():
             raise CoverError("base must be a closed reducing triangulation")
+        if not 0 <= basepoint < base.num_vertices:
+            raise CoverError("basepoint %d out of range" % basepoint)
         self.base = base
         self.next = []
         self.twin = []
@@ -30,7 +32,6 @@ class CoverChart:
         self.proj = []      # chart half-edge -> base half-edge
         self.proj_v = []    # chart vertex -> base vertex
         self.out = []       # chart vertex -> its half-edges, ascending
-        self.basepoint = basepoint
         h0 = base.vertex_slots[basepoint][0]
         self._new_triangle(h0, [basepoint, base.head(h0),
                                 base.head(base.next[h0])])
@@ -149,8 +150,8 @@ class CoverChart:
 
     def _distances(self):
         dist = [None] * len(self.proj_v)
-        dist[self.basepoint_chart()] = 0
-        frontier = [self.basepoint_chart()]
+        dist[0] = 0
+        frontier = [0]
         while frontier:
             nxt = []
             for v in frontier:
@@ -162,16 +163,16 @@ class CoverChart:
             frontier = nxt
         return dist
 
-    def basepoint_chart(self):
-        return 0
-
-    def lift_walk(self, hes, start_chart_vertex):
-        """Lift a base half-edge sequence; returns chart half-edges."""
-        cur = start_chart_vertex
+    def lift_walk(self, w, start):
+        """Lift the base Walk w from chart vertex start, expanding on
+        demand; returns chart half-edges."""
+        if not 0 <= start < len(self.proj_v):
+            raise CoverError("chart vertex %d out of range" % start)
+        if self.proj_v[start] != w.start:
+            raise CoverError("lift point does not project to the walk start")
+        cur = start
         out = []
-        for bh in hes:
-            if self.base.tail(bh) != self.proj_v[cur]:
-                raise CoverError("walk does not start under the lift point")
+        for bh in w.half_edges:
             c = self.slot_over(cur, bh)
             out.append(c)
             cur = self.head(c)
@@ -184,13 +185,6 @@ class CoverChart:
 
     def color_left(self, h):
         return self.base.face_color[self.base.face_of[self.proj[h]]]
-
-
-def lift_walk(chart, w, base_lift):
-    """Lift a base Walk from the chart vertex base_lift; expands on demand."""
-    if chart.proj_v[base_lift] != w.start:
-        raise CoverError("lift point does not project to the walk start")
-    return chart.lift_walk(w.half_edges, base_lift)
 
 
 @dataclass(frozen=True)
@@ -259,16 +253,6 @@ def _line_step_back(chart, e, side):
     return chart.twin[slots[(i - k) % d]]
 
 
-def window_turns(chart, win):
-    """Turn values along the window; every one must be 3 (left) / -3 (right)."""
-    t = chart.triangulation()
-    out = []
-    for i in range(-win.L, win.L - 1):
-        e1, e2 = win.edge(i), win.edge(i + 1)
-        out.append(turn_at(t, e1, e2))
-    return out
-
-
 @dataclass(frozen=True)
 class Escapes:
     witness: tuple        # sequence of (G-edge id, tail G-vertex)
@@ -292,7 +276,7 @@ def escape_probe(f, v, side=LEFT, depth=None, L=None):
     if L is None:
         L = 3 * (base.num_edges() + 1)
     chart = CoverChart(base, basepoint=f.vertex_map[v])
-    win = line_window(chart, chart.basepoint_chart(), side, L)
+    win = line_window(chart, 0, side, L)
     start = (v, 0)
     seen = {start}
     frontier = [(start, ())]
@@ -367,27 +351,3 @@ def _is_escape_slot(chart, win, i, c, side):
     on_left = 0 < (ic - ia) % d < (ib - ia) % d
     escapes_right = side == LEFT
     return not on_left if escapes_right else on_left
-
-
-def flat_zone_probe(t):
-    """Size of the largest connected set of degree-6 vertices."""
-    flat = {v for v in range(t.num_vertices)
-            if not t.is_boundary_vertex(v) and t.degree(v) == 6}
-    best = 0
-    seen = set()
-    for v in flat:
-        if v in seen:
-            continue
-        comp = 0
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            comp += 1
-            for h in t.vertex_slots[u]:
-                w = t.head(h)
-                if w in flat and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        best = max(best, comp)
-    return best

@@ -2,13 +2,13 @@
 
 A drawing sends every graph vertex to a triangulation vertex and every graph
 edge to a walk between the images of its endpoints.  It factors through a
-simplicial drawing (subdivide long edges) and then through a homomorphism
-(contract clusters).
+simplicial drawing (subdivide long edges); `harmonizer.State` then contracts
+the clusters, the connected subgraphs with one image, in its union-find.
 """
 
 from dataclasses import dataclass
 
-from .surface import FormatError, UnionFind, int_list, records
+from .surface import FormatError, int_list, records
 from .walkcalc import Walk
 
 
@@ -119,89 +119,6 @@ def factor_simplicial(f):
     gbar = Graph(len(vmap), edges)
     return SimplicialDrawing(gbar, t, tuple(vmap), tuple(eimg), tuple(prov),
                              tuple(eorig), g)
-
-
-@dataclass(frozen=True)
-class ClusterPartition:
-    clusters: tuple        # tuple of sorted vertex tuples
-    cluster_of: tuple      # per vertex, cluster index
-    spur_edge: tuple       # per cluster, common outgoing half-edge or None
-
-    def is_spur(self, c):
-        return self.spur_edge[c] is not None
-
-
-def clusters_and_spurs(fbar):
-    """Maximal connected subgraphs with a constant image, plus spur flags.
-
-    A cluster is a spur when it is not a whole component and all its outgoing
-    edges map to the same directed T-edge.
-    """
-    g = fbar.graph
-    uf = UnionFind(g.num_vertices)
-    for e, (u, v) in enumerate(g.edges):
-        if fbar.edge_image[e] is None:
-            uf.union(u, v)
-    # clusters in order of their smallest vertex, the root
-    groups = {}
-    for v in range(g.num_vertices):
-        groups.setdefault(uf.find(v), []).append(v)
-    clusters = tuple(map(tuple, groups.values()))
-    cluster_of = [0] * g.num_vertices
-    for c, members in enumerate(clusters):
-        for v in members:
-            cluster_of[v] = c
-    spur = []
-    for c, members in enumerate(clusters):
-        out = set()
-        internal_only = True
-        for v in members:
-            for e, _ in g.incident(v):
-                h = fbar.edge_image[e]
-                if h is None:
-                    continue
-                internal_only = False
-                u0, u1 = g.edges[e]
-                # orient the image out of the cluster
-                if cluster_of[u0] == c:
-                    out.add(h)
-                if cluster_of[u1] == c:
-                    out.add(fbar.host.twin[h])
-        if internal_only or len(out) != 1:
-            spur.append(None)
-        else:
-            spur.append(out.pop())
-    return ClusterPartition(clusters, tuple(cluster_of), tuple(spur))
-
-
-@dataclass(frozen=True)
-class HomomorphismDrawing:
-    graph: object           # the contracted graph
-    host: object
-    vertex_map: tuple       # per contracted vertex, a T-vertex
-    edge_image: tuple       # per edge, a half-edge id (never None)
-    clusters: object        # ClusterPartition on the simplicial graph
-
-
-def factor_homomorphism(fbar):
-    cp = clusters_and_spurs(fbar)
-    g = fbar.graph
-    vmap = []
-    for members in cp.clusters:
-        vmap.append(fbar.vertex_map[members[0]])
-        for v in members:
-            if fbar.vertex_map[v] != vmap[-1]:
-                raise DrawingError("cluster image not constant")
-    edges = []
-    eimg = []
-    for e, (u, v) in enumerate(g.edges):
-        h = fbar.edge_image[e]
-        if h is None:
-            continue
-        edges.append((cp.cluster_of[u], cp.cluster_of[v]))
-        eimg.append(h)
-    ghat = Graph(len(cp.clusters), edges)
-    return HomomorphismDrawing(ghat, fbar.host, tuple(vmap), tuple(eimg), cp)
 
 
 def unfactor(fbar):

@@ -687,15 +687,6 @@ class MoveTrace:
             raise InvariantError("strict move did not decrease length")
         self.entries.append(TraceEntry(kind, tuple(ids), before, after, phase))
 
-    def counters(self):
-        c = {"step1": 0, "step2": 0, "step3": 0, "interrupts": 0}
-        for e in self.entries:
-            if e.kind == "flip":
-                c["step%d" % e.phase] += 1
-            else:
-                c["interrupts"] += 1
-        return c
-
     def __len__(self):
         return len(self.entries)
 

@@ -631,36 +631,26 @@ def double_with_gadgets(t0):
 
 
 def _double_with_gadgets_unchecked(t0):
-    """Returns (doubled triangulation, info) where info maps half-edge ranges:
-    info = {"base": (hoff, voff), "mirror": (hoff, voff), "gadget_hes": set}."""
+    """Returns (doubled triangulation, mirror offset): the half-edges of t0
+    keep their ids, and half-edge h of the mirror copy is mirror offset + h."""
     g3 = build_three_gadget()
     g3_red, g3_blue = gadget_boundary_edges(g3)
     d = MapBuilder()
-    base_off, base_voff = d.add(t0)
-    mirr_off, mirr_voff = d.add(t0, mirror=True)
-    gadget_lo = len(d.next)
+    d.add(t0)
+    mirr_off = d.add(t0, mirror=True)[0]
     for h in t0.boundary_half_edges():
         goff = d.add(g3)[0]
-        hb = h + base_off
         hm = h + mirr_off  # mirrored copy of the same boundary half-edge
-        # the slit digon is (hb, hm): hb sees color c on its left, hm sees
+        # the slit digon is (h, hm): h sees color c on its left, hm sees
         # the opposite; glue the gadget digon so adjacent faces differ.
-        if d.color[hb] == RED:
-            # hb red-incident: glue to the gadget's blue-incident edge
-            d.glue(hb, g3_blue + goff)
+        if d.color[h] == RED:
+            # h red-incident: glue to the gadget's blue-incident edge
+            d.glue(h, g3_blue + goff)
             d.glue(hm, g3_red + goff)
         else:
-            d.glue(hb, g3_red + goff)
+            d.glue(h, g3_red + goff)
             d.glue(hm, g3_blue + goff)
-    gadget_hes = set(range(gadget_lo, len(d.next)))
-    out = d.build()
-    info = {
-        "base": (base_off, base_voff),
-        "mirror": (mirr_off, mirr_voff),
-        "gadget_hes": gadget_hes,
-        "nbase": len(t0.next),
-    }
-    return out, info
+    return d.build(), mirr_off
 
 
 # -- text formats ------------------------------------------------------------

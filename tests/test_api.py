@@ -1,0 +1,103 @@
+"""Dead-code guard: every library definition has a caller outside its tests.
+
+A top-level function or class of `src/redtri`, or a public method of such a
+class, must be named somewhere in `src/redtri` or `perfbench/*.py` besides
+its own definition, or be listed in LIBRARY_API with the reason it stays.
+Code that only its own test calls belongs in `tests/` or nowhere.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "redtri").glob("*.py"))
+CALLERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
+
+# public entry points with no caller in the library itself
+LIBRARY_API = {
+    "CoverChart.expand": "grows a chart to a radius; the cover tests use it",
+    "CoverChart.lift_walk": "lifts a base walk into the chart",
+    "CoverChart.triangulation": "a chart snapshot for validation and turns",
+    "State.check_consistent": "the invariant check that harmonizer tests run",
+    "shortening_at": "the per-cluster shortening query, beside flip_at",
+    "is_reduced": "the reducedness predicate of the walk calculus",
+}
+
+
+def _names(node):
+    """Every identifier that node refers to: names, attributes, imported
+    names, and identifier-like strings (perfbench patches by name)."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                and n.value.isidentifier():
+            out[n.value] += 1
+    return out
+
+
+def _definitions(tree):
+    """(qualified name, bare name, node) of each top-level function and
+    class, and of each public method of a top-level class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs):
+            continue
+        yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, defs[:2]) and not m.name.startswith("_"):
+                    yield "%s.%s" % (node.name, m.name), m.name, m
+
+
+def _dead_definitions():
+    """Definitions with no caller but themselves and other dead code."""
+    trees = {p: ast.parse(p.read_text(), str(p)) for p in CALLERS}
+    used = Counter()
+    for tree in trees.values():
+        used.update(_names(tree))
+    # per (file, qualified name), the bare name and the references its own
+    # code makes; a class's own code leaves out its public methods, which
+    # are definitions of their own
+    own = {}
+    for p in SOURCES:
+        for qual, name, node in _definitions(trees[p]):
+            own[p.name, qual] = (name, _names(node))
+            if "." in qual:
+                own[p.name, qual.split(".")[0]][1].subtract(_names(node))
+    dead = set()
+    while True:
+        new = set()
+        for (f, qual), (name, _) in own.items():
+            if (f, qual) in dead or qual in LIBRARY_API:
+                continue
+            # references from the definition itself, or from the live
+            # methods of a class, do not call it
+            selfrefs = sum(
+                refs[name] for k, (_, refs) in own.items() if k not in dead
+                and k[0] == f and (k[1] == qual or k[1].startswith(qual + ".")))
+            if used[name] <= selfrefs or (f, qual.split(".")[0]) in dead:
+                new.add((f, qual))
+        if not new:
+            return sorted("%s: %s" % key for key in dead)
+        for key in new:
+            used.subtract(own[key][1])
+        dead |= new
+
+
+def test_every_definition_has_a_caller():
+    dead = _dead_definitions()
+    assert not dead, "no caller outside tests:\n" + "\n".join(dead)
+
+
+def test_library_api_entries_exist():
+    # a stale entry would exempt a name that no longer exists
+    quals = {qual for p in SOURCES
+             for qual, _, _ in _definitions(ast.parse(p.read_text()))}
+    assert set(LIBRARY_API) <= quals

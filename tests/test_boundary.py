@@ -7,7 +7,6 @@ from redtri.boundary import (
     Anchor,
     BoundaryError,
     attach_crowns,
-    build_star_extension,
     extend_for_harmonization,
     harmonize_rel_anchor,
 )
@@ -53,48 +52,10 @@ def test_anchor_validation(patch):
                      if not patch.is_boundary_vertex(v))
         Anchor({inner: [0]}).validate(
             Drawing(Graph(1, []), patch, [inner], []))
-
-
-def test_star_extension_empty_anchor(patch):
-    f = boundary_path_drawing(patch)
-    se = build_star_extension(f, Anchor({}))
-    assert se.graph.num_vertices == patch.num_vertices
-    assert se.graph.num_edges() == patch.num_edges()
-    assert se.ggraph.num_edges() == f.graph.num_edges()
-    assert se.stems == () and se.tips == ()
-    # every rotation lists each edge-end at its vertex exactly once
-    ends = {v: 0 for v in range(se.graph.num_vertices)}
-    for u, v in se.graph.edges:
-        ends[u] += 1
-        ends[v] += 1
-    assert all(len(se.rotation[v]) == ends[v] for v in ends)
-
-
-def test_star_extension_stems_in_corner(patch):
-    x = patch.tail(patch.boundary_cycles()[0][0])
-    g = Graph(2, [(0, 1)])
-    f = Drawing(g, patch, [x, x],
-                [Walk.from_half_edges(patch, (), start=x)])
-    se = build_star_extension(f, Anchor({x: [0, 1]}))
-    assert len(se.stems) == 2 and len(se.tips) == 2
-    rot = se.rotation[x]
-    s1, s2 = se.stems
-    i = rot.index(s1)
-    # e, s1, s2, f consecutive: stems sit together just before the last entry
-    assert rot[i + 1] == s2
-    assert i + 3 == len(rot)
-    for stem, tip in zip(se.stems, se.tips):
-        assert se.vertex_map[tip] == se.graph.edges[stem][1]
-    # stem image walks have length one
-    walks = se.edge_walks[f.graph.num_edges():]
-    assert all(len(w) == 1 for w in walks)
-
-
-def test_star_extension_requires_boundary():
-    t = surface.build_torus()
-    f = Drawing(Graph(1, []), t, [0], [])
-    with pytest.raises(BoundaryError):
-        build_star_extension(f, Anchor({}))
+    x = f.vertex_map[0]
+    for v in (-1, f.graph.num_vertices):
+        with pytest.raises(BoundaryError, match="out of range"):
+            Anchor({x: [v]}).validate(f)
 
 
 def test_attach_crowns_closes_boundary(patch):

@@ -10,12 +10,9 @@ from redtri.cover import (
     Escapes,
     NoWitnessWithinBounds,
     escape_probe,
-    flat_zone_probe,
-    lift_walk,
     line_window,
-    window_turns,
 )
-from redtri.walkcalc import Walk
+from redtri.walkcalc import Walk, turn_at
 
 
 @pytest.fixture
@@ -23,9 +20,24 @@ def chart(torus):
     return CoverChart(torus)
 
 
+def window_turns(chart, win):
+    """Turn values along the window; every one must be 3 (left) / -3
+    (right)."""
+    t = chart.triangulation()
+    return [turn_at(t, win.edge(i), win.edge(i + 1))
+            for i in range(-win.L, win.L - 1)]
+
+
 def test_chart_requires_closed_reducing():
     with pytest.raises(cover.CoverError):
         CoverChart(surface.crown(4))  # has boundary
+
+
+@pytest.mark.parametrize("basepoint", [-1, 1])
+def test_chart_basepoint_range_checked(torus, basepoint):
+    # the torus has one vertex, so -1 and 1 are both out of range
+    with pytest.raises(cover.CoverError):
+        CoverChart(torus, basepoint=basepoint)
 
 
 def test_expand_radius_zero(chart):
@@ -68,24 +80,34 @@ def test_projection_commutes(chart):
 
 def test_lift_projects_back(chart, torus):
     w = Walk.from_half_edges(torus, (0, 5, 1, 2))
-    lifted = lift_walk(chart, w, 0)
+    lifted = chart.lift_walk(w, 0)
     assert tuple(chart.proj[c] for c in lifted) == w.half_edges
 
 
 def test_lift_of_spur_returns(chart, torus):
     w = Walk.from_half_edges(torus, (0, torus.twin[0]))
-    lifted = lift_walk(chart, w, 0)
+    lifted = chart.lift_walk(w, 0)
     assert chart.head(lifted[-1]) == 0
 
 
 def test_lift_nontrivial_class_moves(chart, torus):
     w = Walk.from_half_edges(torus, (0,), closed=True)
-    lifted = chart.lift_walk(w.half_edges, 0)
+    lifted = chart.lift_walk(w, 0)
     assert chart.head(lifted[-1]) != 0
 
 
-def test_lift_empty_walk(chart):
-    assert chart.lift_walk((), 0) == ()
+def test_lift_empty_walk(chart, torus):
+    assert chart.lift_walk(Walk.from_half_edges(torus, (), start=0), 0) == ()
+
+
+def test_lift_rejects_bad_start(torus):
+    host = surface.double_with_gadgets(surface.crown(4))
+    chart = CoverChart(host)
+    w = Walk.from_half_edges(host, host.vertex_slots[1][:1])
+    # chart vertex 0 lies over base vertex 0, not over the walk's start
+    for start in (0, -1, len(chart.proj_v)):
+        with pytest.raises(cover.CoverError):
+            chart.lift_walk(w, start)
 
 
 def test_line_window_turns(chart):
@@ -142,8 +164,3 @@ def test_escape_probe_two_steps(torus):
     assert isinstance(r, Escapes)
     assert len(r.witness) == 2
 
-
-def test_flat_zone_small_on_doubled():
-    d = surface.double_with_gadgets(surface.crown(4))
-    m = d.num_edges()
-    assert flat_zone_probe(d) < 3 * (m + 1)

@@ -4,17 +4,15 @@ import pytest
 
 from redtri import drawing, surface
 from redtri.drawing import (
-    ClusterPartition,
     Drawing,
     DrawingError,
     Graph,
-    clusters_and_spurs,
-    factor_homomorphism,
     factor_simplicial,
     read_drawing,
     unfactor,
     write_drawing,
 )
+from redtri.harmonizer import State
 from redtri.walkcalc import Walk
 
 from conftest import make_patch
@@ -91,53 +89,20 @@ def test_unfactor_roundtrip(torus):
     assert [w.half_edges for w in f2.edge_map] == [w.half_edges for w in f.edge_map]
 
 
+# clusters, the connected subgraphs with one image, are contracted by the
+# harmonizer's State in its union-find
+
 def test_clusters_constant_component(torus):
     g = Graph(3, [(0, 1), (1, 2)])
     f = Drawing(g, torus, [0, 0, 0],
                 [Walk.from_half_edges(torus, (), start=0)] * 2)
-    fb = factor_simplicial(f)
-    cp = clusters_and_spurs(fb)
-    assert len(cp.clusters) == 1
-    # a whole component is never a spur
-    assert not cp.is_spur(0)
+    assert State(factor_simplicial(f)).cluster_vertices() == [0]
 
 
 def test_clusters_injective_identity(torus):
     f = path_drawing(torus, [0, 5], [1])
     fb = factor_simplicial(f)
-    cp = clusters_and_spurs(fb)
-    assert len(cp.clusters) == fb.graph.num_vertices
-    fh = factor_homomorphism(fb)
-    assert fh.graph.num_vertices == fb.graph.num_vertices
-    assert fh.graph.num_edges() == fb.graph.num_edges()
-
-
-def test_spur_detection(torus):
-    # star: center cluster of two vertices, all outgoing images = east edge
-    g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    east = Walk.from_half_edges(torus, (0,), start=0)
-    f = Drawing(g, torus, [0, 0, 0, 0], [east] * 3)
-    fb = factor_simplicial(f)
-    cp = clusters_and_spurs(fb)
-    c0 = cp.cluster_of[0]
-    assert cp.is_spur(c0)
-    assert cp.spur_edge[c0] == 0
-    # the leaves are spurs too, pointing back along the west direction
-    for v in (1, 2, 3):
-        c = cp.cluster_of[v]
-        assert cp.is_spur(c)
-        assert cp.spur_edge[c] == torus.twin[0]
-
-
-def test_not_spur_with_two_directions(torus):
-    g = Graph(3, [(0, 1), (0, 2)])
-    f = Drawing(g, torus, [0, 0, 0],
-                [Walk.from_half_edges(torus, (0,), start=0),
-                 Walk.from_half_edges(torus, (5,), start=0)])
-    fb = factor_simplicial(f)
-    cp = clusters_and_spurs(fb)
-    c0 = cp.cluster_of[0]
-    assert not cp.is_spur(c0)
+    assert len(State(fb).cluster_vertices()) == fb.graph.num_vertices
 
 
 def test_cluster_partition_matches_bruteforce(torus):
@@ -156,7 +121,7 @@ def test_cluster_partition_matches_bruteforce(torus):
                                                  start=0))
         f = Drawing(g, torus, vmap, emap)
         fb = factor_simplicial(f)
-        cp = clusters_and_spurs(fb)
+        st = State(fb)
         # brute force: flood fill over image-less edges
         n2 = fb.graph.num_vertices
         comp = list(range(n2))
@@ -175,25 +140,19 @@ def test_cluster_partition_matches_bruteforce(torus):
                 r = comp[r]
             groups.setdefault(r, set()).add(v)
         want = sorted(tuple(sorted(s)) for s in groups.values())
-        assert sorted(cp.clusters) == want
-
-
-def test_homomorphism_edges_map_to_edges(torus):
-    f = path_drawing(torus, [0, 5, 1, 2], [2])
-    fh = factor_homomorphism(factor_simplicial(f))
-    assert all(h is not None for h in fh.edge_image)
-    for e, (u, v) in enumerate(fh.graph.edges):
-        h = fh.edge_image[e]
-        assert fh.vertex_map[u] == torus.tail(h)
-        assert fh.vertex_map[v] == torus.head(h)
+        got = {}
+        for v in range(n2):
+            got.setdefault(st.find(v), []).append(v)
+        assert sorted(map(tuple, got.values())) == want
+        assert st.cluster_vertices() == sorted(got)
 
 
 def test_adjacent_same_image_merge(torus):
     g = Graph(2, [(0, 1)])
     f = Drawing(g, torus, [0, 0], [Walk.from_half_edges(torus, (), start=0)])
-    fh = factor_homomorphism(factor_simplicial(f))
-    assert fh.graph.num_vertices == 1
-    assert fh.graph.num_edges() == 0
+    st = State(factor_simplicial(f))
+    assert st.cluster_vertices() == [0]
+    assert st.total_length() == 0
 
 
 def test_drw_roundtrip(torus):
