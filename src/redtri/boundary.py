@@ -42,12 +42,6 @@ class Anchor:
                     raise BoundaryError("vertex %d anchored twice" % v)
                 seen.add(v)
 
-    def vertices(self):
-        out = set()
-        for vs in self.orders.values():
-            out.update(vs)
-        return out
-
     def count_at(self, x):
         return len(self.orders.get(x, ()))
 
@@ -117,7 +111,6 @@ class GuardData:
     guard_hes: frozenset  # half-edges no move may use
     stem_edges: dict     # G•-edge id -> its fixed image half-edge
     flat_hes: frozenset  # half-edges of T and its mirror
-    spokes: dict         # T-boundary vertex -> crown spokes (T0 ids)
     base_vertices: int
     base_edges: int
 
@@ -195,7 +188,7 @@ def extend_for_harmonization(f, anchor):
         flat.add(t0.twin[h])
         flat.add(mirr + t0.twin[h])
     return fdot, GuardData(tdot, frozenset(guard), stem_edges,
-                           frozenset(flat), spokes, n, ne)
+                           frozenset(flat), n, ne)
 
 
 def harmonize_rel_anchor(f, anchor, budget=None):

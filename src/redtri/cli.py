@@ -123,8 +123,6 @@ def cmd_fixtures(args):
 def cmd_probe(args):
     t = surface.read_tri(_read_file(args.tri))
     f, _ = read_drawing(_read_file(args.drw), t)
-    if not (0 <= args.vertex < f.graph.num_vertices):
-        raise InputError("vertex out of range")
     side = cover.LEFT if args.side == "left" else cover.RIGHT
     r = cover.escape_probe(f, args.vertex, side, depth=args.depth,
                            L=args.window)

@@ -1,13 +1,17 @@
 """Lazily expanded universal-cover charts of closed reducing triangulations.
 
-A chart is a growing plane triangulation together with a projection onto the
-base.  Growth attaches one triangle per frontier slot and never identifies
-frontier vertices, which keeps the explored region simply connected.
+A chart is a growing plane triangulation, built with `MapBuilder`, and its
+projection onto the base: `proj` for half-edges, `proj_v` for vertices.
+Slot i of chart vertex v lies over slot i of base vertex proj_v[v], and
+`rot[v][i]` is that chart half-edge, or None until it exists.  Growth
+attaches one triangle per frontier slot and never merges chart vertices,
+not even where a new triangle closes around a corner that already exists;
+filling a slot twice raises CoverError instead.
 """
 
 from dataclasses import dataclass
 
-from .surface import NO_TWIN, RED, Triangulation, validate_reducing
+from .surface import NO_TWIN, RED, MapBuilder, validate_reducing
 
 LEFT = "left"
 RIGHT = "right"
@@ -17,7 +21,7 @@ class CoverError(Exception):
     pass
 
 
-class CoverChart:
+class CoverChart(MapBuilder):
     def __init__(self, base, basepoint=0):
         """A chart whose vertex 0 lies over the base vertex basepoint."""
         rep = validate_reducing(base)
@@ -25,117 +29,78 @@ class CoverChart:
             raise CoverError("base must be a closed reducing triangulation")
         if not 0 <= basepoint < base.num_vertices:
             raise CoverError("basepoint %d out of range" % basepoint)
+        super().__init__()
         self.base = base
-        self.next = []
-        self.twin = []
-        self.origin = []
         self.proj = []      # chart half-edge -> base half-edge
         self.proj_v = []    # chart vertex -> base vertex
-        self.out = []       # chart vertex -> its half-edges, ascending
-        h0 = base.vertex_slots[basepoint][0]
-        self._new_triangle(h0, [basepoint, base.head(h0),
-                                base.head(base.next[h0])])
+        self.rot = []       # chart vertex -> its slots by base position
+        self._new_triangle(base.vertex_slots[basepoint][0], (None,) * 3)
 
-    def _new_triangle(self, base_he, base_corners):
-        """Chart copy of the face of base_he; corners may be existing chart
-        vertices (int) or base vertices to allocate (wrapped in a list)."""
+    def _new_triangle(self, base_he, corners):
+        """Chart copy of the face of base_he whose corner j is the chart
+        vertex corners[j], or a new vertex where that is None."""
+        b = self.base
+        bhs = (base_he, b.next[base_he], b.next[b.next[base_he]])
         ids = []
-        for c in base_corners:
-            if isinstance(c, tuple):
-                ids.append(c[1])
-            else:
-                ids.append(len(self.proj_v))
-                self.proj_v.append(c)
-                self.out.append([])
-        h = len(self.next)
-        self.next.extend([h + 1, h + 2, h])
-        self.twin.extend([NO_TWIN] * 3)
-        bh = base_he
-        for i in range(3):
-            self.proj.append(bh)
-            bh = self.base.next[bh]
-        self.origin.extend(ids)
-        for i, v in enumerate(ids):
-            self.out[v].append(h + i)
-        return h, h + 1, h + 2
-
-    # -- chart-local accessors --------------------------------------------
-
-    def head(self, h):
-        return self.origin[self.next[h]]
-
-    def prev(self, h):
-        return self.next[self.next[h]]  # every chart face is a triangle
-
-    def rot_cw(self, h):
-        t = self.twin[h]
-        return None if t == NO_TWIN else self.next[t]
-
-    def out_slots(self, v):
-        return list(self.out[v])
+        for g, v in zip(bhs, corners):
+            if v is None:
+                v = len(self.rot)
+                self.proj_v.append(b.origin[g])
+                self.rot.append([None] * len(b.vertex_slots[b.origin[g]]))
+            elif self.rot[v][b.slot_index[g]] is not None:
+                raise CoverError("chart vertex %d has two slots over base "
+                                 "half-edge %d" % (v, g))
+            ids.append(v)
+        hs = self.new_face(*ids, b.color_left(base_he))
+        for h, g, v in zip(hs, bhs, ids):
+            self.rot[v][b.slot_index[g]] = h
+        self.proj.extend(bhs)
+        return hs
 
     def star_complete(self, v):
-        hs = self.out_slots(v)
-        return len(hs) == len(self.base.vertex_slots[self.proj_v[v]]) and all(
-            self.twin[self.prev(h)] != NO_TWIN for h in hs)
+        return all(h is not None and self.twin[h] != NO_TWIN
+                   for h in self.rot[v])
 
     def complete_star(self, v):
         """Attach triangles clockwise around v until its star closes."""
-        d = len(self.base.vertex_slots[self.proj_v[v]])
-        while True:
-            hs = self.out_slots(v)
-            incomplete = [h for h in hs if self.twin[self.prev(h)] == NO_TWIN]
-            if not incomplete:
-                return
-            if len(incomplete) != 1:
-                raise CoverError("pinched chart vertex %d" % v)
-            # cw-last slot: the outgoing slot with no face on its right
-            last = next(h for h in hs if self.twin[h] == NO_TWIN)
-            bh = self.base.twin[self.proj[last]]  # base side of the new face
-            x = self.head(last)
-            if len(hs) == d - 1:
-                # closing triangle: glue along both extreme spokes
-                first = incomplete[0]
-                ib = self.prev(first)  # incoming boundary spoke
-                y = self.origin[ib]
-                assert self.base.next[bh] == self.base.twin[self.proj[ib]], \
-                    "base faces disagree at closing triangle"
-                c0, c1, c2 = self._new_triangle(
-                    bh, [("v", x), ("v", v), ("v", y)])
-                self._glue(c0, last)
-                self._glue(c1, ib)
-            else:
-                third = self.base.head(self.base.next[bh])
-                c0, c1, c2 = self._new_triangle(bh, [("v", x), ("v", v), third])
-                self._glue(c0, last)
+        rot = self.rot[v]
+        d = len(rot)
+        # cw-last slots: the outgoing slots with no face on their right
+        ends = [i for i, h in enumerate(rot)
+                if h is not None and self.twin[h] == NO_TWIN]
+        if not ends:
+            return
+        if len(ends) != 1:
+            raise CoverError("pinched chart vertex %d" % v)
+        # the k slots of v run clockwise up to rot[i]; d - 1 - k open
+        # triangles fill the gap after it and one more closes it onto the
+        # incoming spoke before the first slot
+        i, k = ends[0], d - rot.count(None)
+        ib = self.next[self.next[rot[(i - k + 1) % d]]]
+        last = rot[i]
+        for _ in range(d - 1 - k):
+            last = self._attach(v, last, None)
+        self.glue(self._attach(v, last, self.origin[ib]), ib)
 
-    def _glue(self, a, b):
-        if self.twin[a] != NO_TWIN or self.twin[b] != NO_TWIN:
-            raise CoverError("double glue")
-        assert self.proj[a] == self.base.twin[self.proj[b]]
-        self.twin[a] = b
-        self.twin[b] = a
+    def _attach(self, v, last, third):
+        """Attach the face right of v's cw-last slot; returns its v slot."""
+        bh = self.base.twin[self.proj[last]]
+        c0, c1, _ = self._new_triangle(bh, (self.head(last), v, third))
+        self.glue(c0, last)
+        return c1
 
     # -- public operations -------------------------------------------------
 
     def slots_cw(self, v):
-        """Clockwise outgoing slot cycle of a star-complete chart vertex."""
+        """The slots of chart vertex v by base position, star completed."""
         self.complete_star(v)
-        hs = self.out_slots(v)
-        h0 = min(hs)
-        chain = [h0]
-        g = self.rot_cw(h0)
-        while g != h0:
-            chain.append(g)
-            g = self.rot_cw(g)
-        return chain
+        return self.rot[v]
 
     def slot_over(self, v, base_he):
         """The outgoing slot of chart vertex v projecting to base_he."""
-        for h in self.slots_cw(v):
-            if self.proj[h] == base_he:
-                return h
-        raise CoverError("no slot over base half-edge %d" % base_he)
+        if self.base.origin[base_he] != self.proj_v[v]:
+            raise CoverError("no slot over base half-edge %d" % base_he)
+        return self.slots_cw(v)[self.base.slot_index[base_he]]
 
     def expand(self, radius):
         while True:
@@ -155,7 +120,9 @@ class CoverChart:
         while frontier:
             nxt = []
             for v in frontier:
-                for h in self.out_slots(v):
+                for h in self.rot[v]:
+                    if h is None:
+                        continue
                     w = self.head(h)
                     if dist[w] is None:
                         dist[w] = dist[v] + 1
@@ -180,11 +147,7 @@ class CoverChart:
 
     def triangulation(self):
         """Immutable snapshot (for validation and turn arithmetic)."""
-        colors = {h: self.color_left(h) for h in range(len(self.next))}
-        return Triangulation(self.next, self.twin, self.origin, colors)
-
-    def color_left(self, h):
-        return self.base.face_color[self.base.face_of[self.proj[h]]]
+        return self.build()
 
 
 @dataclass(frozen=True)
@@ -205,52 +168,36 @@ class LineWindow:
         return chart.origin[self.edge(i)]
 
 
-def line_window(chart, v, side, L, seed=None):
+def line_window(chart, v, side, L):
     """The window [-L, L] of the left/right line through chart vertex v.
 
-    The line is determined by its first half-edge; by default the lowest-id
-    outgoing slot of v whose left face is red.  Left lines make only 3-turns,
-    right lines only (d-3)-turns, counted clockwise.
+    The line starts with the outgoing slot of v over the lowest base
+    half-edge whose left face is red.  Left lines make only 3-turns, right
+    lines only (d-3)-turns, counted clockwise.
     """
     if side not in (LEFT, RIGHT):
         raise CoverError("side must be left or right")
-    if seed is None:
-        cands = [h for h in chart.slots_cw(v) if chart.color_left(h) == RED]
-        seed = min(cands, key=lambda h: chart.proj[h])
-    edges = [seed]
-    # forward
+    seed = min((h for h in chart.slots_cw(v) if chart.color[h] == RED),
+               key=lambda h: chart.proj[h])
+    fwd, back = [seed], []
+    for _ in range(L - 1):
+        fwd.append(_line_step(chart, fwd[-1], side))
+    # backward: the line of the other side, run from the twin
+    other = RIGHT if side == LEFT else LEFT
     e = seed
-    for _ in range(L - 1 if L else 0):
-        e = _line_step(chart, e, side)
-        edges.append(e)
-    # backward
-    e = seed
-    back = []
     for _ in range(L):
-        e = _line_step_back(chart, e, side)
+        e = chart.twin[_line_step(chart, chart.twin[e], other)]
         back.append(e)
-    edges = list(reversed(back)) + edges
-    if L == 0:
-        edges = []
+    edges = back[::-1] + fwd if L else []
     return LineWindow(side, v, tuple(edges), L)
 
 
 def _line_step(chart, e, side):
-    v = chart.head(e)
-    slots = chart.slots_cw(v)
+    slots = chart.slots_cw(chart.head(e))
     d = len(slots)
-    i = slots.index(chart.twin[e])
+    i = chart.base.slot_index[chart.proj[chart.twin[e]]]
     k = 3 if side == LEFT else d - 3
     return slots[(i + k) % d]
-
-
-def _line_step_back(chart, e, side):
-    v = chart.origin[e]
-    slots = chart.slots_cw(v)
-    d = len(slots)
-    i = slots.index(e)
-    k = 3 if side == LEFT else d - 3
-    return chart.twin[slots[(i - k) % d]]
 
 
 @dataclass(frozen=True)
@@ -270,6 +217,8 @@ def escape_probe(f, v, side=LEFT, depth=None, L=None):
     non-negative part of the line window through f(v) and leaves on the
     escape side.  A negative answer is not a disproof.
     """
+    if not 0 <= v < f.graph.num_vertices:
+        raise CoverError("graph vertex %d out of range" % v)
     base = f.host
     if depth is None:
         depth = 2 * f.graph.num_edges()
@@ -339,14 +288,12 @@ def _is_escape_slot(chart, win, i, c, side):
     For a left line the escape side is the right: the slots strictly
     clockwise from the outgoing window edge to the reversed incoming one.
     """
-    x = win.vertex(chart, i)
-    slots = chart.slots_cw(x)
-    d = len(slots)
     if i >= win.L or i <= -win.L:
         return False
-    a = chart.twin[win.edge(i - 1)] if i > -win.L else None
-    b = win.edge(i)
-    ia, ib, ic = slots.index(a), slots.index(b), slots.index(c)
+    pos = chart.base.slot_index
+    ia, ib, ic = (pos[chart.proj[h]]
+                  for h in (chart.twin[win.edge(i - 1)], win.edge(i), c))
+    d = len(chart.rot[win.vertex(chart, i)])
     # sector strictly cw from twin(incoming) to outgoing = left of the line
     on_left = 0 < (ic - ia) % d < (ib - ia) % d
     escapes_right = side == LEFT

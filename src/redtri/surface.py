@@ -2,8 +2,8 @@
 
 Half-edge representation: each half-edge h has next(h) (counterclockwise
 successor inside its face), twin(h) (-1 on the boundary), and origin(h).
-Faces are the orbits of next; the clockwise rotation around a vertex is
-rot_cw(h) = next(twin(h)).  Loops and multi-edges are legal, so edges are
+Faces are the orbits of next; the clockwise rotation around a vertex steps
+from h to next(twin(h)).  Loops and multi-edges are legal, so edges are
 never identified by vertex pairs.
 """
 
@@ -150,13 +150,6 @@ class Triangulation:
     def color_left(self, h):
         """Color of the face on the left of directed half-edge h."""
         return self.face_color[self.face_of[h]]
-
-    def rot_cw(self, h):
-        """Next outgoing slot clockwise around origin(h); None at boundary."""
-        t = self.twin[h]
-        if t == NO_TWIN:
-            return None
-        return self.next[t]
 
     # -- vertices ----------------------------------------------------------
 

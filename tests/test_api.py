@@ -1,9 +1,13 @@
-"""Dead-code guard: every library definition has a caller outside its tests.
+"""Dead-code guards.
 
-A top-level function or class of `src/redtri`, or a public method of such a
-class, must be named somewhere in `src/redtri` or `perfbench/*.py` besides
-its own definition, or be listed in LIBRARY_API with the reason it stays.
-Code that only its own test calls belongs in `tests/` or nowhere.
+Every library definition has a caller outside its tests: a top-level
+function or class of `src/redtri`, or a public method of such a class, must
+be named somewhere in `src/redtri` or `perfbench/*.py` besides its own
+definition, or be listed in LIBRARY_API with the reason it stays.  Code
+that only its own test calls belongs in `tests/` or nowhere.
+
+Every name a test module imports is read in that module, or imported from
+it by another test module (as `conftest` passes on `random_drawing`).
 """
 
 import ast
@@ -13,6 +17,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "redtri").glob("*.py"))
 CALLERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
+# the tracer patches functions by their names, given as strings
+TRACER = ROOT / "perfbench" / "tracer.py"
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # public entry points with no caller in the library itself
 LIBRARY_API = {
@@ -25,9 +32,9 @@ LIBRARY_API = {
 }
 
 
-def _names(node):
+def _names(node, strings=False):
     """Every identifier that node refers to: names, attributes, imported
-    names, and identifier-like strings (perfbench patches by name)."""
+    names, and with `strings` identifier-like strings."""
     out = Counter()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
@@ -36,8 +43,8 @@ def _names(node):
             out[n.attr] += 1
         elif isinstance(n, ast.alias):
             out[n.name.rsplit(".", 1)[-1]] += 1
-        elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
-                and n.value.isidentifier():
+        elif strings and isinstance(n, ast.Constant) \
+                and isinstance(n.value, str) and n.value.isidentifier():
             out[n.value] += 1
     return out
 
@@ -60,8 +67,8 @@ def _dead_definitions():
     """Definitions with no caller but themselves and other dead code."""
     trees = {p: ast.parse(p.read_text(), str(p)) for p in CALLERS}
     used = Counter()
-    for tree in trees.values():
-        used.update(_names(tree))
+    for p, tree in trees.items():
+        used.update(_names(tree, strings=p == TRACER))
     # per (file, qualified name), the bare name and the references its own
     # code makes; a class's own code leaves out its public methods, which
     # are definitions of their own
@@ -101,3 +108,28 @@ def test_library_api_entries_exist():
     quals = {qual for p in SOURCES
              for qual, _, _ in _definitions(ast.parse(p.read_text()))}
     assert set(LIBRARY_API) <= quals
+
+
+def _unused_test_imports():
+    """(module, name) of each imported name that its test module never
+    reads and no other test module imports from it."""
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in TESTS}
+    passed_on = {(n.module, a.name) for tree in trees.values()
+                 for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                 for a in n.names}
+    unused = []
+    for mod, tree in trees.items():
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Import, ast.ImportFrom)):
+                for a in n.names:
+                    name = a.asname or a.name.split(".")[0]
+                    if name not in read and (mod, name) not in passed_on:
+                        unused.append("%s: %s" % (mod, name))
+    return sorted(unused)
+
+
+def test_every_test_import_is_used():
+    unused = _unused_test_imports()
+    assert not unused, "imported but unused:\n" + "\n".join(unused)

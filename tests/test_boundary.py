@@ -1,8 +1,6 @@
-import random
-
 import pytest
 
-from redtri import boundary, surface
+from redtri import surface
 from redtri.boundary import (
     Anchor,
     BoundaryError,
@@ -111,7 +109,7 @@ def test_extension_graph_shape(patch):
     a = anchored_ends(f)
     fdot, guard = extend_for_harmonization(f, a)
     n, ne = f.graph.num_vertices, f.graph.num_edges()
-    k = len(a.vertices())
+    k = sum(map(len, a.orders.values()))  # anchored G-vertices
     assert fdot.graph.num_vertices == 2 * n + k
     assert fdot.graph.num_edges() == 2 * ne + 2 * k
     # the base copy is untouched
@@ -126,7 +124,7 @@ def test_extension_mirror_symmetry(patch):
     fdot, guard = extend_for_harmonization(f, a)
     t = fdot.host
     n, ne = f.graph.num_vertices, f.graph.num_edges()
-    k = len(a.vertices())
+    k = sum(map(len, a.orders.values()))  # anchored G-vertices
     for e in range(ne):
         base = fdot.edge_map[e].half_edges
         mirror = fdot.edge_map[ne + k + e].half_edges

@@ -346,6 +346,8 @@ MALFORMED = [
                                    "0", "--window", "0"]),
     ("window-negative", "x.drw", DRW, ["probe", "{tri}", "{file}",
                                        "--vertex", "0", "--window", "-1"]),
+    ("vertex-out-of-range", "x.drw", DRW, ["probe", "{tri}", "{file}",
+                                           "--vertex", "2"]),
     ("depth-negative", "x.drw", DRW, ["probe", "{tri}", "{file}", "--vertex",
                                       "0", "--depth", "-1"]),
     ("sizes-zero", "unused", "", ["stress", "--sizes", "0"]),

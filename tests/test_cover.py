@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from redtri import cover, drawing, surface, walkcalc
@@ -110,6 +108,17 @@ def test_lift_rejects_bad_start(torus):
             chart.lift_walk(w, start)
 
 
+def test_lift_into_a_wrapped_fan_raises(chart, torus):
+    # lifting this loop on demand gives chart vertex 5, over the torus
+    # vertex of degree 6, a seventh slot over base half-edge 0; the chart
+    # does not merge vertices, so that raises rather than letting a later
+    # complete_star add triangles around vertex 5 forever
+    w = Walk.from_half_edges(torus, [2, 4, 1, 3, 0, 5], closed=True)
+    with pytest.raises(cover.CoverError):
+        chart.lift_walk(w, 0)
+        chart.lift_walk(w, 1)
+
+
 def test_line_window_turns(chart):
     for side in (LEFT, RIGHT):
         win = line_window(chart, 0, side, 4)
@@ -143,6 +152,15 @@ def test_escape_probe_on_line(torus):
     f = drawing.Drawing(g, torus, [0],
                         [Walk.from_half_edges(torus, (0,), start=0)])
     assert isinstance(escape_probe(f, 0, LEFT), NoWitnessWithinBounds)
+
+
+@pytest.mark.parametrize("v", [-1, 2])
+def test_escape_probe_vertex_range_checked(torus, v):
+    g = drawing.Graph(2, [(0, 1)])
+    f = drawing.Drawing(g, torus, [0, 0],
+                        [Walk.from_half_edges(torus, (5,), start=0)])
+    with pytest.raises(cover.CoverError, match="graph vertex %d" % v):
+        escape_probe(f, v, LEFT)
 
 
 def test_escape_probe_immediate(torus):

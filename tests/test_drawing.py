@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from redtri import drawing, surface
+from redtri import surface
 from redtri.drawing import (
     Drawing,
     DrawingError,

@@ -10,7 +10,8 @@ STEP2_GOLDEN_SHA256 pins the cyclic flips of step 2, which the harmonizer
 corpus never reaches, on the seeds whose harmonization flips there.
 OUTPUT_GOLDEN_SHA256 covers the constructors: every `redtri fixtures`
 output, `write_tri` of seeded disk patches and of their crowned closures,
-and one `redtri stress` sweep.  A change that is meant to alter the output
+and one `redtri stress` sweep.  CHART_GOLDEN_SHA256 covers cover charts:
+their half-edge tables, line windows and escape probes.  A change that is meant to alter the output
 must say so and update the constant.
 """
 
@@ -21,6 +22,7 @@ import pytest
 
 from redtri import surface
 from redtri.boundary import Anchor, harmonize_rel_anchor
+from redtri.cover import LEFT, RIGHT, CoverChart, escape_probe, line_window
 from redtri.drawing import Drawing, Graph, write_drawing
 from redtri.harmonizer import harmonize, write_trace
 from redtri.walkcalc import (
@@ -269,3 +271,44 @@ def output_corpus_digest(tmp_path):
 
 def test_output_golden(tmp_path):
     assert output_corpus_digest(tmp_path) == OUTPUT_GOLDEN_SHA256
+
+
+# -- cover charts -------------------------------------------------------------
+
+CHART_GOLDEN_SHA256 = (
+    "1fefa2e77516475441f9ba85e96b095280ea3cc290ba7e8c8ce6d12437aad3c5")
+
+
+def chart_corpus():
+    """(case name, text) for radius-2 charts of two hosts, line windows
+    through their vertex 0, and escape probes on doubled crown4."""
+    doubled = surface.double_with_gadgets(surface.crown(4))
+    for name, host in (("torus", surface.build_torus()),
+                       ("doubled crown4", doubled)):
+        chart = CoverChart(host).expand(2)
+        yield "chart %s" % name, repr((chart.next, chart.twin, chart.origin,
+                                       chart.proj, chart.proj_v))
+        yield "chart %s snapshot" % name, surface.write_tri(
+            chart.triangulation())
+        for side in (LEFT, RIGHT):
+            yield ("chart %s line %s" % (name, side),
+                   repr(line_window(chart, 0, side, 6).edges))
+    for seed in range(28):
+        rng = random.Random(seed)
+        f = random_drawing(doubled, rng, max_vertices=3, max_extra_edges=1)
+        v = rng.randrange(f.graph.num_vertices)
+        side = rng.choice((LEFT, RIGHT))
+        L = 24 + 8 * (seed % 7)
+        yield "probe seed %d" % seed, repr(escape_probe(f, v, side, L=L))
+
+
+def chart_corpus_digest():
+    sha = hashlib.sha256()
+    for name, text in chart_corpus():
+        sha.update(("# %s\n" % name).encode())
+        sha.update(text.encode())
+    return sha.hexdigest()
+
+
+def test_chart_golden_outputs():
+    assert chart_corpus_digest() == CHART_GOLDEN_SHA256

@@ -19,8 +19,6 @@ from redtri.harmonizer import (
     apply_flip,
     apply_shortening,
     find_balancing,
-    find_flip,
-    find_shortening,
     flip_at,
     harmonize,
     is_locally_stable,

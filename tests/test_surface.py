@@ -33,10 +33,10 @@ def test_torus_counts(torus):
 def test_torus_rotation_single_cycle(torus):
     h = 0
     seen = [h]
-    g = torus.rot_cw(h)
+    g = torus.next[torus.twin[h]]
     while g != h:
         seen.append(g)
-        g = torus.rot_cw(g)
+        g = torus.next[torus.twin[g]]
     assert len(seen) == 6
 
 
