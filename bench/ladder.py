@@ -1,0 +1,107 @@
+"""Time the host layer across a size ladder and fit how its cost grows.
+
+    python3 bench/ladder.py [-o BENCH.json]
+
+For each radius r = 4..10, builds `surface.build_disk_patch(r)` from a
+fixed seed and times `surface.read_tri` on its `write_tri` text and
+`surface.Triangulation` on its tables.  Per rung it records the median of
+five runs and, from a separate run under `tracemalloc`, the peak of memory
+allocated during the call.  Each fitted exponent is the least-squares
+slope of log(median time) over log(half-edges); 1.0 is linear.  Standard
+library only; it imports redtri from the `src/` of the checkout it sits
+in.  Prints the JSON, and writes it to the -o file if one is given.
+"""
+
+import argparse
+import gc
+import json
+import math
+import os
+import platform
+import random
+import statistics
+import sys
+import time
+import tracemalloc
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from redtri import surface  # noqa: E402
+
+SEED = 1
+RADII = range(4, 11)
+REPEATS = 5
+
+
+def median_s(call):
+    times = []
+    for _ in range(REPEATS):
+        gc.collect()
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def peak_mb(call):
+    gc.collect()
+    tracemalloc.start()
+    call()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak / 1e6
+
+
+def exponent(xs, ys):
+    lx, ly = [math.log(x) for x in xs], [math.log(y) for y in ys]
+    mx, my = statistics.fmean(lx), statistics.fmean(ly)
+    return (sum((a - mx) * (b - my) for a, b in zip(lx, ly))
+            / sum((a - mx) ** 2 for a in lx))
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("-o", "--output")
+    args = ap.parse_args(argv)
+
+    rungs = []
+    for r in RADII:
+        t = surface.build_disk_patch(r, random.Random(SEED))
+        text = surface.write_tri(t)
+        tables = (t.next, t.twin, t.origin,
+                  {min(orbit): t.face_color[i]
+                   for i, orbit in enumerate(t.faces)})
+        del t
+        calls = {"read_tri": lambda: surface.read_tri(text),
+                 "triangulation": lambda: surface.Triangulation(*tables)}
+        rung = {"radius": r, "half_edges": len(tables[0])}
+        for name, call in calls.items():
+            rung[name + "_s"] = median_s(call)
+            rung[name + "_peak_mb"] = peak_mb(call)
+        rungs.append(rung)
+        print("# r=%d %d half-edges: read_tri %.4f s, Triangulation %.4f s"
+              % (r, rung["half_edges"], rung["read_tri_s"],
+                 rung["triangulation_s"]), file=sys.stderr)
+
+    sizes = [rung["half_edges"] for rung in rungs]
+    report = {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "seed": SEED,
+        "repeats": REPEATS,
+        "rungs": rungs,
+        "exponents": {name: exponent(sizes, [rung[name + "_s"]
+                                             for rung in rungs])
+                      for name in ("read_tri", "triangulation")},
+    }
+    text = json.dumps(report, indent=1) + "\n"
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+    sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -121,15 +121,16 @@ class Triangulation:
         # faces = orbits of next (any length; the validator flags non-triangles)
         self.faces, face_of = face_orbits(self.next)
         self.face_of = tuple(face_of)
-        colors = []
-        for orbit in self.faces:
-            c = face_colors.get(orbit[0])
-            if c not in (RED, BLUE):
-                raise StructureError("bad color %r for face at half-edge %d"
-                                     % (c, orbit[0]))
-            colors.append(c)
-        self.face_color = tuple(colors)
+        self.face_color = tuple([face_colors.get(orbit[0])
+                                 for orbit in self.faces])
+        if not {RED, BLUE}.issuperset(self.face_color):
+            i = next(i for i, c in enumerate(self.face_color)
+                     if c not in (RED, BLUE))
+            raise StructureError("bad color %r for face at half-edge %d"
+                                 % (self.face_color[i], self.faces[i][0]))
 
+        self._boundary_half_edges = tuple([h for h, t in enumerate(self.twin)
+                                           if t == NO_TWIN])
         self.num_vertices = (max(self.origin) + 1) if n else 0
         self._build_vertex_slots()
 
@@ -155,21 +156,17 @@ class Triangulation:
 
     def _build_vertex_slots(self):
         n = len(self.next)
-        twin = self.twin
+        next_, twin, origin = self.next, self.twin, self.origin
         # clockwise successor of every slot; -1 past the last slot of a
         # boundary vertex, whose chain starts at the half-edge after a
         # twin-less one
-        succ = [-1] * n
-        out = [[] for _ in range(self.num_vertices)]
+        succ = [-1 if t == NO_TWIN else next_[t] for t in twin]
         starts_at = {}
-        for h, v in enumerate(self.origin):
+        for g in [next_[h] for h in self._boundary_half_edges]:
+            starts_at.setdefault(origin[g], []).append(g)
+        out = [[] for _ in range(self.num_vertices)]
+        for h, v in enumerate(origin):
             out[v].append(h)
-            t = twin[h]
-            if t == NO_TWIN:
-                g = self.next[h]
-                starts_at.setdefault(self.origin[g], []).append(g)
-            else:
-                succ[h] = self.next[t]
         slots = []
         slot_index = [-1] * n
         boundary = []
@@ -177,20 +174,22 @@ class Triangulation:
         for v, hs in enumerate(out):
             if not hs:
                 raise StructureError("vertex %d has no half-edge" % v)
+            d = len(hs)
             # clockwise chain; a vertex is interior iff the chain is cyclic
             starts = starts_at.get(v)
             h0 = starts[0] if starts else hs[0]
             chain = [h0]
             g = succ[h0]
-            while g != -1 and len(chain) <= len(hs):
-                if g == h0 and not starts:
+            stop = -1 if starts else h0
+            for _ in range(d):
+                if g == -1 or g == stop:
                     break
                 chain.append(g)
                 g = succ[g]
             if starts:
-                ok = len(starts) == 1 and len(chain) == len(hs)
+                ok = len(starts) == 1 and len(chain) == d
             else:
-                ok = g == h0 and len(chain) == len(hs)
+                ok = g == h0 and len(chain) == d
             is_bnd = bool(starts)
             if not ok:
                 # twin structure is damaged; keep a usable slot list anyway so
@@ -219,7 +218,7 @@ class Triangulation:
         return d
 
     def boundary_half_edges(self):
-        return tuple(h for h in range(len(self.next)) if self.twin[h] == NO_TWIN)
+        return self._boundary_half_edges
 
     def num_edges(self):
         n = len(self.next)
@@ -710,17 +709,34 @@ def write_tri(t):
 
 
 def read_tri(text):
-    next_ = twin = origin = None
+    """The Triangulation of a `.tri` text.
+
+    Text in the layout `write_tri` emits is read column by column, in time
+    linear in its size (`_tri_columns`): one split of the text, each field
+    a column converted in one pass.  Text in any other layout (comments,
+    blank lines, other key orders, extra or duplicate keys, numbers that
+    int() reads but write_tri does not write) goes record by record through
+    `records` (`_tri_records`), which gives every FormatError.  Both read
+    the same text into the same tables.
+    """
+    return Triangulation(*(_tri_columns(text) or _tri_records(text)))
+
+
+def _tri_records(text):
+    """The half-edge tables and face colors of a `.tri` text, record by
+    record; FormatError for a malformed record."""
+    next_ = twin = origin = given = None
     face_colors = {}
 
     def header(n, fields):
-        nonlocal next_, twin, origin
+        nonlocal next_, twin, origin, given
         n = int(n)
         if next_ is not None:
             raise ValueError("a second header")
         if not 0 <= n <= len(text):  # each half-edge takes a line
             raise ValueError("half-edge count out of range")
         next_, twin, origin = [NO_TWIN] * n, [NO_TWIN] * n, [NO_TWIN] * n
+        given = bytearray(n)
 
     def half_edge(h, fields):
         h = int(h)
@@ -728,16 +744,92 @@ def read_tri(text):
             raise ValueError("half-edge before the header")
         if not 0 <= h < len(next_):
             raise ValueError("half-edge %d out of range" % h)
+        if given[h]:
+            raise ValueError("half-edge %d given twice" % h)
+        given[h] = 1
         next_[h] = int(fields["next"])
         tw = fields["twin"]
         twin[h] = NO_TWIN if tw == "-" else int(tw)
         origin[h] = int(fields["origin"])
 
     def face(i, fields):
-        face_colors[int(fields["he"])] = fields["color"]
+        i = int(i)
+        if next_ is None:
+            raise ValueError("face before the header")
+        # a face has at least one half-edge
+        if not 0 <= i < len(next_):
+            raise ValueError("face %d out of range" % i)
+        h = int(fields["he"])
+        if not 0 <= h < len(next_):
+            raise ValueError("half-edge %d out of range" % h)
+        face_colors[h] = fields["color"]
 
     records(text, {"tri": (1, header), "he": (1, half_edge),
                    "face": (1, face)})
     if next_ is None:
         raise FormatError("missing tri header")
-    return Triangulation(next_, twin, origin, face_colors)
+    return next_, twin, origin, face_colors
+
+
+# the lines write_tri emits, with their digits deleted
+_TRI_SHAPE = b"tri \n"
+_HE_SHAPE = b"he  next= twin= origin=\n"
+_FACE_SHAPE = b"face  color=r he=\n"
+_NO_TWIN_TEXT = {"-": str(NO_TWIN)}
+
+
+def _tri_columns(text):
+    """The tables `_tri_records` reads from text in `write_tri`'s layout,
+    or None for any other text.
+
+    The layout is the header `tri n`, the n lines `he h next=.. twin=..
+    origin=..` for h = 0..n-1 in order, then lines `face i color=.. he=..`,
+    each ending in a newline.  Text with its digits deleted must be that
+    skeleton: single spaces, `twin=-` for a boundary half-edge and the
+    colors r and b.  Then each field is a column of one split of the text,
+    converted in one pass; a key with a digit in it leaves a value that
+    fails int(), and an empty number leaves a field out.
+    """
+    if not (text.isascii() and text.startswith("tri ")):
+        return None
+    try:
+        n = int(text[4:text.index("\n")])
+    except ValueError:
+        return None
+    shape = (text.encode().translate(None, b"0123456789")
+             .replace(b"twin=-", b"twin=").replace(b"color=b", b"color=r"))
+    faces, rest = divmod(len(shape) - len(_TRI_SHAPE) - n * len(_HE_SHAPE),
+                         len(_FACE_SHAPE))
+    if n < 0 or faces < 0 or rest or (
+            shape != _TRI_SHAPE + n * _HE_SHAPE + faces * _FACE_SHAPE):
+        return None
+    del shape
+    fields = text.split()
+    if len(fields) != 2 + 5 * n + 4 * faces:
+        return None
+    he, face = fields[2:2 + 5 * n], fields[2 + 5 * n:]
+    del fields
+    if (he[::5].count("he") != n or face[::4].count("face") != faces
+            or " ".join(he[1::5]) != " ".join(map(str, range(n)))):
+        return None
+    try:
+        next_ = list(map(int, _values(he[2::5], "next=")))
+        twin = list(_values(he[3::5], "twin="))
+        twin = list(map(int, map(_NO_TWIN_TEXT.get, twin, twin)))
+        origin = list(map(int, _values(he[4::5], "origin=")))
+        del he
+        index = list(map(int, face[1::4]))
+        hes = list(map(int, _values(face[3::4], "he=")))
+    except ValueError:
+        return None
+    colors = list(_values(face[2::4], "color="))
+    if faces and not ({RED, BLUE}.issuperset(colors)
+                      and 0 <= min(index) and max(index) < n
+                      and 0 <= min(hes) and max(hes) < n):
+        return None
+    return next_, twin, origin, dict(zip(hes, colors))
+
+
+def _values(column, key):
+    """The values of a column of `key=value` fields, one by one."""
+    return map(str.removeprefix, column, repeat(key))

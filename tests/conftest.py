@@ -7,6 +7,8 @@ from redtri import surface
 from redtri.drawing import random_drawing, random_path  # shared with the tests
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+# the characters that mutate the inputs of the fuzz tests
+FUZZ_ALPHABET = "0123456789-=,>#\n abfhilnortvw"
 
 
 def fixture_path(name):
@@ -16,6 +18,16 @@ def fixture_path(name):
 @pytest.fixture
 def torus():
     return surface.build_torus()
+
+
+def edit_char(text, i, kind, c):
+    """text with c inserted at position i, or the character there deleted
+    or replaced by c."""
+    if kind == "insert":
+        return text[:i] + c + text[i:]
+    if kind == "delete":
+        return text[:i] + text[i + 1:]
+    return text[:i] + c + text[i + 1:]
 
 
 def make_patch(seed, radius=3):

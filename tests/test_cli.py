@@ -11,7 +11,7 @@ from redtri import drawing, surface
 from redtri.cli import main
 from redtri.walkcalc import Walk
 
-from conftest import make_patch
+from conftest import FUZZ_ALPHABET, edit_char, make_patch
 
 
 def run(capsys, *argv):
@@ -310,6 +310,7 @@ def test_probe_cli(capsys, tmp_path, torus_path):
 # a well-formed drawing on the torus fixture
 DRW = "vertex 0 at 0\nvertex 1 at 0\nedge 0 0 1 walk=5\n"
 
+TORUS_TRI = surface.write_tri(surface.build_torus())
 # (case, file name, its text, command line with {tri} and {file} for the
 # torus fixture and the malformed file)
 MALFORMED = [
@@ -324,6 +325,13 @@ MALFORMED = [
     ("tri-huge-vertex-id", "x.tri",
      "tri 1\nhe 0 next=0 twin=- origin=%d\nface 0 color=r he=0\n" % 10 ** 15,
      ["validate", "{file}"]),
+    # face and half-edge records that the tables would otherwise hide
+    ("tri-face-index-not-a-number", "x.tri",
+     TORUS_TRI.replace("face 0 ", "face abc "), ["validate", "{file}"]),
+    ("tri-face-he-out-of-range", "x.tri",
+     TORUS_TRI + "face 7 color=q he=99\n", ["validate", "{file}"]),
+    ("tri-he-given-twice", "x.tri",
+     TORUS_TRI + "he 0 next=1 twin=3 origin=0\n", ["validate", "{file}"]),
     ("drw-vertex-off-host", "x.drw", "vertex 0 at 99\n",
      ["harmonize", "{tri}", "{file}"]),
     ("drw-vertex-gap", "x.drw", "vertex 0 at 0\nvertex 2 at 0\n",
@@ -396,7 +404,6 @@ FUZZ_COMMANDS = {
     "w.walk": [["reduce", "torus.tri", "w.walk"]],
     "t.trc": [["export", "t.trc"]],
 }
-FUZZ_ALPHABET = "0123456789-=,>#\n abfhilnortvw"
 
 
 @pytest.fixture(scope="module")
@@ -419,12 +426,7 @@ def test_fuzz_mutated_inputs(fuzz_dir, data):
         i = data.draw(st.integers(0, len(text)))
         kind = data.draw(st.sampled_from(("insert", "delete", "replace")))
         c = data.draw(st.sampled_from(FUZZ_ALPHABET))
-        if kind == "insert":
-            text = text[:i] + c + text[i:]
-        elif kind == "delete":
-            text = text[:i] + text[i + 1:]
-        else:
-            text = text[:i] + c + text[i + 1:]
+        text = edit_char(text, i, kind, c)
     mutated = fuzz_dir / ("mutated-" + name)
     mutated.write_text(text)
     argv = data.draw(st.sampled_from(FUZZ_COMMANDS[name]))

@@ -1,4 +1,6 @@
+import functools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,8 @@ from redtri.surface import (
     validate_reducing,
 )
 
-from conftest import fixture_path, make_patch
+import tri_oracle
+from conftest import FUZZ_ALPHABET, edit_char, fixture_path, make_patch
 
 
 def test_torus_counts(torus):
@@ -215,3 +218,159 @@ def test_disk_patch_property(seed):
     p = surface.build_disk_patch(2, random.Random(seed))
     assert validate_reducing(p).ok
     assert p.euler_characteristic() == 1
+
+
+# -- the column reader against the record-by-record oracle -------------------
+
+TRI_HOSTS = {
+    "torus": surface.build_torus,
+    **{"crown%d" % k: lambda k=k: surface.crown(k) for k in range(2, 7)},
+    "one gadget": surface.build_one_gadget,
+    "three gadget": surface.build_three_gadget,
+    **{"patch r%d" % r: lambda r=r: make_patch(r, radius=r)
+       for r in range(1, 5)},
+    "doubled crown4": lambda: surface.double_with_gadgets(surface.crown(4)),
+}
+
+
+@functools.cache
+def tri_lines(name):
+    return tuple(surface.write_tri(TRI_HOSTS[name]()).splitlines())
+
+
+def _respell(line, rng, spell, pattern=r"\d+"):
+    """line with one match of pattern (a number) respelled by spell, if it
+    has one."""
+    found = list(re.finditer(pattern, line))
+    if not found:
+        return line
+    m = rng.choice(found)
+    return line[:m.start()] + spell(m.group()) + line[m.end():]
+
+
+def _split_word(word, rng):
+    k = rng.randrange(1, len(word))
+    return word[:k] + rng.choice("05") + word[k:]
+
+
+def _fields(line, rng, edit):
+    """line with its key=value fields (after the keyword and index)
+    changed by edit(fields, rng)."""
+    parts = line.split(" ")
+    return " ".join(parts[:2] + edit(parts[2:], rng))
+
+
+def _shuffled(fields, rng):
+    fields = list(fields)
+    rng.shuffle(fields)
+    return fields
+
+
+# each variant maps (lines, rng) to new lines
+TRI_VARIANTS = {
+    "comment": lambda ls, rng: _at(ls, rng, lambda s: s + " # note"),
+    "comment line": lambda ls, rng: _insert(ls, rng, "# note"),
+    "blank line": lambda ls, rng: _insert(ls, rng, rng.choice(("", "  "))),
+    "shuffle": lambda ls, rng: _shuffled(ls, rng),
+    "swap two": lambda ls, rng: _swap(ls, rng),
+    "permute keys": lambda ls, rng: _at(
+        ls, rng, lambda s: _fields(s, rng, _shuffled)),
+    "duplicate key": lambda ls, rng: _at(
+        ls, rng, lambda s: _fields(
+            s, rng, lambda fs, rng: fs + [rng.choice(fs or ["x=1"])])),
+    "extra key": lambda ls, rng: _at(ls, rng, lambda s: s + " extra=1"),
+    "tab": lambda ls, rng: _at(ls, rng, lambda s: s.replace(" ", "\t", 1)),
+    "plus": lambda ls, rng: _at(
+        ls, rng, lambda s: _respell(s, rng, lambda d: "+" + d)),
+    "underscore": lambda ls, rng: _at(
+        ls, rng, lambda s: _respell(s, rng, lambda d: d[0] + "_0" + d[1:])),
+    "leading zero": lambda ls, rng: _at(
+        ls, rng, lambda s: _respell(s, rng, lambda d: "0" + d)),
+    "append digit": lambda ls, rng: _at(
+        ls, rng, lambda s: _respell(s, rng, lambda d: d + rng.choice("09"))),
+    "negative": lambda ls, rng: _at(
+        ls, rng, lambda s: _respell(s, rng, lambda d: "-" + d)),
+    "digit in a key": lambda ls, rng: _at(
+        ls, rng, lambda s: _respell(s, rng, lambda w: _split_word(w, rng),
+                                    r"[a-z]{2,}")),
+    "no twin=-": lambda ls, rng: _at(
+        ls, rng, lambda s: s.replace(" twin=-", "")),
+}
+
+
+def _at(lines, rng, change):
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    lines[i] = change(lines[i])
+    return lines
+
+
+def _insert(lines, rng, line):
+    lines = list(lines)
+    lines.insert(rng.randrange(len(lines) + 1), line)
+    return lines
+
+
+def _swap(lines, rng):
+    lines = list(lines)
+    i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+    lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+def variant_text(name, variants, rng, end="\n"):
+    """write_tri's text of a host, changed by each variant in turn."""
+    lines = tri_lines(name)
+    for v in variants:
+        lines = TRI_VARIANTS[v](lines, rng)
+    return "\n".join(lines) + end
+
+
+def read_outcome(read, text):
+    """The tables a reader fills, or the type and message of what it
+    raises."""
+    try:
+        t = read(text)
+    except (surface.FormatError, surface.StructureError) as exc:
+        return "raise", type(exc), str(exc)
+    return ("return", t.next, t.twin, t.origin, t.face_color, t.vertex_slots,
+            t.slot_index, t.broken_rotation)
+
+
+@given(st.sampled_from(sorted(TRI_HOSTS)),
+       st.lists(st.sampled_from(sorted(TRI_VARIANTS)), max_size=3),
+       st.sampled_from(("\n", "")),
+       st.lists(st.tuples(st.integers(min_value=0),
+                          st.sampled_from(("insert", "delete", "replace")),
+                          st.sampled_from(FUZZ_ALPHABET)), max_size=3),
+       st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=400, deadline=None)
+def test_read_tri_matches_record_oracle(name, variants, end, edits, seed):
+    """The same tables, or the same exception and message, as the
+    record-by-record reader, on write_tri's output, on other layouts that
+    go through `records`, and on text with 1-3 characters changed."""
+    text = variant_text(name, variants, random.Random(seed), end)
+    for i, kind, c in edits:
+        text = edit_char(text, i % (len(text) + 1), kind, c)
+    assert (read_outcome(surface.read_tri, text)
+            == read_outcome(tri_oracle.read_tri, text))
+
+
+@pytest.mark.parametrize("name", sorted(TRI_HOSTS))
+def test_write_tri_output_is_read_by_columns(name):
+    """write_tri's layout takes the column path, with the oracle's tables."""
+    text = variant_text(name, (), None)
+    assert surface._tri_columns(text) is not None
+    assert (read_outcome(surface.read_tri, text)
+            == read_outcome(tri_oracle.read_tri, text))
+
+
+@pytest.mark.parametrize("variant", sorted(TRI_VARIANTS))
+def test_read_tri_variant_matches_record_oracle(variant):
+    """Each variant, on every host, with a few fixed seeds."""
+    for name in sorted(TRI_HOSTS):
+        for seed in range(6):
+            rng = random.Random("%s %d" % (name, seed))
+            text = variant_text(name, [variant], rng, "\n" if seed else "")
+            assert (read_outcome(surface.read_tri, text)
+                    == read_outcome(tri_oracle.read_tri, text)), (name, seed)

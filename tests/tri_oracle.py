@@ -1,0 +1,197 @@
+"""The record-by-record `.tri` reader that `redtri.surface` used before it
+read `write_tri`'s layout column by column, kept verbatim as a test oracle.
+
+`read_tri` hands every line to a handler through `records`, and
+`Triangulation` builds the face colors, the clockwise successors and the
+boundary chain starts with loops over single half-edges.  The checks that
+the reader gained since (the face index and its half-edge range-checked,
+a half-edge given twice rejected) are added in the same per-record style.
+It is slow, but simple enough to trust; `test_surface.py` checks that
+`surface.read_tri` returns and raises exactly what this code does.
+"""
+
+from itertools import repeat
+
+from redtri.surface import (
+    BLUE,
+    NO_TWIN,
+    RED,
+    FormatError,
+    StructureError,
+    face_orbits,
+)
+
+
+class Triangulation:
+    """The tables of `surface.Triangulation` that the reader fills:
+    half-edges, faces, face colors and vertex slots."""
+
+    def __init__(self, next_, twin, origin, face_colors):
+        n = len(next_)
+        if not (len(twin) == n and len(origin) == n):
+            raise StructureError("half-edge tables have mismatched lengths")
+        self.next = tuple(next_)
+        self.twin = tuple(twin)
+        self.origin = tuple(origin)
+        # every vertex has a half-edge, so vertex ids are below n as well
+        if n and not (0 <= min(self.next) and max(self.next) < n
+                      and NO_TWIN <= min(self.twin) and max(self.twin) < n
+                      and 0 <= min(self.origin) and max(self.origin) < n):
+            h = next(h for h in range(n)
+                     if not (0 <= self.next[h] < n and 0 <= self.origin[h] < n
+                             and NO_TWIN <= self.twin[h] < n))
+            raise StructureError("next, twin or origin out of range at %d" % h)
+
+        # faces = orbits of next (any length; the validator flags non-triangles)
+        self.faces, face_of = face_orbits(self.next)
+        self.face_of = tuple(face_of)
+        colors = []
+        for orbit in self.faces:
+            c = face_colors.get(orbit[0])
+            if c not in (RED, BLUE):
+                raise StructureError("bad color %r for face at half-edge %d"
+                                     % (c, orbit[0]))
+            colors.append(c)
+        self.face_color = tuple(colors)
+
+        self.num_vertices = (max(self.origin) + 1) if n else 0
+        self._build_vertex_slots()
+
+    def _build_vertex_slots(self):
+        n = len(self.next)
+        twin = self.twin
+        # clockwise successor of every slot; -1 past the last slot of a
+        # boundary vertex, whose chain starts at the half-edge after a
+        # twin-less one
+        succ = [-1] * n
+        out = [[] for _ in range(self.num_vertices)]
+        starts_at = {}
+        for h, v in enumerate(self.origin):
+            out[v].append(h)
+            t = twin[h]
+            if t == NO_TWIN:
+                g = self.next[h]
+                starts_at.setdefault(self.origin[g], []).append(g)
+            else:
+                succ[h] = self.next[t]
+        slots = []
+        slot_index = [-1] * n
+        boundary = []
+        broken = set()
+        for v, hs in enumerate(out):
+            if not hs:
+                raise StructureError("vertex %d has no half-edge" % v)
+            # clockwise chain; a vertex is interior iff the chain is cyclic
+            starts = starts_at.get(v)
+            h0 = starts[0] if starts else hs[0]
+            chain = [h0]
+            g = succ[h0]
+            while g != -1 and len(chain) <= len(hs):
+                if g == h0 and not starts:
+                    break
+                chain.append(g)
+                g = succ[g]
+            if starts:
+                ok = len(starts) == 1 and len(chain) == len(hs)
+            else:
+                ok = g == h0 and len(chain) == len(hs)
+            is_bnd = bool(starts)
+            if not ok:
+                # twin structure is damaged; keep a usable slot list anyway so
+                # the validator can still report what is wrong
+                broken.add(v)
+                chain = hs
+                is_bnd = any(twin[h] == NO_TWIN for h in hs)
+            for i, h in enumerate(chain):
+                slot_index[h] = i
+            slots.append(tuple(chain))
+            boundary.append(is_bnd)
+        self.vertex_slots = tuple(slots)
+        # position of every half-edge within the slots of its tail
+        self.slot_index = tuple(slot_index)
+        self._vertex_on_boundary = tuple(boundary)
+        self.broken_rotation = frozenset(broken)
+
+
+_EQUALS = repeat("=")
+
+
+def records(text, handlers):
+    """Hand each record of a line-oriented text format to its handler.
+
+    A record is a non-blank line with its `#` comment cut off: a keyword,
+    k positional fields, then `key=value` fields, where `handlers[keyword]`
+    is (k, handler).  The handler gets the positional fields and a dict of
+    the `key=value` fields, all strings, and converts and checks them
+    itself.  A malformed record raises FormatError naming its line: an
+    unknown keyword, too few fields, a field after the positional ones
+    without exactly one `=`, or a ValueError (a bad value) or KeyError (a
+    missing key) raised by the handler.
+    """
+    for n, line in enumerate(text.splitlines(), 1):
+        if "#" in line:
+            line = line[:line.index("#")]
+        parts = line.split()
+        if not parts:
+            continue
+        k, handle = handlers.get(parts[0], (0, None))
+        try:
+            if handle is None:
+                raise ValueError("unknown record")
+            if len(parts) <= k:
+                raise ValueError("too few fields")
+            k += 1
+            # field.split("="), which dict() rejects unless it has two parts
+            handle(*parts[1:k], dict(map(str.split, parts[k:], _EQUALS)))
+        except KeyError as exc:
+            raise FormatError("line %d: no %s= in %r"
+                              % (n, exc.args[0], line.strip())) from None
+        except ValueError as exc:
+            raise FormatError("line %d: %s in %r"
+                              % (n, exc, line.strip())) from None
+
+
+def read_tri(text):
+    next_ = twin = origin = None
+    face_colors = {}
+    given = set()
+
+    def header(n, fields):
+        nonlocal next_, twin, origin
+        n = int(n)
+        if next_ is not None:
+            raise ValueError("a second header")
+        if not 0 <= n <= len(text):  # each half-edge takes a line
+            raise ValueError("half-edge count out of range")
+        next_, twin, origin = [NO_TWIN] * n, [NO_TWIN] * n, [NO_TWIN] * n
+
+    def half_edge(h, fields):
+        h = int(h)
+        if next_ is None:
+            raise ValueError("half-edge before the header")
+        if not 0 <= h < len(next_):
+            raise ValueError("half-edge %d out of range" % h)
+        if h in given:
+            raise ValueError("half-edge %d given twice" % h)
+        given.add(h)
+        next_[h] = int(fields["next"])
+        tw = fields["twin"]
+        twin[h] = NO_TWIN if tw == "-" else int(tw)
+        origin[h] = int(fields["origin"])
+
+    def face(i, fields):
+        i = int(i)
+        if next_ is None:
+            raise ValueError("face before the header")
+        if not 0 <= i < len(next_):
+            raise ValueError("face %d out of range" % i)
+        h = int(fields["he"])
+        if not 0 <= h < len(next_):
+            raise ValueError("half-edge %d out of range" % h)
+        face_colors[h] = fields["color"]
+
+    records(text, {"tri": (1, header), "he": (1, half_edge),
+                   "face": (1, face)})
+    if next_ is None:
+        raise FormatError("missing tri header")
+    return Triangulation(next_, twin, origin, face_colors)
