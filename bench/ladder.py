@@ -4,12 +4,16 @@
 
 For each radius r = 4..10, builds `surface.build_disk_patch(r)` from a
 fixed seed and times `surface.read_tri` on its `write_tri` text and
-`surface.Triangulation` on its tables.  Per rung it records the median of
+`surface.Triangulation` on its tables.  The anchored-extension ladder,
+r = 2..6, crowns each patch (`boundary.attach_crowns`) and times the
+closed doubled host's construction (`surface._double_with_gadgets_unchecked`)
+and `surface.validate_reducing` on it.  Per rung it records the median of
 five runs and, from a separate run under `tracemalloc`, the peak of memory
 allocated during the call.  Each fitted exponent is the least-squares
-slope of log(median time) over log(half-edges); 1.0 is linear.  Standard
-library only; it imports redtri from the `src/` of the checkout it sits
-in.  Prints the JSON, and writes it to the -o file if one is given.
+slope of log(median time) over log(half-edges of the host the call
+builds or reads); 1.0 is linear.  Standard library only; it imports
+redtri from the `src/` of the checkout it sits in.  Prints the JSON, and
+writes it to the -o file if one is given.
 """
 
 import argparse
@@ -27,10 +31,11 @@ import tracemalloc
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from redtri import surface  # noqa: E402
+from redtri import boundary, surface  # noqa: E402
 
 SEED = 1
 RADII = range(4, 11)
+EXTENSION_RADII = range(2, 7)
 REPEATS = 5
 
 
@@ -60,6 +65,23 @@ def exponent(xs, ys):
             / sum((a - mx) ** 2 for a in lx))
 
 
+def measure(rung, calls):
+    """Time each call of calls into rung, and print the rung."""
+    for name, call in calls.items():
+        rung[name + "_s"] = median_s(call)
+        rung[name + "_peak_mb"] = peak_mb(call)
+    print("# r=%d %d half-edges: %s" % (rung["radius"], rung["half_edges"], (
+        ", ".join("%s %.4f s" % (name, rung[name + "_s"]) for name in calls))),
+        file=sys.stderr)
+    return rung
+
+
+def exponents(rungs, names):
+    sizes = [rung["half_edges"] for rung in rungs]
+    return {name: exponent(sizes, [rung[name + "_s"] for rung in rungs])
+            for name in names}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("-o", "--output")
@@ -73,27 +95,33 @@ def main(argv=None):
                   {min(orbit): t.face_color[i]
                    for i, orbit in enumerate(t.faces)})
         del t
-        calls = {"read_tri": lambda: surface.read_tri(text),
-                 "triangulation": lambda: surface.Triangulation(*tables)}
-        rung = {"radius": r, "half_edges": len(tables[0])}
-        for name, call in calls.items():
-            rung[name + "_s"] = median_s(call)
-            rung[name + "_peak_mb"] = peak_mb(call)
-        rungs.append(rung)
-        print("# r=%d %d half-edges: read_tri %.4f s, Triangulation %.4f s"
-              % (r, rung["half_edges"], rung["read_tri_s"],
-                 rung["triangulation_s"]), file=sys.stderr)
+        rungs.append(measure({"radius": r, "half_edges": len(tables[0])}, {
+            "read_tri": lambda: surface.read_tri(text),
+            "triangulation": lambda: surface.Triangulation(*tables)}))
 
-    sizes = [rung["half_edges"] for rung in rungs]
+    # the closed extension of harmonize --anchors: the crowned patch t0, its
+    # mirror and a 3-gadget per seam; sized by the doubled host
+    extension = []
+    for r in EXTENSION_RADII:
+        t0 = boundary.attach_crowns(
+            surface.build_disk_patch(r, random.Random(SEED)), {})[0]
+        doubled = surface._double_with_gadgets_unchecked(t0)[0]
+        extension.append(measure({
+            "radius": r, "crowned_half_edges": len(t0.next),
+            "half_edges": len(doubled.next)}, {
+            "doubling": lambda: surface._double_with_gadgets_unchecked(t0),
+            "validate_reducing": lambda: surface.validate_reducing(doubled)}))
+
     report = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "seed": SEED,
         "repeats": REPEATS,
         "rungs": rungs,
-        "exponents": {name: exponent(sizes, [rung[name + "_s"]
-                                             for rung in rungs])
-                      for name in ("read_tri", "triangulation")},
+        "extension_rungs": extension,
+        "exponents": {**exponents(rungs, ("read_tri", "triangulation")),
+                      **exponents(extension,
+                                  ("doubling", "validate_reducing"))},
     }
     text = json.dumps(report, indent=1) + "\n"
     if args.output:

@@ -2,9 +2,9 @@
 
 An anchor pins ordered lists of graph vertices to boundary vertices of the
 host.  Harmonizing relative to an anchor closes the host: attach a crown to
-every boundary cycle, mirror the result, fill the seams with 3-gadgets, and
-run the plain routine on the doubled drawing with tip edges holding the
-anchored vertices in place.  The first and last three crown spokes at every
+every boundary cycle, compose the doubled host from the result, its mirror
+and a 3-gadget per seam, and run the plain routine on the doubled drawing
+with tip edges holding the anchored vertices in place.  The first and last three crown spokes at every
 boundary vertex act as guards that no move may ever use.
 """
 

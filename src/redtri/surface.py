@@ -8,7 +8,9 @@ never identified by vertex pairs.
 """
 
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cache
+from itertools import count, repeat
+from operator import itemgetter
 
 RED = "r"
 BLUE = "b"
@@ -106,33 +108,90 @@ class Triangulation:
         n = len(next_)
         if not (len(twin) == n and len(origin) == n):
             raise StructureError("half-edge tables have mismatched lengths")
-        self.next = tuple(next_)
-        self.twin = tuple(twin)
-        self.origin = tuple(origin)
+        next_, twin, origin = tuple(next_), tuple(twin), tuple(origin)
         # every vertex has a half-edge, so vertex ids are below n as well
-        if n and not (0 <= min(self.next) and max(self.next) < n
-                      and NO_TWIN <= min(self.twin) and max(self.twin) < n
-                      and 0 <= min(self.origin) and max(self.origin) < n):
+        if n and not (0 <= min(next_) and max(next_) < n
+                      and NO_TWIN <= min(twin) and max(twin) < n
+                      and 0 <= min(origin) and max(origin) < n):
             h = next(h for h in range(n)
-                     if not (0 <= self.next[h] < n and 0 <= self.origin[h] < n
-                             and NO_TWIN <= self.twin[h] < n))
+                     if not (0 <= next_[h] < n and 0 <= origin[h] < n
+                             and NO_TWIN <= twin[h] < n))
             raise StructureError("next, twin or origin out of range at %d" % h)
 
         # faces = orbits of next (any length; the validator flags non-triangles)
-        self.faces, face_of = face_orbits(self.next)
-        self.face_of = tuple(face_of)
-        self.face_color = tuple([face_colors.get(orbit[0])
-                                 for orbit in self.faces])
-        if not {RED, BLUE}.issuperset(self.face_color):
-            i = next(i for i, c in enumerate(self.face_color)
-                     if c not in (RED, BLUE))
+        faces, face_of = face_orbits(next_)
+        face_color = tuple([face_colors.get(orbit[0]) for orbit in faces])
+        if not {RED, BLUE}.issuperset(face_color):
+            i = next(i for i, c in enumerate(face_color) if c not in (RED, BLUE))
             raise StructureError("bad color %r for face at half-edge %d"
-                                 % (self.face_color[i], self.faces[i][0]))
+                                 % (face_color[i], faces[i][0]))
 
-        self._boundary_half_edges = tuple([h for h, t in enumerate(self.twin)
-                                           if t == NO_TWIN])
-        self.num_vertices = (max(self.origin) + 1) if n else 0
-        self._build_vertex_slots()
+        boundary = tuple([h for h, t in enumerate(twin) if t == NO_TWIN])
+        out = [[] for _ in range((max(origin) + 1) if n else 0)]
+        for h, v in enumerate(origin):
+            out[v].append(h)
+        starts_at = {}
+        for g in [next_[h] for h in boundary]:
+            starts_at.setdefault(origin[g], []).append(g)
+        self._set_tables(next_, twin, origin, faces, face_of, face_color,
+                         boundary, out, starts_at, [-1] * n)
+
+    def _set_tables(self, next_, twin, origin, faces, face_of, face_color,
+                    boundary, out, starts_at, slot_index, more_slots=()):
+        """Set every table; the constructor and the doubling both end here.
+
+        The slots of vertex v < len(out), whose half-edges out[v] lists
+        smallest first, are the clockwise chain h -> next(twin(h)) from its
+        starts_at entry to a twin-less half-edge, else from out[v][0] round;
+        one short of out[v] puts v in broken_rotation, with sorted out[v].
+        Interior vertices with more_slots, already in slot_index, follow.
+        """
+        slots, on_boundary, broken = [], [], set()
+        for v, hs in enumerate(out):
+            if not hs:
+                raise StructureError("vertex %d has no half-edge" % v)
+            d = len(hs)
+            starts = starts_at.get(v)
+            h0 = starts[0] if starts else hs[0]
+            stop = None if starts else h0
+            chain = [h0]
+            slot_index[h0] = 0
+            i = 1
+            t = twin[h0]
+            while t != NO_TWIN:
+                g = next_[t]
+                if g == stop or i > d:
+                    break
+                chain.append(g)
+                slot_index[g] = i
+                i += 1
+                t = twin[g]
+            else:
+                g = NO_TWIN
+            if i == d and (len(starts) == 1 if starts else g == h0):
+                on_boundary.append(bool(starts))
+            else:
+                broken.add(v)
+                chain = sorted(hs)
+                on_boundary.append(any(twin[h] == NO_TWIN for h in hs))
+            slots.append(tuple(chain))
+        slots += more_slots
+        on_boundary += [False] * len(more_slots)
+        if broken:
+            # a broken chain may have run over other vertices' half-edges
+            slot_index = [-1] * len(next_)
+            for chain in slots:
+                for i, h in enumerate(chain):
+                    slot_index[h] = i
+        self.next, self.twin, self.origin = map(tuple, (next_, twin, origin))
+        self.faces, self.face_of, self.face_color = map(
+            tuple, (faces, face_of, face_color))
+        self._boundary_half_edges = tuple(boundary)
+        self.num_vertices = len(slots)
+        # the slots, and the position of every half-edge in those of its tail
+        self.vertex_slots, self.slot_index = tuple(slots), tuple(slot_index)
+        self._vertex_on_boundary = tuple(on_boundary)
+        self.broken_rotation = frozenset(broken)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -153,59 +212,6 @@ class Triangulation:
         return self.face_color[self.face_of[h]]
 
     # -- vertices ----------------------------------------------------------
-
-    def _build_vertex_slots(self):
-        n = len(self.next)
-        next_, twin, origin = self.next, self.twin, self.origin
-        # clockwise successor of every slot; -1 past the last slot of a
-        # boundary vertex, whose chain starts at the half-edge after a
-        # twin-less one
-        succ = [-1 if t == NO_TWIN else next_[t] for t in twin]
-        starts_at = {}
-        for g in [next_[h] for h in self._boundary_half_edges]:
-            starts_at.setdefault(origin[g], []).append(g)
-        out = [[] for _ in range(self.num_vertices)]
-        for h, v in enumerate(origin):
-            out[v].append(h)
-        slots = []
-        slot_index = [-1] * n
-        boundary = []
-        broken = set()
-        for v, hs in enumerate(out):
-            if not hs:
-                raise StructureError("vertex %d has no half-edge" % v)
-            d = len(hs)
-            # clockwise chain; a vertex is interior iff the chain is cyclic
-            starts = starts_at.get(v)
-            h0 = starts[0] if starts else hs[0]
-            chain = [h0]
-            g = succ[h0]
-            stop = -1 if starts else h0
-            for _ in range(d):
-                if g == -1 or g == stop:
-                    break
-                chain.append(g)
-                g = succ[g]
-            if starts:
-                ok = len(starts) == 1 and len(chain) == d
-            else:
-                ok = g == h0 and len(chain) == d
-            is_bnd = bool(starts)
-            if not ok:
-                # twin structure is damaged; keep a usable slot list anyway so
-                # the validator can still report what is wrong
-                broken.add(v)
-                chain = hs
-                is_bnd = any(twin[h] == NO_TWIN for h in hs)
-            for i, h in enumerate(chain):
-                slot_index[h] = i
-            slots.append(tuple(chain))
-            boundary.append(is_bnd)
-        self.vertex_slots = tuple(slots)
-        # position of every half-edge within the slots of its tail
-        self.slot_index = tuple(slot_index)
-        self._vertex_on_boundary = tuple(boundary)
-        self.broken_rotation = frozenset(broken)
 
     def is_boundary_vertex(self, v):
         return self._vertex_on_boundary[v]
@@ -266,50 +272,40 @@ class Triangulation:
 
 
 def validate_reducing(t):
-    """Check the reducing-triangulation conditions; reports every violation."""
-    violations = []
+    """Check the reducing-triangulation conditions; reports every violation.
+    Each condition is a pass over columns of the tables, not over objects."""
+    twin, origin = t.twin, t.origin
+    head = [origin[g] for g in t.next]
+    violations = [Violation(TWIN_BROKEN, h) for h, g in enumerate(twin)
+                  if g != NO_TWIN and (g == h or twin[g] != h
+                                       or origin[g] != head[h]
+                                       or origin[h] != head[g])]
+    violations += [Violation(TWIN_BROKEN, ("vertex", v))
+                   for v in sorted(t.broken_rotation)]
+    violations += [Violation(NON_TRIANGLE_FACE, i)
+                   for i, k in enumerate(map(len, t.faces)) if k != 3]
+    face_color = t.face_color
+    color = [face_color[f] for f in t.face_of]
+    violations += [Violation(DUAL_NOT_BIPARTITE, (h, g))
+                   for h, g in enumerate(twin)
+                   if h < g and twin[g] == h and color[h] == color[g]]
+    slots, on_boundary = t.vertex_slots, t._vertex_on_boundary
+    violations += [Violation(DEGREE_TOO_LOW, v)
+                   for v, k in enumerate(map(len, slots))
+                   if k < 6 and not on_boundary[v]]
 
-    for h in range(len(t.next)):
-        g = t.twin[h]
-        if g == NO_TWIN:
-            continue
-        if g == h or t.twin[g] != h:
-            violations.append(Violation(TWIN_BROKEN, h))
-        elif t.origin[g] != t.head(h) or t.origin[h] != t.head(g):
-            violations.append(Violation(TWIN_BROKEN, h))
-
-    for v in sorted(t.broken_rotation):
-        violations.append(Violation(TWIN_BROKEN, ("vertex", v)))
-
-    for i, orbit in enumerate(t.faces):
-        if len(orbit) != 3:
-            violations.append(Violation(NON_TRIANGLE_FACE, i))
-
-    for h in range(len(t.next)):
-        g = t.twin[h]
-        if g != NO_TWIN and t.twin[g] == h:
-            c1 = t.face_color[t.face_of[h]]
-            c2 = t.face_color[t.face_of[g]]
-            if c1 == c2 and h < g:
-                violations.append(Violation(DUAL_NOT_BIPARTITE, (h, g)))
-
-    for v in range(t.num_vertices):
-        if not t.is_boundary_vertex(v) and t.degree(v) < 6:
-            violations.append(Violation(DEGREE_TOO_LOW, v))
-
-    if t.num_vertices:
-        seen = {0}
-        stack = [0]
+    if slots:
+        seen, stack = bytearray(len(slots)), [0]
+        seen[0] = 1
         while stack:
-            v = stack.pop()
-            for h in t.vertex_slots[v]:
-                w = t.head(h)
-                if w not in seen:
-                    seen.add(w)
+            for h in slots[stack.pop()]:
+                w = head[h]
+                if not seen[w]:
+                    seen[w] = 1
                     stack.append(w)
-        if len(seen) != t.num_vertices:
-            violations.append(Violation(DISCONNECTED, tuple(sorted(
-                set(range(t.num_vertices)) - seen))))
+        if 0 in seen:
+            violations.append(Violation(DISCONNECTED, tuple(
+                [v for v, s in enumerate(seen) if not s])))
 
     return ValidationReport(not violations, tuple(violations))
 
@@ -340,26 +336,15 @@ class MapBuilder(UnionFind):
         self.color.extend([color, color, color])
         return h01, h12, h20
 
-    def add(self, t, mirror=False):
-        """Copy t (reversed and recolored if `mirror`) with fresh vertex
-        labels; returns the offsets of its half-edges and labels."""
+    def add(self, t):
+        """Copy t with fresh vertex labels; returns the offsets of its
+        half-edges and labels."""
         hoff = len(self.next)
         voff = len(self.parent)
         self.parent.extend(range(voff, voff + t.num_vertices))
-        if not mirror:
-            self.next.extend(g + hoff for g in t.next)
-            self.origin.extend(v + voff for v in t.origin)
-            self.color.extend(t.face_color[f] for f in t.face_of)
-        else:
-            # each half-edge keeps its id but runs the other way: its next
-            # is its old predecessor, and the face colors swap
-            prev = [0] * len(t.next)
-            for h, g in enumerate(t.next):
-                prev[g] = h
-            self.next.extend(g + hoff for g in prev)
-            self.origin.extend(t.origin[g] + voff for g in t.next)
-            self.color.extend(opposite_color(t.face_color[f])
-                              for f in t.face_of)
+        self.next.extend(g + hoff for g in t.next)
+        self.origin.extend(v + voff for v in t.origin)
+        self.color.extend(t.face_color[f] for f in t.face_of)
         self.twin.extend(NO_TWIN if g == NO_TWIN else g + hoff for g in t.twin)
         return hoff, voff
 
@@ -596,8 +581,11 @@ def gadget_boundary_edges(g):
     return c, a
 
 
+@cache
 def build_three_gadget():
-    """Three 1-gadgets chained along their colored boundary edges."""
+    """Three 1-gadgets chained along their colored boundary edges.
+
+    Every doubling uses the same immutable gadget, so it is built once."""
     g1 = build_one_gadget()
     d = MapBuilder()
     offs = [d.add(g1)[0] for _ in range(3)]
@@ -624,25 +612,73 @@ def double_with_gadgets(t0):
 
 def _double_with_gadgets_unchecked(t0):
     """Returns (doubled triangulation, mirror offset): the half-edges of t0
-    keep their ids, and half-edge h of the mirror copy is mirror offset + h."""
+    keep their ids, and half-edge h of the mirror copy is mirror offset + h.
+
+    The tables of gluing the parts face by face, composed at fixed offsets:
+    mirror half-edge n + h (n = |t0|) runs along h the other way, in a face
+    of the other color; t0's i-th boundary half-edge h, seam i, and n + h
+    are glued to 3-gadget copy i at 2n + i * |gadget|.  Seam vertices keep
+    t0's ids; the other mirror, then inner gadget, vertices take the next.
+    """
     g3 = build_three_gadget()
-    g3_red, g3_blue = gadget_boundary_edges(g3)
-    d = MapBuilder()
-    d.add(t0)
-    mirr_off = d.add(t0, mirror=True)[0]
-    for h in t0.boundary_half_edges():
-        goff = d.add(g3)[0]
-        hm = h + mirr_off  # mirrored copy of the same boundary half-edge
-        # the slit digon is (h, hm): h sees color c on its left, hm sees
-        # the opposite; glue the gadget digon so adjacent faces differ.
-        if d.color[h] == RED:
-            # h red-incident: glue to the gadget's blue-incident edge
-            d.glue(h, g3_blue + goff)
-            d.glue(hm, g3_red + goff)
-        else:
-            d.glue(h, g3_red + goff)
-            d.glue(hm, g3_blue + goff)
-    return d.build(), mirr_off
+    red, blue = gadget_boundary_edges(g3)
+    corners = (g3.origin[red], g3.origin[blue])
+    inner = [j for j in range(g3.num_vertices) if j not in corners]
+    n, m, nv, nf = len(t0.next), len(g3.next), t0.num_vertices, len(t0.faces)
+    nxt0, twin0, org0 = t0.next, t0.twin, t0.origin
+    seams = t0.boundary_half_edges()
+    offs = range(2 * n, 2 * n + m * len(seams), m)
+    on_seam = {org0[g] for h in seams for g in (h, nxt0[h])}
+    fresh = count(nv)
+    vid = [v if v in on_seam else next(fresh) for v in range(nv)]  # mirror's
+    k = next(fresh)  # the id of the first inner gadget vertex
+
+    prev = sorted(range(n), key=nxt0.__getitem__)  # next[prev[h]] == h
+    next_ = (list(nxt0) + [g + n for g in prev]
+             + [g + off for off in offs for g in g3.next])
+    twin = (list(twin0) + [g if g == NO_TWIN else g + n for g in twin0]
+            + [g + off for off in offs for g in g3.twin])
+    origin = list(org0) + [vid[org0[g]] for g in nxt0]
+    ids = list(range(g3.num_vertices))
+    gadget_origin = itemgetter(*g3.origin)
+    for i, (h, off) in enumerate(zip(seams, offs)):
+        # x, of the other color than h, runs head(h) -> tail(h); y back
+        x, y = (blue, red) if t0.color_left(h) == RED else (red, blue)
+        twin[h], twin[off + x] = off + x, h
+        twin[n + h], twin[off + y] = off + y, n + h
+        ids[g3.origin[x]], ids[g3.origin[y]] = org0[nxt0[h]], org0[h]
+        for r, j in enumerate(inner, k + len(inner) * i):
+            ids[j] = r
+        origin += gadget_origin(ids)
+
+    faces = t0.faces + tuple([tuple(map(n.__add__, o[:1] + o[:0:-1]))
+                              for o in t0.faces])
+    # the gadget's faces are triangles: each corner is one shifted column
+    faces += tuple(zip(*[[g + off for off in offs for g in corner]
+                         for corner in zip(*g3.faces)]))
+    fm = len(g3.faces)
+    face_of = (list(t0.face_of) + [f + nf for f in t0.face_of]
+               + [f + off for off in range(2 * nf, 2 * nf + fm * len(seams),
+                                           fm) for f in g3.face_of])
+    face_color = (t0.face_color + tuple(map(opposite_color, t0.face_color))
+                  + g3.face_color * len(seams))
+
+    # walk the t0 and mirror vertices, with the gadget corners on seams (a
+    # loop seam puts a copy's corners out of order); the rest keep g3's slots
+    out = [[] for _ in range(k)]
+    for h in range(2 * n):
+        out[origin[h]].append(h)
+    at_corners = [sorted(g3.vertex_slots[c]) for c in corners]
+    for off in offs:
+        for hs in at_corners:
+            out[origin[off + hs[0]]].extend([off + h for h in hs])
+    per_vertex = [zip(*[[g + off for off in offs] for g in g3.vertex_slots[j]])
+                  for j in inner]
+    t = Triangulation.__new__(Triangulation)
+    t._set_tables(next_, twin, origin, faces, face_of, face_color, (), out,
+                  {}, [-1] * (2 * n) + list(g3.slot_index) * len(seams),
+                  [s for copy in zip(*per_vertex) for s in copy])
+    return t, n
 
 
 # -- text formats ------------------------------------------------------------
@@ -718,13 +754,21 @@ def read_tri(text):
     int() reads but write_tri does not write) goes record by record through
     `records` (`_tri_records`), which gives every FormatError.  Both read
     the same text into the same tables.
+
+    A face has one record, for its smallest half-edge: any other leaves
+    more colors than faces, and only then is the text read again to name it.
     """
-    return Triangulation(*(_tri_columns(text) or _tri_records(text)))
+    tables = _tri_columns(text) or _tri_records(text)
+    t = Triangulation(*tables)
+    if len(tables[3]) != len(t.faces):
+        _tri_records(text, t)
+    return t
 
 
-def _tri_records(text):
+def _tri_records(text, t=None):
     """The half-edge tables and face colors of a `.tri` text, record by
-    record; FormatError for a malformed record."""
+    record; FormatError for a malformed record, or with t, the text's
+    Triangulation, for a face record off its face's smallest half-edge."""
     next_ = twin = origin = given = None
     face_colors = {}
 
@@ -762,6 +806,10 @@ def _tri_records(text):
         h = int(fields["he"])
         if not 0 <= h < len(next_):
             raise ValueError("half-edge %d out of range" % h)
+        if h in face_colors:
+            raise ValueError("a second face record for half-edge %d" % h)
+        if t is not None and t.faces[t.face_of[h]][0] != h:
+            raise ValueError("half-edge %d is not its face's smallest" % h)
         face_colors[h] = fields["color"]
 
     records(text, {"tri": (1, header), "he": (1, half_edge),
@@ -780,7 +828,7 @@ _NO_TWIN_TEXT = {"-": str(NO_TWIN)}
 
 def _tri_columns(text):
     """The tables `_tri_records` reads from text in `write_tri`'s layout,
-    or None for any other text.
+    or None for any other text, or for two face records of one half-edge.
 
     The layout is the header `tri n`, the n lines `he h next=.. twin=..
     origin=..` for h = 0..n-1 in order, then lines `face i color=.. he=..`,
@@ -827,7 +875,8 @@ def _tri_columns(text):
                       and 0 <= min(index) and max(index) < n
                       and 0 <= min(hes) and max(hes) < n):
         return None
-    return next_, twin, origin, dict(zip(hes, colors))
+    colors = dict(zip(hes, colors))
+    return (next_, twin, origin, colors) if len(colors) == faces else None
 
 
 def _values(column, key):

@@ -34,6 +34,17 @@ def make_patch(seed, radius=3):
     return surface.build_disk_patch(radius, random.Random(seed))
 
 
+def fan_disk(k):
+    """A disk of k triangles around a center vertex of degree k."""
+    b = surface.MapBuilder()
+    tris = [b.new_face(0, 1 + i, 1 + (i + 1) % k,
+                       surface.RED if i % 2 == 0 else surface.BLUE)
+            for i in range(k)]
+    for i in range(k):
+        b.glue(tris[i][2], tris[(i + 1) % k][0])
+    return b.build()
+
+
 def closed_left_cycle(t, seed_he):
     """Follow 3-turns from seed_he until a half-edge repeats; the cycle part
     is a closed walk with 3-turns everywhere."""

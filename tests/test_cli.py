@@ -11,7 +11,8 @@ from redtri import drawing, surface
 from redtri.cli import main
 from redtri.walkcalc import Walk
 
-from conftest import FUZZ_ALPHABET, edit_char, make_patch
+from conftest import (FUZZ_ALPHABET, edit_char, fan_disk, fixture_path,
+                      make_patch)
 
 
 def run(capsys, *argv):
@@ -208,6 +209,24 @@ def test_harmonize_anchors(capsys, tmp_path):
     assert out.startswith("vertex 0 at ")
 
 
+@pytest.mark.parametrize("name,host", [("degree-4 disk", lambda: fan_disk(4)),
+                                       ("crown5", lambda: surface.crown(5))])
+def test_harmonize_anchors_on_non_reducing_host(capsys, tmp_path, name, host):
+    """The closed extension of a host that is not reducing fails validation
+    in the harmonizer: exit 1 with one line, no traceback."""
+    p = host()
+    h = p.boundary_cycles()[0][0]
+    g = drawing.Graph(2, [(0, 1)])
+    vmap = [p.tail(h), p.head(h)]
+    f = drawing.Drawing(g, p, vmap,
+                        [Walk.from_half_edges(p, (h,), start=vmap[0])])
+    tp, dp = write_drawing_files(tmp_path, p, f, anchor={vmap[0]: [0]})
+    code, out, err = run(capsys, "harmonize", tp, dp, "--anchors")
+    assert (code, out) == (1, "")
+    assert err == ("harmonize failed: host must be a closed reducing "
+                   "triangulation\n")
+
+
 def test_harmonize_budget_domain_failure(capsys, tmp_path):
     host = surface.double_with_gadgets(surface.crown(4))
     tp, dp = write_drawing_files(tmp_path, host, spur_drawing(host))
@@ -219,6 +238,13 @@ def test_fixtures_deterministic(capsys):
     code1, out1, _ = run(capsys, "fixtures", "doubled-crown4")
     code2, out2, _ = run(capsys, "fixtures", "doubled-crown4")
     assert code1 == code2 == 0 and out1 == out2
+
+
+def test_fixtures_doubled_crown4_pinned(capsys):
+    """The doubled host, byte for byte as gluing its parts gave it."""
+    code, out, _ = run(capsys, "fixtures", "doubled-crown4")
+    with open(fixture_path("doubled_crown4.tri")) as fh:
+        assert code == 0 and out == fh.read()
 
 
 def test_fixtures_unknown(capsys):
@@ -332,6 +358,10 @@ MALFORMED = [
      TORUS_TRI + "face 7 color=q he=99\n", ["validate", "{file}"]),
     ("tri-he-given-twice", "x.tri",
      TORUS_TRI + "he 0 next=1 twin=3 origin=0\n", ["validate", "{file}"]),
+    ("tri-face-given-twice", "x.tri",
+     TORUS_TRI + "face 0 color=b he=0\n", ["validate", "{file}"]),
+    ("tri-face-he-not-smallest", "x.tri",
+     TORUS_TRI + "face 5 color=r he=2\n", ["validate", "{file}"]),
     ("drw-vertex-off-host", "x.drw", "vertex 0 at 99\n",
      ["harmonize", "{tri}", "{file}"]),
     ("drw-vertex-gap", "x.drw", "vertex 0 at 0\nvertex 2 at 0\n",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redtri import surface
+from redtri.boundary import attach_crowns
 from redtri.surface import (
     BLUE,
     DEGREE_TOO_LOW,
@@ -19,7 +20,8 @@ from redtri.surface import (
 )
 
 import tri_oracle
-from conftest import FUZZ_ALPHABET, edit_char, fixture_path, make_patch
+from conftest import (FUZZ_ALPHABET, edit_char, fan_disk, fixture_path,
+                      make_patch)
 
 
 def test_torus_counts(torus):
@@ -142,48 +144,49 @@ def test_disk_patch_reducing(seed):
             assert p.degree(v) in (6, 8)
 
 
+def square():
+    """One square face, all four sides on the boundary."""
+    return surface.Triangulation([1, 2, 3, 0], [NO_TWIN] * 4, [0, 1, 2, 3],
+                                 {0: RED})
+
+
+def broken_twin_torus():
+    """The torus with half-edges 0 and 4 both claiming 5 as their twin."""
+    t = surface.build_torus()
+    twin = list(t.twin)
+    twin[0], twin[4] = 5, 5  # he 0 points at 5 whose twin is 1
+    return surface.Triangulation(t.next, twin, t.origin, {0: RED, 3: BLUE})
+
+
+def two_pillows():
+    """Two disjoint spheres, each two triangles glued along all sides."""
+    b = surface.MapBuilder()
+    for base in (0, 3):
+        f1 = b.new_face(base, base + 1, base + 2, RED)
+        f2 = b.new_face(base + 1, base, base + 2, BLUE)
+        b.glue(f1[0], f2[0])
+        b.glue(f1[1], f2[2])
+        b.glue(f1[2], f2[1])
+    return b.build()
+
+
 def test_degree_too_low_detected():
     # a 5-fan disk: center vertex of degree 5 forced interior by one ring
-    b = surface.MapBuilder()
-    tris = []
-    for i in range(5):
-        tris.append(b.new_face(0, 1 + i, 1 + (i + 1) % 5, RED if i % 2 == 0 else BLUE))
-    for i in range(5):
-        b.glue(tris[i][2], tris[(i + 1) % 5][0])
-    t = b.build()
-    rep = validate_reducing(t)
+    rep = validate_reducing(fan_disk(5))
     assert DEGREE_TOO_LOW in rep.kinds()
     assert any(v.kind == DEGREE_TOO_LOW and v.location == 0 for v in rep.violations)
 
 
 def test_non_triangle_face_detected():
-    # a square face
-    nxt = [1, 2, 3, 0]
-    twin = [NO_TWIN] * 4
-    origin = [0, 1, 2, 3]
-    t = surface.Triangulation(nxt, twin, origin, {0: RED})
-    assert NON_TRIANGLE_FACE in validate_reducing(t).kinds()
+    assert NON_TRIANGLE_FACE in validate_reducing(square()).kinds()
 
 
-def test_twin_broken_detected(torus):
-    twin = list(torus.twin)
-    twin[0], twin[4] = 5, 5  # he 0 points at 5 whose twin is 1
-    colors = {0: RED, 3: BLUE}
-    t = surface.Triangulation(torus.next, twin, torus.origin, colors)
-    assert TWIN_BROKEN in validate_reducing(t).kinds()
+def test_twin_broken_detected():
+    assert TWIN_BROKEN in validate_reducing(broken_twin_torus()).kinds()
 
 
 def test_disconnected_detected():
-    b = surface.MapBuilder()
-    for base in (0, 3):
-        f1 = b.new_face(base, base + 1, base + 2, RED)
-        f2 = b.new_face(base + 1, base, base + 2, BLUE)
-        # two triangles glued along all three sides: a sphere-like pillow
-        b.glue(f1[0], f2[0])
-        b.glue(f1[1], f2[2])
-        b.glue(f1[2], f2[1])
-    t = b.build()
-    assert DISCONNECTED in validate_reducing(t).kinds()
+    assert DISCONNECTED in validate_reducing(two_pillows()).kinds()
 
 
 def test_tri_roundtrip_exact():
@@ -374,3 +377,98 @@ def test_read_tri_variant_matches_record_oracle(variant):
             text = variant_text(name, [variant], rng, "\n" if seed else "")
             assert (read_outcome(surface.read_tri, text)
                     == read_outcome(tri_oracle.read_tri, text)), (name, seed)
+
+
+def test_read_tri_rejects_a_second_face_record():
+    """Two records for one face half-edge: the later color used to win."""
+    text = tri_lines("torus")
+    text = "\n".join(text + ("face 0 color=b he=0",)) + "\n"
+    assert surface._tri_columns(text) is None
+    with pytest.raises(surface.FormatError,
+                       match="line 10: a second face record for half-edge 0"):
+        surface.read_tri(text)
+    assert (read_outcome(surface.read_tri, text)
+            == read_outcome(tri_oracle.read_tri, text))
+
+
+@pytest.mark.parametrize("end", ["", "# note\n"])
+def test_read_tri_rejects_a_face_record_off_its_smallest_half_edge(end):
+    """A record for half-edge 2 of face (0, 1, 2) used to be ignored."""
+    text = "\n".join(tri_lines("torus") + ("face 5 color=r he=2",)) + "\n"
+    text += end
+    with pytest.raises(surface.FormatError,
+                       match="line 10: half-edge 2 is not its face's smallest"):
+        surface.read_tri(text)
+    assert (read_outcome(surface.read_tri, text)
+            == read_outcome(tri_oracle.read_tri, text))
+
+
+# -- the composed doubling and the column validator against their oracles ----
+
+def _crowned(t, seed):
+    """attach_crowns of t, with anchor needs on some boundary vertices."""
+    rng = random.Random(seed)
+    ends = sorted({t.origin[h] for h in t.boundary_half_edges()})
+    need = {x: rng.randrange(1, 4) for x in rng.sample(ends, min(3, len(ends)))}
+    return attach_crowns(t, need)[0]
+
+
+DOUBLING_HOSTS = {
+    **{"patch r%d s%d" % (r, seed): lambda r=r, seed=seed: make_patch(
+        seed, radius=r) for r in range(1, 6) for seed in range(3)},
+    **{"crowned patch r%d s%d" % (r, seed): lambda r=r, seed=seed: _crowned(
+        make_patch(seed, radius=r), seed) for r in range(1, 4)
+       for seed in range(2)},
+    **{"crown%d" % k: lambda k=k: surface.crown(k) for k in (2, 4, 6)},
+    **{"crowned crown%d" % k: lambda k=k: _crowned(surface.crown(k), k)
+       for k in (2, 4, 6)},
+    # the fixtures of test_boundary.py
+    "boundary patch": lambda: make_patch(1, radius=2),
+    "boundary patch crowned": lambda: attach_crowns(
+        make_patch(1, radius=2), {})[0],
+    "boundary annulus crowned": lambda: attach_crowns(
+        surface.crown(6), {})[0],
+    # broken hosts: rotations the walk cannot close, a square face
+    "broken twin": broken_twin_torus,
+    "square": square,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOUBLING_HOSTS))
+def test_doubling_matches_glued_oracle(name):
+    """Every table, and the mirror offset, of gluing the parts face by face."""
+    t0 = DOUBLING_HOSTS[name]()
+    composed, mirror = surface._double_with_gadgets_unchecked(t0)
+    glued, glued_mirror = tri_oracle.double_with_gadgets_glued(t0)
+    assert mirror == glued_mirror
+    assert vars(composed) == vars(glued)
+    assert (surface.validate_reducing(composed)
+            == tri_oracle.validate_reducing(glued))
+
+
+VALIDATION_HOSTS = {
+    "torus": surface.build_torus,
+    "three gadget": surface.build_three_gadget,
+    "patch": lambda: make_patch(2, radius=3),
+    "doubled crown4": lambda: surface.double_with_gadgets(surface.crown(4)),
+    "odd crown": lambda: surface.crown(5),
+    "degree-4 disk": lambda: fan_disk(4),
+    "disconnected union": two_pillows,
+    "broken twin": broken_twin_torus,
+    "non-triangle face": square,
+    "doubled odd crown": lambda: surface._double_with_gadgets_unchecked(
+        attach_crowns(surface.crown(5), {})[0])[0],
+    "doubled degree-4 disk": lambda: surface._double_with_gadgets_unchecked(
+        attach_crowns(fan_disk(4), {})[0])[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATION_HOSTS))
+def test_validate_reducing_matches_element_oracle(name):
+    """The same violations in the same order as checking one element at a
+    time, on valid hosts and on broken ones."""
+    t = VALIDATION_HOSTS[name]()
+    report = surface.validate_reducing(t)
+    assert report == tri_oracle.validate_reducing(t)
+    assert report.ok == (name in ("torus", "three gadget", "patch",
+                                  "doubled crown4"))

@@ -1,24 +1,47 @@
-"""The record-by-record `.tri` reader that `redtri.surface` used before it
-read `write_tri`'s layout column by column, kept verbatim as a test oracle.
+"""Code that `redtri.surface` replaced with faster code, kept as test
+oracles: the record-by-record `.tri` reader, the doubling glued face by
+face through `MapBuilder`, and the validator that checks one element at a
+time.
+
+The reader is the one `surface` used before it read `write_tri`'s layout
+column by column.
 
 `read_tri` hands every line to a handler through `records`, and
 `Triangulation` builds the face colors, the clockwise successors and the
 boundary chain starts with loops over single half-edges.  The checks that
 the reader gained since (the face index and its half-edge range-checked,
-a half-edge given twice rejected) are added in the same per-record style.
+a half-edge given twice rejected, a face record only for the smallest
+half-edge of its face, and only once) are added in the same per-record
+style.
 It is slow, but simple enough to trust; `test_surface.py` checks that
 `surface.read_tri` returns and raises exactly what this code does.
+
+`double_with_gadgets_glued` and `validate_reducing` are the doubling and
+the validator as they were before the doubling was composed by offset
+arithmetic and the validator went column by column; `test_surface.py`
+checks that the new ones give equal tables and equal reports.
 """
 
 from itertools import repeat
 
 from redtri.surface import (
     BLUE,
+    DEGREE_TOO_LOW,
+    DISCONNECTED,
+    DUAL_NOT_BIPARTITE,
     NO_TWIN,
+    NON_TRIANGLE_FACE,
     RED,
+    TWIN_BROKEN,
     FormatError,
+    MapBuilder,
     StructureError,
+    ValidationReport,
+    Violation,
+    build_three_gadget,
     face_orbits,
+    gadget_boundary_edges,
+    opposite_color,
 )
 
 
@@ -152,6 +175,14 @@ def records(text, handlers):
 
 
 def read_tri(text):
+    t = Triangulation(*_read_tables(text))
+    # find the first face record for a half-edge that is not the smallest
+    # of its face: read the text again, checking each one
+    _read_tables(text, t)
+    return t
+
+
+def _read_tables(text, t=None):
     next_ = twin = origin = None
     face_colors = {}
     given = set()
@@ -188,10 +219,109 @@ def read_tri(text):
         h = int(fields["he"])
         if not 0 <= h < len(next_):
             raise ValueError("half-edge %d out of range" % h)
+        if h in face_colors:
+            raise ValueError("a second face record for half-edge %d" % h)
+        if t is not None and min(t.faces[t.face_of[h]]) != h:
+            raise ValueError("half-edge %d is not its face's smallest"
+                             % h)
         face_colors[h] = fields["color"]
 
     records(text, {"tri": (1, header), "he": (1, half_edge),
                    "face": (1, face)})
     if next_ is None:
         raise FormatError("missing tri header")
-    return Triangulation(next_, twin, origin, face_colors)
+    return next_, twin, origin, face_colors
+
+
+# -- the doubling, glued face by face ----------------------------------------
+
+def add_mirror(d, t):
+    """Copy t into the MapBuilder d reversed and recolored, with fresh
+    vertex labels; returns the offsets of its half-edges and labels."""
+    hoff = len(d.next)
+    voff = len(d.parent)
+    d.parent.extend(range(voff, voff + t.num_vertices))
+    # each half-edge keeps its id but runs the other way: its next
+    # is its old predecessor, and the face colors swap
+    prev = [0] * len(t.next)
+    for h, g in enumerate(t.next):
+        prev[g] = h
+    d.next.extend(g + hoff for g in prev)
+    d.origin.extend(t.origin[g] + voff for g in t.next)
+    d.color.extend(opposite_color(t.face_color[f]) for f in t.face_of)
+    d.twin.extend(NO_TWIN if g == NO_TWIN else g + hoff for g in t.twin)
+    return hoff, voff
+
+
+def double_with_gadgets_glued(t0):
+    """Returns (doubled triangulation, mirror offset): the half-edges of t0
+    keep their ids, and half-edge h of the mirror copy is mirror offset + h."""
+    g3 = build_three_gadget()
+    g3_red, g3_blue = gadget_boundary_edges(g3)
+    d = MapBuilder()
+    d.add(t0)
+    mirr_off = add_mirror(d, t0)[0]
+    for h in t0.boundary_half_edges():
+        goff = d.add(g3)[0]
+        hm = h + mirr_off  # mirrored copy of the same boundary half-edge
+        # the slit digon is (h, hm): h sees color c on its left, hm sees
+        # the opposite; glue the gadget digon so adjacent faces differ.
+        if d.color[h] == RED:
+            # h red-incident: glue to the gadget's blue-incident edge
+            d.glue(h, g3_blue + goff)
+            d.glue(hm, g3_red + goff)
+        else:
+            d.glue(h, g3_red + goff)
+            d.glue(hm, g3_blue + goff)
+    return d.build(), mirr_off
+
+
+# -- the validator, one element at a time -------------------------------------
+
+def validate_reducing(t):
+    """Check the reducing-triangulation conditions; reports every violation."""
+    violations = []
+
+    for h in range(len(t.next)):
+        g = t.twin[h]
+        if g == NO_TWIN:
+            continue
+        if g == h or t.twin[g] != h:
+            violations.append(Violation(TWIN_BROKEN, h))
+        elif t.origin[g] != t.head(h) or t.origin[h] != t.head(g):
+            violations.append(Violation(TWIN_BROKEN, h))
+
+    for v in sorted(t.broken_rotation):
+        violations.append(Violation(TWIN_BROKEN, ("vertex", v)))
+
+    for i, orbit in enumerate(t.faces):
+        if len(orbit) != 3:
+            violations.append(Violation(NON_TRIANGLE_FACE, i))
+
+    for h in range(len(t.next)):
+        g = t.twin[h]
+        if g != NO_TWIN and t.twin[g] == h:
+            c1 = t.face_color[t.face_of[h]]
+            c2 = t.face_color[t.face_of[g]]
+            if c1 == c2 and h < g:
+                violations.append(Violation(DUAL_NOT_BIPARTITE, (h, g)))
+
+    for v in range(t.num_vertices):
+        if not t.is_boundary_vertex(v) and t.degree(v) < 6:
+            violations.append(Violation(DEGREE_TOO_LOW, v))
+
+    if t.num_vertices:
+        seen = {0}
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            for h in t.vertex_slots[v]:
+                w = t.head(h)
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) != t.num_vertices:
+            violations.append(Violation(DISCONNECTED, tuple(sorted(
+                set(range(t.num_vertices)) - seen))))
+
+    return ValidationReport(not violations, tuple(violations))
