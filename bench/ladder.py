@@ -7,13 +7,15 @@ fixed seed and times `surface.read_tri` on its `write_tri` text and
 `surface.Triangulation` on its tables.  The anchored-extension ladder,
 r = 2..6, crowns each patch (`boundary.attach_crowns`) and times the
 closed doubled host's construction (`surface._double_with_gadgets_unchecked`)
-and `surface.validate_reducing` on it.  Per rung it records the median of
-five runs and, from a separate run under `tracemalloc`, the peak of memory
-allocated during the call.  Each fitted exponent is the least-squares
-slope of log(median time) over log(half-edges of the host the call
-builds or reads); 1.0 is linear.  Standard library only; it imports
-redtri from the `src/` of the checkout it sits in.  Prints the JSON, and
-writes it to the -o file if one is given.
+and `surface.validate_reducing` on it.  On the same patches it times the
+whole closed extension (`boundary.extend_for_harmonization`) of a path
+along four boundary edges, anchored at both ends.  Per rung it records
+the median of five runs and, from a separate run under `tracemalloc`, the
+peak of memory allocated during the call.  Each fitted exponent is the
+least-squares slope of log(median time) over log(half-edges of the host
+the call builds or reads); 1.0 is linear.  Standard library only; it
+imports redtri from the `src/` of the checkout it sits in.  Prints the
+JSON, and writes it to the -o file if one is given.
 """
 
 import argparse
@@ -32,6 +34,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from redtri import boundary, surface  # noqa: E402
+from redtri.drawing import Drawing, Graph  # noqa: E402
+from redtri.walkcalc import Walk  # noqa: E402
 
 SEED = 1
 RADII = range(4, 11)
@@ -63,6 +67,16 @@ def exponent(xs, ys):
     mx, my = statistics.fmean(lx), statistics.fmean(ly)
     return (sum((a - mx) * (b - my) for a, b in zip(lx, ly))
             / sum((a - mx) ** 2 for a in lx))
+
+
+def anchored_path(t, steps=4):
+    """(drawing, anchor): a path along t's first boundary edges, one vertex
+    per step end, anchored at both ends."""
+    hes = t.boundary_cycles()[0][:steps]
+    verts = [t.tail(hes[0])] + [t.head(h) for h in hes]
+    f = Drawing(Graph(len(verts), [(i, i + 1) for i in range(steps)]), t,
+                verts, [Walk.from_half_edges(t, (h,)) for h in hes])
+    return f, boundary.Anchor({verts[0]: [0], verts[-1]: [steps]})
 
 
 def measure(rung, calls):
@@ -100,17 +114,20 @@ def main(argv=None):
             "triangulation": lambda: surface.Triangulation(*tables)}))
 
     # the closed extension of harmonize --anchors: the crowned patch t0, its
-    # mirror and a 3-gadget per seam; sized by the doubled host
+    # mirror and a 3-gadget per seam; sized by the doubled host without
+    # anchors (the two anchors add a few spokes)
     extension = []
     for r in EXTENSION_RADII:
-        t0 = boundary.attach_crowns(
-            surface.build_disk_patch(r, random.Random(SEED)), {})[0]
+        patch = surface.build_disk_patch(r, random.Random(SEED))
+        t0 = boundary.attach_crowns(patch, {})[0]
         doubled = surface._double_with_gadgets_unchecked(t0)[0]
+        f, anchor = anchored_path(patch)
         extension.append(measure({
             "radius": r, "crowned_half_edges": len(t0.next),
             "half_edges": len(doubled.next)}, {
             "doubling": lambda: surface._double_with_gadgets_unchecked(t0),
-            "validate_reducing": lambda: surface.validate_reducing(doubled)}))
+            "validate_reducing": lambda: surface.validate_reducing(doubled),
+            "extend": lambda: boundary.extend_for_harmonization(f, anchor)}))
 
     report = {
         "python": platform.python_version(),
@@ -120,8 +137,8 @@ def main(argv=None):
         "rungs": rungs,
         "extension_rungs": extension,
         "exponents": {**exponents(rungs, ("read_tri", "triangulation")),
-                      **exponents(extension,
-                                  ("doubling", "validate_reducing"))},
+                      **exponents(extension, ("doubling",
+                                              "validate_reducing", "extend"))},
     }
     text = json.dumps(report, indent=1) + "\n"
     if args.output:

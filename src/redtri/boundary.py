@@ -27,7 +27,7 @@ class BoundaryError(Exception):
 
 
 class GuardViolation(BoundaryError):
-    """A move touched a stem image or a guard edge."""
+    """A move touched a stem or guard edge, or G's image left the host."""
 
 
 class Anchor:
@@ -41,9 +41,6 @@ class Anchor:
                 if v in seen:
                     raise BoundaryError("vertex %d anchored twice" % v)
                 seen.add(v)
-
-    def count_at(self, x):
-        return len(self.orders.get(x, ()))
 
     def validate(self, f):
         t = f.host
@@ -75,6 +72,7 @@ def attach_crowns(t, need):
 
     Returns (t0, spokes) where spokes maps each old boundary vertex to its
     crown-interior half-edges, clockwise from the old outgoing boundary edge.
+    t0 keeps t's vertex and half-edge ids.
     """
     b = MapBuilder()
     b.add(t)
@@ -93,110 +91,75 @@ def attach_crowns(t, need):
     spokes = {}
     for x in sorted(bverts):
         h_out, h_in = _boundary_corner(t, x)
-        stop = t0.twin[h_in]
         slots = t0.vertex_slots[x]
-        i = slots.index(h_out)
-        run = []
-        p = (i + 1) % len(slots)
-        while slots[p] != stop:
-            run.append(slots[p])
-            p = (p + 1) % len(slots)
-        spokes[x] = tuple(run)
+        i = t0.slot_index[h_out] + 1
+        run = slots[i:] + slots[:i]
+        spokes[x] = run[:run.index(t0.twin[h_in])]
     return t0, spokes
 
 
 @dataclass(frozen=True)
 class GuardData:
-    host: object         # the closed doubled host
     guard_hes: frozenset  # half-edges no move may use
     stem_edges: dict     # G•-edge id -> its fixed image half-edge
-    flat_hes: frozenset  # half-edges of T and its mirror
-    base_vertices: int
-    base_edges: int
+    flat_hes: frozenset  # the half-edges of T
 
 
 def extend_for_harmonization(f, anchor):
     """Close the host and the drawing: crowns, mirror, gadgets, tip edges.
 
     Returns (f_closed, guard) where f_closed is a drawing on a closed
-    reducing host and guard records the stems and guard edges."""
+    reducing host and guard records the stems and guard edges.  G's ids
+    come first, then the tips', then those of G's mirror copy."""
     t = f.host
     if t.is_closed():
         raise BoundaryError("host is already closed")
     anchor.validate(f)
-    need = {x: anchor.count_at(x) for x in anchor.orders}
-    t0, spokes = attach_crowns(t, need)
+    t0, spokes = attach_crowns(
+        t, {x: len(vs) for x, vs in anchor.orders.items()})
     # `harmonize` validates tdot, raising HarmonizerError if it is not a
     # closed reducing host
     tdot, mirr = _double_with_gadgets_unchecked(t0)
 
-    def base_vertex(w):
-        return tdot.origin[t0.vertex_slots[w][0]]
+    def mirror(h):
+        """The mirror copy of h, running the same way as h."""
+        return mirr + t0.twin[h]
 
-    def mirror_vertex(w):
-        h0 = t0.prev(t0.vertex_slots[w][0])
-        return tdot.origin[mirr + h0]
-
-    n, ne = f.graph.num_vertices, f.graph.num_edges()
-    vmap = [base_vertex(f.vertex_map[v]) for v in range(n)]
-    edges = list(f.graph.edges)
-    emap = [Walk.from_half_edges(tdot, w.half_edges, start=vmap[u])
-            for (u, _), w in zip(f.graph.edges, f.edge_map)]
+    # t0 and tdot keep t's ids, so the base copy of G is drawn as in f
+    n = f.graph.num_vertices
+    vmap = list(f.vertex_map)
+    triples = [(u, v, w.half_edges)
+               for (u, v), w in zip(f.graph.edges, f.edge_map)]
     # tip edges: anchored vertex v_i hangs on the spoke e_{i+3} of its corner
-    stem_edges = {}
-    tips = {}
     for x in sorted(anchor.orders):
         for i, v in enumerate(anchor.orders[x]):
             e = spokes[x][i + 3]
-            tip = len(vmap)
+            triples.append((v, len(vmap), (e,)))
             vmap.append(tdot.origin[tdot.next[e]])
-            tips[v] = (tip, e)
-            stem_edges[len(edges)] = e
-            edges.append((v, tip))
-            emap.append(Walk.from_half_edges(tdot, (e,), start=vmap[v]))
-    # mirror copy of G; tip vertices are shared
-    mirror_of = {}
-    for v in range(n):
-        mirror_of[v] = len(vmap)
-        vmap.append(mirror_vertex(f.vertex_map[v]))
-    for (u, v), w in zip(f.graph.edges, f.edge_map):
-        mu = mirror_of[u]
-        hes = tuple(mirr + t0.twin[h] for h in w.half_edges)
-        edges.append((mu, mirror_of[v]))
-        emap.append(Walk.from_half_edges(tdot, hes, start=vmap[mu]))
-    for x in sorted(anchor.orders):
-        for v in anchor.orders[x]:
-            tip, e = tips[v]
-            mh = mirr + t0.twin[e]
-            stem_edges[len(edges)] = mh
-            edges.append((mirror_of[v], tip))
-            emap.append(Walk.from_half_edges(tdot, (mh,),
-                                             start=vmap[mirror_of[v]]))
-    fdot = Drawing(Graph(len(vmap), edges), tdot, vmap, emap)
-    guard = set()
-    for x, run in spokes.items():
-        for e in run[:3] + run[-3:]:
-            guard.add(e)
-            guard.add(tdot.twin[e])
-            guard.add(mirr + t0.twin[e])
-            guard.add(tdot.twin[mirr + t0.twin[e]])
-    # T and its mirror: the reverse of an old boundary edge is a crown-id
-    # half-edge on both sides
-    nt = len(t.next)
-    flat = set(range(nt)) | {mirr + h for h in range(nt)}
-    for h in t.boundary_half_edges():
-        flat.add(t0.twin[h])
-        flat.add(mirr + t0.twin[h])
-    return fdot, GuardData(tdot, frozenset(guard), stem_edges,
-                           frozenset(flat), n, ne)
+    # mirror copy of G at offset m; tip vertices are shared
+    m = len(vmap)
+    vmap += [tdot.origin[mirror(t0.vertex_slots[x][0])] for x in f.vertex_map]
+    triples += [(u + m, v + m if v < n else v, tuple(map(mirror, hes)))
+                for u, v, hes in triples]
+    fdot = Drawing(Graph(len(vmap), [(u, v) for u, v, _ in triples]), tdot,
+                   vmap, [Walk.from_half_edges(tdot, hes, start=vmap[u])
+                          for u, _, hes in triples])
+    stem_edges = {e: hes[0] for e, (_, v, hes) in enumerate(triples)
+                  if n <= v < m}
+    guard = frozenset(g for run in spokes.values()
+                      for e in run[:3] + run[-3:]
+                      for h in (e, t0.twin[e]) for g in (h, mirr + h))
+    return fdot, GuardData(guard, stem_edges, frozenset(range(len(t.next))))
 
 
 def harmonize_rel_anchor(f, anchor, budget=None):
     """Harmonize keeping anchored vertices pinned to the boundary.
 
     Runs the plain routine on the closed extension under a guard audit, then
-    restricts back to G.  A stem rewrite or a guard-edge use is a hard
-    failure: it would contradict the construction, never a legal outcome."""
+    restricts back to G on f's host.  A stem rewrite or a guard-edge use
+    contradicts the construction, and an image off f's host (an edge run
+    backwards along a boundary edge) cannot be written on it: each raises
+    GuardViolation."""
     fdot, guard = extend_for_harmonization(f, anchor)
 
     def audit(state, move):
@@ -208,17 +171,20 @@ def harmonize_rel_anchor(f, anchor, budget=None):
                 raise GuardViolation("edge %d moved onto a guard edge" % base)
 
     f2, trace = harmonize(fdot, budget=budget, audit=audit)
-    n, ne = guard.base_vertices, guard.base_edges
-    restricted = Drawing(f.graph, guard.host, f2.vertex_map[:n],
-                         f2.edge_map[:ne])
-    for x, vs in anchor.orders.items():
+    g = f.graph
+    vmap, emap = f2.vertex_map[:g.num_vertices], f2.edge_map[:g.num_edges()]
+    for vs in anchor.orders.values():
         for v in vs:
-            if restricted.vertex_map[v] != fdot.vertex_map[v]:
+            if vmap[v] != f.vertex_map[v]:
                 raise GuardViolation("anchored vertex %d moved" % v)
-    for e in range(ne):
-        if len(restricted.edge_map[e]) > len(f.edge_map[e]):
+    for e, w in enumerate(emap):
+        if len(w) > len(f.edge_map[e]):
             raise GuardViolation("edge %d grew" % e)
-        for h in restricted.edge_map[e].half_edges:
+        for h in w.half_edges:
             if h not in guard.flat_hes:
-                raise GuardViolation("edge %d left the doubled sub-host" % e)
-    return restricted, trace
+                raise GuardViolation(
+                    "edge %d left the host at half-edge %d" % (e, h))
+    for v, x in enumerate(vmap):
+        if x >= f.host.num_vertices:
+            raise GuardViolation("vertex %d left the host" % v)
+    return Drawing(g, f.host, vmap, emap), trace

@@ -505,29 +505,26 @@ def find_balancing(state):
 
 def _directed_cycle(members, adj):
     """The first directed cycle of a depth-first search that starts from
-    the members in order and follows each copy's out-edges in order."""
-    state = {c: 0 for c in members}
-    stack_path = []
-
-    def dfs(c):
-        state[c] = 1
-        stack_path.append(c)
-        for w in adj[c]:
-            if state[w] == 0:
-                r = dfs(w)
-                if r is not None:
-                    return r
-            elif state[w] == 1:
-                return stack_path[stack_path.index(w):]
-        stack_path.pop()
-        state[c] = 2
-        return None
-
-    for c in members:
-        if state[c] == 0:
-            r = dfs(c)
-            if r is not None:
-                return r
+    the members in order and follows each copy's out-edges in order.  The
+    search keeps its own stack, so a component of any size fits."""
+    state = dict.fromkeys(members, 0)
+    for root in members:
+        if state[root]:
+            continue
+        state[root] = 1
+        path, todo = [root], [iter(adj[root])]
+        while todo:
+            for w in todo[-1]:
+                if state[w] == 0:
+                    state[w] = 1
+                    path.append(w)
+                    todo.append(iter(adj[w]))
+                    break
+                if state[w] == 1:
+                    return path[path.index(w):]
+            else:
+                state[path.pop()] = 2
+                todo.pop()
     return None
 
 

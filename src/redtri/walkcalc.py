@@ -130,11 +130,16 @@ def turn(t, w, i):
 
 
 def _slot_position(t, slots, h):
-    """Position of h among `slots`; ValueError if it is not one of them."""
+    """Position of h among `slots`; WalkError if it is not one of them, as
+    when the host's twins are inconsistent."""
     i = t.slot_index[h]
     if 0 <= i < len(slots) and slots[i] == h:
         return i
-    return slots.index(h)
+    try:
+        return slots.index(h)
+    except ValueError:
+        raise WalkError("half-edge %d is not in the rotation at the turn"
+                        % h) from None
 
 
 def turn_at(t, e1, e2):
@@ -462,6 +467,9 @@ def read_walk(text, t):
         if not 0 <= start < t.num_vertices:
             raise ValueError("start vertex %d out of range" % start)
         hes = int_list(fields["he"], len(t.next))
+        if hes and t.tail(hes[0]) != start:
+            raise ValueError("start %d is not the tail of half-edge %d"
+                             % (start, hes[0]))
         walks.append(Walk.from_half_edges(t, hes, fields["closed"] == "1",
                                           start=start))
 

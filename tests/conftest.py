@@ -4,7 +4,9 @@ import random
 import pytest
 
 from redtri import surface
+from redtri.drawing import Drawing, Graph
 from redtri.drawing import random_drawing, random_path  # shared with the tests
+from redtri.walkcalc import Walk
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 # the characters that mutate the inputs of the fuzz tests
@@ -32,6 +34,28 @@ def edit_char(text, i, kind, c):
 
 def make_patch(seed, radius=3):
     return surface.build_disk_patch(radius, random.Random(seed))
+
+
+def boundary_path_drawing(p, steps=3):
+    """A path along the first boundary edges, with one vertex per step end."""
+    cyc = p.boundary_cycles()[0]
+    hes = cyc[:steps]
+    verts = [p.tail(hes[0])] + [p.head(h) for h in hes]
+    g = Graph(len(verts), [(i, i + 1) for i in range(len(hes))])
+    emap = [Walk.from_half_edges(p, (h,), start=p.tail(h)) for h in hes]
+    return Drawing(g, p, verts, emap)
+
+
+def backwards_boundary_drawing(p):
+    """(drawing, anchor orders): one edge round the far side of the
+    triangle on p's first boundary edge h, anchored at both ends.  Its
+    harmonized image would be the crown-side reverse of h, which p does
+    not have."""
+    h = p.boundary_cycles()[0][0]
+    u, v = p.head(h), p.tail(h)
+    f = Drawing(Graph(2, [(0, 1)]), p, [u, v],
+                [Walk.from_half_edges(p, (p.next[h], p.next[p.next[h]]))])
+    return f, {u: [0], v: [1]}
 
 
 def fan_disk(k):

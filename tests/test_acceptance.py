@@ -12,7 +12,13 @@ from collections import deque
 from redtri import boundary, surface, walkcalc
 from redtri import harmonizer as hz
 from redtri.boundary import Anchor, extend_for_harmonization, harmonize_rel_anchor
-from redtri.drawing import Drawing, Graph, factor_simplicial
+from redtri.drawing import (
+    Drawing,
+    Graph,
+    factor_simplicial,
+    read_drawing,
+    write_drawing,
+)
 from redtri.surface import (
     DUAL_NOT_BIPARTITE,
     NO_TWIN,
@@ -22,7 +28,13 @@ from redtri.surface import (
 from redtri.walkcalc import GOOD, Reduced, Stalled, Walk, classify, turn, turn_at
 
 import test_golden
-from conftest import closed_left_cycle, make_patch, random_drawing, random_path
+from conftest import (
+    boundary_path_drawing,
+    closed_left_cycle,
+    make_patch,
+    random_drawing,
+    random_path,
+)
 from move_oracle import scan_balancing, scan_flip, scan_shortening
 
 
@@ -64,15 +76,6 @@ def red_geodesic_cycle(t):
             if walkcalc.is_reduced(t, w):
                 return cyc
     raise AssertionError("host has no red geodesic cycle")
-
-
-def boundary_path_drawing(p, steps):
-    cyc = p.boundary_cycles()[0]
-    hes = cyc[:steps]
-    verts = [p.tail(hes[0])] + [p.head(h) for h in hes]
-    g = Graph(len(verts), [(i, i + 1) for i in range(len(hes))])
-    emap = [Walk.from_half_edges(p, (h,), start=p.tail(h)) for h in hes]
-    return Drawing(g, p, verts, emap)
 
 
 # -- reduced-walk uniqueness ----------------------------------------------
@@ -699,6 +702,10 @@ def test_boundary_guard():
             assert f2.vertex_map[g] == fdot.vertex_map[g]
         for w in f2.edge_map:
             assert set(w.half_edges) <= guard.flat_hes
+        # the output lives on the input host and re-reads there
+        assert f2.host is f.host
+        f3, _ = read_drawing(write_drawing(f2), f.host)
+        assert (f3.vertex_map, f3.edge_map) == (f2.vertex_map, f2.edge_map)
         per0, _ = f.lengths()
         per2, _ = f2.lengths()
         assert all(b <= a_ for a_, b in zip(per0, per2))

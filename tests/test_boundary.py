@@ -4,6 +4,7 @@ from redtri import surface
 from redtri.boundary import (
     Anchor,
     BoundaryError,
+    GuardViolation,
     attach_crowns,
     extend_for_harmonization,
     harmonize_rel_anchor,
@@ -12,17 +13,11 @@ from redtri.drawing import Drawing, Graph
 from redtri.surface import validate_reducing
 from redtri.walkcalc import Walk
 
-from conftest import make_patch
-
-
-def boundary_path_drawing(p, steps=3):
-    """A path along the first boundary edges, with one vertex per step end."""
-    cyc = p.boundary_cycles()[0]
-    hes = cyc[:steps]
-    verts = [p.tail(hes[0])] + [p.head(h) for h in hes]
-    g = Graph(len(verts), [(i, i + 1) for i in range(len(hes))])
-    emap = [Walk.from_half_edges(p, (h,), start=p.tail(h)) for h in hes]
-    return Drawing(g, p, verts, emap)
+from conftest import (
+    backwards_boundary_drawing,
+    boundary_path_drawing,
+    make_patch,
+)
 
 
 @pytest.fixture(scope="module")
@@ -92,9 +87,9 @@ def test_extension_host_valid(patch):
     f = boundary_path_drawing(patch)
     a = anchored_ends(f)
     fdot, guard = extend_for_harmonization(f, a)
-    assert guard.host.is_closed()
-    assert validate_reducing(guard.host).ok
-    assert guard.host.genus() >= 2
+    assert fdot.host.is_closed()
+    assert validate_reducing(fdot.host).ok
+    assert fdot.host.genus() >= 2
 
 
 def test_extension_rejects_closed_host():
@@ -169,6 +164,13 @@ def test_harmonize_rel_anchor_detour(patch):
     assert f2.lengths()[1] < f.lengths()[1]
     assert f2.vertex_map == tuple(
         extend_for_harmonization(f, a)[0].vertex_map[:2])
+
+
+def test_harmonize_rel_anchor_backwards_along_boundary(patch):
+    f, orders = backwards_boundary_drawing(patch)
+    with pytest.raises(GuardViolation, match="^edge 0 left the host at "
+                       "half-edge %d$" % len(patch.next)):
+        harmonize_rel_anchor(f, Anchor(orders))
 
 
 def test_harmonize_rel_anchor_empty_anchor(patch):

@@ -11,8 +11,8 @@ from redtri import drawing, surface
 from redtri.cli import main
 from redtri.walkcalc import Walk
 
-from conftest import (FUZZ_ALPHABET, edit_char, fan_disk, fixture_path,
-                      make_patch)
+from conftest import (FUZZ_ALPHABET, backwards_boundary_drawing, edit_char,
+                      fan_disk, fixture_path, make_patch)
 
 
 def run(capsys, *argv):
@@ -125,6 +125,23 @@ def test_reduce_off_the_rim(capsys, tmp_path):
     assert err == "error: half-edge -1 out of range\n"
 
 
+def test_reduce_on_broken_twins(capsys, tmp_path):
+    """A host whose twins disagree with its rotations is malformed input
+    to a reduction: exit 2 with one error line, no traceback."""
+    t = surface.double_with_gadgets(surface.crown(4))
+    lines = surface.write_tri(t).splitlines(keepends=True)
+    for h, g in ((0, 10), (10, 0), (92, 240), (240, 92)):
+        lines[1 + h] = "he %d next=%d twin=%d origin=%d\n" % (
+            h, t.next[h], g, t.origin[h])
+    tri = tmp_path / "broken.tri"
+    tri.write_text("".join(lines))
+    w = tmp_path / "w.walk"
+    w.write_text("walk closed=0 start=0 he=0,1\n")
+    code, out, err = run(capsys, "reduce", str(tri), str(w))
+    assert code == 2 and out == ""
+    assert err == "error: half-edge 10 is not in the rotation at the turn\n"
+
+
 def test_main_leaves_no_argparse_garbage(capsys, tmp_path):
     """main builds its parser once per process, so repeated calls leave
     nothing for the cycle collector."""
@@ -225,6 +242,18 @@ def test_harmonize_anchors_on_non_reducing_host(capsys, tmp_path, name, host):
     assert (code, out) == (1, "")
     assert err == ("harmonize failed: host must be a closed reducing "
                    "triangulation\n")
+
+
+def test_harmonize_anchors_backwards_along_boundary(capsys, tmp_path):
+    """An edge whose harmonized image would run backwards along a boundary
+    edge leaves the input host: exit 1 with one line, no traceback."""
+    p = make_patch(1, radius=2)
+    f, orders = backwards_boundary_drawing(p)
+    tp, dp = write_drawing_files(tmp_path, p, f, anchor=orders)
+    code, out, err = run(capsys, "harmonize", tp, dp, "--anchors")
+    assert (code, out) == (1, "")
+    assert err == ("harmonize failed: edge 0 left the host at half-edge "
+                   "%d\n" % len(p.next))
 
 
 def test_harmonize_budget_domain_failure(capsys, tmp_path):
@@ -375,6 +404,9 @@ MALFORMED = [
      ["reduce", "{tri}", "{file}"]),
     ("walk-unknown-record", "x.walk", "walk closed=0 start=0 he=0\nbogus 1\n",
      ["reduce", "{tri}", "{file}"]),
+    # half-edge 0 of doubled crown4 leaves vertex 0, not vertex 5
+    ("walk-start-not-tail", "x.walk", "walk closed=0 start=5 he=0\n",
+     ["reduce", fixture_path("doubled_crown4.tri"), "{file}"]),
     ("trace-without-vertex", "x.trc", "move 0 kind=flip len=3->3 phase=1\n",
      ["export", "{file}"]),
     # numeric options below their least value

@@ -23,7 +23,7 @@ import pytest
 from redtri import surface
 from redtri.boundary import Anchor, harmonize_rel_anchor
 from redtri.cover import LEFT, RIGHT, CoverChart, escape_probe, line_window
-from redtri.drawing import Drawing, Graph, write_drawing
+from redtri.drawing import Drawing, Graph, read_drawing, write_drawing
 from redtri.harmonizer import harmonize, write_trace
 from redtri.walkcalc import (
     BoundaryTurnError,
@@ -39,13 +39,14 @@ from redtri.walkcalc import (
 )
 
 from conftest import (
+    boundary_path_drawing,
     make_patch,
     random_closed_walk,
     random_drawing,
     random_path,
     short_closed_walks,
 )
-from test_boundary import anchored_ends, boundary_path_drawing
+from test_boundary import anchored_ends
 
 GOLDEN_SHA256 = (
     "bf96d837dab0f1f0fa3118bca96e425640a8d3821d850dade0374cb630a9d90b")
@@ -68,11 +69,16 @@ def corpus():
             f = random_drawing(doubled, random.Random(seed),
                                max_vertices=max_vertices, detour=detour)
             yield "closed n<=%d seed %d" % (max_vertices, seed), harmonize(f)
-    # the anchored fixtures of test_boundary
+    for name, f, anchor in anchored_cases():
+        yield name, harmonize_rel_anchor(f, anchor)
+
+
+def anchored_cases():
+    """(case name, drawing, anchor): the anchored fixtures of test_boundary."""
     patch = make_patch(1, radius=2)
     f = boundary_path_drawing(patch)
-    yield "anchored path", harmonize_rel_anchor(f, anchored_ends(f))
-    yield "anchored empty", harmonize_rel_anchor(f, Anchor({}))
+    yield "anchored path", f, anchored_ends(f)
+    yield "anchored empty", f, Anchor({})
     # an edge wandering into the interior and back
     h = patch.boundary_cycles()[0][0]
     u = patch.tail(h)
@@ -80,13 +86,11 @@ def corpus():
     d = Drawing(Graph(2, [(0, 1)]), patch, [u, patch.head(h)],
                 [Walk.from_half_edges(patch, [inner, patch.twin[inner], h],
                                       start=u)])
-    yield "anchored detour", harmonize_rel_anchor(
-        d, Anchor({u: [0], patch.head(h): [1]}))
+    yield "anchored detour", d, Anchor({u: [0], patch.head(h): [1]})
     for seed in range(5):
         p = make_patch(seed + 10, radius=2)
         g = boundary_path_drawing(p, steps=4)
-        yield ("anchored random %d" % seed,
-               harmonize_rel_anchor(g, anchored_ends(g)))
+        yield "anchored random %d" % seed, g, anchored_ends(g)
 
 
 def corpus_digest():
@@ -101,6 +105,14 @@ def corpus_digest():
 @pytest.mark.filterwarnings("error")
 def test_golden_outputs():
     assert corpus_digest() == GOLDEN_SHA256
+
+
+def test_anchored_outputs_reread_on_input_host():
+    for name, f, anchor in anchored_cases():
+        f2, _ = harmonize_rel_anchor(f, anchor)
+        assert f2.host is f.host, name
+        f3, _ = read_drawing(write_drawing(f2), f.host)
+        assert (f3.vertex_map, f3.edge_map) == (f2.vertex_map, f2.edge_map)
 
 
 # seeds of random_drawing(doubled crown4) at its default sizes whose

@@ -380,6 +380,19 @@ def test_balancing_left_pull_l1(doubled):
     assert st.total_length() < before
 
 
+def test_balancing_of_a_long_wrapped_cycle(doubled):
+    """A balancing component of thousands of corner copies: the cycle
+    search keeps its own stack rather than recursing once per copy."""
+    t = doubled
+    cyc = geodesic_cycle(t)
+    _, l1, _, _ = corner_slots(t, cyc)
+    f = cycle_drawing(t, cyc * 600, extra=[l1])
+    m = find_balancing(state_of(f))
+    assert m is not None and m.color == RED and m.rotation == CW
+    assert len(m.movers) == 600 * len(cyc)
+    assert not is_locally_stable(f)
+
+
 def test_balancing_left_pull_l2_rotates_ccw(doubled):
     t = doubled
     cyc = geodesic_cycle(t)
