@@ -1,4 +1,4 @@
-"""Time the host layer across a size ladder and fit how its cost grows.
+"""Time the host and probe layers across size ladders and fit how cost grows.
 
     python3 bench/ladder.py [-o BENCH.json]
 
@@ -9,13 +9,15 @@ r = 2..6, crowns each patch (`boundary.attach_crowns`) and times the
 closed doubled host's construction (`surface._double_with_gadgets_unchecked`)
 and `surface.validate_reducing` on it.  On the same patches it times the
 whole closed extension (`boundary.extend_for_harmonization`) of a path
-along four boundary edges, anchored at both ends.  Per rung it records
-the median of five runs and, from a separate run under `tracemalloc`, the
-peak of memory allocated during the call.  Each fitted exponent is the
-least-squares slope of log(median time) over log(half-edges of the host
-the call builds or reads); 1.0 is linear.  Standard library only; it
-imports redtri from the `src/` of the checkout it sits in.  Prints the
-JSON, and writes it to the -o file if one is given.
+along four boundary edges, anchored at both ends.  The probe ladder
+times `cover.escape_probe` of a fixed three-vertex path drawn on doubled
+crown4, with windows L = 24..384.  Per rung it records the median of five
+runs and, from a separate run under `tracemalloc`, the peak of memory
+allocated during the call.  Each fitted exponent is the least-squares
+slope of log(median time) over log(half-edges of the host the call builds
+or reads), or over log(L) for the probe; 1.0 is linear.  Standard library
+only; it imports redtri from the `src/` of the checkout it sits in.
+Prints the JSON, and writes it to the -o file if one is given.
 """
 
 import argparse
@@ -33,13 +35,14 @@ import tracemalloc
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from redtri import boundary, surface  # noqa: E402
+from redtri import boundary, cover, surface  # noqa: E402
 from redtri.drawing import Drawing, Graph  # noqa: E402
 from redtri.walkcalc import Walk  # noqa: E402
 
 SEED = 1
 RADII = range(4, 11)
 EXTENSION_RADII = range(2, 7)
+PROBE_WINDOWS = (24, 48, 96, 192, 384)
 REPEATS = 5
 
 
@@ -79,19 +82,29 @@ def anchored_path(t, steps=4):
     return f, boundary.Anchor({verts[0]: [0], verts[-1]: [steps]})
 
 
+def probe_path(t):
+    """A path of two single-edge walks from vertex 0 of t, drawn on t."""
+    h0 = t.vertex_slots[0][0]
+    h1 = next(h for h in t.vertex_slots[t.head(h0)] if h != t.twin[h0])
+    verts = [0, t.head(h0), t.head(h1)]
+    return Drawing(Graph(3, [(0, 1), (1, 2)]), t, verts,
+                   [Walk.from_half_edges(t, (h,)) for h in (h0, h1)])
+
+
 def measure(rung, calls):
     """Time each call of calls into rung, and print the rung."""
+    label = " ".join("%s=%d" % item for item in rung.items())
     for name, call in calls.items():
         rung[name + "_s"] = median_s(call)
         rung[name + "_peak_mb"] = peak_mb(call)
-    print("# r=%d %d half-edges: %s" % (rung["radius"], rung["half_edges"], (
-        ", ".join("%s %.4f s" % (name, rung[name + "_s"]) for name in calls))),
+    print("# %s: %s" % (label, ", ".join(
+        "%s %.4f s" % (name, rung[name + "_s"]) for name in calls)),
         file=sys.stderr)
     return rung
 
 
-def exponents(rungs, names):
-    sizes = [rung["half_edges"] for rung in rungs]
+def exponents(rungs, names, size="half_edges"):
+    sizes = [rung[size] for rung in rungs]
     return {name: exponent(sizes, [rung[name + "_s"] for rung in rungs])
             for name in names}
 
@@ -129,6 +142,12 @@ def main(argv=None):
             "validate_reducing": lambda: surface.validate_reducing(doubled),
             "extend": lambda: boundary.extend_for_harmonization(f, anchor)}))
 
+    # the escape probe against its window; the host stays doubled crown4
+    path = probe_path(surface.double_with_gadgets(surface.crown(4)))
+    probe = [measure({"L": L}, {
+        "probe": lambda L=L: cover.escape_probe(path, 0, cover.LEFT, L=L)})
+        for L in PROBE_WINDOWS]
+
     report = {
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -136,9 +155,11 @@ def main(argv=None):
         "repeats": REPEATS,
         "rungs": rungs,
         "extension_rungs": extension,
+        "probe_rungs": probe,
         "exponents": {**exponents(rungs, ("read_tri", "triangulation")),
                       **exponents(extension, ("doubling",
-                                              "validate_reducing", "extend"))},
+                                              "validate_reducing", "extend")),
+                      **exponents(probe, ("probe",), size="L")},
     }
     text = json.dumps(report, indent=1) + "\n"
     if args.output:

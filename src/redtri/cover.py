@@ -1,4 +1,4 @@
-"""Lazily expanded universal-cover charts of closed reducing triangulations.
+"""Universal-cover charts and line windows of closed reducing triangulations.
 
 A chart is a growing plane triangulation, built with `MapBuilder`, and its
 projection onto the base: `proj` for half-edges, `proj_v` for vertices.
@@ -6,7 +6,13 @@ Slot i of chart vertex v lies over slot i of base vertex proj_v[v], and
 `rot[v][i]` is that chart half-edge, or None until it exists.  Growth
 attaches one triangle per frontier slot and never merges chart vertices,
 not even where a new triangle closes around a corner that already exists;
-filling a slot twice raises CoverError instead.
+filling a slot twice raises CoverError instead.  Charts serve lifts
+(`lift_walk`, `expand`).
+
+The escape probe needs no chart.  A line step reads one slot of the base's
+own slot table, and a window's vertices are distinct in the cover, so
+`line_window` and `escape_probe` walk the base and name a window vertex
+x_i by its index i.
 """
 
 from dataclasses import dataclass
@@ -21,14 +27,18 @@ class CoverError(Exception):
     pass
 
 
+def _check_base(base, basepoint):
+    rep = validate_reducing(base)
+    if not rep.ok or not base.is_closed():
+        raise CoverError("base must be a closed reducing triangulation")
+    if not 0 <= basepoint < base.num_vertices:
+        raise CoverError("basepoint %d out of range" % basepoint)
+
+
 class CoverChart(MapBuilder):
     def __init__(self, base, basepoint=0):
         """A chart whose vertex 0 lies over the base vertex basepoint."""
-        rep = validate_reducing(base)
-        if not rep.ok or not base.is_closed():
-            raise CoverError("base must be a closed reducing triangulation")
-        if not 0 <= basepoint < base.num_vertices:
-            raise CoverError("basepoint %d out of range" % basepoint)
+        _check_base(base, basepoint)
         super().__init__()
         self.base = base
         self.proj = []      # chart half-edge -> base half-edge
@@ -150,60 +160,42 @@ class CoverChart(MapBuilder):
         return self.build()
 
 
-@dataclass(frozen=True)
-class LineWindow:
-    side: str
-    center: int          # chart vertex x_0
-    edges: tuple         # chart half-edges e_{-L} .. e_{L-1}
-    L: int
+def line_window(base, v, side, L):
+    """The window e_{-L} .. e_{L-1} of the left/right line through base
+    vertex v, as base half-edges; e_i runs from x_i to x_{i+1}.
 
-    def edge(self, i):
-        """e_i runs from x_i to x_{i+1}; i in [-L, L-1]."""
-        return self.edges[i + self.L]
-
-    def vertex(self, chart, i):
-        """x_i for i in [-L, L]."""
-        if i == self.L:
-            return chart.head(self.edge(i - 1))
-        return chart.origin[self.edge(i)]
-
-
-def line_window(chart, v, side, L):
-    """The window [-L, L] of the left/right line through chart vertex v.
-
-    The line starts with the outgoing slot of v over the lowest base
-    half-edge whose left face is red.  Left lines make only 3-turns, right
-    lines only (d-3)-turns, counted clockwise.
+    base must be a closed reducing triangulation.  The line starts with the
+    lowest half-edge out of v whose left face is red.  Left lines make only
+    3-turns, right lines only (d-3)-turns, counted clockwise: a step reads
+    one slot of the next vertex.  In the universal cover the window's
+    vertices x_{-L} .. x_L are distinct.
     """
     if side not in (LEFT, RIGHT):
         raise CoverError("side must be left or right")
-    seed = min((h for h in chart.slots_cw(v) if chart.color[h] == RED),
-               key=lambda h: chart.proj[h])
+    if L < 0:
+        raise CoverError("window L must be >= 0, not %d" % L)
+    slots, pos, twin, origin = (base.vertex_slots, base.slot_index,
+                                base.twin, base.origin)
+    k = 3 if side == LEFT else -3
+    seed = min(h for h in slots[v] if base.color_left(h) == RED)
     fwd, back = [seed], []
     for _ in range(L - 1):
-        fwd.append(_line_step(chart, fwd[-1], side))
-    # backward: the line of the other side, run from the twin
-    other = RIGHT if side == LEFT else LEFT
+        e = twin[fwd[-1]]
+        s = slots[origin[e]]
+        fwd.append(s[(pos[e] + k) % len(s)])
+    # backward: the step undone, k slots counterclockwise from e to twin(e')
     e = seed
     for _ in range(L):
-        e = chart.twin[_line_step(chart, chart.twin[e], other)]
+        s = slots[origin[e]]
+        e = twin[s[(pos[e] - k) % len(s)]]
         back.append(e)
-    edges = back[::-1] + fwd if L else []
-    return LineWindow(side, v, tuple(edges), L)
-
-
-def _line_step(chart, e, side):
-    slots = chart.slots_cw(chart.head(e))
-    d = len(slots)
-    i = chart.base.slot_index[chart.proj[chart.twin[e]]]
-    k = 3 if side == LEFT else d - 3
-    return slots[(i + k) % d]
+    return tuple(back[::-1] + fwd) if L else ()
 
 
 @dataclass(frozen=True)
 class Escapes:
     witness: tuple        # sequence of (G-edge id, tail G-vertex)
-    chart_exit: int       # chart half-edge leaving the window
+    exit: tuple           # (i, h): leaves window vertex x_i by base he h
 
 
 @dataclass(frozen=True)
@@ -224,8 +216,12 @@ def escape_probe(f, v, side=LEFT, depth=None, L=None):
         depth = 2 * f.graph.num_edges()
     if L is None:
         L = 3 * (base.num_edges() + 1)
-    chart = CoverChart(base, basepoint=f.vertex_map[v])
-    win = line_window(chart, 0, side, L)
+    if L < 1:
+        raise CoverError("window L must be >= 1, not %d" % L)
+    if depth < 0:
+        raise CoverError("depth must be >= 0, not %d" % depth)
+    _check_base(base, f.vertex_map[v])
+    win = line_window(base, f.vertex_map[v], side, L)
     start = (v, 0)
     seen = {start}
     frontier = [(start, ())]
@@ -234,7 +230,7 @@ def escape_probe(f, v, side=LEFT, depth=None, L=None):
         for (u, i), path in frontier:
             for e, other in f.graph.incident(u):
                 hes = _oriented_image(f, e, u)
-                res = _trace_on_window(chart, win, i, hes, side)
+                res = _trace_on_window(base, win, i, hes, side)
                 if res is None:
                     continue
                 kind, val = res
@@ -258,43 +254,32 @@ def _oriented_image(f, e, tail):
     return tuple(f.host.twin[h] for h in reversed(w.half_edges))
 
 
-def _trace_on_window(chart, win, i, hes, side):
-    """Follow a base walk from window vertex x_i; stay on window edges or
-    report the escape departure.  Returns ("at", j), ("escape", chart he),
-    or None when the walk leaves through the non-escape side / the window."""
-    for bh in hes:
-        x = win.vertex(chart, i)
-        c = chart.slot_over(x, bh)
-        fwd = win.edge(i) if i < win.L else None
-        bwd = chart.twin[win.edge(i - 1)] if i > -win.L else None
-        if c == fwd:
+def _trace_on_window(base, win, i, hes, side):
+    """Follow a base walk from window vertex x_i, 0 <= i <= L, along the
+    window.  Returns ("at", j) where it ends, ("escape", (j, h)) when it
+    leaves x_j by h on the escape side, or None when it leaves through the
+    non-escape side, the end of the window or its negative part.
+
+    The walk is at x_j only by coming there along the window, and the
+    window's vertices are distinct in the cover, so its steps are told
+    apart from the window's by their base half-edges.
+    """
+    twin, pos, L = base.twin, base.slot_index, len(win) // 2
+    for h in hes:
+        back = twin[win[L + i - 1]]     # twin(e_{i-1}), out of x_i
+        if i < L and h == win[L + i]:
             i += 1
-            if i > win.L - 0:
-                return None
-        elif c == bwd:
+        elif h == back:
             i -= 1
             if i < 0:
                 return None  # leaves the non-negative part
-        elif _is_escape_slot(chart, win, i, c, side):
-            return ("escape", c)
-        else:
+        elif i == L:
             return None
+        else:
+            # the sector strictly cw from twin(incoming) to outgoing is
+            # left of the line; a left line escapes to the right
+            d = len(base.vertex_slots[base.origin[h]])
+            ia = pos[back]
+            on_left = 0 < (pos[h] - ia) % d < (pos[win[L + i]] - ia) % d
+            return ("escape", (i, h)) if on_left != (side == LEFT) else None
     return ("at", i)
-
-
-def _is_escape_slot(chart, win, i, c, side):
-    """Is slot c at window vertex x_i on the escape side of the line?
-
-    For a left line the escape side is the right: the slots strictly
-    clockwise from the outgoing window edge to the reversed incoming one.
-    """
-    if i >= win.L or i <= -win.L:
-        return False
-    pos = chart.base.slot_index
-    ia, ib, ic = (pos[chart.proj[h]]
-                  for h in (chart.twin[win.edge(i - 1)], win.edge(i), c))
-    d = len(chart.rot[win.vertex(chart, i)])
-    # sector strictly cw from twin(incoming) to outgoing = left of the line
-    on_left = 0 < (ic - ia) % d < (ib - ia) % d
-    escapes_right = side == LEFT
-    return not on_left if escapes_right else on_left

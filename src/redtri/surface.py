@@ -717,6 +717,10 @@ def records(text, handlers):
             raise FormatError("line %d: no %s= in %r"
                               % (n, exc.args[0], line.strip())) from None
         except ValueError as exc:
+            # dict() fails only on a field without exactly one `=`
+            stray = [p for p in parts[k:] if p.count("=") != 1]
+            if handle and stray:
+                exc = "field %r is not key=value" % stray[0]
             raise FormatError("line %d: %s in %r"
                               % (n, exc, line.strip())) from None
 

@@ -402,6 +402,8 @@ MALFORMED = [
      ["reduce", "{tri}", "{file}"]),
     ("walk-stray-field", "x.walk", "walk closed=0 start=0 he=0 junk\n",
      ["reduce", "{tri}", "{file}"]),
+    ("drw-field-with-two-equals", "x.drw", DRW.replace("walk=5", "walk=5=5"),
+     ["probe", "{tri}", "{file}", "--vertex", "0"]),
     ("walk-unknown-record", "x.walk", "walk closed=0 start=0 he=0\nbogus 1\n",
      ["reduce", "{tri}", "{file}"]),
     # half-edge 0 of doubled crown4 leaves vertex 0, not vertex 5
@@ -436,6 +438,16 @@ def test_malformed_input_exits_2(capsys, tmp_path, torus_path, name, text,
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field", ["junk", "he=0=5", "=x=", "a==b"])
+def test_stray_field_is_named(capsys, tmp_path, torus_path, field):
+    p = tmp_path / "x.walk"
+    p.write_text("walk closed=1 start=0 he=0,5 %s\n" % field)
+    code, out, err = run(capsys, "reduce", torus_path, str(p))
+    assert code == 2 and out == ""
+    assert err == ("error: line 1: field %r is not key=value in "
+                   "'walk closed=1 start=0 he=0,5 %s'\n" % (field, field))
 
 
 def test_probe_on_bounded_host_exits_2(capsys, tmp_path):

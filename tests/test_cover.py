@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from redtri import cover, drawing, surface, walkcalc
@@ -12,18 +14,13 @@ from redtri.cover import (
 )
 from redtri.walkcalc import Walk, turn_at
 
+import probe_oracle
+from conftest import random_drawing
+
 
 @pytest.fixture
 def chart(torus):
     return CoverChart(torus)
-
-
-def window_turns(chart, win):
-    """Turn values along the window; every one must be 3 (left) / -3
-    (right)."""
-    t = chart.triangulation()
-    return [turn_at(t, win.edge(i), win.edge(i + 1))
-            for i in range(-win.L, win.L - 1)]
 
 
 def test_chart_requires_closed_reducing():
@@ -119,32 +116,90 @@ def test_lift_into_a_wrapped_fan_raises(chart, torus):
         chart.lift_walk(w, 1)
 
 
-def test_line_window_turns(chart):
+def test_line_window_turns(torus):
     for side in (LEFT, RIGHT):
-        win = line_window(chart, 0, side, 4)
-        for tu in window_turns(chart, win):
+        win = line_window(torus, 0, side, 4)
+        for e1, e2 in zip(win, win[1:]):
+            tu = turn_at(torus, e1, e2)
             want = 3 if side == LEFT else tu.degree - 3
             assert tu.clockwise_steps == want
             assert tu.subscript == surface.RED
 
 
-def test_line_window_reduced_and_simple(chart):
-    win = line_window(chart, 0, LEFT, 5)
-    snap = chart.triangulation()
-    w = Walk.from_half_edges(snap, win.edges)
-    assert walkcalc.is_reduced(snap, w)
-    verts = [win.vertex(chart, i) for i in range(-5, 6)]
+def test_line_window_reduced_and_simple(torus):
+    win = line_window(torus, 0, LEFT, 5)
+    assert walkcalc.is_reduced(torus, Walk.from_half_edges(torus, win))
+    # its lift is simple: the oracle's chart window has distinct vertices
+    chart = CoverChart(torus)
+    lifted = probe_oracle.line_window(chart, 0, LEFT, 5)
+    verts = [lifted.vertex(chart, i) for i in range(-5, 6)]
     assert len(set(verts)) == len(verts)
 
 
-def test_line_window_straight_on_flat_chart(chart, torus):
-    # every torus chart vertex has degree 6: the window is the geodesic with
+def test_line_window_straight_on_flat_chart(torus):
+    # the torus vertex has degree 6: the window is the geodesic with
     # antipodal slots at every step
-    win = line_window(chart, 0, LEFT, 3)
-    for i in range(-3, 2):
-        e1, e2 = win.edge(i), win.edge(i + 1)
-        slots = chart.slots_cw(chart.head(e1))
-        assert slots.index(e2) == (slots.index(chart.twin[e1]) + 3) % 6
+    win = line_window(torus, 0, LEFT, 3)
+    pos = torus.slot_index
+    for e1, e2 in zip(win, win[1:]):
+        assert pos[e2] == (pos[torus.twin[e1]] + 3) % 6
+
+
+@pytest.mark.parametrize("L", [-1, -2])
+def test_line_window_rejects_negative_length(torus, L):
+    with pytest.raises(cover.CoverError, match="window L"):
+        line_window(torus, 0, LEFT, L)
+
+
+def test_line_windows_match_chart_oracle():
+    # every basepoint, both sides; the base window is the projection of
+    # the chart window the chart-growing code returned
+    for host in (surface.build_torus(),
+                 surface.double_with_gadgets(surface.crown(4)),
+                 surface.double_with_gadgets(surface.crown(6))):
+        for b in range(host.num_vertices):
+            for side in (LEFT, RIGHT):
+                chart = CoverChart(host, basepoint=b)
+                for L in (0, 1, 6, 40):
+                    oracle = probe_oracle.line_window(chart, 0, side, L)
+                    assert line_window(host, b, side, L) == tuple(
+                        chart.proj[e] for e in oracle.edges), (b, side, L)
+
+
+def test_escape_probes_match_chart_oracle(monkeypatch):
+    charts = []
+
+    class RecordedChart(CoverChart):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            charts.append(self)
+
+    monkeypatch.setattr(probe_oracle, "CoverChart", RecordedChart)
+    host = surface.double_with_gadgets(surface.crown(4))
+    escapes = 0
+    for seed in range(140):
+        rng = random.Random(seed)
+        f = random_drawing(host, rng, max_vertices=5)
+        while f.graph.num_vertices < 2:
+            f = random_drawing(host, rng, max_vertices=5)
+        v = rng.randrange(f.graph.num_vertices)
+        side = rng.choice((LEFT, RIGHT))
+        for L in (4, 12, 24, 48, 72):
+            got = escape_probe(f, v, side, L=L)
+            want = probe_oracle.escape_probe(f, v, side, L=L)
+            chart = charts.pop()
+            if isinstance(want, NoWitnessWithinBounds):
+                assert got == want, (seed, L)
+                continue
+            escapes += 1
+            assert isinstance(got, Escapes), (seed, L)
+            assert got.witness == want.witness, (seed, L)
+            i, h = got.exit
+            assert chart.proj[want.chart_exit] == h
+            # line_window rereads the grown chart: the same chart window
+            win = probe_oracle.line_window(chart, 0, side, L)
+            assert chart.origin[want.chart_exit] == win.vertex(chart, i)
+    assert 0 < escapes < 700
 
 
 def test_escape_probe_on_line(torus):
@@ -182,3 +237,33 @@ def test_escape_probe_two_steps(torus):
     assert isinstance(r, Escapes)
     assert len(r.witness) == 2
 
+
+
+@pytest.mark.parametrize("bounds", [{"L": 0}, {"L": -2}, {"depth": -1}])
+def test_escape_probe_bounds_range_checked(torus, bounds):
+    g = drawing.Graph(2, [(0, 1)])
+    f = drawing.Drawing(g, torus, [0, 0],
+                        [Walk.from_half_edges(torus, (5,), start=0)])
+    with pytest.raises(cover.CoverError, match="must be >="):
+        escape_probe(f, 0, LEFT, **bounds)
+
+
+def test_escape_probe_least_bounds(torus):
+    # the least window and depth the CLI accepts
+    g = drawing.Graph(1, [(0, 0)])
+    f = drawing.Drawing(g, torus, [0],
+                        [Walk.from_half_edges(torus, (0,), start=0)])
+    assert escape_probe(f, 0, LEFT, depth=0, L=1) == NoWitnessWithinBounds(0, 1)
+    assert escape_probe(f, 0, LEFT, L=1) == NoWitnessWithinBounds(2, 1)
+
+
+def test_escape_probe_stops_at_window_end(torus):
+    # the walk reaches x_L and leaves it by e_{-L}, which leaves x_{-L}
+    # over the same torus vertex: outside the window, not a step along it
+    first, last = line_window(torus, 0, LEFT, 1)
+    g = drawing.Graph(1, [(0, 0)])
+    f = drawing.Drawing(g, torus, [0],
+                        [Walk.from_half_edges(torus, (last, first), start=0)])
+    for side in (LEFT, RIGHT):
+        got = escape_probe(f, 0, side, L=1)
+        assert got == probe_oracle.escape_probe(f, 0, side, L=1)

@@ -11,8 +11,11 @@ corpus never reaches, on the seeds whose harmonization flips there.
 OUTPUT_GOLDEN_SHA256 covers the constructors: every `redtri fixtures`
 output, `write_tri` of seeded disk patches and of their crowned closures,
 and one `redtri stress` sweep.  CHART_GOLDEN_SHA256 covers cover charts:
-their half-edge tables, line windows and escape probes.  A change that is meant to alter the output
-must say so and update the constant.
+their half-edge tables, and the line windows and escape probes of the
+chart-growing oracle.  PROBE_GOLDEN_SHA256 covers the library's line
+windows and escape probes, which walk the base host, on the same cases.  A
+change that is meant to alter the output must say so and update the
+constant.
 """
 
 import hashlib
@@ -46,6 +49,8 @@ from conftest import (
     random_path,
     short_closed_walks,
 )
+from probe_oracle import escape_probe as chart_escape_probe
+from probe_oracle import line_window as chart_line_window
 from test_boundary import anchored_ends
 
 GOLDEN_SHA256 = (
@@ -291,9 +296,21 @@ CHART_GOLDEN_SHA256 = (
     "1fefa2e77516475441f9ba85e96b095280ea3cc290ba7e8c8ce6d12437aad3c5")
 
 
+def probe_cases():
+    """(seed, drawing, G-vertex, side, window) of the escape probes."""
+    doubled = surface.double_with_gadgets(surface.crown(4))
+    for seed in range(28):
+        rng = random.Random(seed)
+        f = random_drawing(doubled, rng, max_vertices=3, max_extra_edges=1)
+        v = rng.randrange(f.graph.num_vertices)
+        side = rng.choice((LEFT, RIGHT))
+        yield seed, f, v, side, 24 + 8 * (seed % 7)
+
+
 def chart_corpus():
     """(case name, text) for radius-2 charts of two hosts, line windows
-    through their vertex 0, and escape probes on doubled crown4."""
+    through their vertex 0, and escape probes on doubled crown4, all grown
+    by the chart oracle."""
     doubled = surface.double_with_gadgets(surface.crown(4))
     for name, host in (("torus", surface.build_torus()),
                        ("doubled crown4", doubled)):
@@ -304,23 +321,42 @@ def chart_corpus():
             chart.triangulation())
         for side in (LEFT, RIGHT):
             yield ("chart %s line %s" % (name, side),
-                   repr(line_window(chart, 0, side, 6).edges))
-    for seed in range(28):
-        rng = random.Random(seed)
-        f = random_drawing(doubled, rng, max_vertices=3, max_extra_edges=1)
-        v = rng.randrange(f.graph.num_vertices)
-        side = rng.choice((LEFT, RIGHT))
-        L = 24 + 8 * (seed % 7)
-        yield "probe seed %d" % seed, repr(escape_probe(f, v, side, L=L))
+                   repr(chart_line_window(chart, 0, side, 6).edges))
+    for seed, f, v, side, L in probe_cases():
+        yield "probe seed %d" % seed, repr(
+            chart_escape_probe(f, v, side, L=L))
 
 
-def chart_corpus_digest():
+def corpus_sha256(cases):
     sha = hashlib.sha256()
-    for name, text in chart_corpus():
+    for name, text in cases:
         sha.update(("# %s\n" % name).encode())
         sha.update(text.encode())
     return sha.hexdigest()
 
 
 def test_chart_golden_outputs():
-    assert chart_corpus_digest() == CHART_GOLDEN_SHA256
+    assert corpus_sha256(chart_corpus()) == CHART_GOLDEN_SHA256
+
+
+# the chart oracle's windows and probes projected to the base: the
+# windows' `proj`, and (i, proj of the chart exit) for escapes
+PROBE_GOLDEN_SHA256 = (
+    "d7c36b6ae1bf934b949e4630ae8c458e0814e3b31c5bf9a25dd69f46f42c4039")
+
+
+def probe_corpus():
+    """(case name, text) for the base line windows through vertex 0 of two
+    hosts and the escape probes of chart_corpus."""
+    for name, host in (("torus", surface.build_torus()),
+                       ("doubled crown4",
+                        surface.double_with_gadgets(surface.crown(4)))):
+        for side in (LEFT, RIGHT):
+            yield ("probe %s line %s" % (name, side),
+                   repr(line_window(host, 0, side, 6)))
+    for seed, f, v, side, L in probe_cases():
+        yield "probe seed %d" % seed, repr(escape_probe(f, v, side, L=L))
+
+
+def test_probe_golden_outputs():
+    assert corpus_sha256(probe_corpus()) == PROBE_GOLDEN_SHA256

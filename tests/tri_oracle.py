@@ -11,8 +11,8 @@ column by column.
 boundary chain starts with loops over single half-edges.  The checks that
 the reader gained since (the face index and its half-edge range-checked,
 a half-edge given twice rejected, a face record only for the smallest
-half-edge of its face, and only once) are added in the same per-record
-style.
+half-edge of its face, and only once, and a field that is not `key=value`
+named in its message) are added in the same per-record style.
 It is slow, but simple enough to trust; `test_surface.py` checks that
 `surface.read_tri` returns and raises exactly what this code does.
 
@@ -21,8 +21,6 @@ the validator as they were before the doubling was composed by offset
 arithmetic and the validator went column by column; `test_surface.py`
 checks that the new ones give equal tables and equal reports.
 """
-
-from itertools import repeat
 
 from redtri.surface import (
     BLUE,
@@ -136,9 +134,6 @@ class Triangulation:
         self.broken_rotation = frozenset(broken)
 
 
-_EQUALS = repeat("=")
-
-
 def records(text, handlers):
     """Hand each record of a line-oriented text format to its handler.
 
@@ -164,8 +159,10 @@ def records(text, handlers):
             if len(parts) <= k:
                 raise ValueError("too few fields")
             k += 1
-            # field.split("="), which dict() rejects unless it has two parts
-            handle(*parts[1:k], dict(map(str.split, parts[k:], _EQUALS)))
+            for field in parts[k:]:
+                if field.count("=") != 1:
+                    raise ValueError("field %r is not key=value" % field)
+            handle(*parts[1:k], dict(f.split("=") for f in parts[k:]))
         except KeyError as exc:
             raise FormatError("line %d: no %s= in %r"
                               % (n, exc.args[0], line.strip())) from None
