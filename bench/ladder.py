@@ -6,17 +6,22 @@ For each radius r = 4..10, builds `surface.build_disk_patch(r)` from a
 fixed seed and times `surface.read_tri` on its `write_tri` text and
 `surface.Triangulation` on its tables.  The anchored-extension ladder,
 r = 2..6, crowns each patch (`boundary.attach_crowns`) and times the
-closed doubled host's construction (`surface._double_with_gadgets_unchecked`)
-and `surface.validate_reducing` on it.  On the same patches it times the
-whole closed extension (`boundary.extend_for_harmonization`) of a path
-along four boundary edges, anchored at both ends.  The probe ladder
-times `cover.escape_probe` of a fixed three-vertex path drawn on doubled
-crown4, with windows L = 24..384.  Per rung it records the median of five
-runs and, from a separate run under `tracemalloc`, the peak of memory
-allocated during the call.  Each fitted exponent is the least-squares
-slope of log(median time) over log(half-edges of the host the call builds
-or reads), or over log(L) for the probe; 1.0 is linear.  Standard library
-only; it imports redtri from the `src/` of the checkout it sits in.
+closed doubled host's construction (`surface._double_with_gadgets_unchecked`),
+the host check the anchored extension makes (`surface.validate_reducing`
+of the patch plus that of the crowned patch, fitted over the crowned
+patch's half-edges), and `surface.validate_reducing` of the doubled host,
+the scan that check replaces.  On the same patches it times the whole
+closed extension (`boundary.extend_for_harmonization`) of a path along
+four boundary edges, anchored at both ends.  The probe ladder times
+`cover.escape_probe` of a fixed three-vertex path drawn on doubled crown4,
+with windows L = 3072..49152: from there on the window walk, not the
+probe's fixed-cost validation of the host (about 0.2 ms), takes most of
+the time.  Per rung it records the median of five runs and, from a
+separate run under `tracemalloc`, the peak of memory allocated during the
+call.  Each fitted exponent is the least-squares slope of log(median time)
+over log(half-edges of the host the call builds or reads), or over log(L)
+for the probe; 1.0 is linear.  Standard library only; it imports redtri
+from the `src/` of the checkout it sits in.
 Prints the JSON, and writes it to the -o file if one is given.
 """
 
@@ -42,7 +47,7 @@ from redtri.walkcalc import Walk  # noqa: E402
 SEED = 1
 RADII = range(4, 11)
 EXTENSION_RADII = range(2, 7)
-PROBE_WINDOWS = (24, 48, 96, 192, 384)
+PROBE_WINDOWS = (3072, 6144, 12288, 24576, 49152)
 REPEATS = 5
 
 
@@ -139,6 +144,8 @@ def main(argv=None):
             "radius": r, "crowned_half_edges": len(t0.next),
             "half_edges": len(doubled.next)}, {
             "doubling": lambda: surface._double_with_gadgets_unchecked(t0),
+            "host_check": lambda: (surface.validate_reducing(patch),
+                                   surface.validate_reducing(t0)),
             "validate_reducing": lambda: surface.validate_reducing(doubled),
             "extend": lambda: boundary.extend_for_harmonization(f, anchor)}))
 
@@ -159,6 +166,8 @@ def main(argv=None):
         "exponents": {**exponents(rungs, ("read_tri", "triangulation")),
                       **exponents(extension, ("doubling",
                                               "validate_reducing", "extend")),
+                      **exponents(extension, ("host_check",),
+                                  size="crowned_half_edges"),
                       **exponents(probe, ("probe",), size="L")},
     }
     text = json.dumps(report, indent=1) + "\n"

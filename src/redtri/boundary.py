@@ -4,14 +4,21 @@ An anchor pins ordered lists of graph vertices to boundary vertices of the
 host.  Harmonizing relative to an anchor closes the host: attach a crown to
 every boundary cycle, compose the doubled host from the result, its mirror
 and a 3-gadget per seam, and run the plain routine on the doubled drawing
-with tip edges holding the anchored vertices in place.  The first and last three crown spokes at every
-boundary vertex act as guards that no move may ever use.
+with tip edges holding the anchored vertices in place.  The first and last
+three crown spokes at every boundary vertex act as guards that no move may
+ever use.
+
+The host is validated by its parts: the input host before it is crowned,
+and the crowned host before it is doubled.  The doubled host is then closed
+and reducing by construction, so the plain routine does not scan it again:
+its mirror and gadget copies are offset copies of the checked crowned host
+and of the 3-gadget, and every seam vertex gains the gadget's corners.
 """
 
 from dataclasses import dataclass
 
 from .drawing import Drawing, Graph
-from .harmonizer import harmonize
+from .harmonizer import HarmonizerError, harmonize
 from .surface import (
     NO_TWIN,
     MapBuilder,
@@ -105,20 +112,27 @@ class GuardData:
     flat_hes: frozenset  # the half-edges of T
 
 
+def _require_reducing(t):
+    if not validate_reducing(t).ok:
+        raise HarmonizerError("host must be a closed reducing triangulation")
+
+
 def extend_for_harmonization(f, anchor):
     """Close the host and the drawing: crowns, mirror, gadgets, tip edges.
 
     Returns (f_closed, guard) where f_closed is a drawing on a closed
     reducing host and guard records the stems and guard edges.  G's ids
-    come first, then the tips', then those of G's mirror copy."""
+    come first, then the tips', then those of G's mirror copy.  Raises
+    HarmonizerError if f's host or its crowned host is not reducing."""
     t = f.host
     if t.is_closed():
         raise BoundaryError("host is already closed")
     anchor.validate(f)
+    _require_reducing(t)
     t0, spokes = attach_crowns(
         t, {x: len(vs) for x, vs in anchor.orders.items()})
-    # `harmonize` validates tdot, raising HarmonizerError if it is not a
-    # closed reducing host
+    # the doubled host is closed, and reducing because t0 is
+    _require_reducing(t0)
     tdot, mirr = _double_with_gadgets_unchecked(t0)
 
     def mirror(h):
@@ -163,14 +177,17 @@ def harmonize_rel_anchor(f, anchor, budget=None):
     fdot, guard = extend_for_harmonization(f, anchor)
 
     def audit(state, move):
-        for e, (base, _) in enumerate(state.fbar.edge_origin):
-            h = state.image[e]
+        # the extension starts clean, and a move changes only the edges at
+        # the vertices it marks dirty
+        incident, origin = state.gbar.incident, state.fbar.edge_origin
+        for e in sorted({e for v in state.dirty for e, _ in incident(v)}):
+            base, h = origin[e][0], state.image[e]
             if base in guard.stem_edges and h != guard.stem_edges[base]:
                 raise GuardViolation("stem edge %d was rewritten" % base)
             if h is not None and h in guard.guard_hes:
                 raise GuardViolation("edge %d moved onto a guard edge" % base)
 
-    f2, trace = harmonize(fdot, budget=budget, audit=audit)
+    f2, trace = harmonize(fdot, budget=budget, audit=audit, host_checked=True)
     g = f.graph
     vmap, emap = f2.vertex_map[:g.num_vertices], f2.edge_map[:g.num_edges()]
     for vs in anchor.orders.values():

@@ -731,16 +731,19 @@ def state_to_drawing(state):
                             edge_image=tuple(state.image)))
 
 
-def harmonize(f, budget=None, audit=None):
+def harmonize(f, budget=None, audit=None, *, host_checked=False):
     """Run the three-step routine until no move applies.
 
     Returns (drawing, trace).  Shortenings and balancings interrupt at every
     point and restart the routine; flips never touch the pinned root in
-    step 1.  Raises BudgetExhausted when the move budget runs out.
+    step 1.  Raises HarmonizerError unless f's host is a closed reducing
+    triangulation, and BudgetExhausted when the move budget runs out.
+    `host_checked=True` skips the host check, for a caller that built the
+    host from parts it has already checked (the anchored extension).
     """
     host = f.host
-    rep = validate_reducing(host)
-    if not rep.ok or not host.is_closed():
+    if not host_checked and (not validate_reducing(host).ok
+                             or not host.is_closed()):
         raise HarmonizerError("host must be a closed reducing triangulation")
     if host.genus() == 1:
         warnings.warn("torus host: harmonization may not terminate; "

@@ -69,6 +69,14 @@ def fan_disk(k):
     return b.build()
 
 
+def bowtie():
+    """Two triangles sharing only vertex 0, no side glued: vertex 0 is a
+    pinched boundary vertex, whose rotation the slot walk cannot close."""
+    return surface.Triangulation([1, 2, 0, 4, 5, 3], [surface.NO_TWIN] * 6,
+                                 [0, 1, 2, 0, 3, 4],
+                                 {0: surface.RED, 3: surface.BLUE})
+
+
 def closed_left_cycle(t, seed_he):
     """Follow 3-turns from seed_he until a half-edge repeats; the cycle part
     is a closed walk with 3-turns everywhere."""

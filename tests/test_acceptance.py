@@ -8,6 +8,7 @@ them on passing tests.
 import itertools
 import random
 from collections import deque
+from dataclasses import replace
 
 from redtri import boundary, surface, walkcalc
 from redtri import harmonizer as hz
@@ -29,6 +30,7 @@ from redtri.walkcalc import GOOD, Reduced, Stalled, Walk, classify, turn, turn_a
 
 import test_golden
 from conftest import (
+    backwards_boundary_drawing,
     boundary_path_drawing,
     closed_left_cycle,
     make_patch,
@@ -36,6 +38,7 @@ from conftest import (
     random_path,
 )
 from move_oracle import scan_balancing, scan_flip, scan_shortening
+from test_boundary import anchored_ends
 
 
 # -- shared helpers --------------------------------------------------------
@@ -641,12 +644,13 @@ def test_indexed_searches_match_scans(monkeypatch):
             split.refresh(state)
             assert components(split) == components(fresh)
 
-    def audited(f, budget=None, audit=None):
+    def audited(f, budget=None, audit=None, host_checked=False):
         def both(state, move):
             if audit is not None:
                 audit(state, move)
             check(state, move)
-        return hz.harmonize(f, budget=budget, audit=both)
+        return hz.harmonize(f, budget=budget, audit=both,
+                            host_checked=host_checked)
 
     monkeypatch.setattr(test_golden, "harmonize", audited)
     monkeypatch.setattr(boundary, "harmonize", audited)
@@ -677,7 +681,9 @@ def annulus_drawing(t, steps, detour_he=None):
     return Drawing(f.graph, t, f.vertex_map, emap)
 
 
-def test_boundary_guard():
+def boundary_guard_instances():
+    """Paths along the boundary of disk patches and of crowns, some with a
+    detour into the interior."""
     instances = []
     for seed in range(10):
         p = make_patch(seed, radius=2)
@@ -692,10 +698,14 @@ def test_boundary_guard():
         # anchored endpoints land on distinct host vertices
         steps = min(1 + i % 3, len(t.boundary_cycles()[0]) - 1)
         instances.append(annulus_drawing(t, steps=steps, detour_he=detour))
-    for f in instances:
+    return instances
+
+
+def test_boundary_guard():
+    for f in boundary_guard_instances():
         last = f.graph.num_vertices - 1
         assert f.vertex_map[0] != f.vertex_map[last]
-        a = Anchor({f.vertex_map[0]: [0], f.vertex_map[last]: [last]})
+        a = anchored_ends(f)
         fdot, guard = extend_for_harmonization(f, a)
         f2, trace = harmonize_rel_anchor(f, a)
         for g in (0, last):
@@ -710,6 +720,84 @@ def test_boundary_guard():
         per2, _ = f2.lengths()
         assert all(b <= a_ for a_, b in zip(per0, per2))
     print("boundary guard: 20 anchored instances, 0 guard violations")
+
+
+def full_scan_audit(guard):
+    """The guard audit as a scan of every edge after every move."""
+    def audit(state, move):
+        for e, (base, _) in enumerate(state.fbar.edge_origin):
+            h = state.image[e]
+            if base in guard.stem_edges and h != guard.stem_edges[base]:
+                raise boundary.GuardViolation(
+                    "stem edge %d was rewritten" % base)
+            if h is not None and h in guard.guard_hes:
+                raise boundary.GuardViolation(
+                    "edge %d moved onto a guard edge" % base)
+    return audit
+
+
+def test_guard_audit_matches_full_scan(monkeypatch):
+    """The anchored routine's audit reads only the edges at the vertices a
+    move marked dirty; after every move it raises exactly when the full scan
+    does, with the same message.  The corpus: the anchored golden cases,
+    the boundary-guard instances, an edge that would leave the host, and a
+    drawing anchored at one corner, whose first move rewrites a stem.  Each
+    runs twice, the second time with every half-edge its extension does
+    not use at the start added to the guards, so that moves run onto
+    guard edges."""
+    guards = []
+    extend = boundary.extend_for_harmonization
+
+    def extend_kept(f, anchor):
+        fdot, guard = extend(f, anchor)
+        if trap:
+            used = {h for w in fdot.edge_map for h in w.half_edges}
+            guard = replace(guard, guard_hes=guard.guard_hes | (
+                frozenset(range(len(fdot.host.next))) - used))
+        guards.append(guard)
+        return fdot, guard
+
+    def outcome(audit, state, move):
+        try:
+            audit(state, move)
+        except boundary.GuardViolation as exc:
+            return str(exc)
+        return None
+
+    seen = []
+
+    def side_by_side(f, budget=None, audit=None, host_checked=False):
+        oracle = full_scan_audit(guards[-1])
+
+        def both(state, move):
+            got = outcome(audit, state, move)
+            assert got == outcome(oracle, state, move)
+            seen.append(got)
+            if got is not None:
+                raise boundary.GuardViolation(got)
+        return hz.harmonize(f, budget=budget, audit=both,
+                            host_checked=host_checked)
+
+    monkeypatch.setattr(boundary, "extend_for_harmonization", extend_kept)
+    monkeypatch.setattr(boundary, "harmonize", side_by_side)
+    cases = [(f, a) for _, f, a in test_golden.anchored_cases()]
+    cases += [(f, anchored_ends(f)) for f in boundary_guard_instances()]
+    p = make_patch(1, radius=2)
+    f, orders = backwards_boundary_drawing(p)
+    x = p.tail(p.boundary_cycles()[0][0])
+    cases += [(f, Anchor(orders)),
+              (Drawing(Graph(1, []), p, [x], []), Anchor({x: [0]}))]
+    for trap in (False, True):
+        for f, a in cases:
+            try:
+                harmonize_rel_anchor(f, a)
+            except boundary.GuardViolation:
+                pass
+    raised = [m for m in seen if m is not None]
+    assert "stem edge 0 was rewritten" in raised
+    assert any(m.endswith("moved onto a guard edge") for m in raised)
+    print("guard audit: %d moves audited, %d violations, all as the full "
+          "scan" % (len(seen), len(raised)))
 
 
 # -- constructor validation ------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from redtri import surface
+from redtri import boundary, harmonizer, surface
 from redtri.boundary import (
     Anchor,
     BoundaryError,
@@ -10,12 +10,15 @@ from redtri.boundary import (
     harmonize_rel_anchor,
 )
 from redtri.drawing import Drawing, Graph
+from redtri.harmonizer import HarmonizerError
 from redtri.surface import validate_reducing
 from redtri.walkcalc import Walk
 
 from conftest import (
     backwards_boundary_drawing,
     boundary_path_drawing,
+    bowtie,
+    fan_disk,
     make_patch,
 )
 
@@ -90,6 +93,37 @@ def test_extension_host_valid(patch):
     assert fdot.host.is_closed()
     assert validate_reducing(fdot.host).ok
     assert fdot.host.genus() >= 2
+
+
+def test_anchored_run_validates_its_parts(monkeypatch, patch):
+    """The input host, then the crowned host, are validated once each, and
+    the doubled host not at all."""
+    sizes = []
+
+    def counted(t):
+        sizes.append(len(t.next))
+        return validate_reducing(t)
+
+    monkeypatch.setattr(boundary, "validate_reducing", counted)
+    monkeypatch.setattr(harmonizer, "validate_reducing", counted)
+    f = boundary_path_drawing(patch)
+    a = anchored_ends(f)
+    harmonize_rel_anchor(f, a)
+    t0 = attach_crowns(patch, {x: len(vs) for x, vs in a.orders.items()})[0]
+    assert sizes == [len(patch.next), len(t0.next)]
+
+
+def test_extension_rejects_non_reducing_host_before_crowning(monkeypatch):
+    def crown(*args):
+        raise AssertionError("a host that is not reducing was crowned")
+
+    monkeypatch.setattr(boundary, "attach_crowns", crown)
+    for t in (fan_disk(4), bowtie()):
+        h = t.boundary_cycles()[0][0]
+        f = Drawing(Graph(1, []), t, [t.tail(h)], [])
+        with pytest.raises(HarmonizerError, match="^host must be a closed "
+                           "reducing triangulation$"):
+            extend_for_harmonization(f, Anchor({t.tail(h): [0]}))
 
 
 def test_extension_rejects_closed_host():

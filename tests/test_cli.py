@@ -11,8 +11,8 @@ from redtri import drawing, surface
 from redtri.cli import main
 from redtri.walkcalc import Walk
 
-from conftest import (FUZZ_ALPHABET, backwards_boundary_drawing, edit_char,
-                      fan_disk, fixture_path, make_patch)
+from conftest import (FUZZ_ALPHABET, backwards_boundary_drawing, bowtie,
+                      edit_char, fan_disk, fixture_path, make_patch)
 
 
 def run(capsys, *argv):
@@ -227,10 +227,12 @@ def test_harmonize_anchors(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("name,host", [("degree-4 disk", lambda: fan_disk(4)),
-                                       ("crown5", lambda: surface.crown(5))])
+                                       ("crown5", lambda: surface.crown(5)),
+                                       ("bowtie", bowtie)])
 def test_harmonize_anchors_on_non_reducing_host(capsys, tmp_path, name, host):
-    """The closed extension of a host that is not reducing fails validation
-    in the harmonizer: exit 1 with one line, no traceback."""
+    """A host that is not reducing fails validation before it is crowned:
+    exit 1 with one line, no traceback, also when it is too malformed to
+    crown (the bowtie's pinched vertex)."""
     p = host()
     h = p.boundary_cycles()[0][0]
     g = drawing.Graph(2, [(0, 1)])

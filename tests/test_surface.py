@@ -20,8 +20,8 @@ from redtri.surface import (
 )
 
 import tri_oracle
-from conftest import (FUZZ_ALPHABET, edit_char, fan_disk, fixture_path,
-                      make_patch)
+from conftest import (FUZZ_ALPHABET, bowtie, edit_char, fan_disk,
+                      fixture_path, make_patch)
 
 
 def test_torus_counts(torus):
@@ -444,6 +444,22 @@ def test_doubling_matches_glued_oracle(name):
     assert vars(composed) == vars(glued)
     assert (surface.validate_reducing(composed)
             == tri_oracle.validate_reducing(glued))
+
+
+# the non-reducing hosts of the anchored CLI tests join the doubling hosts
+PART_CHECK_HOSTS = {**DOUBLING_HOSTS, "degree-4 disk": lambda: fan_disk(4),
+                    "crown5": lambda: surface.crown(5), "bowtie": bowtie}
+
+
+@pytest.mark.parametrize("name", sorted(PART_CHECK_HOSTS))
+def test_part_checks_agree_with_doubled_scan(name):
+    """The anchored extension validates a host and its crowned host instead
+    of the doubled host; all three are reducing or none is."""
+    t = PART_CHECK_HOSTS[name]()
+    t0 = attach_crowns(t, {})[0]
+    doubled = surface._double_with_gadgets_unchecked(t0)[0]
+    assert (validate_reducing(t).ok == validate_reducing(t0).ok
+            == validate_reducing(doubled).ok)
 
 
 VALIDATION_HOSTS = {
