@@ -16,12 +16,15 @@ four boundary edges, anchored at both ends.  The probe ladder times
 `cover.escape_probe` of a fixed three-vertex path drawn on doubled crown4,
 with windows L = 3072..49152: from there on the window walk, not the
 probe's fixed-cost validation of the host (about 0.2 ms), takes most of
-the time.  Per rung it records the median of five runs and, from a
+the time.  Per rung it records the least time of nine runs and, from a
 separate run under `tracemalloc`, the peak of memory allocated during the
-call.  Each fitted exponent is the least-squares slope of log(median time)
-over log(half-edges of the host the call builds or reads), or over log(L)
-for the probe; 1.0 is linear.  Standard library only; it imports redtri
-from the `src/` of the checkout it sits in.
+call.  The least time, not the median, because on a shared machine the
+median of five moved by up to 1.7x between runs of one commit, and the
+exponents by up to 0.25; other processes only ever add time.  Each fitted
+exponent is the least-squares slope of log(least time) over log(half-edges
+of the host the call builds or reads), or over log(L) for the probe; 1.0
+is linear.  Standard library only; it imports redtri from the `src/` of
+the checkout it sits in.
 Prints the JSON, and writes it to the -o file if one is given.
 """
 
@@ -48,17 +51,17 @@ SEED = 1
 RADII = range(4, 11)
 EXTENSION_RADII = range(2, 7)
 PROBE_WINDOWS = (3072, 6144, 12288, 24576, 49152)
-REPEATS = 5
+REPEATS = 9
 
 
-def median_s(call):
+def least_s(call):
     times = []
     for _ in range(REPEATS):
         gc.collect()
         t0 = time.perf_counter()
         call()
         times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    return min(times)
 
 
 def peak_mb(call):
@@ -100,7 +103,7 @@ def measure(rung, calls):
     """Time each call of calls into rung, and print the rung."""
     label = " ".join("%s=%d" % item for item in rung.items())
     for name, call in calls.items():
-        rung[name + "_s"] = median_s(call)
+        rung[name + "_s"] = least_s(call)
         rung[name + "_peak_mb"] = peak_mb(call)
     print("# %s: %s" % (label, ", ".join(
         "%s %.4f s" % (name, rung[name + "_s"]) for name in calls)),

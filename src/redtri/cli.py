@@ -40,6 +40,8 @@ def _read_file(path):
             return fh.read()
     except OSError as exc:
         raise InputError(str(exc))
+    except UnicodeDecodeError as exc:
+        raise InputError("%s: %s" % (path, exc))
 
 
 def _emit(text, path):

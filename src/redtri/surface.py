@@ -7,6 +7,8 @@ from h to next(twin(h)).  Loops and multi-edges are legal, so edges are
 never identified by vertex pairs.
 """
 
+import json
+import re
 from dataclasses import dataclass
 from functools import cache
 from itertools import count, repeat
@@ -110,9 +112,10 @@ class Triangulation:
             raise StructureError("half-edge tables have mismatched lengths")
         next_, twin, origin = tuple(next_), tuple(twin), tuple(origin)
         # every vertex has a half-edge, so vertex ids are below n as well
+        vertices = max(origin, default=-1) + 1
         if n and not (0 <= min(next_) and max(next_) < n
                       and NO_TWIN <= min(twin) and max(twin) < n
-                      and 0 <= min(origin) and max(origin) < n):
+                      and 0 <= min(origin) and vertices <= n):
             h = next(h for h in range(n)
                      if not (0 <= next_[h] < n and 0 <= origin[h] < n
                              and NO_TWIN <= twin[h] < n))
@@ -127,7 +130,7 @@ class Triangulation:
                                  % (face_color[i], faces[i][0]))
 
         boundary = tuple([h for h, t in enumerate(twin) if t == NO_TWIN])
-        out = [[] for _ in range((max(origin) + 1) if n else 0)]
+        out = [[] for _ in range(vertices)]
         for h, v in enumerate(origin):
             out[v].append(h)
         starts_at = {}
@@ -751,9 +754,9 @@ def write_tri(t):
 def read_tri(text):
     """The Triangulation of a `.tri` text.
 
-    Text in the layout `write_tri` emits is read column by column, in time
-    linear in its size (`_tri_columns`): one split of the text, each field
-    a column converted in one pass.  Text in any other layout (comments,
+    Text in the layout `write_tri` emits is read in time linear in its
+    size (`_tri_columns`): its bytes, translated, are one JSON list, parsed
+    once, whose slices are the columns.  Text in any other layout (comments,
     blank lines, other key orders, extra or duplicate keys, numbers that
     int() reads but write_tri does not write) goes record by record through
     `records` (`_tri_records`), which gives every FormatError.  Both read
@@ -827,7 +830,10 @@ def _tri_records(text, t=None):
 _TRI_SHAPE = b"tri \n"
 _HE_SHAPE = b"he  next= twin= origin=\n"
 _FACE_SHAPE = b"face  color=r he=\n"
-_NO_TWIN_TEXT = {"-": str(NO_TWIN)}
+# delete the letters of the keys and colors but the l of `color`, which
+# becomes a 0; `=` and line ends become blanks, a space before a field a comma
+_JSON_LIST = bytes.maketrans(b"=\n l", b"  ,0"), b"abcefghinortwx"
+_NO_VALUE = re.compile("=[ \n]")  # a key's digits would pass for the value
 
 
 def _tri_columns(text):
@@ -836,11 +842,14 @@ def _tri_columns(text):
 
     The layout is the header `tri n`, the n lines `he h next=.. twin=..
     origin=..` for h = 0..n-1 in order, then lines `face i color=.. he=..`,
-    each ending in a newline.  Text with its digits deleted must be that
-    skeleton: single spaces, `twin=-` for a boundary half-edge and the
-    colors r and b.  Then each field is a column of one split of the text,
-    converted in one pass; a key with a digit in it leaves a value that
-    fails int(), and an empty number leaves a field out.
+    each ending in a newline.  With its digits deleted, the text must be
+    that skeleton, with `twin=-` for a boundary half-edge and the colors r
+    and b, which give the face colors; and no value may be empty.  Then one
+    translation (_JSON_LIST) of the text after `tri `, with each `-` spelled
+    `-1 `, is a JSON list for one json.loads: n, four numbers per half-edge,
+    and three per face, the second the 0 of `color`.  A digit in a key, next
+    to a color or to a `-` leaves two numbers side by side or a number other
+    than that 0; json.loads rejects the first, and leading zeros.
     """
     if not (text.isascii() and text.startswith("tri ")):
         return None
@@ -848,41 +857,30 @@ def _tri_columns(text):
         n = int(text[4:text.index("\n")])
     except ValueError:
         return None
-    shape = (text.encode().translate(None, b"0123456789")
-             .replace(b"twin=-", b"twin=").replace(b"color=b", b"color=r"))
+    shape = text.encode().translate(None, b"0123456789").replace(
+        b"twin=-", b"twin=")
     faces, rest = divmod(len(shape) - len(_TRI_SHAPE) - n * len(_HE_SHAPE),
                          len(_FACE_SHAPE))
     if n < 0 or faces < 0 or rest or (
-            shape != _TRI_SHAPE + n * _HE_SHAPE + faces * _FACE_SHAPE):
+            shape.replace(b"color=b", b"color=r")
+            != _TRI_SHAPE + n * _HE_SHAPE + faces * _FACE_SHAPE
+            or _NO_VALUE.search(text)):
         return None
-    del shape
-    fields = text.split()
-    if len(fields) != 2 + 5 * n + 4 * faces:
-        return None
-    he, face = fields[2:2 + 5 * n], fields[2 + 5 * n:]
-    del fields
-    if (he[::5].count("he") != n or face[::4].count("face") != faces
-            or " ".join(he[1::5]) != " ".join(map(str, range(n)))):
-        return None
+    colors = shape[len(shape) - faces * len(_FACE_SHAPE)
+                   + _FACE_SHAPE.index(b"r ")::len(_FACE_SHAPE)].decode()
     try:
-        next_ = list(map(int, _values(he[2::5], "next=")))
-        twin = list(_values(he[3::5], "twin="))
-        twin = list(map(int, map(_NO_TWIN_TEXT.get, twin, twin)))
-        origin = list(map(int, _values(he[4::5], "origin=")))
-        del he
-        index = list(map(int, face[1::4]))
-        hes = list(map(int, _values(face[3::4], "he=")))
+        values = json.loads(b"[%s]" % text[4:].encode()
+                            .translate(*_JSON_LIST).replace(b"-", b"-1 "))
     except ValueError:
         return None
-    colors = list(_values(face[2::4], "color="))
-    if faces and not ({RED, BLUE}.issuperset(colors)
-                      and 0 <= min(index) and max(index) < n
+    m = 1 + 4 * n  # the faces' numbers start here
+    if (len(values) != m + 3 * faces or values[1:m:4] != list(range(n))
+            or any(values[m + 1::3])):
+        return None
+    index, hes = values[m::3], values[m + 2::3]
+    if faces and not (0 <= min(index) and max(index) < n
                       and 0 <= min(hes) and max(hes) < n):
         return None
     colors = dict(zip(hes, colors))
-    return (next_, twin, origin, colors) if len(colors) == faces else None
-
-
-def _values(column, key):
-    """The values of a column of `key=value` fields, one by one."""
-    return map(str.removeprefix, column, repeat(key))
+    return ((values[2:m:4], values[3:m:4], values[4:m:4], colors)
+            if len(colors) == faces else None)

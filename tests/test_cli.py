@@ -426,6 +426,14 @@ MALFORMED = [
                                       "0", "--depth", "-1"]),
     ("sizes-zero", "unused", "", ["stress", "--sizes", "0"]),
     ("count-negative", "unused", "", ["stress", "--count", "-1"]),
+    # files that are not UTF-8 text, given as bytes
+    ("tri-not-utf-8", "x.tri", b"\xff\xfe garbage", ["validate", "{file}"]),
+    ("tri-latin-1-comment", "x.tri", TORUS_TRI.encode() + b"# caf\xe9\n",
+     ["validate", "{file}"]),
+    ("drw-not-utf-8", "x.drw", DRW.encode().replace(b"walk=5", b"walk=\xb5"),
+     ["harmonize", "{tri}", "{file}"]),
+    ("walk-not-utf-8", "x.walk", b"walk closed=0 start=0 he=0\x80\n",
+     ["reduce", "{tri}", "{file}"]),
 ]
 
 
@@ -435,7 +443,10 @@ MALFORMED = [
 def test_malformed_input_exits_2(capsys, tmp_path, torus_path, name, text,
                                  argv):
     p = tmp_path / name
-    p.write_text(text)
+    if isinstance(text, bytes):
+        p.write_bytes(text)
+    else:
+        p.write_text(text)
     argv = [a.format(tri=torus_path, file=str(p)) for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""

@@ -298,6 +298,23 @@ TRI_VARIANTS = {
                                     r"[a-z]{2,}")),
     "no twin=-": lambda ls, rng: _at(
         ls, rng, lambda s: s.replace(" twin=-", "")),
+    # what the column reader's JSON list must reject, or read as int() does
+    "twin=-0": lambda ls, rng: _somewhere(
+        ls, rng, r"(?<=twin=)-(?= )", lambda d: "-0"),
+    "twin=-1": lambda ls, rng: _somewhere(
+        ls, rng, r"(?<=twin=)-(?= )", lambda d: "-1"),
+    "twin=-05": lambda ls, rng: _somewhere(
+        ls, rng, r"(?<=twin=)-?\d*", lambda d: "-0" + (d.strip("-") or "1")),
+    "sign on next or origin": lambda ls, rng: _somewhere(
+        ls, rng, r"(?<=next=)\d+|(?<=origin=)\d+",
+        lambda d: rng.choice(("+", "-", "+0", "-0")) + d),
+    **{"digit in %s" % key: lambda ls, rng, key=key: _somewhere(
+        ls, rng, r"\b%s\b" % key, lambda w: _split_word(w, rng))
+       for key in ("twin", "origin", "he", "face", "next", "color")},
+    "value moved": lambda ls, rng: _moved_value(ls, rng),
+    "other color": lambda ls, rng: _somewhere(
+        ls, rng, r"(?<=color=)[rb]", lambda c: rng.choice(
+            ("g", "R", "", "0", "1", "rr", "rb", "1r", "r0", "b5"))),
 }
 
 
@@ -306,6 +323,28 @@ def _at(lines, rng, change):
     i = rng.randrange(len(lines))
     lines[i] = change(lines[i])
     return lines
+
+
+def _somewhere(lines, rng, pattern, spell):
+    """lines with one line that matches pattern respelled by _respell, or
+    unchanged if no line matches."""
+    hits = [i for i, line in enumerate(lines) if re.search(pattern, line)]
+    if not hits:
+        return lines
+    lines = list(lines)
+    i = rng.choice(hits)
+    lines[i] = _respell(lines[i], rng, spell, pattern)
+    return lines
+
+
+def _moved_value(lines, rng):
+    """lines with the digits of one value moved up to 8 characters away,
+    into its key, the next key or the next line's keyword, say."""
+    text = "\n".join(lines)
+    m = rng.choice(list(re.finditer(r"(?<==)\d+", text)))
+    text = text[:m.start()] + text[m.end():]
+    k = rng.randint(max(0, m.start() - 8), min(len(text), m.start() + 8))
+    return (text[:k] + m.group() + text[k:]).split("\n")
 
 
 def _insert(lines, rng, line):
