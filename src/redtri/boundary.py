@@ -37,6 +37,10 @@ class GuardViolation(BoundaryError):
     """A move touched a stem or guard edge, or G's image left the host."""
 
 
+class AnchorError(BoundaryError):
+    """An anchor that does not fit the drawing: malformed input."""
+
+
 class Anchor:
     """Ordered lists of G-vertices per boundary T-vertex."""
 
@@ -46,19 +50,19 @@ class Anchor:
         for vs in self.orders.values():
             for v in vs:
                 if v in seen:
-                    raise BoundaryError("vertex %d anchored twice" % v)
+                    raise AnchorError("vertex %d anchored twice" % v)
                 seen.add(v)
 
     def validate(self, f):
         t = f.host
         for x, vs in self.orders.items():
             if not (0 <= x < t.num_vertices) or not t.is_boundary_vertex(x):
-                raise BoundaryError("anchor at non-boundary vertex %d" % x)
+                raise AnchorError("anchor at non-boundary vertex %d" % x)
             for v in vs:
                 if not 0 <= v < len(f.vertex_map):
-                    raise BoundaryError("anchored vertex %d out of range" % v)
+                    raise AnchorError("anchored vertex %d out of range" % v)
                 if f.vertex_map[v] != x:
-                    raise BoundaryError(
+                    raise AnchorError(
                         "anchored vertex %d is not drawn at %d" % (v, x))
 
 
@@ -109,7 +113,6 @@ def attach_crowns(t, need):
 class GuardData:
     guard_hes: frozenset  # half-edges no move may use
     stem_edges: dict     # G•-edge id -> its fixed image half-edge
-    flat_hes: frozenset  # the half-edges of T
 
 
 def _require_reducing(t):
@@ -163,7 +166,7 @@ def extend_for_harmonization(f, anchor):
     guard = frozenset(g for run in spokes.values()
                       for e in run[:3] + run[-3:]
                       for h in (e, t0.twin[e]) for g in (h, mirr + h))
-    return fdot, GuardData(guard, stem_edges, frozenset(range(len(t.next))))
+    return fdot, GuardData(guard, stem_edges)
 
 
 def harmonize_rel_anchor(f, anchor, budget=None):
@@ -198,7 +201,7 @@ def harmonize_rel_anchor(f, anchor, budget=None):
         if len(w) > len(f.edge_map[e]):
             raise GuardViolation("edge %d grew" % e)
         for h in w.half_edges:
-            if h not in guard.flat_hes:
+            if h >= len(f.host.next):
                 raise GuardViolation(
                     "edge %d left the host at half-edge %d" % (e, h))
     for v, x in enumerate(vmap):

@@ -10,9 +10,10 @@ import argparse
 import functools
 import random
 import sys
+import warnings
 
 from . import boundary, cover, drawing, harmonizer, surface, walkcalc
-from .boundary import Anchor, BoundaryError
+from .boundary import Anchor, AnchorError, BoundaryError
 from .cover import CoverError
 from .drawing import DrawingError, read_drawing, write_drawing
 from .harmonizer import HarmonizerError, harmonize, write_trace
@@ -325,7 +326,7 @@ def _parser():
 # command cannot work on, exits 2; a failure of the routine itself exits 1
 FAILURES = (
     ((InputError, FormatError, StructureError, DrawingError, WalkError,
-      BoundaryTurnError, CoverError), EXIT_INPUT, "error"),
+      BoundaryTurnError, CoverError, AnchorError), EXIT_INPUT, "error"),
     ((HarmonizerError, BoundaryError), EXIT_DOMAIN, "harmonize failed"),
     ((ReductionStalled,), EXIT_DOMAIN, "reduction stalled"),
 )
@@ -346,7 +347,11 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         _check_numbers(args)
-        return args.func(args)
+        with warnings.catch_warnings():
+            # one line per warning, without Python's source location
+            warnings.showwarning = lambda message, *_: sys.stderr.write(
+                "warning: %s\n" % message)
+            return args.func(args)
     except Exception as exc:
         for errors, code, prefix in FAILURES:
             if isinstance(exc, errors):

@@ -155,10 +155,6 @@ class CoverChart(MapBuilder):
             cur = self.head(c)
         return tuple(out)
 
-    def triangulation(self):
-        """Immutable snapshot (for validation and turn arithmetic)."""
-        return self.build()
-
 
 def line_window(base, v, side, L):
     """The window e_{-L} .. e_{L-1} of the left/right line through base

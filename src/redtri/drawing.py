@@ -74,16 +74,15 @@ class Drawing:
 class SimplicialDrawing:
     """Subdivided graph with one vertex per unit of image length.
 
-    Vertices 0..n-1 are the original G-vertices; subdivision vertices carry
-    (edge id, index) provenance.  Every edge maps to a single half-edge or to
-    a vertex (image None).
+    Vertices 0..n-1 are the original G-vertices; subdivision vertices
+    follow, edge by edge.  Every edge maps to a single half-edge or to a
+    vertex (image None).
     """
 
     graph: object            # the subdivided graph
     host: object
     vertex_map: tuple        # per vertex, a T-vertex
     edge_image: tuple        # per edge, half-edge id or None
-    provenance: tuple        # per vertex, None or (G-edge id, index)
     edge_origin: tuple       # per edge, (G-edge id, segment index)
     base_graph: object
 
@@ -92,7 +91,6 @@ def factor_simplicial(f):
     """Subdivide every edge whose image walk has length >= 2."""
     g, t = f.graph, f.host
     vmap = list(f.vertex_map)
-    prov = [None] * g.num_vertices
     edges = []
     eimg = []
     eorig = []
@@ -111,14 +109,13 @@ def factor_simplicial(f):
             else:
                 nxt = len(vmap)
                 vmap.append(t.head(h))
-                prov.append((i, j))
             edges.append((prev, nxt))
             eimg.append(h)
             eorig.append((i, j))
             prev = nxt
     gbar = Graph(len(vmap), edges)
-    return SimplicialDrawing(gbar, t, tuple(vmap), tuple(eimg), tuple(prov),
-                             tuple(eorig), g)
+    return SimplicialDrawing(gbar, t, tuple(vmap), tuple(eimg), tuple(eorig),
+                             g)
 
 
 def unfactor(fbar):
@@ -217,7 +214,10 @@ def read_drawing(text, host):
         walks.append(int_list(fields["walk"], len(host.next)))
 
     def anchor_at(x, fields):
-        anchor[int(x)] = list(int_list(fields["order"]))
+        x = int(x)
+        if x in anchor:
+            raise ValueError("a second anchor at %d" % x)
+        anchor[x] = list(int_list(fields["order"]))
 
     records(text, {"vertex": (3, vertex), "edge": (3, edge),
                    "anchor": (1, anchor_at)})

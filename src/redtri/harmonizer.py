@@ -22,7 +22,9 @@ split-graph components that hold its corner copies.
 
 import heapq
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
+from graphlib import CycleError, TopologicalSorter
 
 from .drawing import factor_simplicial, unfactor
 from .surface import BLUE, RED, UnionFind, int_list, records, validate_reducing
@@ -146,17 +148,6 @@ class State(UnionFind):
         if v != self.version:
             raise StaleMoveError("move built for version %d, state at %d"
                                  % (v, self.version))
-
-    def check_consistent(self):
-        assert self.length == len(self.image) - self.image.count(None)
-        for e, (u, v) in enumerate(self.gbar.edges):
-            h = self.image[e]
-            ru, rv = self.find(u), self.find(v)
-            if h is None:
-                assert ru == rv
-            else:
-                assert self.host.tail(h) == self.target[ru], e
-                assert self.host.head(h) == self.target[rv], e
 
 
 class _Candidates:
@@ -333,10 +324,6 @@ def _pivot(run):
     """A shortening's pivot: the first slot of a run of one or two, the
     middle one of a run of three."""
     return run[(len(run) - 1) // 2]
-
-
-def shortening_at(state, r):
-    return _shortening(state, r, _corner(state, r))
 
 
 def _shortening(state, r, corner):
@@ -632,31 +619,24 @@ def left_blue_direction(state):
 
 
 def proper_monotonic_ordering(state, digraph):
+    """The clusters layer by layer from the single source, each layer
+    sorted; a cluster's in-edges all come from earlier layers."""
     verts = state.cluster_vertices()
-    indeg = {v: 0 for v in verts}
-    adj = {v: [] for v in verts}
-    for e, (a, b) in digraph.items():
+    graph = TopologicalSorter({v: () for v in verts})
+    for a, b in digraph.values():
         if a == b:
             raise HarmonizerError("loop edge in digraph")
-        indeg[b] += 1
-        adj[a].append(b)
-    sources = sorted(v for v in verts if indeg[v] == 0)
-    if len(sources) != 1:
+        graph.add(b, a)
+    with suppress(CycleError):  # get_ready still yields the acyclic part
+        graph.prepare()
+    layer = sorted(graph.get_ready())
+    if len(layer) != 1:
         raise HarmonizerError("not a single-source digraph")
     order = []
-    layer = sources
-    remaining = dict(indeg)
-    seen = set(layer)
     while layer:
-        order.extend(sorted(layer))
-        nxt = set()
-        for v in layer:
-            for w in adj[v]:
-                remaining[w] -= 1
-                if remaining[w] == 0 and w not in seen:
-                    nxt.add(w)
-                    seen.add(w)
-        layer = sorted(nxt)
+        order += layer
+        graph.done(*layer)
+        layer = sorted(graph.get_ready())
     if len(order) != len(verts):
         raise HarmonizerError("digraph is cyclic")
     return order

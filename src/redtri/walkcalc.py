@@ -34,7 +34,7 @@ number of steps by O(L): the budget is the only limit.
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .surface import NO_TWIN, RED, FormatError, int_list, records
+from .surface import RED, FormatError, int_list, records
 
 GOOD = "good"
 BAD = "bad"
@@ -105,29 +105,6 @@ class Walk:
     def end(self, t):
         return t.head(self.half_edges[-1]) if self.half_edges else self.start
 
-    def reversed(self, t):
-        hes = tuple(t.twin[h] for h in reversed(self.half_edges))
-        if any(h == NO_TWIN for h in hes):
-            raise WalkError("cannot reverse across a boundary edge")
-        return Walk.from_half_edges(t, hes, self.closed, start=self.start)
-
-
-def corner_positions(w):
-    """Corner i sits between edges i-1 and i; closed walks wrap at i = 0."""
-    n = len(w.half_edges)
-    if w.closed:
-        return range(n) if n else range(0)
-    return range(1, n)
-
-
-def turn(t, w, i):
-    hes = w.half_edges
-    e1 = hes[i - 1] if i > 0 else hes[-1]
-    if i == 0 and not w.closed:
-        raise WalkError("position 0 of an open walk has no turn")
-    e2 = hes[i]
-    return turn_at(t, e1, e2)
-
 
 def _slot_position(t, slots, h):
     """Position of h among `slots`; WalkError if it is not one of them, as
@@ -165,7 +142,10 @@ def classify(turn_):
 
 
 def is_reduced(t, w):
-    return all(classify(turn(t, w, i)) == GOOD for i in corner_positions(w))
+    """Whether every corner of w, the wrap corner first, is good."""
+    hes = w.half_edges
+    pairs = zip(hes[-1:] + hes, hes) if w.closed else zip(hes, hes[1:])
+    return all(classify(turn_at(t, a, b)) == GOOD for a, b in pairs)
 
 
 def _rewrite(t, e1, e2, k):

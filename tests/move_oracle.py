@@ -1,5 +1,6 @@
 """The full-scan move searches that `redtri.harmonizer` used before its
-incremental indexes, kept as test oracles, and the ordering checker.
+incremental indexes, kept as test oracles, the per-cluster shortening
+query, the state's invariant check and the ordering checker.
 
 `scan_flip` and `scan_shortening` try every cluster in sorted order;
 `scan_balancing` rebuilds the corner-copy split graph of each color from
@@ -15,12 +16,31 @@ from redtri.harmonizer import (
     CW,
     Balancing,
     InvariantError,
+    _corner,
     _corner_of,
     _rotation_shortens,
+    _shortening,
     flip_at,
-    shortening_at,
 )
 from redtri.surface import BLUE, RED, UnionFind
+
+
+def shortening_at(state, r):
+    return _shortening(state, r, _corner(state, r))
+
+
+def check_consistent(state):
+    """Assert that the kept length and every edge image agree with the
+    clusters and their targets."""
+    assert state.length == len(state.image) - state.image.count(None)
+    for e, (u, v) in enumerate(state.gbar.edges):
+        h = state.image[e]
+        ru, rv = state.find(u), state.find(v)
+        if h is None:
+            assert ru == rv
+        else:
+            assert state.host.tail(h) == state.target[ru], e
+            assert state.host.head(h) == state.target[rv], e
 
 
 def scan_flip(state, skip=()):

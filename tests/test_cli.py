@@ -12,7 +12,8 @@ from redtri.cli import main
 from redtri.walkcalc import Walk
 
 from conftest import (FUZZ_ALPHABET, backwards_boundary_drawing, bowtie,
-                      edit_char, fan_disk, fixture_path, make_patch)
+                      boundary_path_drawing, edit_char, fan_disk,
+                      fixture_path, make_patch)
 
 
 def run(capsys, *argv):
@@ -258,6 +259,38 @@ def test_harmonize_anchors_backwards_along_boundary(capsys, tmp_path):
                    "%d\n" % len(p.next))
 
 
+# anchor records that do not fit a path along the boundary: (case, records
+# with {0}, {1} for the boundary vertices that G-vertices 0 and 1 are drawn
+# at, the error line with {line} for the second record's)
+MALFORMED_ANCHORS = [
+    ("interior-vertex", "anchor 0 order=0\n",
+     "anchor at non-boundary vertex 0"),
+    ("not-drawn-there", "anchor {1} order=0\n",
+     "anchored vertex 0 is not drawn at {1}"),
+    ("vertex-in-two-orders", "anchor {0} order=0\nanchor {1} order=0,1\n",
+     "vertex 0 anchored twice"),
+    ("second-record", "anchor {0} order=0\nanchor {0} order=0\n",
+     "line {line}: a second anchor at {0} in 'anchor {0} order=0'"),
+]
+
+
+@pytest.mark.parametrize("lines,message",
+                         [case[1:] for case in MALFORMED_ANCHORS],
+                         ids=[case[0] for case in MALFORMED_ANCHORS])
+def test_harmonize_malformed_anchors_exit_2(capsys, tmp_path, lines,
+                                            message):
+    p = make_patch(1, radius=2)
+    f = boundary_path_drawing(p, steps=2)
+    tp, dp = write_drawing_files(tmp_path, p, f)
+    with open(dp, "a") as fh:
+        fh.write(lines.format(*f.vertex_map))
+    # the second record comes two lines after the drawing's own
+    line = drawing.write_drawing(f).count("\n") + 2
+    code, out, err = run(capsys, "harmonize", tp, dp, "--anchors")
+    assert (code, out) == (2, "")
+    assert err == "error: %s\n" % message.format(*f.vertex_map, line=line)
+
+
 def test_harmonize_budget_domain_failure(capsys, tmp_path):
     host = surface.double_with_gadgets(surface.crown(4))
     tp, dp = write_drawing_files(tmp_path, host, spur_drawing(host))
@@ -369,8 +402,13 @@ DRW = "vertex 0 at 0\nvertex 1 at 0\nedge 0 0 1 walk=5\n"
 
 TORUS_TRI = surface.write_tri(surface.build_torus())
 # (case, file name, its text, command line with {tri} and {file} for the
-# torus fixture and the malformed file)
+# torus fixture and the malformed file[, the exact error message])
 MALFORMED = [
+    ("tri-empty", "x.tri", "", ["validate", "{file}"], "missing tri header"),
+    ("tri-comment-only", "x.tri", "# no records\n\n", ["validate", "{file}"],
+     "missing tri header"),
+    ("tri-header-twice", "x.tri", "tri 6\ntri 6\n", ["validate", "{file}"],
+     "line 2: a second header in 'tri 6'"),
     ("tri-not-a-number", "x.tri", "tri x\n", ["validate", "{file}"]),
     ("tri-missing-twin", "x.tri", "tri 1\nhe 0 next=0 origin=0\n",
      ["validate", "{file}"]),
@@ -408,6 +446,19 @@ MALFORMED = [
      ["probe", "{tri}", "{file}", "--vertex", "0"]),
     ("walk-unknown-record", "x.walk", "walk closed=0 start=0 he=0\nbogus 1\n",
      ["reduce", "{tri}", "{file}"]),
+    ("walk-closed-2", "x.walk", "walk closed=2 start=0 he=0\n",
+     ["reduce", "{tri}", "{file}"],
+     "line 1: closed must be 0 or 1 in 'walk closed=2 start=0 he=0'"),
+    # the torus fixture has one vertex
+    ("walk-start-off-host", "x.walk", "walk closed=0 start=9 he=-\n",
+     ["reduce", "{tri}", "{file}"],
+     "line 1: start vertex 9 out of range in 'walk closed=0 start=9 he=-'"),
+    ("walk-two-records", "x.walk", "walk closed=0 start=0 he=0\n" * 2,
+     ["reduce", "{tri}", "{file}"], "expected one walk record, found 2"),
+    ("walk-no-record", "x.walk", "# no walk\n", ["reduce", "{tri}", "{file}"],
+     "expected one walk record, found 0"),
+    ("drw-anchored-vertex-off-graph", "x.drw", DRW + "anchor 0 order=0,2\n",
+     ["harmonize", "{tri}", "{file}"], "anchored vertex out of range"),
     # half-edge 0 of doubled crown4 leaves vertex 0, not vertex 5
     ("walk-start-not-tail", "x.walk", "walk closed=0 start=5 he=0\n",
      ["reduce", fixture_path("doubled_crown4.tri"), "{file}"]),
@@ -437,11 +488,12 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("name,text,argv",
-                         [case[1:] for case in MALFORMED],
+@pytest.mark.parametrize("name,text,argv,message",
+                         [(*case[1:4], case[4] if len(case) > 4 else None)
+                          for case in MALFORMED],
                          ids=[case[0] for case in MALFORMED])
 def test_malformed_input_exits_2(capsys, tmp_path, torus_path, name, text,
-                                 argv):
+                                 argv, message):
     p = tmp_path / name
     if isinstance(text, bytes):
         p.write_bytes(text)
@@ -451,6 +503,8 @@ def test_malformed_input_exits_2(capsys, tmp_path, torus_path, name, text,
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if message is not None:
+        assert err == "error: %s\n" % message
 
 
 @pytest.mark.parametrize("field", ["junk", "he=0=5", "=x=", "a==b"])
@@ -470,6 +524,15 @@ def test_probe_on_bounded_host_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "probe", tp, dp, "--vertex", "0")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_harmonize_torus_warns_in_one_line(capsys, tmp_path, torus_path):
+    dp = tmp_path / "f.drw"
+    dp.write_text(DRW)
+    code, out, err = run(capsys, "harmonize", torus_path, str(dp))
+    assert code == 0 and out.startswith("vertex 0 at 0\n")
+    assert err == ("warning: torus host: harmonization may not terminate; "
+                   "budget applies\n")
 
 
 # -- fuzzing: mutated inputs never escape as a traceback ---------------------

@@ -38,14 +38,14 @@ def test_chart_basepoint_range_checked(torus, basepoint):
 def test_expand_radius_zero(chart):
     chart.expand(0)
     assert chart.star_complete(0)
-    snap = chart.triangulation()
+    snap = chart.build()
     assert snap.degree(0) == 6
     assert not snap.is_boundary_vertex(0)
 
 
 def test_expand_radius_two_degrees(chart):
     chart.expand(2)
-    snap = chart.triangulation()
+    snap = chart.build()
     dist = chart._distances()
     for v in range(snap.num_vertices):
         if dist[v] is not None and dist[v] <= 2:

@@ -60,7 +60,8 @@ def test_factor_simplicial_subdivides(torus):
     # one edge of length 3 gains 2 interior vertices
     assert fb.graph.num_vertices == 2 + 2
     assert fb.graph.num_edges() == 3
-    assert fb.provenance[2] == (0, 0) and fb.provenance[3] == (0, 1)
+    assert fb.edge_origin == ((0, 0), (0, 1), (0, 2))
+    assert fb.vertex_map[2:] == tuple(map(torus.head, (0, 5)))
     assert all(h is not None for h in fb.edge_image)
 
 

@@ -318,7 +318,7 @@ def chart_corpus():
         yield "chart %s" % name, repr((chart.next, chart.twin, chart.origin,
                                        chart.proj, chart.proj_v))
         yield "chart %s snapshot" % name, surface.write_tri(
-            chart.triangulation())
+            chart.build())
         for side in (LEFT, RIGHT):
             yield ("chart %s line %s" % (name, side),
                    repr(chart_line_window(chart, 0, side, 6).edges))

@@ -25,14 +25,13 @@ from redtri.harmonizer import (
     left_blue_direction,
     proper_monotonic_ordering,
     read_trace,
-    shortening_at,
     write_trace,
 )
 from redtri.surface import BLUE, RED
 from redtri.walkcalc import Walk
 
 from conftest import closed_left_cycle, random_drawing
-from move_oracle import is_proper_monotonic
+from move_oracle import check_consistent, is_proper_monotonic, shortening_at
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +75,7 @@ def test_flip_found_and_applied(doubled):
     assert m.target == t.head(mid)
     before = st.total_length()
     apply_flip(st, m)
-    st.check_consistent()
+    check_consistent(st)
     assert st.total_length() == before
     assert st.target[st.find(1)] == t.head(mid)
 
@@ -126,7 +125,7 @@ def test_shortening_one_slot(doubled):
     assert m is not None and m.run == (s1,)
     assert m.target == doubled.head(s1)
     apply_shortening(st, m)
-    st.check_consistent()
+    check_consistent(st)
     assert st.total_length() == 0
     assert st.find(0) == st.find(1)
 
@@ -138,7 +137,7 @@ def test_shortening_two_slots(doubled):
     m = shortening_at(st, 0)
     assert m is not None and m.run == (s1, s2)
     apply_shortening(st, m)
-    st.check_consistent()
+    check_consistent(st)
     assert st.total_length() == 1
     assert st.target[st.find(0)] == t.head(s1)
     # the surviving edge runs from head(s1) to head(s2)
@@ -153,7 +152,7 @@ def test_shortening_three_slots(doubled):
     m = shortening_at(st, 0)
     assert m is not None and m.run == (s1, s2, s3)
     apply_shortening(st, m)
-    st.check_consistent()
+    check_consistent(st)
     assert st.total_length() == 2
     assert st.target[st.find(0)] == t.head(s2)
 
@@ -235,7 +234,7 @@ def test_corner_classifier_exhaustive(doubled):
             s1, s2, mid = flip
             assert (m.s1, m.s2, m.target) == (s1, s2, t.head(mid))
             apply_flip(st, m)
-            st.check_consistent()
+            check_consistent(st)
             assert st.target[st.find(0)] == t.head(mid)
             want = {s1: nxt[nxt[twn[s1]]], s2: twn[nxt[s2]]}
             assert [image_out_of_0(st, e) for e in range(len(used))] == \
@@ -258,7 +257,7 @@ def test_corner_classifier_exhaustive(doubled):
                 to = run[1]
             assert m.target == t.head(to)
             apply_shortening(st, m)
-            st.check_consistent()
+            check_consistent(st)
             assert st.target[st.find(0)] == t.head(to)
             assert [image_out_of_0(st, e) for e in range(len(used))] == \
                 [want[s] for s in used]
@@ -376,7 +375,7 @@ def test_balancing_left_pull_l1(doubled):
     assert set(v for v, _ in m.movers) == {st.find(i) for i in range(len(cyc))}
     before = st.total_length()
     apply_balancing(st, m)
-    st.check_consistent()
+    check_consistent(st)
     assert st.total_length() < before
 
 
@@ -402,7 +401,7 @@ def test_balancing_left_pull_l2_rotates_ccw(doubled):
     assert m is not None and m.rotation == CCW
     before = st.total_length()
     apply_balancing(st, m)
-    st.check_consistent()
+    check_consistent(st)
     assert st.total_length() < before
 
 
@@ -461,6 +460,16 @@ def test_ordering_rejects_two_sources(torus):
     st = chain_state(torus, 3)
     with pytest.raises(HarmonizerError):
         proper_monotonic_ordering(st, {0: (0, 2), 1: (1, 2)})
+
+
+@pytest.mark.parametrize("dig,message", [
+    ({0: (0, 1), 1: (1, 2), 2: (2, 1)}, "digraph is cyclic"),
+    ({0: (0, 1), 1: (1, 1), 2: (1, 2)}, "loop edge in digraph"),
+])
+def test_ordering_rejects_cycle_after_source_and_loop(torus, dig, message):
+    st = chain_state(torus, 3)
+    with pytest.raises(HarmonizerError, match=message):
+        proper_monotonic_ordering(st, dig)
 
 
 # -- trace and routine -----------------------------------------------------
@@ -601,7 +610,7 @@ def scan_has_loop(state, r):
 
 
 def assert_index_matches_scan(state):
-    state.check_consistent()
+    check_consistent(state)
     for r in state.cluster_vertices():
         assert state.darts(r) == scan_darts(state, r)
         assert harmonizer._has_loop(state, r) == scan_has_loop(state, r)

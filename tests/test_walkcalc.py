@@ -16,18 +16,17 @@ from redtri.walkcalc import (
     Walk,
     WalkError,
     classify,
-    corner_positions,
     is_reduced,
     read_walk,
     reduce_closed,
     reduce_open,
     torus_stalled_walk,
-    turn,
     turn_at,
     write_walk,
 )
 
 import walk_oracle
+from walk_oracle import corner_positions, turn
 from conftest import (
     make_patch,
     pinched_sphere,
