@@ -6,13 +6,18 @@ For each radius r = 4..10, builds `surface.build_disk_patch(r)` from a
 fixed seed and times `surface.read_tri` on its `write_tri` text and
 `surface.Triangulation` on its tables.  The anchored-extension ladder,
 r = 2..6, crowns each patch (`boundary.attach_crowns`) and times the
-closed doubled host's construction (`surface._double_with_gadgets_unchecked`),
-the host check the anchored extension makes (`surface.validate_reducing`
-of the patch plus that of the crowned patch, fitted over the crowned
-patch's half-edges), and `surface.validate_reducing` of the doubled host,
-the scan that check replaces.  On the same patches it times the whole
-closed extension (`boundary.extend_for_harmonization`) of a path along
-four boundary edges, anchored at both ends.  The probe ladder times
+closed doubled host's construction (`surface._double_with_gadgets_unchecked`:
+a `surface.DoubledHost` that holds the crowned patch and its mirror and
+computes a gadget copy's entries only when they are read, so this rung
+times no gadget work), the host check the anchored extension makes
+(`surface.validate_reducing` of the patch plus that of the crowned patch,
+fitted over the crowned patch's half-edges), and
+`surface.validate_reducing` of the whole doubled host, every entry built
+(`surface.double_with_gadgets`): the scan that check replaces.  On the
+same patches it times the whole closed extension
+(`boundary.extend_for_harmonization`) of a path along four boundary
+edges, anchored at both ends.  Each rung's `half_edges` is the doubled
+host's.  The probe ladder times
 `cover.escape_probe` of a fixed three-vertex path drawn on doubled crown4,
 with windows L = 3072..49152: from there on the window walk, not the
 probe's fixed-cost validation of the host (about 0.2 ms), takes most of
@@ -141,7 +146,7 @@ def main(argv=None):
     for r in EXTENSION_RADII:
         patch = surface.build_disk_patch(r, random.Random(SEED))
         t0 = boundary.attach_crowns(patch, {})[0]
-        doubled = surface._double_with_gadgets_unchecked(t0)[0]
+        doubled = surface.double_with_gadgets(t0)
         f, anchor = anchored_path(patch)
         extension.append(measure({
             "radius": r, "crowned_half_edges": len(t0.next),

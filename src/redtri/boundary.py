@@ -13,11 +13,15 @@ and the crowned host before it is doubled.  The doubled host is then closed
 and reducing by construction, so the plain routine does not scan it again:
 its mirror and gadget copies are offset copies of the checked crowned host
 and of the 3-gadget, and every seam vertex gains the gadget's corners.
+
+Only the crowned host and its mirror are real tables in the doubled host
+(`surface.DoubledHost`).  A gadget copy's entries are computed by that
+offset arithmetic when a move first reads them, which few moves do.
 """
 
 from dataclasses import dataclass
 
-from .drawing import Drawing, Graph
+from .drawing import Drawing, Graph, check_anchored
 from .harmonizer import HarmonizerError, harmonize
 from .surface import (
     NO_TWIN,
@@ -55,12 +59,11 @@ class Anchor:
 
     def validate(self, f):
         t = f.host
+        check_anchored(self.orders, len(f.vertex_map), AnchorError)
         for x, vs in self.orders.items():
             if not (0 <= x < t.num_vertices) or not t.is_boundary_vertex(x):
                 raise AnchorError("anchor at non-boundary vertex %d" % x)
             for v in vs:
-                if not 0 <= v < len(f.vertex_map):
-                    raise AnchorError("anchored vertex %d out of range" % v)
                 if f.vertex_map[v] != x:
                     raise AnchorError(
                         "anchored vertex %d is not drawn at %d" % (v, x))

@@ -196,6 +196,15 @@ def write_drawing(f, anchor=None):
     return "\n".join(lines) + "\n"
 
 
+def check_anchored(orders, num_vertices, error=FormatError):
+    """Raise `error` naming the first G-vertex of the anchor orders (host
+    vertex -> G-vertices) that is not one of the graph's num_vertices."""
+    for vs in orders.values():
+        for v in vs:
+            if not 0 <= v < num_vertices:
+                raise error("anchored vertex %d out of range" % v)
+
+
 def read_drawing(text, host):
     vmap = {}
     edges = []
@@ -224,8 +233,7 @@ def read_drawing(text, host):
     n = len(vmap)
     if set(vmap) != set(range(n)):
         raise FormatError("vertex ids are not 0..%d" % (n - 1))
-    if any(not 0 <= v < n for vs in anchor.values() for v in vs):
-        raise FormatError("anchored vertex out of range")
+    check_anchored(anchor, n)
     vertex_map = [vmap[v] for v in range(n)]
     g = Graph(n, edges)
     emap = [Walk.from_half_edges(host, hes, start=vertex_map[u])

@@ -141,9 +141,6 @@ class State(UnionFind):
         self.dirty.add(r)
         self.target[self.find(r)] = t_vertex
 
-    def total_length(self):
-        return self.length
-
     def check_version(self, v):
         if v != self.version:
             raise StaleMoveError("move built for version %d, state at %d"
@@ -338,10 +335,10 @@ def _shortening(state, r, corner):
 
 def apply_shortening(state, m):
     state.check_version(m.version)
-    before = state.total_length()
+    before = state.length
     for e in _move(state, m.vertex, _pivot(m.run), m.target):
         state.collapse(e)
-    if not state.total_length() < before:
+    if not state.length < before:
         raise InvariantError("shortening did not shorten")
     state.version += 1
     return state
@@ -536,7 +533,7 @@ def apply_balancing(state, m):
     state.check_version(m.version)
     t = state.host
     mover_a = dict(m.movers)
-    before = state.total_length()
+    before = state.length
 
     def lslot(r, k, h=None):
         slots, pos = t.vertex_slots[state.target[r]], t.slot_index
@@ -572,7 +569,7 @@ def apply_balancing(state, m):
         state.retarget(r, t.head(lslot(r, k)))
     for e in collapses:
         state.collapse(e)
-    if not state.total_length() < before:
+    if not state.length < before:
         raise InvariantError("balancing did not shorten")
     state.version += 1
     return state
@@ -735,7 +732,7 @@ def harmonize(f, budget=None, audit=None, *, host_checked=False):
     trace = MoveTrace()
 
     def do(move, kind, phase):
-        before = state.total_length()
+        before = state.length
         if kind == "flip":
             apply_flip(state, move)
             ids = (move.vertex,)
@@ -745,7 +742,7 @@ def harmonize(f, budget=None, audit=None, *, host_checked=False):
         else:
             apply_balancing(state, move)
             ids = move.cycle
-        trace.append(kind, ids, before, state.total_length(), phase)
+        trace.append(kind, ids, before, state.length, phase)
         if len(trace) > budget:
             raise BudgetExhausted(trace)
         if audit is not None:

@@ -11,8 +11,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cache
-from itertools import count, repeat
-from operator import itemgetter
+from itertools import repeat
 
 RED = "r"
 BLUE = "b"
@@ -136,20 +135,13 @@ class Triangulation:
         starts_at = {}
         for g in [next_[h] for h in boundary]:
             starts_at.setdefault(origin[g], []).append(g)
-        self._set_tables(next_, twin, origin, faces, face_of, face_color,
-                         boundary, out, starts_at, [-1] * n)
-
-    def _set_tables(self, next_, twin, origin, faces, face_of, face_color,
-                    boundary, out, starts_at, slot_index, more_slots=()):
-        """Set every table; the constructor and the doubling both end here.
-
-        The slots of vertex v < len(out), whose half-edges out[v] lists
-        smallest first, are the clockwise chain h -> next(twin(h)) from its
-        starts_at entry to a twin-less half-edge, else from out[v][0] round;
-        one short of out[v] puts v in broken_rotation, with sorted out[v].
-        Interior vertices with more_slots, already in slot_index, follow.
-        """
+        # the slots of vertex v, whose half-edges out[v] lists smallest
+        # first, are the clockwise chain h -> next(twin(h)) from its
+        # starts_at entry to a twin-less half-edge, else from out[v][0]
+        # round; one short of out[v] puts v in broken_rotation, with sorted
+        # out[v]
         slots, on_boundary, broken = [], [], set()
+        slot_index = [-1] * n
         for v, hs in enumerate(out):
             if not hs:
                 raise StructureError("vertex %d has no half-edge" % v)
@@ -178,19 +170,17 @@ class Triangulation:
                 chain = sorted(hs)
                 on_boundary.append(any(twin[h] == NO_TWIN for h in hs))
             slots.append(tuple(chain))
-        slots += more_slots
-        on_boundary += [False] * len(more_slots)
         if broken:
             # a broken chain may have run over other vertices' half-edges
-            slot_index = [-1] * len(next_)
+            slot_index = [-1] * n
             for chain in slots:
                 for i, h in enumerate(chain):
                     slot_index[h] = i
-        self.next, self.twin, self.origin = map(tuple, (next_, twin, origin))
-        self.faces, self.face_of, self.face_color = map(
-            tuple, (faces, face_of, face_color))
-        self._boundary_half_edges = tuple(boundary)
-        self.num_vertices = len(slots)
+        self.next, self.twin, self.origin = next_, twin, origin
+        self.faces, self.face_of = faces, tuple(face_of)
+        self.face_color = face_color
+        self._boundary_half_edges = boundary
+        self.num_vertices = vertices
         # the slots, and the position of every half-edge in those of its tail
         self.vertex_slots, self.slot_index = tuple(slots), tuple(slot_index)
         self._vertex_on_boundary = tuple(on_boundary)
@@ -610,78 +600,176 @@ def double_with_gadgets(t0):
         raise ValueError("host must be reducing: %s" % (sorted(rep.kinds()),))
     if t0.is_closed():
         raise ValueError("host already closed")
-    return _double_with_gadgets_unchecked(t0)[0]
+    return _double_with_gadgets_unchecked(t0)[0].materialize()
 
 
 def _double_with_gadgets_unchecked(t0):
-    """Returns (doubled triangulation, mirror offset): the half-edges of t0
-    keep their ids, and half-edge h of the mirror copy is mirror offset + h.
+    """Returns (doubled host, mirror offset): the half-edges of t0 keep
+    their ids, and half-edge h of the mirror copy is mirror offset + h."""
+    return DoubledHost(t0), len(t0.next)
 
-    The tables of gluing the parts face by face, composed at fixed offsets:
-    mirror half-edge n + h (n = |t0|) runs along h the other way, in a face
+
+class _Composed(dict):
+    """A column that holds some entries and computes any other below `size`
+    with `entry` when it is first read, and keeps it.
+
+    A held entry is read at the speed of a dict.  Otherwise the column
+    reads like a tuple: len() is `size`, iteration yields the entries in
+    order, and an index outside 0..size-1 raises IndexError."""
+
+    __slots__ = ("size", "entry")
+
+    def __init__(self, held, size, entry):
+        super().__init__(held)
+        self.size, self.entry = size, entry
+
+    def __missing__(self, i):
+        if not 0 <= i < self.size:
+            raise IndexError("index %r out of range(%d)" % (i, self.size))
+        value = self[i] = self.entry(i)
+        return value
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.size))
+
+
+class DoubledHost(Triangulation):
+    """The closed host of gluing a bounded triangulation t0, its mirror and
+    a 3-gadget copy per seam, composed at fixed offsets.
+
+    Mirror half-edge n + h (n = |t0|) runs along h the other way, in a face
     of the other color; t0's i-th boundary half-edge h, seam i, and n + h
     are glued to 3-gadget copy i at 2n + i * |gadget|.  Seam vertices keep
     t0's ids; the other mirror, then inner gadget, vertices take the next.
+
+    The columns next, twin, origin, face_of and face_color hold the entries
+    of t0 and its mirror, which the moves read most; faces, vertex_slots and
+    slot_index hold t0's, but at seam vertices.  Every other entry is
+    computed when it is first read, and kept: a gadget copy's is an offset
+    of the one 3-gadget's, a mirror vertex's rotation the twins of its t0
+    vertex's reversed, and a seam vertex's that of t0 with the mirror's and
+    the gadget corners' spliced in.  Sizes, and so genus() and num_edges(),
+    are arithmetic on the parts.  For a reducing t0 every entry equals that
+    of `materialize()`, the Triangulation of the glued tables.
     """
-    g3 = build_three_gadget()
-    red, blue = gadget_boundary_edges(g3)
-    corners = (g3.origin[red], g3.origin[blue])
-    inner = [j for j in range(g3.num_vertices) if j not in corners]
-    n, m, nv, nf = len(t0.next), len(g3.next), t0.num_vertices, len(t0.faces)
-    nxt0, twin0, org0 = t0.next, t0.twin, t0.origin
-    seams = t0.boundary_half_edges()
-    offs = range(2 * n, 2 * n + m * len(seams), m)
-    on_seam = {org0[g] for h in seams for g in (h, nxt0[h])}
-    fresh = count(nv)
-    vid = [v if v in on_seam else next(fresh) for v in range(nv)]  # mirror's
-    k = next(fresh)  # the id of the first inner gadget vertex
 
-    prev = sorted(range(n), key=nxt0.__getitem__)  # next[prev[h]] == h
-    next_ = (list(nxt0) + [g + n for g in prev]
-             + [g + off for off in offs for g in g3.next])
-    twin = (list(twin0) + [g if g == NO_TWIN else g + n for g in twin0]
-            + [g + off for off in offs for g in g3.twin])
-    origin = list(org0) + [vid[org0[g]] for g in nxt0]
-    ids = list(range(g3.num_vertices))
-    gadget_origin = itemgetter(*g3.origin)
-    for i, (h, off) in enumerate(zip(seams, offs)):
-        # x, of the other color than h, runs head(h) -> tail(h); y back
-        x, y = (blue, red) if t0.color_left(h) == RED else (red, blue)
-        twin[h], twin[off + x] = off + x, h
-        twin[n + h], twin[off + y] = off + y, n + h
-        ids[g3.origin[x]], ids[g3.origin[y]] = org0[nxt0[h]], org0[h]
-        for r, j in enumerate(inner, k + len(inner) * i):
-            ids[j] = r
-        origin += gadget_origin(ids)
+    def __init__(self, t0):
+        g3 = build_three_gadget()
+        red, blue = gadget_boundary_edges(g3)
+        n, m, nf, fm = len(t0.next), len(g3.next), len(t0.faces), len(g3.faces)
+        nxt0, twin0, org0, nv = t0.next, t0.twin, t0.origin, t0.num_vertices
+        seams = t0.boundary_half_edges()
+        size = 2 * n + m * len(seams)
+        nfaces = 2 * nf + fm * len(seams)
+        # per seam, the gadget half-edge x of the other color, glued to it,
+        # which runs head -> tail; the other boundary half-edge runs back
+        xs = [blue if t0.color_left(h) == RED else red for h in seams]
+        twins = list(twin0) + [g if g == NO_TWIN else g + n for g in twin0]
+        for q, (h, x) in enumerate(zip(seams, xs)):
+            off = 2 * n + q * m
+            twins[h], twins[n + h] = off + x, off + red + blue - x
+        on_seam = {org0[g] for h in seams for g in (h, nxt0[h])}
+        kept = [v for v in range(nv) if v not in on_seam]  # mirror: nv + i
+        vid = list(range(nv))
+        for w, v in enumerate(kept, nv):
+            vid[v] = w
+        k = nv + len(kept)  # the id of the first inner gadget vertex
+        corners = (g3.origin[red], g3.origin[blue])
+        inner = [j for j in range(g3.num_vertices) if j not in corners]
+        prev = sorted(range(n), key=nxt0.__getitem__)  # next[prev[h]] == h
 
-    faces = t0.faces + tuple([tuple(map(n.__add__, o[:1] + o[:0:-1]))
-                              for o in t0.faces])
-    # the gadget's faces are triangles: each corner is one shifted column
-    faces += tuple(zip(*[[g + off for off in offs for g in corner]
-                         for corner in zip(*g3.faces)]))
-    fm = len(g3.faces)
-    face_of = (list(t0.face_of) + [f + nf for f in t0.face_of]
-               + [f + off for off in range(2 * nf, 2 * nf + fm * len(seams),
-                                           fm) for f in g3.face_of])
-    face_color = (t0.face_color + tuple(map(opposite_color, t0.face_color))
-                  + g3.face_color * len(seams))
+        def part(i, first, size):
+            """(copy, its half-edge offset, index in the gadget) of entry i
+            of a column whose gadget entries start at first, size each."""
+            q, r = divmod(i - first, size)
+            return q, 2 * n + q * m, r
 
-    # walk the t0 and mirror vertices, with the gadget corners on seams (a
-    # loop seam puts a copy's corners out of order); the rest keep g3's slots
-    out = [[] for _ in range(k)]
-    for h in range(2 * n):
-        out[origin[h]].append(h)
-    at_corners = [sorted(g3.vertex_slots[c]) for c in corners]
-    for off in offs:
-        for hs in at_corners:
-            out[origin[off + hs[0]]].extend([off + h for h in hs])
-    per_vertex = [zip(*[[g + off for off in offs] for g in g3.vertex_slots[j]])
-                  for j in inner]
-    t = Triangulation.__new__(Triangulation)
-    t._set_tables(next_, twin, origin, faces, face_of, face_color, (), out,
-                  {}, [-1] * (2 * n) + list(g3.slot_index) * len(seams),
-                  [s for copy in zip(*per_vertex) for s in copy])
-    return t, n
+        def next_(i):
+            q, off, r = part(i, 2 * n, m)
+            return off + g3.next[r]
+
+        def twin(i):
+            q, off, r = part(i, 2 * n, m)
+            if g3.twin[r] != NO_TWIN:
+                return off + g3.twin[r]
+            return seams[q] if r == xs[q] else n + seams[q]
+
+        def origin(i):
+            q, off, r = part(i, 2 * n, m)
+            j = g3.origin[r]
+            if j not in corners:
+                return k + len(inner) * q + inner.index(j)
+            h = seams[q]
+            return org0[nxt0[h]] if j == g3.origin[xs[q]] else org0[h]
+
+        def face_of(i):
+            q, off, r = part(i, 2 * n, m)
+            return 2 * nf + q * fm + g3.face_of[r]
+
+        def faces(f):
+            if f < 2 * nf:
+                o = t0.faces[f - nf]
+                return tuple([n + g for g in o[:1] + o[:0:-1]])
+            q, off, r = part(f, 2 * nf, fm)
+            return tuple([off + g for g in g3.faces[r]])
+
+        def corner(h):
+            """The slots of the gadget corner that seam half-edge h's twin
+            enters."""
+            q, off, r = part(twins[h], 2 * n, m)
+            return tuple([off + g for g in
+                          g3.vertex_slots[g3.origin[g3.next[r]]]])
+
+        def vertex_slots(v):
+            if v >= k:
+                q, off, j = part(v, k, len(inner))
+                return tuple([off + g for g in g3.vertex_slots[inner[j]]])
+            if v >= nv:
+                slots = t0.vertex_slots[kept[v - nv]]
+                run = [n + twin0[h] for h in reversed(slots)]
+                i = run.index(min(run))
+                return tuple(run[i:] + run[:i])
+            # a seam vertex: clockwise, t0's slots end at the boundary
+            # half-edge out of v and start after b_in, the one into v; the
+            # gadget corner glued to the first, the mirror's slots back to
+            # n + b_in, and the corner glued to that come between them
+            slots = t0.vertex_slots[v]
+            b_in = t0.prev(slots[0])
+            i = slots.index(min(slots))
+            return (slots[i:] + corner(slots[-1])
+                    + tuple([n + twin0[h] for h in slots[-2::-1]])
+                    + (n + b_in,) + corner(n + b_in) + slots[:i])
+
+        self.next = _Composed(enumerate(nxt0 + tuple(
+            [g + n for g in prev])), size, next_)
+        self.twin = _Composed(enumerate(twins), size, twin)
+        self.origin = _Composed(enumerate(org0 + tuple(
+            [vid[org0[g]] for g in nxt0])), size, origin)
+        self.face_of = _Composed(enumerate(t0.face_of + tuple(
+            [f + nf for f in t0.face_of])), size, face_of)
+        self.faces = _Composed(enumerate(t0.faces), nfaces, faces)
+        self.face_color = _Composed(enumerate(t0.face_color + tuple(
+            map(opposite_color, t0.face_color))), nfaces,
+            lambda f: g3.face_color[(f - 2 * nf) % fm])
+        self.num_vertices = k + len(inner) * len(seams)
+        rotations = self.vertex_slots = _Composed(
+            {v: t0.vertex_slots[v] for v in kept}, self.num_vertices,
+            vertex_slots)
+        origins = self.origin
+        self.slot_index = _Composed(
+            {h: t0.slot_index[h] for h in range(n) if org0[h] not in on_seam},
+            size, lambda h: rotations[origins[h]].index(h))
+        self._boundary_half_edges = ()
+        self._vertex_on_boundary = (False,) * self.num_vertices
+        self.broken_rotation = frozenset()
+
+    def materialize(self):
+        """The Triangulation of the glued tables: every entry computed."""
+        return Triangulation(self.next, self.twin, self.origin, dict(
+            enumerate(map(self.color_left, range(len(self.next))))))
 
 
 # -- text formats ------------------------------------------------------------

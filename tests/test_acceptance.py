@@ -570,9 +570,9 @@ def test_balancing_detector_equivalence():
         if mine is not None:
             found += 1
             # the detector's witness must be applicable and shorten
-            before = st.total_length()
+            before = st.length
             hz.apply_balancing(st, mine)
-            assert st.total_length() < before
+            assert st.length < before
             check_consistent(st)
     assert found >= 5
     print("balancing: 50 fixtures, %d with a witness, 0 disagreements"

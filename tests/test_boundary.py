@@ -50,7 +50,8 @@ def test_anchor_validation(patch):
             Drawing(Graph(1, []), patch, [inner], []))
     x = f.vertex_map[0]
     for v in (-1, f.graph.num_vertices):
-        with pytest.raises(BoundaryError, match="out of range"):
+        with pytest.raises(BoundaryError,
+                           match="^anchored vertex %d out of range$" % v):
             Anchor({x: [v]}).validate(f)
 
 
@@ -222,3 +223,39 @@ def test_harmonize_rel_anchor_random(seed):
     per0, _ = f.lengths()
     per2, _ = f2.lengths()
     assert all(b <= a_ for a_, b in zip(per0, per2))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_harmonize_rel_anchor_reads_few_gadget_entries(monkeypatch, seed):
+    """The runs of test_harmonize_rel_anchor_random compute fewer than
+    1,000 entries of the doubled host's gadget copies, which have 7,200 to
+    11,520 half-edges here: the doubled host is never built whole."""
+    built, computed = [], []
+    double = boundary._double_with_gadgets_unchecked
+    missing = surface._Composed.__missing__
+
+    def recording_double(t0):
+        doubled = double(t0)
+        built.append((t0, doubled[0]))
+        return doubled
+
+    def recording_missing(column, i):
+        computed.append((id(column), i))
+        return missing(column, i)
+
+    monkeypatch.setattr(boundary, "_double_with_gadgets_unchecked",
+                        recording_double)
+    monkeypatch.setattr(surface._Composed, "__missing__", recording_missing)
+    p = make_patch(seed + 10, radius=2)
+    f = boundary_path_drawing(p, steps=4)
+    harmonize_rel_anchor(f, anchored_ends(f))
+    [(t0, d)] = built
+    # the gadget copies' half-edges, faces and inner vertices come last
+    n, nf = len(t0.next), len(t0.faces)
+    k = 2 * t0.num_vertices - sum(map(t0.is_boundary_vertex,
+                                      range(t0.num_vertices)))
+    first = {id(d.next): 2 * n, id(d.twin): 2 * n, id(d.origin): 2 * n,
+             id(d.face_of): 2 * n, id(d.slot_index): 2 * n,
+             id(d.faces): 2 * nf, id(d.face_color): 2 * nf,
+             id(d.vertex_slots): k}
+    assert sum(i >= first.get(c, 0) for c, i in computed) < 1000

@@ -458,7 +458,11 @@ MALFORMED = [
     ("walk-no-record", "x.walk", "# no walk\n", ["reduce", "{tri}", "{file}"],
      "expected one walk record, found 0"),
     ("drw-anchored-vertex-off-graph", "x.drw", DRW + "anchor 0 order=0,2\n",
-     ["harmonize", "{tri}", "{file}"], "anchored vertex out of range"),
+     ["harmonize", "{tri}", "{file}"], "anchored vertex 2 out of range"),
+    ("drw-anchored-vertex-off-graph-anchors", "x.drw",
+     DRW + "anchor 0 order=0,2\n",
+     ["harmonize", "{tri}", "{file}", "--anchors"],
+     "anchored vertex 2 out of range"),
     # half-edge 0 of doubled crown4 leaves vertex 0, not vertex 5
     ("walk-start-not-tail", "x.walk", "walk closed=0 start=5 he=0\n",
      ["reduce", fixture_path("doubled_crown4.tri"), "{file}"]),

@@ -153,7 +153,7 @@ def test_adjacent_same_image_merge(torus):
     f = Drawing(g, torus, [0, 0], [Walk.from_half_edges(torus, (), start=0)])
     st = State(factor_simplicial(f))
     assert st.cluster_vertices() == [0]
-    assert st.total_length() == 0
+    assert st.length == 0
 
 
 def test_drw_roundtrip(torus):

@@ -73,10 +73,10 @@ def test_flip_found_and_applied(doubled):
     assert m is not None
     assert (m.s1, m.s2) == (s1, s2)
     assert m.target == t.head(mid)
-    before = st.total_length()
+    before = st.length
     apply_flip(st, m)
     check_consistent(st)
-    assert st.total_length() == before
+    assert st.length == before
     assert st.target[st.find(1)] == t.head(mid)
 
 
@@ -126,7 +126,7 @@ def test_shortening_one_slot(doubled):
     assert m.target == doubled.head(s1)
     apply_shortening(st, m)
     check_consistent(st)
-    assert st.total_length() == 0
+    assert st.length == 0
     assert st.find(0) == st.find(1)
 
 
@@ -138,7 +138,7 @@ def test_shortening_two_slots(doubled):
     assert m is not None and m.run == (s1, s2)
     apply_shortening(st, m)
     check_consistent(st)
-    assert st.total_length() == 1
+    assert st.length == 1
     assert st.target[st.find(0)] == t.head(s1)
     # the surviving edge runs from head(s1) to head(s2)
     keep = st.image[1]
@@ -153,7 +153,7 @@ def test_shortening_three_slots(doubled):
     assert m is not None and m.run == (s1, s2, s3)
     apply_shortening(st, m)
     check_consistent(st)
-    assert st.total_length() == 2
+    assert st.length == 2
     assert st.target[st.find(0)] == t.head(s2)
 
 
@@ -373,10 +373,10 @@ def test_balancing_left_pull_l1(doubled):
     assert m.color == RED
     assert m.rotation == CW
     assert set(v for v, _ in m.movers) == {st.find(i) for i in range(len(cyc))}
-    before = st.total_length()
+    before = st.length
     apply_balancing(st, m)
     check_consistent(st)
-    assert st.total_length() < before
+    assert st.length < before
 
 
 def test_balancing_of_a_long_wrapped_cycle(doubled):
@@ -399,10 +399,10 @@ def test_balancing_left_pull_l2_rotates_ccw(doubled):
     st = state_of(cycle_drawing(t, cyc, extra=[l2]))
     m = find_balancing(st)
     assert m is not None and m.rotation == CCW
-    before = st.total_length()
+    before = st.length
     apply_balancing(st, m)
     check_consistent(st)
-    assert st.total_length() < before
+    assert st.length < before
 
 
 def test_balancing_blocked_by_right_dart(doubled):

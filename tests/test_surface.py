@@ -480,9 +480,50 @@ def test_doubling_matches_glued_oracle(name):
     composed, mirror = surface._double_with_gadgets_unchecked(t0)
     glued, glued_mirror = tri_oracle.double_with_gadgets_glued(t0)
     assert mirror == glued_mirror
+    # every table, each entry read from the composed host
+    composed = composed.materialize()
     assert vars(composed) == vars(glued)
     assert (surface.validate_reducing(composed)
             == tri_oracle.validate_reducing(glued))
+
+
+# the reducing doubling hosts, and a crowned radius-3 patch of 282
+# half-edges, the size of the patches `harmonize --anchors` is timed on
+ENTRY_HOSTS = {**{name: host for name, host in DOUBLING_HOSTS.items()
+                  if name not in ("broken twin", "square")},
+               "crowned patch r3 of 282": lambda: _crowned(
+                   make_patch(3, radius=3), 3)}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_HOSTS))
+def test_doubled_host_entries_match_glued_oracle(name):
+    """Read one entry at a time, in random order, the doubled host gives
+    every entry and every global query of gluing the parts face by face,
+    though it computes most entries only when they are read."""
+    t0 = ENTRY_HOSTS[name]()
+    assert validate_reducing(t0).ok
+    doubled = surface._double_with_gadgets_unchecked(t0)[0]
+    glued = tri_oracle.double_with_gadgets_glued(t0)[0]
+    rng = random.Random(name)
+    for column in ("next", "twin", "origin", "face_of", "slot_index",
+                   "faces", "face_color", "vertex_slots",
+                   "_vertex_on_boundary"):
+        got, want = getattr(doubled, column), getattr(glued, column)
+        assert len(got) == len(want)
+        order = list(range(len(want)))
+        rng.shuffle(order)
+        assert [got[i] for i in order] == [want[i] for i in order], column
+        with pytest.raises(IndexError):
+            got[len(want)]
+    assert doubled.num_vertices == glued.num_vertices
+    assert doubled.boundary_half_edges() == glued.boundary_half_edges() == ()
+    assert doubled.broken_rotation == glued.broken_rotation == frozenset()
+    assert ([doubled.degree(v) for v in range(doubled.num_vertices)]
+            == [glued.degree(v) for v in range(glued.num_vertices)])
+    assert ((doubled.num_edges(), doubled.euler_characteristic(),
+             doubled.genus(), doubled.is_closed(), doubled.boundary_cycles())
+            == (glued.num_edges(), glued.euler_characteristic(),
+                glued.genus(), glued.is_closed(), glued.boundary_cycles()))
 
 
 # the non-reducing hosts of the anchored CLI tests join the doubling hosts
@@ -496,7 +537,7 @@ def test_part_checks_agree_with_doubled_scan(name):
     of the doubled host; all three are reducing or none is."""
     t = PART_CHECK_HOSTS[name]()
     t0 = attach_crowns(t, {})[0]
-    doubled = surface._double_with_gadgets_unchecked(t0)[0]
+    doubled = surface._double_with_gadgets_unchecked(t0)[0].materialize()
     assert (validate_reducing(t).ok == validate_reducing(t0).ok
             == validate_reducing(doubled).ok)
 
@@ -512,9 +553,9 @@ VALIDATION_HOSTS = {
     "broken twin": broken_twin_torus,
     "non-triangle face": square,
     "doubled odd crown": lambda: surface._double_with_gadgets_unchecked(
-        attach_crowns(surface.crown(5), {})[0])[0],
+        attach_crowns(surface.crown(5), {})[0])[0].materialize(),
     "doubled degree-4 disk": lambda: surface._double_with_gadgets_unchecked(
-        attach_crowns(fan_disk(4), {})[0])[0],
+        attach_crowns(fan_disk(4), {})[0])[0].materialize(),
 }
 
 
