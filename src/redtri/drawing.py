@@ -196,7 +196,7 @@ def write_drawing(f, anchor=None):
     return "\n".join(lines) + "\n"
 
 
-def check_anchored(orders, num_vertices, error=FormatError):
+def check_anchored(orders, num_vertices, error):
     """Raise `error` naming the first G-vertex of the anchor orders (host
     vertex -> G-vertices) that is not one of the graph's num_vertices."""
     for vs in orders.values():
@@ -233,7 +233,7 @@ def read_drawing(text, host):
     n = len(vmap)
     if set(vmap) != set(range(n)):
         raise FormatError("vertex ids are not 0..%d" % (n - 1))
-    check_anchored(anchor, n)
+    check_anchored(anchor, n, FormatError)
     vertex_map = [vmap[v] for v in range(n)]
     g = Graph(n, edges)
     emap = [Walk.from_half_edges(host, hes, start=vertex_map[u])

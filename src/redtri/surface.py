@@ -672,7 +672,8 @@ class DoubledHost(Triangulation):
             off = 2 * n + q * m
             twins[h], twins[n + h] = off + x, off + red + blue - x
         on_seam = {org0[g] for h in seams for g in (h, nxt0[h])}
-        kept = [v for v in range(nv) if v not in on_seam]  # mirror: nv + i
+        # t0's vertices off the seams; the mirror copy of kept[i] is nv + i
+        kept = [v for v in range(nv) if v not in on_seam]
         vid = list(range(nv))
         for w, v in enumerate(kept, nv):
             vid[v] = w
