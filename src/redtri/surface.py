@@ -682,10 +682,10 @@ class DoubledHost(Triangulation):
         inner = [j for j in range(g3.num_vertices) if j not in corners]
         prev = sorted(range(n), key=nxt0.__getitem__)  # next[prev[h]] == h
 
-        def part(i, first, size):
+        def part(i, first, step):
             """(copy, its half-edge offset, index in the gadget) of entry i
-            of a column whose gadget entries start at first, size each."""
-            q, r = divmod(i - first, size)
+            of a column whose gadget entries start at first, step per copy."""
+            q, r = divmod(i - first, step)
             return q, 2 * n + q * m, r
 
         def next_(i):
