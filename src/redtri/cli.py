@@ -1,5 +1,5 @@
-"""Command-line interface: validate, harmonize, reduce, fixtures, stress,
-export.
+"""Command-line interface: validate, harmonize, reduce, fixtures, probe,
+stress.
 
 All commands are deterministic for fixed inputs and flags.  Exit codes:
 0 success, 1 domain failure (validation violations, stalls, guard hits),
@@ -17,7 +17,7 @@ from .boundary import Anchor, AnchorError, BoundaryError
 from .cover import CoverError
 from .drawing import DrawingError, read_drawing, write_drawing
 from .harmonizer import HarmonizerError, harmonize, write_trace
-from .surface import FormatError, StructureError, records, validate_reducing
+from .surface import FormatError, StructureError, validate_reducing
 from .walkcalc import (
     BoundaryTurnError,
     Reduced,
@@ -48,9 +48,12 @@ def _read_file(path):
 def _emit(text, path):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InputError(str(exc))
 
 
 # -- commands ---------------------------------------------------------------
@@ -137,7 +140,7 @@ def cmd_probe(args):
     return EXIT_OK
 
 
-def cmd_stress_real(args):
+def cmd_stress(args):
     host = surface.double_with_gadgets(surface.crown(4))
     lines = ["# seed moves len-before len-after budget ratio"]
     violations = 0
@@ -162,97 +165,6 @@ def cmd_stress_real(args):
     lines.append("max-ratio %.6f" % max_ratio)
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK if violations == 0 else EXIT_DOMAIN
-
-
-def _export_dot(t):
-    lines = ["graph dual {"]
-    for i in range(len(t.faces)):
-        lines.append('  f%d [label="%s"];' % (i, t.face_color[i]))
-    seen = set()
-    for h in range(len(t.next)):
-        g = t.twin[h]
-        if g == surface.NO_TWIN or h > g:
-            continue
-        a, b = t.face_of[h], t.face_of[g]
-        key = (min(a, b), max(a, b), min(h, g))
-        if key in seen:
-            continue
-        seen.add(key)
-        lines.append("  f%d -- f%d;" % (a, b))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _export_svg_tri(t):
-    import math
-    n = max(t.num_vertices, 1)
-    size = 400
-    cx = cy = size / 2
-    r = size * 0.4
-    pos = []
-    for v in range(t.num_vertices):
-        ang = 2 * math.pi * v / n
-        pos.append((cx + r * math.cos(ang), cy + r * math.sin(ang)))
-    lines = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">'
-             % (size, size)]
-    for h in range(len(t.next)):
-        g = t.twin[h]
-        if g != surface.NO_TWIN and h > g:
-            continue
-        x1, y1 = pos[t.tail(h)]
-        x2, y2 = pos[t.head(h)]
-        lines.append('<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" '
-                     'stroke="black"/>' % (x1, y1, x2, y2))
-    for v, (x, y) in enumerate(pos):
-        lines.append('<circle cx="%.1f" cy="%.1f" r="3" fill="black"/>'
-                     % (x, y))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
-
-
-def _export_svg_trace(trace):
-    # one frame per state: the initial lengths plus one per move
-    frames = len(trace.entries) + 1
-    width, bar_h = 400, 24
-    height = frames * bar_h
-    start = trace.entries[0].before if trace.entries else 0
-    scale = (width - 100) / max(start, 1)
-    lines = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">'
-             % (width, height)]
-    lengths = [start] + [e.after for e in trace.entries]
-    labels = ["start"] + ["%s %s" % (e.kind, ",".join(map(str, e.ids)))
-                          for e in trace.entries]
-    for i, (ln, lb) in enumerate(zip(lengths, labels)):
-        y = i * bar_h
-        lines.append('<g id="frame%d">' % i)
-        lines.append('<rect x="0" y="%d" width="%.1f" height="%d" '
-                     'fill="steelblue"/>' % (y + 4, ln * scale, bar_h - 8))
-        lines.append('<text x="%.1f" y="%d" font-size="10">%s len=%d</text>'
-                     % (ln * scale + 4, y + bar_h - 9, lb, ln))
-        lines.append("</g>")
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
-
-
-def cmd_export(args):
-    text = _read_file(args.input)
-    # the first record tells a .tri file from a trace (which may be empty)
-    seen = []
-    records(text, {kind: (1, lambda *fields, kind=kind: seen.append(kind))
-                   for kind in ("tri", "he", "face", "move")})
-    head = seen[0] if seen else "move"
-    if head == "tri":
-        t = surface.read_tri(text)
-        out = _export_dot(t) if args.format == "dot" else _export_svg_tri(t)
-    elif head == "move":
-        trace = harmonizer.read_trace(text)
-        if args.format == "dot":
-            raise InputError("traces export to svg only")
-        out = _export_svg_trace(trace)
-    else:
-        raise InputError("unrecognized input %s" % args.input)
-    _emit(out, args.output)
-    return EXIT_OK
 
 
 # -- entry point ------------------------------------------------------------
@@ -305,13 +217,7 @@ def build_parser():
                     help="max graph vertices per job")
     sp.add_argument("--budget", type=int)
     sp.add_argument("-o", "--output")
-    sp.set_defaults(func=cmd_stress_real)
-
-    sp = sub.add_parser("export", help="render a triangulation or trace")
-    sp.add_argument("input")
-    sp.add_argument("--format", choices=("svg", "dot"), default="svg")
-    sp.add_argument("-o", "--output")
-    sp.set_defaults(func=cmd_export)
+    sp.set_defaults(func=cmd_stress)
     return p
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from graphlib import CycleError, TopologicalSorter
 
 from .drawing import factor_simplicial, unfactor
-from .surface import BLUE, RED, UnionFind, int_list, records, validate_reducing
+from .surface import BLUE, RED, UnionFind, validate_reducing
 
 
 class HarmonizerError(Exception):
@@ -673,23 +673,6 @@ def write_trace(trace):
         lines.append("move %d kind=%s %s=%s len=%d->%d phase=%d"
                      % (n, e.kind, field_name, ids, e.before, e.after, e.phase))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def read_trace(text):
-    trace = MoveTrace()
-
-    def move(n, fields):
-        int(n)  # move numbers follow the order of the lines
-        kind = fields["kind"]
-        if kind not in ("flip", "short", "bal"):
-            raise ValueError("unknown move kind %r" % kind)
-        ids = int_list(fields["cycle" if kind == "bal" else "vertex"])
-        before, after = map(int, fields["len"].split("->"))
-        trace.entries.append(TraceEntry(kind, ids, before, after,
-                                        int(fields["phase"])))
-
-    records(text, {"move": (1, move)})
-    return trace
 
 
 BUDGET_CONSTANT = 8

@@ -873,7 +873,8 @@ def _tri_records(text, t=None):
         n = int(n)
         if next_ is not None:
             raise ValueError("a second header")
-        if not 0 <= n <= len(text):  # each half-edge takes a line
+        # a host has a half-edge, and each half-edge takes a line
+        if not 1 <= n <= len(text):
             raise ValueError("half-edge count out of range")
         next_, twin, origin = [NO_TWIN] * n, [NO_TWIN] * n, [NO_TWIN] * n
         given = bytearray(n)
@@ -950,7 +951,7 @@ def _tri_columns(text):
         b"twin=-", b"twin=")
     faces, rest = divmod(len(shape) - len(_TRI_SHAPE) - n * len(_HE_SHAPE),
                          len(_FACE_SHAPE))
-    if n < 0 or faces < 0 or rest or (
+    if n < 1 or faces < 0 or rest or (
             shape.replace(b"color=b", b"color=r")
             != _TRI_SHAPE + n * _HE_SHAPE + faces * _FACE_SHAPE
             or _NO_VALUE.search(text)):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import io
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redtri import drawing, surface
-from redtri.cli import main
+from redtri.cli import build_parser, main
 from redtri.walkcalc import Walk
 
 from conftest import (FUZZ_ALPHABET, backwards_boundary_drawing, bowtie,
@@ -211,6 +212,23 @@ def test_harmonize_stable_input_empty_trace(capsys, tmp_path):
     assert trc.read_text() == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["fixtures", "torus", "-o", "{missing}/x.tri"],
+    ["harmonize", "{tri}", "{drw}", "--trace", "{missing}/x.trc"],
+], ids=["fixtures-output", "harmonize-trace"])
+def test_unwritable_output_exits_2(capsys, tmp_path, argv):
+    """An output path in a directory that does not exist is an input
+    error: one line, no traceback."""
+    host = surface.double_with_gadgets(surface.crown(4))
+    tp, dp = write_drawing_files(tmp_path, host, spur_drawing(host))
+    argv = [a.format(missing=tmp_path / "missing", tri=tp, drw=dp)
+            for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / "missing") in err
+
+
 def test_harmonize_anchors(capsys, tmp_path):
     p = make_patch(1, radius=2)
     cyc = p.boundary_cycles()[0]
@@ -347,39 +365,24 @@ def test_stress_readme_example(capsys):
     assert "violations 0" in out
 
 
+def test_readme_cli_block_names_every_subcommand():
+    """Each `redtri <command>` line of README's CLI block names a
+    subcommand, and each subcommand has such a line."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        block = fh.read().split("## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    named = {ln.split()[1] for ln in block.splitlines()
+             if ln.startswith("redtri ")}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert named == set(sub.choices)
+
+
 def test_stress_empty(capsys):
     code, out, _ = run(capsys, "stress", "--count", "0")
     assert code == 0
     assert "violations 0" in out
-
-
-def test_export_dot_torus(capsys, torus_path):
-    code, out, _ = run(capsys, "export", torus_path, "--format", "dot")
-    assert code == 0
-    assert out.count("[label=") == 2  # one node per torus face
-    assert out.count("--") == 3
-
-
-def test_export_svg_patch(capsys, tmp_path):
-    import xml.etree.ElementTree as ET
-    p = make_patch(0, radius=2)
-    tp = tmp_path / "p.tri"
-    tp.write_text(surface.write_tri(p))
-    code, out, _ = run(capsys, "export", str(tp), "--format", "svg")
-    assert code == 0
-    ET.fromstring(out)  # well-formed XML
-
-
-def test_export_trace_frames(capsys, tmp_path):
-    from redtri.harmonizer import MoveTrace, write_trace
-    tr = MoveTrace()
-    tr.append("short", (0,), 5, 3, 1)
-    tr.append("flip", (1,), 3, 3, 2)
-    p = tmp_path / "t.trc"
-    p.write_text(write_trace(tr))
-    code, out, _ = run(capsys, "export", str(p), "--format", "svg")
-    assert code == 0
-    assert out.count("<g id=") == 3  # n moves -> n+1 frames
 
 
 def test_probe_cli(capsys, tmp_path, torus_path):
@@ -415,6 +418,9 @@ MALFORMED = [
     ("tri-he-out-of-range", "x.tri", "tri 1\nhe 5 next=0 twin=- origin=0\n",
      ["validate", "{file}"]),
     ("tri-negative-count", "x.tri", "tri -1\n", ["validate", "{file}"]),
+    # a host with no half-edge is no surface
+    ("tri-zero-count", "x.tri", "tri 0\n", ["validate", "{file}"],
+     "line 1: half-edge count out of range in 'tri 0'"),
     # rejected before any table of that size is allocated
     ("tri-huge-count", "x.tri", "tri %d\n" % 10 ** 15, ["validate", "{file}"]),
     ("tri-huge-vertex-id", "x.tri",
@@ -466,8 +472,6 @@ MALFORMED = [
     # half-edge 0 of doubled crown4 leaves vertex 0, not vertex 5
     ("walk-start-not-tail", "x.walk", "walk closed=0 start=5 he=0\n",
      ["reduce", fixture_path("doubled_crown4.tri"), "{file}"]),
-    ("trace-without-vertex", "x.trc", "move 0 kind=flip len=3->3 phase=1\n",
-     ["export", "{file}"]),
     # numeric options below their least value
     ("budget-negative", "x.drw", DRW, ["harmonize", "{tri}", "{file}",
                                        "--budget", "-1"]),
@@ -546,17 +550,14 @@ FUZZ_FILES = {
     "f.drw": ("vertex 0 at 0\nvertex 1 at 0\nedge 0 0 1 walk=5\n"
               "anchor 0 order=0,1\n"),
     "w.walk": "walk closed=0 start=0 he=0,5\n",
-    "t.trc": ("move 0 kind=short vertex=0 len=5->3 phase=1\n"
-              "move 1 kind=bal cycle=1,2 len=3->2 phase=2\n"),
 }
 # per mutated file, the command lines that read it
 FUZZ_COMMANDS = {
-    "torus.tri": [["validate", "torus.tri"], ["export", "torus.tri"],
+    "torus.tri": [["validate", "torus.tri"],
                   ["reduce", "torus.tri", "w.walk"]],
     "f.drw": [["harmonize", "torus.tri", "f.drw", "--budget", "20"],
               ["probe", "torus.tri", "f.drw", "--vertex", "0"]],
     "w.walk": [["reduce", "torus.tri", "w.walk"]],
-    "t.trc": [["export", "t.trc"]],
 }
 
 

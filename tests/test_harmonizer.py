@@ -24,7 +24,6 @@ from redtri.harmonizer import (
     is_locally_stable,
     left_blue_direction,
     proper_monotonic_ordering,
-    read_trace,
     write_trace,
 )
 from redtri.surface import BLUE, RED
@@ -474,15 +473,16 @@ def test_ordering_rejects_cycle_after_source_and_loop(torus, dig, message):
 
 # -- trace and routine -----------------------------------------------------
 
-def test_trace_roundtrip():
+def test_write_trace_text():
+    """The layout `--trace` writes: a balancing names its cycle, the other
+    moves their vertex."""
     tr = MoveTrace()
     tr.append("flip", (3,), 7, 7, 1)
     tr.append("short", (2,), 7, 5, 2)
     tr.append("bal", (0, 4, 1), 5, 2, 3)
-    txt = write_trace(tr)
-    tr2 = read_trace(txt)
-    assert tr2.entries == tr.entries
-    assert write_trace(tr2) == txt
+    assert write_trace(tr) == ("move 0 kind=flip vertex=3 len=7->7 phase=1\n"
+                               "move 1 kind=short vertex=2 len=7->5 phase=2\n"
+                               "move 2 kind=bal cycle=0,4,1 len=5->2 phase=3\n")
 
 
 def test_trace_rejects_nonmonotone():

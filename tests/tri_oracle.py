@@ -9,10 +9,11 @@ column by column.
 `read_tri` hands every line to a handler through `records`, and
 `Triangulation` builds the face colors, the clockwise successors and the
 boundary chain starts with loops over single half-edges.  The checks that
-the reader gained since (the face index and its half-edge range-checked,
-a half-edge given twice rejected, a face record only for the smallest
-half-edge of its face, and only once, and a field that is not `key=value`
-named in its message) are added in the same per-record style.
+the reader gained since (an empty host rejected, the face index and its
+half-edge range-checked, a half-edge given twice rejected, a face record
+only for the smallest half-edge of its face, and only once, and a field
+that is not `key=value` named in its message) are added in the same
+per-record style.
 It is slow, but simple enough to trust; `test_surface.py` checks that
 `surface.read_tri` returns and raises exactly what this code does.
 
@@ -189,7 +190,8 @@ def _read_tables(text, t=None):
         n = int(n)
         if next_ is not None:
             raise ValueError("a second header")
-        if not 0 <= n <= len(text):  # each half-edge takes a line
+        # a host has a half-edge, and each half-edge takes a line
+        if not 1 <= n <= len(text):
             raise ValueError("half-edge count out of range")
         next_, twin, origin = [NO_TWIN] * n, [NO_TWIN] * n, [NO_TWIN] * n
 
