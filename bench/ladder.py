@@ -1,4 +1,4 @@
-"""Time the host and probe layers across size ladders and fit how cost grows.
+"""Time the host, probe and walk layers across size ladders; fit the growth.
 
     python3 bench/ladder.py [-o BENCH.json]
 
@@ -21,15 +21,19 @@ host's.  The probe ladder times
 `cover.escape_probe` of a fixed three-vertex path drawn on doubled crown4,
 with windows L = 3072..49152: from there on the window walk, not the
 probe's fixed-cost validation of the host (about 0.2 ms), takes most of
-the time.  Per rung it records the least time of nine runs and, from a
-separate run under `tracemalloc`, the peak of memory allocated during the
-call.  The least time, not the median, because on a shared machine the
-median of five moved by up to 1.7x between runs of one commit, and the
-exponents by up to 0.25; other processes only ever add time.  Each fitted
-exponent is the least-squares slope of log(least time) over log(half-edges
-of the host the call builds or reads), or over log(L) for the probe; 1.0
-is linear.  Standard library only; it imports redtri from the `src/` of
-the checkout it sits in.
+the time.  The walk ladder times `walkcalc.reduce_open` of an open walk of
+L = 400..6400 random steps through the vertices of a radius-10 disk patch
+at least three rings from its rim (so no rewrite reaches the rim), and
+`walkcalc.reduce_closed` of a closed walk of L random steps on doubled
+crown4 followed by a shortest way home.  Per rung it records the least
+time of nine runs and, from a separate run under `tracemalloc`, the peak
+of memory allocated during the call.  The least time, not the median,
+because on a shared machine the median of five moved by up to 1.7x between
+runs of one commit, and the exponents by up to 0.25; other processes only
+ever add time.  Each fitted exponent is the least-squares slope of
+log(least time) over log(half-edges of the host the call builds or reads),
+or over log(L) for the probe and the walks; 1.0 is linear.  Standard
+library only; it imports redtri from the `src/` of the checkout it sits in.
 Prints the JSON, and writes it to the -o file if one is given.
 """
 
@@ -48,14 +52,15 @@ import tracemalloc
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from redtri import boundary, cover, surface  # noqa: E402
-from redtri.drawing import Drawing, Graph  # noqa: E402
+from redtri import boundary, cover, surface, walkcalc  # noqa: E402
+from redtri.drawing import Drawing, Graph, random_path  # noqa: E402
 from redtri.walkcalc import Walk  # noqa: E402
 
 SEED = 1
 RADII = range(4, 11)
 EXTENSION_RADII = range(2, 7)
 PROBE_WINDOWS = (3072, 6144, 12288, 24576, 49152)
+WALK_LENGTHS = (400, 800, 1600, 3200, 6400)
 REPEATS = 9
 
 
@@ -102,6 +107,33 @@ def probe_path(t):
     verts = [0, t.head(h0), t.head(h1)]
     return Drawing(Graph(3, [(0, 1), (1, 2)]), t, verts,
                    [Walk.from_half_edges(t, (h,)) for h in (h0, h1)])
+
+
+def interior_walk(t, rng, L, margin=3):
+    """An open walk of L random steps through the vertices of t at least
+    `margin` rings from its rim."""
+    near = {v for v in range(t.num_vertices) if t.is_boundary_vertex(v)}
+    for _ in range(margin):
+        near |= {t.head(h) for v in near for h in t.vertex_slots[v]}
+    x = rng.choice([v for v in range(t.num_vertices) if v not in near])
+    hes = []
+    while len(hes) < L:
+        h = rng.choice(t.vertex_slots[x])
+        if t.head(h) not in near:
+            hes.append(h)
+            x = t.head(h)
+    return Walk.from_half_edges(t, hes)
+
+
+def closed_walk(t, rng, L):
+    """L random steps from a random vertex, then a shortest way home."""
+    start = x = rng.randrange(t.num_vertices)
+    hes = []
+    for _ in range(L):
+        hes.append(rng.choice(t.vertex_slots[x]))
+        x = t.head(hes[-1])
+    hes += random_path(t, rng, x, start, 0)
+    return Walk.from_half_edges(t, hes, closed=True)
 
 
 def measure(rung, calls):
@@ -158,10 +190,21 @@ def main(argv=None):
             "extend": lambda: boundary.extend_for_harmonization(f, anchor)}))
 
     # the escape probe against its window; the host stays doubled crown4
-    path = probe_path(surface.double_with_gadgets(surface.crown(4)))
+    doubled4 = surface.double_with_gadgets(surface.crown(4))
+    path = probe_path(doubled4)
     probe = [measure({"L": L}, {
         "probe": lambda L=L: cover.escape_probe(path, 0, cover.LEFT, L=L)})
         for L in PROBE_WINDOWS]
+
+    # walk reduction against the walk length L
+    rng = random.Random(SEED)
+    patch = surface.build_disk_patch(10, rng)
+    walks = []
+    for L in WALK_LENGTHS:
+        w, c = interior_walk(patch, rng, L), closed_walk(doubled4, rng, L)
+        walks.append(measure({"L": L, "closed_L": len(c)}, {
+            "reduce_open": lambda w=w: walkcalc.reduce_open(w, patch),
+            "reduce_closed": lambda c=c: walkcalc.reduce_closed(c, doubled4)}))
 
     report = {
         "python": platform.python_version(),
@@ -171,12 +214,15 @@ def main(argv=None):
         "rungs": rungs,
         "extension_rungs": extension,
         "probe_rungs": probe,
+        "walk_rungs": walks,
         "exponents": {**exponents(rungs, ("read_tri", "triangulation")),
                       **exponents(extension, ("doubling",
                                               "validate_reducing", "extend")),
                       **exponents(extension, ("host_check",),
                                   size="crowned_half_edges"),
-                      **exponents(probe, ("probe",), size="L")},
+                      **exponents(probe, ("probe",), size="L"),
+                      **exponents(walks, ("reduce_open", "reduce_closed"),
+                                  size="L")},
     }
     text = json.dumps(report, indent=1) + "\n"
     if args.output:

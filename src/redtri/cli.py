@@ -8,6 +8,7 @@ All commands are deterministic for fixed inputs and flags.  Exit codes:
 
 import argparse
 import functools
+import os
 import random
 import sys
 import warnings
@@ -45,12 +46,21 @@ def _read_file(path):
         raise InputError("%s: %s" % (path, exc))
 
 
-def _emit(text, path):
+def _check_writable(path):
+    """Fail before any work where writing `path` would fail: in a missing
+    or read-only directory, or on a directory.  Opening it to append raises
+    the InputError that writing would, and changes nothing."""
+    if path is not None and (os.path.isdir(path) or not os.access(
+            os.path.dirname(path) or ".", os.W_OK)):
+        _emit("", path, "a")
+
+
+def _emit(text, path, mode="w"):
     if path is None:
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise InputError(str(exc))
@@ -73,6 +83,8 @@ def cmd_validate(args):
 
 
 def cmd_harmonize(args):
+    _check_writable(args.output)
+    _check_writable(args.trace)
     t = surface.read_tri(_read_file(args.tri))
     f, anchor = read_drawing(_read_file(args.drw), t)
     if args.anchors:
@@ -169,13 +181,17 @@ def cmd_stress(args):
 
 # -- entry point ------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # malformed input: one line, exit code 2
+        raise InputError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="redtri")
+    p = _Parser(prog="redtri")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="check the reducing conditions")
     sp.add_argument("tri")
-    sp.add_argument("-o", "--output")
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("harmonize", help="run the move routine on a drawing")
@@ -185,19 +201,16 @@ def build_parser():
     sp.add_argument("--anchors", action="store_true",
                     help="honor anchor lines in the drawing file")
     sp.add_argument("--trace", help="write the move trace here")
-    sp.add_argument("-o", "--output")
     sp.set_defaults(func=cmd_harmonize)
 
     sp = sub.add_parser("reduce", help="reduce a walk")
     sp.add_argument("tri")
     sp.add_argument("walk")
     sp.add_argument("--budget", type=int)
-    sp.add_argument("-o", "--output")
     sp.set_defaults(func=cmd_reduce)
 
     sp = sub.add_parser("fixtures", help="emit a named fixture")
     sp.add_argument("name")
-    sp.add_argument("-o", "--output")
     sp.set_defaults(func=cmd_fixtures)
 
     sp = sub.add_parser("probe", help="bounded escape search at a vertex")
@@ -208,7 +221,6 @@ def build_parser():
     sp.add_argument("--depth", type=int)
     sp.add_argument("--window", type=int)
     sp.set_defaults(func=cmd_probe)
-    sp.add_argument("-o", "--output")
 
     sp = sub.add_parser("stress", help="seeded harmonization sweep")
     sp.add_argument("--seed", type=int, default=0)
@@ -216,8 +228,9 @@ def build_parser():
     sp.add_argument("--sizes", type=int, default=5,
                     help="max graph vertices per job")
     sp.add_argument("--budget", type=int)
-    sp.add_argument("-o", "--output")
     sp.set_defaults(func=cmd_stress)
+    for sp in sub.choices.values():
+        sp.add_argument("-o", "--output")
     return p
 
 
@@ -250,8 +263,8 @@ def _check_numbers(args):
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         _check_numbers(args)
         with warnings.catch_warnings():
             # one line per warning, without Python's source location

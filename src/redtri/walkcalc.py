@@ -19,16 +19,14 @@ if the last rewrite left the walk reduced.
 
 Cost: the walk is a doubly linked list whose labels increase along it; a
 rewrite puts its at most two new edges under the labels of the two it
-replaces, so labels keep the order of the walk.  One lazy-deletion heap of
+replaces, so labels keep the order of the walk.  A lazy-deletion heap of
 corner labels per bad kind (and one for corners that raise) finds the next
-corner, and only the corners next to a rewrite are classified again.  A
-state key (length plus a sum of hashes of consecutive edge pairs, taken
-cyclically for closed walks, so rotation-invariant) is kept up to date in
-O(1); a recurrence is confirmed exactly by replaying the reduction, and so
-is a key shared by two different states (the sum can collide, e.g. for
-a a b a b b and a b a a b b on a one-vertex host), at the cost of a replay.
-Set-up and the result are O(L); a step is O(log L).  Nothing bounds the
-number of steps by O(L): the budget is the only limit.
+corner; only the corners next to a rewrite are classified again, from the
+integers of `_turn_steps`.  A state key (length plus a sum over consecutive
+edge pairs, cyclic for closed walks, of a 64-bit mix of the pair) is kept
+in O(1), and a replay confirms a key hit exactly.  CPython's hash((e1, e2))
+of small ints is near additive: a sum of it collides whenever edge-id sums
+agree.  Set-up is O(L), a step O(log L); only the budget bounds the steps.
 """
 
 from dataclasses import dataclass
@@ -106,12 +104,10 @@ class Walk:
         return t.head(self.half_edges[-1]) if self.half_edges else self.start
 
 
-def _slot_position(t, slots, h):
-    """Position of h among `slots`; WalkError if it is not one of them, as
-    when the host's twins are inconsistent."""
-    i = t.slot_index[h]
-    if 0 <= i < len(slots) and slots[i] == h:
-        return i
+def _slot_position(slots, h):
+    """Position of h among `slots`, where the slot index has it elsewhere;
+    WalkError if it is not one of them, as when the host's twins are
+    inconsistent."""
     try:
         return slots.index(h)
     except ValueError:
@@ -119,17 +115,26 @@ def _slot_position(t, slots, h):
                         % h) from None
 
 
-def turn_at(t, e1, e2):
-    v = t.head(e1)
-    if t.tail(e2) != v:
+def _turn_steps(t, e1, e2):
+    """(clockwise steps, degree) of the turn from e1 into e2, the one turn
+    computation of turn_at and the reduction."""
+    v = t.origin[t.next[e1]]
+    if t.origin[e2] != v:
         raise WalkError("edges not incident")
     if t.is_boundary_vertex(v):
         raise BoundaryTurnError("turn at boundary vertex %d" % v)
-    slots = t.vertex_slots[v]
-    d = len(slots)
-    steps = (_slot_position(t, slots, e2)
-             - _slot_position(t, slots, t.twin[e1])) % d
-    return Turn(steps, d, t.color_left(e1))
+    slots, at, enter = t.vertex_slots[v], t.slot_index, t.twin[e1]
+    d, i = len(slots), at[e2]
+    if not (i < d and slots[i] == e2):
+        i = _slot_position(slots, e2)
+    j = at[enter]
+    if not (j < d and slots[j] == enter):
+        j = _slot_position(slots, enter)
+    return (i - j) % d, d
+
+
+def turn_at(t, e1, e2):
+    return Turn(*_turn_steps(t, e1, e2), t.color_left(e1))
 
 
 def classify(turn_):
@@ -175,7 +180,7 @@ class _Reduction:
     Labels index the parallel lists: `edge`, the neighbours `nxt`/`prv`
     (-1 past the ends of an open walk, cyclic for a closed one), and per
     corner (keyed by the label of its second edge) `kind`, `value` (the
-    signed turn, or the exception the turn raises) and `pair` (the hash of
+    signed turn, or the exception the turn raises) and `pair` (the mix of
     its two edges, summed in `pair_sum`).
     """
 
@@ -211,25 +216,24 @@ class _Reduction:
             self.kind[x] = None
             return
         e1, e2 = self.edge[p], self.edge[x]
-        self.pair[x] = h = hash((e1, e2))
+        # the 64-bit mix of the pair: a multiply-xorshift of e1 * 2**32 + e2
+        z = (e1 << 32 | e2) * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF
+        self.pair[x] = h = z ^ z >> 29
         self.pair_sum += h
         try:
-            tu = turn_at(self.t, e1, e2)
+            k, d = _turn_steps(self.t, e1, e2)
         except (BoundaryTurnError, WalkError, ValueError) as exc:
             kind, k = RAISES, exc
         else:
-            k = tu.signed_value if classify(tu) == BAD else None
-            kind = None if k is None else abs(k)
+            if 2 * k > d:
+                k -= d
+            kind = abs(k)
+            if kind > 2 or kind == 2 and self.t.color_left(e1) != RED:
+                kind = k = None
         self.kind[x] = kind
         self.value[x] = k
         if kind is not None:
             heappush(self.heaps[kind], x)
-
-    def _leftmost(self, kind):
-        heap, kinds = self.heaps[kind], self.kind
-        while heap and kinds[heap[0]] != kind:
-            heappop(heap)
-        return heap[0] if heap else None
 
     def _unlink(self, x):
         p, q = self.prv[x], self.nxt[x]
@@ -260,13 +264,15 @@ class _Reduction:
 
     def step(self):
         """Rewrite the next bad corner; False when the walk is reduced."""
-        spur, raises = self._leftmost(SPUR), self._leftmost(RAISES)
-        if raises is not None and (spur is None or raises < spur):
-            raise self.value[raises]
-        b = spur
-        for kind in (ONE, TWO_R):
-            if b is None:
-                b = self._leftmost(kind)
+        kinds, b = self.kind, None
+        for kind in (SPUR, RAISES, ONE, TWO_R):
+            heap = self.heaps[kind]
+            while heap and kinds[heap[0]] != kind:
+                heappop(heap)
+            if heap and (b is None or kind == RAISES and heap[0] < b):
+                if kind == RAISES:
+                    raise self.value[heap[0]]
+                b = heap[0]
         if b is None:
             return False
         edge, nxt = self.edge, self.nxt
@@ -308,12 +314,12 @@ class _Reduction:
         """Raise what Walk.from_half_edges raises on the new walk: the new
         edges must be on the host, and only the edge pairs ending at these
         labels (in walk order) are new."""
-        t, edge = self.t, self.edge
+        t, edge, prv = self.t, self.edge, self.prv
         _check_range(t, new)
         wraps = True
         for x in labels:
-            p = self.prv[x]
-            if p >= 0 and t.head(edge[p]) != t.tail(edge[x]):
+            p = prv[x]
+            if p >= 0 and t.origin[t.next[edge[p]]] != t.origin[edge[x]]:
                 if x != self.first:
                     raise WalkError("half-edges %d,%d not consecutive"
                                     % (edge[p], edge[x]))

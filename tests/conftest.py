@@ -116,6 +116,27 @@ def short_closed_walks(t, length):
         yield from extend([h])
 
 
+def broken_twin_torus():
+    """The torus with half-edges 0 and 4 both claiming 5 as their twin."""
+    t = surface.build_torus()
+    twin = list(t.twin)
+    twin[0], twin[4] = 5, 5  # he 0 points at 5 whose twin is 1
+    return surface.Triangulation(t.next, twin, t.origin,
+                                 {0: surface.RED, 3: surface.BLUE})
+
+
+def broken_doubled_crown4():
+    """Doubled crown4 with 0 and 10, and 92 and 240, made twins: its
+    rotations no longer hold every half-edge at its vertex, so the turn
+    of the walk 0, 1 reads a half-edge (10) that is not in the rotation."""
+    t = surface.double_with_gadgets(surface.crown(4))
+    twin = list(t.twin)
+    for h, g in ((0, 10), (92, 240)):
+        twin[h], twin[g] = g, h
+    return surface.Triangulation(t.next, twin, t.origin, dict(
+        enumerate(map(t.color_left, range(len(t.next))))))
+
+
 def pinched_sphere(color):
     """A sphere of two triangles, each with two sides glued to each other,
     glued along a loop at vertex 0 (degree 4, the other two vertices degree

@@ -29,6 +29,7 @@ LIBRARY_API = {
     "CoverChart.expand": "grows a chart to a radius; the cover tests use it",
     "CoverChart.lift_walk": "lifts a base walk into the chart",
     "is_reduced": "the reducedness predicate of the walk calculus",
+    "_Parser.error": "argparse calls it on a usage error",
 }
 
 

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from redtri import drawing, surface
+from redtri import cli, drawing, surface
 from redtri.cli import build_parser, main
 from redtri.walkcalc import Walk
 
@@ -227,6 +227,63 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(tmp_path / "missing") in err
+
+
+@pytest.mark.parametrize("target", ["in a missing directory", "a directory"])
+@pytest.mark.parametrize("inputs", ["valid", "missing"])
+@pytest.mark.parametrize("flag", ["-o", "--trace"])
+def test_harmonize_checks_outputs_first(capsys, tmp_path, monkeypatch, flag,
+                                        inputs, target):
+    """An output path that cannot be written fails before the inputs are
+    read and before harmonize runs: exit 2, one line naming the path,
+    nothing on stdout."""
+    calls = []
+    monkeypatch.setattr(cli, "harmonize", lambda *a, **k: calls.append(a))
+    if inputs == "valid":
+        host = surface.double_with_gadgets(surface.crown(4))
+        tp, dp = write_drawing_files(tmp_path, host, spur_drawing(host))
+    else:
+        tp, dp = str(tmp_path / "no.tri"), str(tmp_path / "no.drw")
+    bad = str(tmp_path / "missing" / "x.out"
+              if target == "in a missing directory" else tmp_path)
+    code, out, err = run(capsys, "harmonize", tp, dp, flag, bad)
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert bad in err
+
+
+def test_harmonize_output_check_leaves_files_alone(capsys, tmp_path):
+    """The check writes nothing: after a failed run an existing output
+    keeps its text and a new path stays absent."""
+    host = surface.double_with_gadgets(surface.crown(4))
+    tp, dp = write_drawing_files(tmp_path, host, spur_drawing(host))
+    old, new = tmp_path / "old.drw", tmp_path / "new.trc"
+    old.write_text("old\n")
+    code, _, _ = run(capsys, "harmonize", tp, dp, "--budget", "0",
+                     "-o", str(old), "--trace", str(new))
+    assert code == 1
+    assert old.read_text() == "old\n" and not new.exists()
+
+
+@pytest.mark.parametrize("argv,words", [
+    (["harmonize", "t.tri", "x.drw", "--budget", "x"],
+     "argument --budget: invalid int value: 'x'"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    (["harmonize", "t.tri"], "the following arguments are required: drw"),
+], ids=["bad-budget", "unknown-command", "missing-positional"])
+def test_usage_error_prints_one_line(capsys, argv, words):
+    """A command line argparse rejects is malformed input: one `error:`
+    line, no usage block, exit 2."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + words) and err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: redtri reduce")
 
 
 def test_harmonize_anchors(capsys, tmp_path):

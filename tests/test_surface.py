@@ -20,8 +20,8 @@ from redtri.surface import (
 )
 
 import tri_oracle
-from conftest import (FUZZ_ALPHABET, bowtie, edit_char, fan_disk,
-                      fixture_path, make_patch)
+from conftest import (FUZZ_ALPHABET, bowtie, broken_twin_torus, edit_char,
+                      fan_disk, fixture_path, make_patch)
 
 
 def test_torus_counts(torus):
@@ -148,14 +148,6 @@ def square():
     """One square face, all four sides on the boundary."""
     return surface.Triangulation([1, 2, 3, 0], [NO_TWIN] * 4, [0, 1, 2, 3],
                                  {0: RED})
-
-
-def broken_twin_torus():
-    """The torus with half-edges 0 and 4 both claiming 5 as their twin."""
-    t = surface.build_torus()
-    twin = list(t.twin)
-    twin[0], twin[4] = 5, 5  # he 0 points at 5 whose twin is 1
-    return surface.Triangulation(t.next, twin, t.origin, {0: RED, 3: BLUE})
 
 
 def two_pillows():

@@ -28,6 +28,8 @@ from redtri.walkcalc import (
 import walk_oracle
 from walk_oracle import corner_positions, turn
 from conftest import (
+    broken_doubled_crown4,
+    broken_twin_torus,
     make_patch,
     pinched_sphere,
     random_closed_walk,
@@ -275,11 +277,14 @@ def outcome(reduce, w, t, budget):
 
 
 def assert_matches_oracle(w, t, budget):
+    """The outcome of reducing w, which the scan reducer shares."""
     if w.closed:
         new, old = reduce_closed, walk_oracle.reduce_closed
     else:
         new, old = reduce_open, walk_oracle.reduce_open
-    assert outcome(new, w, t, budget) == outcome(old, w, t, budget)
+    got = outcome(new, w, t, budget)
+    assert got == outcome(old, w, t, budget)
+    return got
 
 
 @given(st.sampled_from(sorted(HOSTS)),
@@ -343,3 +348,121 @@ def test_long_walks_match_oracle():
                 hes.append(h)
                 x = p.head(h)
         assert_matches_oracle(Walk.from_half_edges(p, hes), p, None)
+
+
+# -- rare paths of the engine against the scan reducer ----------------------
+
+BROKEN_HOSTS = {"broken torus": broken_twin_torus,
+                "broken doubled crown4": broken_doubled_crown4}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_HOSTS))
+def test_broken_twins_match_oracle(name):
+    """On a host whose twins disagree with its rotations: every open walk
+    of two edges and every closed walk of one to three edges, among them
+    turns that read a half-edge the rotation does not hold."""
+    t = BROKEN_HOSTS[name]()
+    walks = [Walk.from_half_edges(t, (h, g)) for h in range(len(t.next))
+             for g in t.vertex_slots[t.head(h)]]
+    walks += [Walk.from_half_edges(t, hes, closed=True)
+              for n in (1, 2, 3) for hes in short_closed_walks(t, n)]
+    raised = {assert_matches_oracle(w, t, None)[1] for w in walks}
+    # the torus's broken rotation lists all six half-edges, sorted
+    assert (WalkError in raised) == (name == "broken doubled crown4")
+
+
+def rim_corner(p):
+    """(h, g, x): a turn from h into g at a rim vertex, where h leaves an
+    interior vertex and g enters one, and x leaves the tail of h."""
+    for h in range(len(p.next)):
+        if p.is_boundary_vertex(p.tail(h)) or \
+                not p.is_boundary_vertex(p.head(h)):
+            continue
+        for g in p.vertex_slots[p.head(h)]:
+            if g != p.twin[h] and not p.is_boundary_vertex(p.head(g)):
+                x = next(x for x in p.vertex_slots[p.tail(h)] if x != h)
+                return h, g, x
+    raise AssertionError("no rim corner")
+
+
+@pytest.mark.parametrize("shape", ["left of a spur", "right of a spur",
+                                   "right of a 1-turn"])
+def test_boundary_corner_beside_a_spur_matches_oracle(shape):
+    """A turn at a rim vertex raises once it lies left of every spur: at
+    once when a spur follows it, after the spur's rewrite when the spur
+    comes first, and at once when only a 1-turn comes first."""
+    p = make_patch(2, radius=3)
+    h, g, x = rim_corner(p)
+    hes = {"left of a spur": (h, g, p.twin[g]),
+           "right of a spur": (x, p.twin[x], h, g)}.get(shape)
+    if hes is None:
+        # a corner of turn +-1 into h
+        one = next(y for y in range(len(p.next)) if p.head(y) == p.tail(h)
+                   and abs(turn_at(p, y, h).signed_value) == 1)
+        hes = (one, h, g)
+    w = Walk.from_half_edges(p, hes)
+    assert assert_matches_oracle(w, p, None)[1] is BoundaryTurnError
+
+
+@pytest.mark.parametrize("name", ["torus", "pinched sphere blue"])
+def test_one_edge_closed_walks_match_oracle(name):
+    """Every one-edge closed walk (a loop) where its one corner is good;
+    test_one_edge_closed_walk_grows takes the bad one."""
+    t = {"torus": surface.build_torus,
+         "pinched sphere blue": lambda: pinched_sphere(surface.BLUE)}[name]()
+    loops = [h for h in range(len(t.next)) if t.head(h) == t.tail(h)]
+    assert loops
+    for h in loops:
+        w = Walk.from_half_edges(t, (h,), closed=True)
+        for budget in (None, 0, 1, 2):
+            assert assert_matches_oracle(w, t, budget) == (
+                "return", Stalled(w, "budget") if budget == 0 else Reduced(w))
+
+
+# -- the state key ----------------------------------------------------------
+
+def test_state_key_separates_equal_id_sums():
+    """A rewrite that keeps the sum of the first and of the second edge ids
+    over the pairs changes the key: one step of the walk 105, 104, 132, 141
+    on doubled crown4, whose -2_r corner becomes 115, 121."""
+    t, _ = host_and_short_walks("doubled crown4")
+    before, after = (105, 104, 132, 141), (105, 115, 121, 141)
+    for hes in (before, after):
+        pairs = list(zip(hes, hes[1:]))
+        assert [sum(ids) for ids in zip(*pairs)] == [341, 377]
+    r = walkcalc._Reduction(t, Walk.from_half_edges(t, before))
+    key = r.key()
+    assert r.step() and r.half_edges() == after
+    assert r.key() != key
+
+
+def test_no_replays_on_benchmark_shaped_walks(monkeypatch):
+    """Open walks of 150-900 edges through the deep interior of a radius-6
+    patch and closed walks of 150-750 edges on doubled crown4: no key hit
+    that needs a replay."""
+    replays = []
+    recurs = walkcalc._recurs
+    monkeypatch.setattr(walkcalc, "_recurs",
+                        lambda *args: replays.append(args) or recurs(*args))
+    doubled, _ = host_and_short_walks("doubled crown4")
+    p = make_patch(1, radius=6)
+    rim = {v for v in range(p.num_vertices) if p.is_boundary_vertex(v)}
+    near = set(rim)
+    for _ in range(3):  # three rings of margin
+        near |= {p.head(h) for v in near for h in p.vertex_slots[v]}
+    deep = sorted(set(range(p.num_vertices)) - near)
+    rng = random.Random(1)
+    for _ in range(4):
+        for L in (150, 300, 450, 600, 750, 900):
+            x, hes = rng.choice(deep), []
+            while len(hes) < L:
+                h = rng.choice(p.vertex_slots[x])
+                if p.head(h) not in near:
+                    hes.append(h)
+                    x = p.head(h)
+            reduce_open(Walk.from_half_edges(p, hes), p)
+            if L < 900:
+                hes = random_closed_walk(doubled, rng, L)
+                reduce_closed(Walk.from_half_edges(doubled, hes, closed=True),
+                              doubled)
+    assert replays == []

@@ -1,5 +1,8 @@
 """The scan reducer that `redtri.walkcalc` used before its incremental
-engine, kept verbatim as a test oracle.
+engine, kept as a test oracle.  One change: a turn that reads a half-edge
+missing from the rotation (the host's twins disagree with its rotations)
+raises the WalkError the library documents, where `tuple.index` raised
+ValueError.
 
 Every step rescans all corners of the walk (`_find_bad`), rebuilds and
 revalidates the whole walk (`_apply_at`) and remembers every state in a set
@@ -47,8 +50,15 @@ def turn_at(t, e1, e2):
     slots = t.vertex_slots[v]
     d = len(slots)
     enter = t.twin[e1]
-    steps = (slots.index(e2) - slots.index(enter)) % d
+    steps = (_position(slots, e2) - _position(slots, enter)) % d
     return Turn(steps, d, t.color_left(e1))
+
+
+def _position(slots, h):
+    if h not in slots:
+        raise WalkError("half-edge %d is not in the rotation at the turn"
+                        % h)
+    return slots.index(h)
 
 
 def _rewrite(t, e1, e2, k):
