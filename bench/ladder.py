@@ -1,4 +1,5 @@
-"""Time the host, probe and walk layers across size ladders; fit the growth.
+"""Time the host, probe, walk and harmonize layers across size ladders; fit
+the growth.
 
     python3 bench/ladder.py [-o BENCH.json]
 
@@ -25,14 +26,24 @@ the time.  The walk ladder times `walkcalc.reduce_open` of an open walk of
 L = 400..6400 random steps through the vertices of a radius-10 disk patch
 at least three rings from its rim (so no rewrite reaches the rim), and
 `walkcalc.reduce_closed` of a closed walk of L random steps on doubled
-crown4 followed by a shortest way home.  Per rung it records the least
+crown4 followed by a shortest way home.  The harmonize ladder runs
+`harmonizer.harmonize` on doubled crown4 over four seeded connected
+drawings per rung of G = 8..64 vertices (n - 1 + n/4 edges, each image a
+random walk of up to 8 steps and a shortest way on).  It records the
+time per move and, from one more run with the move searches and
+applications wrapped, the search and apply time and the number of moves
+per move kind (a flip's search includes the step-2 `flip_at`).  Per rung
+it records the least
 time of nine runs and, from a separate run under `tracemalloc`, the peak
 of memory allocated during the call.  The least time, not the median,
 because on a shared machine the median of five moved by up to 1.7x between
 runs of one commit, and the exponents by up to 0.25; other processes only
 ever add time.  Each fitted exponent is the least-squares slope of
 log(least time) over log(half-edges of the host the call builds or reads),
-or over log(L) for the probe and the walks; 1.0 is linear.  Standard
+or over log(L) for the probe and the walks; 1.0 is linear.  The exponent
+`harmonize_ms_per_move` is that of the time per move over the mean
+clusters times edges of the rung's subdivided drawings as the harmonizer
+starts from them; 0.0 is flat.  Standard
 library only; it imports redtri from the `src/` of the checkout it sits in.
 Prints the JSON, and writes it to the -o file if one is given.
 """
@@ -52,8 +63,13 @@ import tracemalloc
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from redtri import boundary, cover, surface, walkcalc  # noqa: E402
-from redtri.drawing import Drawing, Graph, random_path  # noqa: E402
+from redtri import boundary, cover, harmonizer, surface, walkcalc  # noqa: E402
+from redtri.drawing import (  # noqa: E402
+    Drawing,
+    Graph,
+    factor_simplicial,
+    random_path,
+)
 from redtri.walkcalc import Walk  # noqa: E402
 
 SEED = 1
@@ -61,6 +77,13 @@ RADII = range(4, 11)
 EXTENSION_RADII = range(2, 7)
 PROBE_WINDOWS = (3072, 6144, 12288, 24576, 49152)
 WALK_LENGTHS = (400, 800, 1600, 3200, 6400)
+GRAPH_VERTICES = (8, 16, 32, 64)
+DRAWINGS_PER_RUNG = 4
+# the functions `harmonize` calls through module globals, by move kind
+SEARCHES = {"find_flip": "flip", "flip_at": "flip",
+            "find_shortening": "short", "find_balancing": "bal"}
+APPLIES = {"apply_flip": "flip", "apply_shortening": "short",
+           "apply_balancing": "bal"}
 REPEATS = 9
 
 
@@ -136,6 +159,55 @@ def closed_walk(t, rng, L):
     return Walk.from_half_edges(t, hes, closed=True)
 
 
+def graph_drawing(t, rng, n, detour=8):
+    """A connected graph on n vertices and n - 1 + n // 4 edges drawn on t,
+    each image a random walk and a shortest way to its far end."""
+    vmap = [rng.randrange(t.num_vertices) for _ in range(n)]
+    edges = [(rng.randrange(i + 1), i + 1) for i in range(n - 1)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 4)]
+    emap = [Walk.from_half_edges(t, random_path(t, rng, vmap[u], vmap[v],
+                                                detour), start=vmap[u])
+            for u, v in edges]
+    return Drawing(Graph(n, edges), t, vmap, emap)
+
+
+def clusters_times_edges(f):
+    state = harmonizer.State(factor_simplicial(f))
+    return len(state.cluster_vertices()) * state.length
+
+
+def move_split(drawings):
+    """Per move kind, the moves and the seconds spent searching for and
+    applying them over one harmonization of each drawing."""
+    split = {kind: {"moves": 0, "search_s": 0.0, "apply_s": 0.0}
+             for kind in ("flip", "short", "bal")}
+    saved = {name: getattr(harmonizer, name)
+             for name in (*SEARCHES, *APPLIES)}
+
+    def timed(name, fn):
+        kind, key = (SEARCHES[name], "search_s") if name in SEARCHES else (
+            APPLIES[name], "apply_s")
+
+        def call(*args):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                split[kind][key] += time.perf_counter() - t0
+                split[kind]["moves"] += key == "apply_s"
+        return call
+
+    try:
+        for name, fn in saved.items():
+            setattr(harmonizer, name, timed(name, fn))
+        for f in drawings:
+            harmonizer.harmonize(f)
+    finally:
+        for name, fn in saved.items():
+            setattr(harmonizer, name, fn)
+    return split
+
+
 def measure(rung, calls):
     """Time each call of calls into rung, and print the rung."""
     label = " ".join("%s=%d" % item for item in rung.items())
@@ -206,6 +278,21 @@ def main(argv=None):
             "reduce_open": lambda w=w: walkcalc.reduce_open(w, patch),
             "reduce_closed": lambda c=c: walkcalc.reduce_closed(c, doubled4)}))
 
+    # harmonize against the size of the drawing; the host stays doubled
+    # crown4
+    rng = random.Random(SEED)
+    harmonize = []
+    for n in GRAPH_VERTICES:
+        fs = [graph_drawing(doubled4, rng, n)
+              for _ in range(DRAWINGS_PER_RUNG)]
+        rung = measure({"vertices": n, "clusters_times_edges": statistics.fmean(
+            clusters_times_edges(f) for f in fs)}, {
+            "harmonize": lambda fs=fs: [harmonizer.harmonize(f) for f in fs]})
+        rung["kinds"] = move_split(fs)
+        rung["moves"] = sum(k["moves"] for k in rung["kinds"].values())
+        rung["ms_per_move"] = rung["harmonize_s"] * 1e3 / rung["moves"]
+        harmonize.append(rung)
+
     report = {
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -215,6 +302,7 @@ def main(argv=None):
         "extension_rungs": extension,
         "probe_rungs": probe,
         "walk_rungs": walks,
+        "harmonize_rungs": harmonize,
         "exponents": {**exponents(rungs, ("read_tri", "triangulation")),
                       **exponents(extension, ("doubling",
                                               "validate_reducing", "extend")),
@@ -222,7 +310,10 @@ def main(argv=None):
                                   size="crowned_half_edges"),
                       **exponents(probe, ("probe",), size="L"),
                       **exponents(walks, ("reduce_open", "reduce_closed"),
-                                  size="L")},
+                                  size="L"),
+                      "harmonize_ms_per_move": exponent(
+                          [r["clusters_times_edges"] for r in harmonize],
+                          [r["ms_per_move"] for r in harmonize])},
     }
     text = json.dumps(report, indent=1) + "\n"
     if args.output:

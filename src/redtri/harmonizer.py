@@ -15,9 +15,12 @@ balancing moves each vertex of a component across slot l2 of its corner
 (counterclockwise) or l1 (clockwise).
 
 The searches do not scan the drawing.  `State` records which clusters each
-move touches, and a search first re-examines just those: a cluster's corner
-decides its flip and its shortening, and a balancing needs only the
-split-graph components that hold its corner copies.
+move touches, and a search first re-examines just those, in one pass that
+lists each touched cluster's darts once.  The list decides the cluster's
+flip and its shortening at once, and it waits for the split graphs of the
+two cycle colors, which rebuild the cluster's corner copies from it when a
+balancing is next searched.  A split graph keeps only the components that
+qualify for a balancing; it drops the others once it has gathered them.
 """
 
 import heapq
@@ -67,9 +70,13 @@ class State(UnionFind):
     search.  All four mutators add to it: `set_image` and `collapse` both
     ends of the edge, `union` the kept root and the dropped one, `retarget`
     the cluster.  Every vertex starts dirty.  A search first re-examines
-    the clusters of the dirty vertices (`_refresh`) and so keeps the move
-    indexes up to date: `flips` and `shortenings`, the clusters where such
-    a move applies, and `splits`, the split graph of each cycle color.
+    the clusters of the dirty vertices (`_refresh`), listing each one's
+    darts once, and so keeps the move indexes up to date: `flips` and
+    `shortenings`, the clusters where such a move applies, and `splits`,
+    the split graph of each cycle color.  The split graphs catch up only
+    when a balancing is searched; until then `pending` keeps, for both of
+    them, each re-examined root's dart list, and None for each vertex that
+    is no longer a root.
 
     Code that writes `image`, `parent` or `target` directly bypasses the
     indexes and must not call `darts` or a search afterwards.
@@ -88,6 +95,7 @@ class State(UnionFind):
         self.flips = _Candidates()
         self.shortenings = _Candidates()
         self.splits = (_SplitGraph(RED), _SplitGraph(BLUE))
+        self.pending = {}
         self.dart_index = {v: set() for v in range(self.gbar.num_vertices)}
         for e, (u, v) in enumerate(self.gbar.edges):
             if self.image[e] is None:
@@ -149,57 +157,58 @@ class State(UnionFind):
 
 class _Candidates:
     """The clusters where one kind of move applies: `live` maps each root
-    to its move (stamped with the version it was found at), and `heap`
-    holds the roots with lazy deletion: a root that left `live` stays in
-    the heap until it comes to the top."""
+    to its move's fields, and `heap` holds the roots with lazy deletion: a
+    root that left `live` stays in the heap until it comes to the top."""
 
     def __init__(self):
         self.live = {}
         self.heap = []
 
-    def update(self, r, move):
-        if move is None:
+    def update(self, r, fields):
+        if fields is None:
             self.live.pop(r, None)
             return
         if r not in self.live:
             heapq.heappush(self.heap, r)
-        self.live[r] = move
+        self.live[r] = fields
 
-    def first(self, version, skip=()):
-        """The move at the smallest live root outside `skip`, or None."""
+    def first(self, skip=()):
+        """The smallest live root outside `skip` and its move's fields, or
+        None."""
         heap, live = self.heap, self.live
         held = []
         while heap and (heap[0] not in live or heap[0] in skip):
             r = heapq.heappop(heap)
             if r in live:
                 held.append(r)
-        m = live[heap[0]] if heap else None
+        found = (heap[0], live[heap[0]]) if heap else None
         for r in held:
             heapq.heappush(heap, r)
-        return None if m is None else replace(m, version=version)
+        return found
 
 
 def _refresh(state):
-    """Re-examine the clusters of the dirty vertices: reclassify their
-    corners for `flips` and `shortenings` now, and queue the vertices for
-    the split graphs, which catch up when a balancing is searched."""
+    """Re-examine the clusters of the dirty vertices: list each root's
+    darts once, reclassify its corner for `flips` and `shortenings` now,
+    and leave the list in `pending` for the split graphs."""
     dirty = state.dirty
     if not dirty:
         return
     state.dirty = set()
-    for split in state.splits:
-        split.pending |= dirty
+    pending = state.pending
     roots = set()
     for v in dirty:
         r = state.find(v)
         if r != v:      # not a root (any more)
             state.flips.update(v, None)
             state.shortenings.update(v, None)
+            pending[v] = None
         roots.add(r)
     for r in roots:
-        corner = _corner(state, r)
-        state.flips.update(r, _flip(state, r, corner))
-        state.shortenings.update(r, _shortening(state, r, corner))
+        darts = pending[r] = state.darts(r)
+        flip, shortening = _corner_moves(state, r, darts)
+        state.flips.update(r, flip)
+        state.shortenings.update(r, shortening)
 
 
 # -- moves -----------------------------------------------------------------
@@ -240,20 +249,29 @@ def _has_loop(state, r):
     return len({e for e, _ in ends}) < len(ends)
 
 
-def _corner(state, r):
-    """(run, width): cluster r's used slots in clockwise order, starting
-    after the widest gap between them, and the number of slots the run
-    spans.  None unless r uses one to three slots and holds no loop."""
-    used = {h for (_, _, h) in state.darts(r)}
+def _corner_moves(state, r, darts):
+    """The fields of cluster r's flip, (target, s1, s2), and of its
+    shortening, (target, run), each None unless it applies; `darts` are
+    r's.  Both need one to three used slots and no loop.  The run is the
+    used slots in clockwise order from the widest gap between them: a
+    shortening needs them consecutive at a vertex of degree at least six,
+    a flip two of them with one empty slot between, the blue face first."""
+    used = {h for (_, _, h) in darts}
     if not 1 <= len(used) <= 3 or _has_loop(state, r):
-        return None
+        return None, None
     t = state.host
     slots, pos = t.vertex_slots[state.target[r]], t.slot_index
     d, n = len(slots), len(used)
     ps = sorted(pos[h] for h in used)
     # a lone slot's gap is the whole circle
     gap, i = max(((ps[k] - ps[k - 1]) % d or d, k) for k in range(n))
-    return tuple(slots[ps[(i + k) % n]] for k in range(n)), d + 1 - gap
+    run = tuple(slots[ps[(i + k) % n]] for k in range(n))
+    width = d + 1 - gap
+    if width == n:
+        return None, ((t.head(_pivot(run)), run) if d >= 6 else None)
+    if n == 2 and width == 3 and t.color_left(run[0]) == BLUE:
+        return (t.head(t.next[t.twin[run[0]]]), *run), None
+    return None, None
 
 
 def _rotate(t, h, pivot):
@@ -270,10 +288,10 @@ def _rotate(t, h, pivot):
 def _move(state, r, pivot, target):
     """Move cluster r to `target` across its slot `pivot`; returns the edges
     that collapse, for the caller to collapse once every image is set."""
-    t = state.host
+    t, image = state.host, state.image
     collapses = []
-    for (e, end, h) in state.darts(r):
-        new = _rotate(t, h, pivot)
+    for e, end in state.dart_index[r]:
+        new = _rotate(t, image[e] if end == 0 else t.twin[image[e]], pivot)
         if new is None:
             collapses.append(e)
         else:
@@ -285,22 +303,15 @@ def _move(state, r, pivot, target):
 def find_flip(state, skip=()):
     """The flip at the smallest cluster outside `skip` that has one."""
     _refresh(state)
-    return state.flips.first(state.version, skip)
+    found = state.flips.first(skip)
+    return None if found is None else Flip(found[0], *found[1], state.version)
 
 
 def flip_at(state, r):
-    """A flip: two used slots with one empty slot between them, the blue
-    face first.  It is a shortening across the empty (pivot) slot."""
-    return _flip(state, r, _corner(state, r))
-
-
-def _flip(state, r, corner):
-    run, width = corner or ((), 0)
-    t = state.host
-    if len(run) != 2 or width != 3 or t.color_left(run[0]) != BLUE:
-        return None
-    s1, s2 = run
-    return Flip(r, t.head(t.next[t.twin[s1]]), s1, s2, state.version)
+    """The flip at cluster r, or None: a shortening across the empty
+    (pivot) slot between two used ones."""
+    fields = _corner_moves(state, r, state.darts(r))[0]
+    return None if fields is None else Flip(r, *fields, state.version)
 
 
 def apply_flip(state, m):
@@ -314,23 +325,15 @@ def apply_flip(state, m):
 def find_shortening(state):
     """The shortening at the smallest cluster that has one."""
     _refresh(state)
-    return state.shortenings.first(state.version)
+    found = state.shortenings.first()
+    return None if found is None else Shortening(found[0], *found[1],
+                                                 state.version)
 
 
 def _pivot(run):
     """A shortening's pivot: the first slot of a run of one or two, the
     middle one of a run of three."""
     return run[(len(run) - 1) // 2]
-
-
-def _shortening(state, r, corner):
-    run, width = corner or ((), 0)
-    if not run or width != len(run):
-        return None
-    t = state.host
-    if len(t.vertex_slots[state.target[r]]) < 6:
-        return None
-    return Shortening(r, t.head(_pivot(run)), run, state.version)
 
 
 def apply_shortening(state, m):
@@ -366,100 +369,100 @@ class _SplitGraph:
     corner, green with one on its left (1 or 2 clockwise steps from the
     a-slot; 0 and 3 are the corner).  A component qualifies for a
     balancing when it has no red copy, some green one and a directed
-    cycle.  The qualifying ones wait in a min-heap under their smallest
-    (root, first dart) key: the order in which a scan over the clusters
-    and their darts meets them.
+    cycle.  Every copy is kept, but only the qualifying components are:
+    each waits in a min-heap under its smallest (root, first dart) key,
+    the order in which a scan over the clusters and their darts meets
+    them.  Any other component is dropped once its breadth-first search
+    is done.
 
-    `pending` holds the vertices whose clusters changed since the last
-    `refresh`, which rebuilds only the components that held or now hold
-    a copy of one of those clusters."""
+    `refresh` takes the dart lists that `_refresh` left pending, rebuilds
+    the copies of those clusters and gathers the components of the new
+    copies.  A component that holds no touched copy is unchanged, so a
+    dropped one stays dropped and a kept one stays kept."""
 
     def __init__(self, color):
         self.color = color
-        self.pending = set()
         self.at = {}        # root -> its copies
         self.darts = {}     # copy -> its darts, in (edge id, end) order
         self.copy_of = {}   # (edge id, end) -> copy
         self.mark = {}      # copy -> "red", "green" or "plain"
-        self.comp = {}      # copy -> component id
-        self.members = {}   # component id -> copies, in key order
-        self.found = {}     # qualifying component id -> (cycle, movers)
-        self.heap = []      # (key, id) of qualifying components
-        self.ids = 0
+        self.comp = {}      # copy of a qualifying component -> its key
+        self.found = {}     # qualifying component's key -> (cycle, movers)
+        self.heap = []      # keys of qualifying components
 
-    def first(self, state):
+    def first(self):
         """(cycle, movers) of the first qualifying component, or None."""
-        self.refresh(state)
         heap = self.heap
-        while heap and heap[0][1] not in self.found:
+        while heap and heap[0] not in self.found:
             heapq.heappop(heap)
-        return self.found[heap[0][1]] if heap else None
+        return self.found[heap[0]] if heap else None
 
-    def refresh(self, state):
-        if not self.pending:
-            return
-        pending, self.pending = self.pending, set()
-        roots = {state.find(v) for v in pending}
-        for v in pending | roots:
+    def refresh(self, state, pending):
+        """Catch up with `pending`: vertex -> its darts, or None once it is
+        no longer a root."""
+        for v in pending:
             for c in self.at.pop(v, ()):
-                cid = self.comp.get(c)     # None once its component is freed
-                members = self.members.pop(cid, None)
-                if members is not None:
-                    self.found.pop(cid, None)
-                    for m in members:
+                key = self.comp.get(c)     # None unless it qualified
+                if key is not None:
+                    for m in self.found.pop(key)[1]:
                         del self.comp[m]
                 for e, end, _ in self.darts.pop(c):
                     del self.copy_of[(e, end)]
                 del self.mark[c]
-        new = [c for r in roots for c in self._copies(state, r)]
-        # an untouched copy of a freed component kept its edges to the
-        # touched clusters, so the new copies reach it
+        new = [c for r, darts in pending.items() if darts is not None
+               for c in self._copies(state, r, darts)]
+        # an untouched copy of a changed component kept its edges to the
+        # touched clusters, so the new copies reach it; a component with a
+        # red copy never qualifies, so none is gathered from one
+        seen = set()
         for c in new:
-            if c not in self.comp:
-                self._component(state, c)
+            if c not in seen and self.mark[c] != "red":
+                self._component(state, c, seen)
 
-    def _copies(self, state, r):
+    def _copies(self, state, r, darts):
         """Split cluster r's darts into copies and mark them."""
         t, x = state.host, state.target[r]
         pos, d = t.slot_index, len(t.vertex_slots[x])
-        darts = state.darts(r)
         copies = {}
         for dart in darts:
             c = (r, _corner_of(t, x, dart[2], self.color))
             copies.setdefault(c, []).append(dart)
             self.copy_of[dart[:2]] = c
+        ps = {pos[g] for _, _, g in darts}
         for c, ds in copies.items():
             self.darts[c] = ds
-            steps = {(pos[g] - pos[c[1]]) % d for _, _, g in darts}
+            steps = {(p - pos[c[1]]) % d for p in ps}
             self.mark[c] = ("red" if steps - {0, 1, 2, 3} else
                             "green" if steps & {1, 2} else "plain")
         self.at[r] = list(copies)
         return copies
 
-    def _component(self, state, c0):
-        """Gather the component of copy c0 and queue it if it qualifies."""
-        cid, self.ids = self.ids, self.ids + 1
+    def _component(self, state, c0, seen):
+        """Gather the component of copy c0 into `seen`, and keep it if it
+        qualifies."""
         members = [c0]
-        self.comp[c0] = cid
+        seen.add(c0)
         for c in members:
             for e, end, _ in self.darts[c]:
                 o = self.copy_of[(e, 1 - end)]
-                if o not in self.comp:
-                    self.comp[o] = cid
+                if o not in seen:
+                    seen.add(o)
                     members.append(o)
-        members.sort(key=self._key)
-        self.members[cid] = members
         marks = {self.mark[c] for c in members}
         if "red" in marks or "green" not in marks:
             return
+        members.sort(key=self._key)
         t = state.host
         adj = {c: [self.copy_of[(e, 1 - end)] for e, end, g in self.darts[c]
                    if t.color_left(g) == self.color] for c in members}
         cyc = _directed_cycle(members, adj)
-        if cyc is not None:
-            movers = tuple(sorted(members))
-            self.found[cid] = (tuple(c[0] for c in cyc), movers)
-            heapq.heappush(self.heap, (self._key(members[0]), cid))
+        if cyc is None:
+            return
+        key = self._key(members[0])
+        movers = tuple(sorted(members))
+        self.found[key] = (tuple(c[0] for c in cyc), movers)
+        self.comp.update(dict.fromkeys(movers, key))
+        heapq.heappush(self.heap, key)
 
     def _key(self, c):
         """(root, first dart): a scan over the clusters and their darts
@@ -470,13 +473,18 @@ class _SplitGraph:
 def find_balancing(state):
     """A balancing of the first qualifying component, red cycles first."""
     _refresh(state)
+    if state.pending:
+        for split in state.splits:
+            split.refresh(state, state.pending)
+        state.pending = {}
     for split in state.splits:
-        found = split.first(state)
+        found = split.first()
         if found is None:
             continue
         cycle, movers = found
-        assert len(dict(movers)) == len(movers), \
-            "vertex with two corner copies in one balanced component"
+        if len(dict(movers)) != len(movers):
+            raise InvariantError(
+                "vertex with two corner copies in one balanced component")
         if _rotation_shortens(state, movers, CW):
             rotation = CW
         elif _rotation_shortens(state, movers, CCW):

@@ -16,17 +16,18 @@ from redtri.harmonizer import (
     CW,
     Balancing,
     InvariantError,
-    _corner,
+    Shortening,
+    _corner_moves,
     _corner_of,
     _rotation_shortens,
-    _shortening,
     flip_at,
 )
 from redtri.surface import BLUE, RED, UnionFind
 
 
 def shortening_at(state, r):
-    return _shortening(state, r, _corner(state, r))
+    fields = _corner_moves(state, r, state.darts(r))[1]
+    return None if fields is None else Shortening(r, *fields, state.version)
 
 
 def check_consistent(state):

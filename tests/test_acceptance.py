@@ -293,6 +293,74 @@ def test_monotone_harmonization():
           % (runs, max_ratio))
 
 
+# -- homotopy --------------------------------------------------------------
+
+def harmonize_with_tracks(f):
+    """Harmonize f, keeping per G-vertex its track: the pivots its cluster
+    crossed, read from each move's fields by the paper's definitions.  A
+    flip crosses next(twin(s1)), a shortening the middle slot of its run
+    (the first of two), and a balancing moves each mover across l1
+    (clockwise) or l2 (counterclockwise) of its a-slot, in the rotation at
+    tail(a).  Returns the output drawing, the tracks and the move kinds."""
+    t, n = f.host, f.graph.num_vertices
+    start = hz.State(factor_simplicial(f))
+    before = [start.find(v) for v in range(n)]    # roots before each move
+    tracks = [[] for _ in range(n)]
+    kinds = set()
+
+    def audit(state, move):
+        kinds.add(type(move).__name__)
+        if isinstance(move, hz.Flip):
+            pivots = {move.vertex: t.next[t.twin[move.s1]]}
+        elif isinstance(move, hz.Shortening):
+            pivots = {move.vertex: move.run[(len(move.run) - 1) // 2]}
+        else:
+            k = 1 if move.rotation == hz.CW else 2
+            pivots = {}
+            for r, a in move.movers:
+                slots = t.vertex_slots[t.tail(a)]
+                pivots[r] = slots[(slots.index(a) + k) % len(slots)]
+        for v in range(n):
+            if before[v] in pivots:
+                tracks[v].append(pivots[before[v]])
+            before[v] = state.find(v)
+
+    f2, _ = hz.harmonize(f, audit=audit)
+    return f2, tracks, kinds
+
+
+def test_harmonized_drawing_is_homotopic_to_input():
+    """The harmonized drawing is homotopic to its input.  Each G-vertex's
+    track must be a walk from its input to its output vertex, and for each
+    G-edge (u, v) the walk track_u^-1 . input image . track_v must reduce
+    to what the output image reduces to.  On these closed reducing hosts
+    of genus >= 2, two walks with the same ends are homotopic exactly when
+    `reduce_open` gives both the same result, and `walkcalc` shares no
+    code with the harmonizer.  The tracks are a witness, not trusted input:
+    any tracks that pass prove the homotopy.  Runs over the golden closed
+    corpus, the step-2 seeds and the monotone corpus."""
+    drawings = [f for _, f in test_golden.closed_cases()]
+    drawings += [f for _, f in test_golden.step2_cases()]
+    drawings += [f for _, f in monotone_corpus()]
+    kinds = set()
+    for f in drawings:
+        t = f.host
+        f2, tracks, run_kinds = harmonize_with_tracks(f)
+        kinds |= run_kinds
+        for v, track in enumerate(tracks):
+            w = Walk.from_half_edges(t, track, start=f.vertex_map[v])
+            assert (w.start, w.end(t)) == (f.vertex_map[v],
+                                           f2.vertex_map[v])
+        for e, (u, v) in enumerate(f.graph.edges):
+            hes = ([t.twin[h] for h in reversed(tracks[u])]
+                   + list(f.edge_map[e].half_edges) + tracks[v])
+            w = Walk.from_half_edges(t, hes, start=f2.vertex_map[u])
+            assert walkcalc.reduce_open(w, t) == \
+                walkcalc.reduce_open(f2.edge_map[e], t), e
+    assert kinds == {"Flip", "Shortening", "Balancing"}
+    print("homotopy: %d runs checked" % len(drawings))
+
+
 # -- flip-phase bounds -----------------------------------------------------
 
 def snapshot_run(f):
@@ -618,11 +686,11 @@ def geodesic_corpus(count):
         yield Drawing(Graph(len(vmap), edges), host, vmap, emap)
 
 
-def components(split):
-    """A split graph's components and the (cycle, movers) of each one that
-    qualifies for a balancing."""
-    return sorted((tuple(m), split.found.get(cid))
-                  for cid, m in split.members.items())
+def split_state(split):
+    """A split graph's copies with their darts and marks, and its
+    qualifying components with their (cycle, movers) and the key each
+    copy of one is filed under."""
+    return split.darts, split.mark, split.copy_of, split.found, split.comp
 
 
 def test_indexed_searches_match_scans(monkeypatch):
@@ -630,8 +698,8 @@ def test_indexed_searches_match_scans(monkeypatch):
     corpora, the indexed searches return exactly what the full scans over
     every cluster and the from-scratch split graph return, a balancing
     exists exactly when the exhaustive oracle finds one, and the kept split
-    graphs have the components of freshly built ones.  The extra searches
-    leave the golden digests unchanged."""
+    graphs have the copies and qualifying components of freshly built
+    ones.  The extra searches leave the golden digests unchanged."""
     kinds = {}
 
     def check(state, move):
@@ -645,10 +713,9 @@ def test_indexed_searches_match_scans(monkeypatch):
         assert (mine is None) == (balancing_oracle(state) is None)
         for split in state.splits:      # every component, not just the first
             fresh = hz._SplitGraph(split.color)
-            fresh.pending = set(range(state.gbar.num_vertices))
-            fresh.refresh(state)
-            split.refresh(state)
-            assert components(split) == components(fresh)
+            fresh.refresh(state, {r: state.darts(r)
+                                  for r in state.cluster_vertices()})
+            assert split_state(split) == split_state(fresh)
 
     def audited(f, budget=None, audit=None, host_checked=False):
         def both(state, move):

@@ -66,14 +66,20 @@ CLOSED_CORPUS = [
 ]
 
 
-def corpus():
-    """(case name, (drawing, trace)) for every case, in a fixed order."""
+def closed_cases():
+    """(case name, drawing) for the closed cases, in a fixed order."""
     doubled = surface.double_with_gadgets(surface.crown(4))
     for max_vertices, detour, seeds in CLOSED_CORPUS:
         for seed in seeds:
-            f = random_drawing(doubled, random.Random(seed),
-                               max_vertices=max_vertices, detour=detour)
-            yield "closed n<=%d seed %d" % (max_vertices, seed), harmonize(f)
+            yield "closed n<=%d seed %d" % (max_vertices, seed), random_drawing(
+                doubled, random.Random(seed), max_vertices=max_vertices,
+                detour=detour)
+
+
+def corpus():
+    """(case name, (drawing, trace)) for every case, in a fixed order."""
+    for name, f in closed_cases():
+        yield name, harmonize(f)
     for name, f, anchor in anchored_cases():
         yield name, harmonize_rel_anchor(f, anchor)
 
@@ -127,11 +133,16 @@ STEP2_GOLDEN_SHA256 = (
     "c3a42b6f4a0217aea043ddaeede4d180f65a89bad07a83d91353e4e0a69ddadc")
 
 
-def step2_corpus():
+def step2_cases():
     doubled = surface.double_with_gadgets(surface.crown(4))
     for seed in STEP2_SEEDS:
-        f = random_drawing(doubled, random.Random(seed))
-        yield "step 2 seed %d" % seed, harmonize(f)
+        yield "step 2 seed %d" % seed, random_drawing(doubled,
+                                                      random.Random(seed))
+
+
+def step2_corpus():
+    for name, f in step2_cases():
+        yield name, harmonize(f)
 
 
 def step2_digest():

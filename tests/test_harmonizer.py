@@ -423,6 +423,21 @@ def test_balancing_stale_rejected(doubled):
         apply_balancing(st, m)
 
 
+def test_balancing_with_a_repeated_mover_raises(doubled, monkeypatch):
+    """A component that holds two corner copies of one cluster is no
+    balancing: the search raises, also under `python -O`."""
+    t = doubled
+    cyc = geodesic_cycle(t)
+    a, l1, _, _ = corner_slots(t, cyc)
+    st = state_of(cycle_drawing(t, cyc, extra=[l1]))
+    cycle = find_balancing(st).cycle
+    r = st.find(0)
+    monkeypatch.setattr(harmonizer._SplitGraph, "first",
+                        lambda split: (cycle, ((r, a), (r, l1))))
+    with pytest.raises(InvariantError, match="two corner copies"):
+        find_balancing(st)
+
+
 # -- orderings -------------------------------------------------------------
 
 def chain_state(torus, n):
@@ -551,20 +566,22 @@ def test_harmonize_keeps_graph_and_endpoints(doubled):
 # -- work per move ---------------------------------------------------------
 
 def work_per_move(host, monkeypatch, max_vertices):
-    """Corner evaluations and copies gathered into rebuilt split-graph
+    """Corners classified and copies gathered into rebuilt split-graph
     components, per move, over eight drawings of the given size."""
     counts = {"corner": 0, "copies": 0}
-    corner, component = harmonizer._corner, harmonizer._SplitGraph._component
+    corner_moves = harmonizer._corner_moves
+    component = harmonizer._SplitGraph._component
 
-    def counted_corner(state, r):
+    def counted_corner_moves(state, r, darts):
         counts["corner"] += 1
-        return corner(state, r)
+        return corner_moves(state, r, darts)
 
-    def counted_component(split, state, c0):
-        component(split, state, c0)
-        counts["copies"] += len(split.members[split.comp[c0]])
+    def counted_component(split, state, c0, seen):
+        before = len(seen)
+        component(split, state, c0, seen)
+        counts["copies"] += len(seen) - before
 
-    monkeypatch.setattr(harmonizer, "_corner", counted_corner)
+    monkeypatch.setattr(harmonizer, "_corner_moves", counted_corner_moves)
     monkeypatch.setattr(harmonizer._SplitGraph, "_component",
                         counted_component)
     moves = 0
@@ -585,6 +602,36 @@ def test_search_work_per_move_stays_flat(doubled, monkeypatch):
     large = work_per_move(doubled, monkeypatch, 120)
     for k in small:
         assert large[k] <= 3 * small[k], (k, small, large)
+
+
+def test_one_dart_listing_per_root_and_search(doubled, monkeypatch):
+    """Within one search (a `find_*` or `flip_at` call), no cluster's darts
+    are listed twice: the corner classification and both split graphs
+    read one list.  Counted over eight seeded harmonizations."""
+    listed, counts = set(), {"listings": 0, "repeats": 0}
+    darts = State.darts
+
+    def counted_darts(state, r):
+        counts["listings"] += 1
+        counts["repeats"] += r in listed
+        listed.add(r)
+        return darts(state, r)
+
+    def one_search(find):
+        def search(*args):
+            listed.clear()
+            return find(*args)
+        return search
+
+    monkeypatch.setattr(State, "darts", counted_darts)
+    for name in ("find_flip", "find_shortening", "find_balancing",
+                 "flip_at"):
+        monkeypatch.setattr(harmonizer, name,
+                            one_search(getattr(harmonizer, name)))
+    for seed in range(8):
+        harmonize(random_drawing(doubled, random.Random(seed),
+                                 max_vertices=16, detour=8))
+    assert counts["listings"] > 0 and counts["repeats"] == 0, counts
 
 
 # -- dart index ------------------------------------------------------------
