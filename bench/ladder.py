@@ -27,9 +27,9 @@ L = 400..6400 random steps through the vertices of a radius-10 disk patch
 at least three rings from its rim (so no rewrite reaches the rim), and
 `walkcalc.reduce_closed` of a closed walk of L random steps on doubled
 crown4 followed by a shortest way home.  The harmonize ladder runs
-`harmonizer.harmonize` on doubled crown4 over four seeded connected
-drawings per rung of G = 8..64 vertices (n - 1 + n/4 edges, each image a
-random walk of up to 8 steps and a shortest way on).  It records the
+`harmonizer.harmonize` on doubled crown4 over eight seeded
+`drawing.random_drawing`s per rung of G = 8..64 (at most G vertices and
+G/4 extra edges, detour 8).  It records the
 time per move and, from one more run with the move searches and
 applications wrapped, the search and apply time and the number of moves
 per move kind (a flip's search includes the step-2 `flip_at`).  Per rung
@@ -68,6 +68,7 @@ from redtri.drawing import (  # noqa: E402
     Drawing,
     Graph,
     factor_simplicial,
+    random_drawing,
     random_path,
 )
 from redtri.walkcalc import Walk  # noqa: E402
@@ -78,7 +79,7 @@ EXTENSION_RADII = range(2, 7)
 PROBE_WINDOWS = (3072, 6144, 12288, 24576, 49152)
 WALK_LENGTHS = (400, 800, 1600, 3200, 6400)
 GRAPH_VERTICES = (8, 16, 32, 64)
-DRAWINGS_PER_RUNG = 4
+DRAWINGS_PER_RUNG = 8
 # the functions `harmonize` calls through module globals, by move kind
 SEARCHES = {"find_flip": "flip", "flip_at": "flip",
             "find_shortening": "short", "find_balancing": "bal"}
@@ -157,18 +158,6 @@ def closed_walk(t, rng, L):
         x = t.head(hes[-1])
     hes += random_path(t, rng, x, start, 0)
     return Walk.from_half_edges(t, hes, closed=True)
-
-
-def graph_drawing(t, rng, n, detour=8):
-    """A connected graph on n vertices and n - 1 + n // 4 edges drawn on t,
-    each image a random walk and a shortest way to its far end."""
-    vmap = [rng.randrange(t.num_vertices) for _ in range(n)]
-    edges = [(rng.randrange(i + 1), i + 1) for i in range(n - 1)]
-    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(n // 4)]
-    emap = [Walk.from_half_edges(t, random_path(t, rng, vmap[u], vmap[v],
-                                                detour), start=vmap[u])
-            for u, v in edges]
-    return Drawing(Graph(n, edges), t, vmap, emap)
 
 
 def clusters_times_edges(f):
@@ -283,9 +272,10 @@ def main(argv=None):
     rng = random.Random(SEED)
     harmonize = []
     for n in GRAPH_VERTICES:
-        fs = [graph_drawing(doubled4, rng, n)
+        fs = [random_drawing(doubled4, rng, max_vertices=n,
+                             max_extra_edges=n // 4, detour=8)
               for _ in range(DRAWINGS_PER_RUNG)]
-        rung = measure({"vertices": n, "clusters_times_edges": statistics.fmean(
+        rung = measure({"max_vertices": n, "clusters_times_edges": statistics.fmean(
             clusters_times_edges(f) for f in fs)}, {
             "harmonize": lambda fs=fs: [harmonizer.harmonize(f) for f in fs]})
         rung["kinds"] = move_split(fs)
