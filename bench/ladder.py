@@ -6,11 +6,13 @@ the growth.
 For each radius r = 4..10, builds `surface.build_disk_patch(r)` from a
 fixed seed and times `surface.read_tri` on its `write_tri` text and
 `surface.Triangulation` on its tables.  The anchored-extension ladder,
-r = 2..6, crowns each patch (`boundary.attach_crowns`) and times the
-closed doubled host's construction (`surface._double_with_gadgets_unchecked`:
-a `surface.DoubledHost` that holds the crowned patch and its mirror and
-computes a gadget copy's entries only when they are read, so this rung
-times no gadget work), the host check the anchored extension makes
+r = 2..6, times crowning each patch (`boundary.attach_crowns`, which builds
+the crowned patch from the patch's tables; fitted over the crowned patch's
+half-edges), the closed doubled host's construction
+(`surface._double_with_gadgets_unchecked`: a `surface.DoubledHost` that
+holds the crowned patch and its mirror and computes a gadget copy's
+entries only when they are read, so this rung times no gadget work), the
+host check the anchored extension makes
 (`surface.validate_reducing` of the patch plus that of the crowned patch,
 fitted over the crowned patch's half-edges), and
 `surface.validate_reducing` of the whole doubled host, every entry built
@@ -244,6 +246,7 @@ def main(argv=None):
         extension.append(measure({
             "radius": r, "crowned_half_edges": len(t0.next),
             "half_edges": len(doubled.next)}, {
+            "attach_crowns": lambda: boundary.attach_crowns(patch, {}),
             "doubling": lambda: surface._double_with_gadgets_unchecked(t0),
             "host_check": lambda: (surface.validate_reducing(patch),
                                    surface.validate_reducing(t0)),
@@ -296,7 +299,7 @@ def main(argv=None):
         "exponents": {**exponents(rungs, ("read_tri", "triangulation")),
                       **exponents(extension, ("doubling",
                                               "validate_reducing", "extend")),
-                      **exponents(extension, ("host_check",),
+                      **exponents(extension, ("attach_crowns", "host_check"),
                                   size="crowned_half_edges"),
                       **exponents(probe, ("probe",), size="L"),
                       **exponents(walks, ("reduce_open", "reduce_closed"),

@@ -8,15 +8,15 @@ with tip edges holding the anchored vertices in place.  The first and last
 three crown spokes at every boundary vertex act as guards that no move may
 ever use.
 
-The host is validated by its parts: the input host before it is crowned,
-and the crowned host before it is doubled.  The doubled host is then closed
-and reducing by construction, so the plain routine does not scan it again:
-its mirror and gadget copies are offset copies of the checked crowned host
-and of the 3-gadget, and every seam vertex gains the gadget's corners.
-
-Only the crowned host and its mirror are real tables in the doubled host
-(`surface.DoubledHost`).  A gadget copy's entries are computed by that
-offset arithmetic when a move first reads them, which few moves do.
+The crowned host extends the input host's tables: each crown is a ring of
+the disk patches' grower, and only boundary and crown vertices have their
+rotations walked.  The host is validated by its parts, the input host
+before it is crowned and the crowned host before it is doubled.  The
+doubled host is then closed and reducing by construction, its mirror and
+gadget copies being offset copies of the checked crowned host and of the
+3-gadget, so the plain routine does not scan it again.  Only the crowned
+host and its mirror are real tables in it (`surface.DoubledHost`); a
+gadget copy's entries are computed when a move first reads them.
 """
 
 from dataclasses import dataclass
@@ -25,8 +25,8 @@ from .drawing import Drawing, Graph, check_anchored
 from .harmonizer import HarmonizerError, harmonize
 from .surface import (
     NO_TWIN,
-    MapBuilder,
     _double_with_gadgets_unchecked,
+    _extended,
     _grow_ring,
     validate_reducing,  # perfbench/tracer.py patches this name
 )
@@ -86,24 +86,23 @@ def attach_crowns(t, need):
 
     Returns (t0, spokes) where spokes maps each old boundary vertex to its
     crown-interior half-edges, clockwise from the old outgoing boundary edge.
-    t0 keeps t's vertex and half-edge ids.
+    t0 keeps t's vertex and half-edge ids; it is t's tables extended by the
+    crowns (`surface._extended`), rings grown on copies of t's columns.
     """
-    b = MapBuilder()
-    b.add(t)
-    nverts = t.num_vertices
-    bverts = set()
+    cols = (list(t.next), list(t.twin), list(t.origin),
+            list(map(t.face_color.__getitem__, t.face_of)))
+    nverts, cycles = t.num_vertices, t.boundary_cycles()
 
     def target(w, k):
         # n anchored vertices at w leave it at least n + 6 crown spokes
         d = max(6, k, k + need.get(w, 0) + 4)
         return d + d % 2
 
-    for cyc in t.boundary_cycles():
-        nverts = _grow_ring(b, cyc, nverts, target)[1]
-        bverts.update(t.origin[h] for h in cyc)
-    t0 = b.build()
+    for cyc in cycles:
+        nverts = _grow_ring(cols, cyc, nverts, target)[1]
+    t0 = _extended(t, cols, nverts)
     spokes = {}
-    for x in sorted(bverts):
+    for x in sorted({t.origin[h] for cyc in cycles for h in cyc}):
         h_out, h_in = _boundary_corner(t, x)
         slots = t0.vertex_slots[x]
         i = t0.slot_index[h_out] + 1

@@ -9,9 +9,11 @@ never identified by vertex pairs.
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
+from operator import itemgetter
 
 RED = "r"
 BLUE = "b"
@@ -97,6 +99,41 @@ def face_orbits(next_):
     return tuple(faces), face_of
 
 
+def _walk_rotations(next_, twin, origin, boundary, vertices, slots,
+                    slot_index, on_boundary):
+    """Walk each vertex of `vertices`, (v, its half-edge count, the
+    smallest), into slots[v], on_boundary[v] and slot_index: the clockwise
+    chain h -> next(twin(h)) from the next of the boundary half-edge into v
+    to a twin-less one, else from v's smallest round.  Returns the broken
+    ones, left unset: two boundary half-edges in, or another chain length."""
+    starts_at = {}
+    for g in [next_[h] for h in boundary]:
+        starts_at.setdefault(origin[g], []).append(g)
+    broken = set()
+    for v, d, h0 in vertices:
+        starts = starts_at.get(v)
+        h0 = starts[0] if starts else h0
+        stop = None if starts else h0
+        rotation, i, t = [h0], 1, twin[h0]
+        slot_index[h0] = 0
+        while t != NO_TWIN:
+            g = next_[t]
+            if g == stop or i > d:
+                break
+            rotation.append(g)
+            slot_index[g] = i
+            i += 1
+            t = twin[g]
+        else:
+            g = NO_TWIN
+        if i == d and (len(starts) == 1 if starts else g == h0):
+            slots[v] = tuple(rotation)
+            on_boundary[v] = bool(starts)
+        else:
+            broken.add(v)
+    return broken
+
+
 class Triangulation:
     """An immutable triangulated surface with 2-colored faces.
 
@@ -132,49 +169,22 @@ class Triangulation:
         out = [[] for _ in range(vertices)]
         for h, v in enumerate(origin):
             out[v].append(h)
-        starts_at = {}
-        for g in [next_[h] for h in boundary]:
-            starts_at.setdefault(origin[g], []).append(g)
-        # the slots of vertex v, whose half-edges out[v] lists smallest
-        # first, are the clockwise chain h -> next(twin(h)) from its
-        # starts_at entry to a twin-less half-edge, else from out[v][0]
-        # round; one short of out[v] puts v in broken_rotation, with sorted
-        # out[v]
-        slots, on_boundary, broken = [], [], set()
+        slots, on_boundary = [None] * vertices, [False] * vertices
         slot_index = [-1] * n
-        for v, hs in enumerate(out):
-            if not hs:
-                raise StructureError("vertex %d has no half-edge" % v)
-            d = len(hs)
-            starts = starts_at.get(v)
-            h0 = starts[0] if starts else hs[0]
-            stop = None if starts else h0
-            chain = [h0]
-            slot_index[h0] = 0
-            i = 1
-            t = twin[h0]
-            while t != NO_TWIN:
-                g = next_[t]
-                if g == stop or i > d:
-                    break
-                chain.append(g)
-                slot_index[g] = i
-                i += 1
-                t = twin[g]
-            else:
-                g = NO_TWIN
-            if i == d and (len(starts) == 1 if starts else g == h0):
-                on_boundary.append(bool(starts))
-            else:
-                broken.add(v)
-                chain = sorted(hs)
-                on_boundary.append(any(twin[h] == NO_TWIN for h in hs))
-            slots.append(tuple(chain))
+        if not all(out):
+            raise StructureError("vertex %d has no half-edge" % out.index([]))
+        broken = _walk_rotations(
+            next_, twin, origin, boundary,
+            zip(range(vertices), map(len, out), map(itemgetter(0), out)),
+            slots, slot_index, on_boundary)
         if broken:
-            # a broken chain may have run over other vertices' half-edges
+            # v's half-edges in order; its walk may have run over others'
+            for v in broken:
+                slots[v] = tuple(out[v])
+                on_boundary[v] = any(twin[h] == NO_TWIN for h in out[v])
             slot_index = [-1] * n
-            for chain in slots:
-                for i, h in enumerate(chain):
+            for rotation in slots:
+                for i, h in enumerate(rotation):
                     slot_index[h] = i
         self.next, self.twin, self.origin = next_, twin, origin
         self.faces, self.face_of = faces, tuple(face_of)
@@ -473,67 +483,106 @@ def build_disk_patch(radius, rng):
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    b = MapBuilder()
     t0 = rng.choice((6, 8))
-    # center fan: triangles (0, i, i+1) around vertex 0
-    tris = []
+    cols = next_, twin, origin, color = [], [], [], []
     for i in range(t0):
-        p, q = 1 + i, 1 + (i + 1) % t0
-        tris.append(b.new_face(0, p, q, RED if i % 2 == 0 else BLUE))
-    for i in range(t0):
-        b.glue(tris[i][2], tris[(i + 1) % t0][0])
-    boundary = [tris[i][1] for i in range(t0)]
-    nverts = 1 + t0
+        h = 3 * i
+        next_ += (h + 1, h + 2, h)
+        twin += ((h or 3 * t0) - 1, NO_TWIN, (h + 3) % (3 * t0))
+        origin += (0, 1 + i, 1 + (i + 1) % t0)
+        color += (RED if i % 2 == 0 else BLUE,) * 3
+    boundary, nverts = list(range(1, 3 * t0, 3)), 1 + t0
 
     def target(w, k):
         return rng.choice([d for d in (6, 8) if d >= k])
 
     for _ in range(radius - 1):
-        boundary, nverts = _grow_ring(b, boundary, nverts, target)
-    return b.build()
+        boundary, nverts = _grow_ring(cols, boundary, nverts, target)
+    return Triangulation(next_, twin, origin, dict(enumerate(color)))
 
 
-def _grow_ring(b, boundary, nverts, target):
+def _grow_ring(cols, boundary, nverts, target):
     """Tent every edge of a boundary cycle, then fan every boundary vertex w
     up to degree target(w, k), where k, the least target, is its degree
     with both of its tents in place; returns the new boundary (CCW
-    half-edge list) and the updated vertex count."""
-    apex = []
-    tent = []
-    for h in boundary:
-        a, v = b.origin[h], b.head(h)
-        m = nverts
-        nverts += 1
-        apex.append(m)
-        col = opposite_color(b.color[h])
-        # tent (v, a, m): sides v->a (onto h), a->m, m->v
-        tent.append(b.new_face(v, a, m, col))
-        b.glue(tent[-1][0], h)
-    degree = [0] * nverts
-    for o in b.origin:
-        degree[o] += 1
+    half-edge list) and the updated vertex count.
+
+    Each new triangle takes sides (h, h + 1, h + 2) of the columns cols =
+    (next, twin, origin, color per half-edge), tents first, then fan by fan;
+    a ring never identifies two vertices, so it glues sides by their ids."""
+    next_, twin, origin, color = cols
+    # tent i, (v, a, apex[i]) at tents[i], has its side v->a on boundary[i]
+    tents = range(len(next_), len(next_) + 3 * len(boundary), 3)
+    apex = list(range(nverts, nverts + len(boundary)))
+    for h, f, m in zip(boundary, tents, apex):
+        next_ += (f + 1, f + 2, f)
+        twin += (h, NO_TWIN, NO_TWIN)
+        twin[h] = f
+        origin += (origin[next_[h]], origin[h], m)
+        color += (opposite_color(color[h]),) * 3
+    nverts += len(apex)
+    degree = Counter(origin)
     out = []
     for i, h in enumerate(boundary):
         # fan at w = origin(h), from apex[i] back to apex[i-1]
-        w = b.origin[h]
+        w = origin[h]
         k = degree[w] + 1  # +1: the edge to apex[i-1] is incoming-only so far
         j = target(w, k) - k + 1
-        col = opposite_color(b.color[tent[i][1]])
-        m, m_prev = apex[i], apex[i - 1]
-        xs = [m] + [nverts + s for s in range(j - 1)] + [m_prev]
+        paint = ((color[h],) * 3, (color[tents[i]],) * 3)
+        xs = [apex[i], *range(nverts, nverts + j - 1), apex[i - 1]]
         nverts += j - 1
-        fan_sides = []
-        prev_free = tent[i][1]  # side w->m of the tent over h
+        # triangle s, (x_s, w, x_{s+1}) at f, h's color if s is even, is
+        # glued along x_s->w to the side before it, first the tent's w->m
+        side, f = tents[i] + 1, len(next_)
+        twin[side] = f
         for s in range(j):
-            f = b.new_face(xs[s], w, xs[s + 1], col)
-            b.glue(f[0], prev_free)  # x_s->w onto w->x_s
-            prev_free = f[1]
-            fan_sides.append(f[2])  # boundary side x_{s+1}->x_s
-            col = opposite_color(col)
-        # close the fan against the tent over the previous boundary edge
-        b.glue(prev_free, tent[i - 1][2])
-        out.extend(reversed(fan_sides))
+            a, b = f + 1, f + 3  # the next triangle is at b
+            next_ += (a, f + 2, f)
+            twin += (side, b, NO_TWIN)
+            origin += (xs[s], w, xs[s + 1])
+            color += paint[s % 2]
+            side, f = a, b
+        # and the last along w->x_j to the tent over the edge before
+        g = tents[i - 1] + 2
+        twin[side], twin[g] = g, side
+        out += range(f - 1, f - 3 * j, -3)  # sides x_{s+1}->x_s, last first
     return out, nverts
+
+
+def _extended(t, cols, num_vertices):
+    """The Triangulation of cols = (next, twin, origin, color per half-edge):
+    t's tables with triangles (h, h + 1, h + 2) from h = len(t.next) on glued
+    to its boundary, on new vertices from t.num_vertices on.  Only t's
+    boundary and new vertices are walked, which gives the constructor's
+    result where t's twins join the ends of its half-edges, as a reducing
+    host's do; if a rotation breaks, the constructor builds it."""
+    next_, twin, origin, color = cols
+    n, size, b = len(t.next), len(next_), t._boundary_half_edges
+    new = num_vertices - t.num_vertices
+    degree = Counter(origin)
+    first = dict(zip(reversed(origin), range(size - 1, -1, -1)))
+    walked = [*{origin[h] for h in b}, *range(t.num_vertices, num_vertices)]
+    boundary = tuple([h for h in b if twin[h] == NO_TWIN]
+                     + [h for h in range(n, size) if twin[h] == NO_TWIN])
+    slots = list(t.vertex_slots) + [None] * new
+    on_boundary = list(t._vertex_on_boundary) + [False] * new
+    slot_index = list(t.slot_index) + [-1] * (size - n)
+    walks = zip(walked, map(degree.get, walked), map(first.get, walked))
+    if t.broken_rotation or _walk_rotations(
+            next_, twin, origin, boundary, walks, slots, slot_index,
+            on_boundary):
+        return Triangulation(next_, twin, origin, dict(enumerate(color)))
+    t0 = object.__new__(Triangulation)
+    faces = range(len(t.faces), len(t.faces) + (size - n) // 3)
+    vars(t0).update(
+        next=tuple(next_), twin=tuple(twin), origin=tuple(origin),
+        faces=t.faces + tuple(zip(*[range(n + i, size, 3) for i in range(3)])),
+        face_of=t.face_of + tuple(sorted([*faces] * 3)),
+        face_color=t.face_color + tuple(color[n::3]),
+        _boundary_half_edges=boundary, num_vertices=num_vertices,
+        vertex_slots=tuple(slots), slot_index=tuple(slot_index),
+        _vertex_on_boundary=tuple(on_boundary), broken_rotation=frozenset())
+    return t0
 
 
 def _slit(t, h):
@@ -580,15 +629,11 @@ def build_three_gadget():
 
     Every doubling uses the same immutable gadget, so it is built once."""
     g1 = build_one_gadget()
+    red, blue = gadget_boundary_edges(g1)
     d = MapBuilder()
     offs = [d.add(g1)[0] for _ in range(3)]
-    reds, blues = [], []
-    r, bl = gadget_boundary_edges(g1)
-    for off in offs:
-        reds.append(r + off)
-        blues.append(bl + off)
-    d.glue(blues[0], reds[1])
-    d.glue(blues[1], reds[2])
+    d.glue(offs[0] + blue, offs[1] + red)
+    d.glue(offs[1] + blue, offs[2] + red)
     return d.build()
 
 
@@ -652,8 +697,8 @@ class DoubledHost(Triangulation):
     of the one 3-gadget's, a mirror vertex's rotation the twins of its t0
     vertex's reversed, and a seam vertex's that of t0 with the mirror's and
     the gadget corners' spliced in.  Sizes, and so genus() and num_edges(),
-    are arithmetic on the parts.  For a reducing t0 every entry equals that
-    of `materialize()`, the Triangulation of the glued tables.
+    are arithmetic on the parts.  Every entry equals that of `materialize()`,
+    exact on any host, but the lazy rotations only where t0 is reducing.
     """
 
     def __init__(self, t0):
@@ -760,9 +805,15 @@ class DoubledHost(Triangulation):
             {v: t0.vertex_slots[v] for v in kept}, self.num_vertices,
             vertex_slots)
         origins = self.origin
+
+        def slot_index(h):
+            if h not in rotations[origins[h]]:  # t0's rotations are broken
+                raise StructureError("half-edge %d not in its rotation" % h)
+            return rotations[origins[h]].index(h)
+
         self.slot_index = _Composed(
             {h: t0.slot_index[h] for h in range(n) if org0[h] not in on_seam},
-            size, lambda h: rotations[origins[h]].index(h))
+            size, slot_index)
         self._boundary_half_edges = ()
         self._vertex_on_boundary = (False,) * self.num_vertices
         self.broken_rotation = frozenset()

@@ -259,7 +259,7 @@ def test_walk_golden_outputs():
 # -- constructors and the stress sweep ---------------------------------------
 
 OUTPUT_GOLDEN_SHA256 = (
-    "79de055de170febc50e156f4d0d66bcb6c4b573d34b80cec0928de68a925b476")
+    "ec59521a51d268559970619409323e67c940a6d55adaf70caa72187a604a5f4d")
 
 
 def output_corpus():
@@ -270,8 +270,10 @@ def output_corpus():
 
     for name in sorted(FIXTURES):
         yield "fixture %s" % name, FIXTURES[name]()
-    for radius in range(1, 5):
-        for seed in range(10):
+    # radius 6 is the size of the benchmark's patches
+    for radius, seeds in [(r, range(10)) for r in range(1, 5)] + [
+            (5, range(3)), (6, range(3))]:
+        for seed in seeds:
             p = surface.build_disk_patch(radius, random.Random(seed))
             yield "patch %d %d" % (radius, seed), surface.write_tri(p)
             bverts = sorted({p.tail(h) for h in p.boundary_half_edges()})

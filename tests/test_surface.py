@@ -20,8 +20,9 @@ from redtri.surface import (
 )
 
 import tri_oracle
-from conftest import (FUZZ_ALPHABET, bowtie, broken_twin_torus, edit_char,
-                      fan_disk, fixture_path, make_patch)
+from conftest import (FUZZ_ALPHABET, bowtie, broken_doubled_crown4,
+                      broken_twin_torus, edit_char, fan_disk, fixture_path,
+                      make_patch)
 
 
 def test_torus_counts(torus):
@@ -225,6 +226,10 @@ TRI_HOSTS = {
     **{"patch r%d" % r: lambda r=r: make_patch(r, radius=r)
        for r in range(1, 5)},
     "doubled crown4": lambda: surface.double_with_gadgets(surface.crown(4)),
+    # hosts whose rotations the constructor's walk cannot close
+    "broken twin torus": broken_twin_torus,
+    "broken doubled crown4": broken_doubled_crown4,
+    "bowtie": bowtie,
 }
 
 
@@ -532,6 +537,63 @@ def test_part_checks_agree_with_doubled_scan(name):
     doubled = surface._double_with_gadgets_unchecked(t0)[0].materialize()
     assert (validate_reducing(t).ok == validate_reducing(t0).ok
             == validate_reducing(doubled).ok)
+
+
+def _own_columns(t):
+    """The Triangulation of t's own columns and face colors."""
+    return surface.Triangulation(t.next, t.twin, t.origin, dict(
+        enumerate(map(t.color_left, range(len(t.next))))))
+
+
+@pytest.mark.parametrize("name", sorted(PART_CHECK_HOSTS))
+def test_crowned_host_matches_constructor(name):
+    """attach_crowns builds t0 from t's tables and walks only t's boundary
+    vertices and the crowns'; every table is the constructor's."""
+    t = PART_CHECK_HOSTS[name]()
+    for need in ({}, {x: 1 + x % 4 for x in range(t.num_vertices)
+                      if t.is_boundary_vertex(x)}):
+        t0 = attach_crowns(t, need)[0]
+        assert vars(t0) == vars(_own_columns(t0))
+
+
+def test_crowned_patches_match_constructor(monkeypatch):
+    """The same on 240 seeded patches of radius 1-4, with needs of 0-4 on
+    up to three boundary vertices; none of them takes the constructor."""
+    built = []
+    init = surface.Triangulation.__init__
+    monkeypatch.setattr(surface.Triangulation, "__init__",
+                        lambda self, *args: built.append(init(self, *args)))
+    rng = random.Random(20)
+    for seed in range(240):
+        t = surface.build_disk_patch(1 + seed % 4, random.Random(seed))
+        ends = sorted({t.origin[h] for h in t.boundary_half_edges()})
+        need = {x: rng.randrange(5)
+                for x in rng.sample(ends, rng.randrange(4))}
+        del built[:]
+        t0 = attach_crowns(t, need)[0]
+        assert not built
+        assert vars(t0) == vars(_own_columns(t0)), seed
+        assert validate_reducing(t0).ok
+
+
+def test_doubled_host_of_broken_rotations_raises_structure_error():
+    """On a host whose rotations are broken, a lazy slot_index entry that
+    is not in its vertex's rotation raises StructureError naming it."""
+    doubled = surface._double_with_gadgets_unchecked(broken_twin_torus())[0]
+    errors = []
+    for column in ("next", "twin", "origin", "face_of", "slot_index",
+                   "faces", "face_color", "vertex_slots"):
+        entries = getattr(doubled, column)
+        for i in range(len(entries)):
+            try:
+                entries[i]
+            except Exception as exc:  # record every kind of error
+                errors.append((column, i, type(exc), str(exc)))
+    assert errors and all(kind is surface.StructureError
+                          for _, _, kind, _ in errors)
+    assert all(column == "slot_index"
+               and msg == "half-edge %d not in its rotation" % i
+               for column, i, _, msg in errors)
 
 
 VALIDATION_HOSTS = {
