@@ -6,15 +6,16 @@ the growth.
 For each radius r = 4..10, builds `surface.build_disk_patch(r)` from a
 fixed seed and times `surface.read_tri` on its `write_tri` text and
 `surface.Triangulation` on its tables.  The anchored-extension ladder,
-r = 2..6, times crowning each patch (`boundary.attach_crowns`, which builds
-the crowned patch from the patch's tables; fitted over the crowned patch's
-half-edges), the closed doubled host's construction
+r = 2..6, times crowning each patch (`boundary.attach_crowns`, which
+describes the crowns by their offsets, a `boundary.CrownedHost` that
+computes a crown entry only when it is read; fitted over the crowned
+patch's half-edges), the closed doubled host's construction
 (`surface._double_with_gadgets_unchecked`: a `surface.DoubledHost` that
-holds the crowned patch and its mirror and computes a gadget copy's
-entries only when they are read, so this rung times no gadget work), the
-host check the anchored extension makes
-(`surface.validate_reducing` of the patch plus that of the crowned patch,
-fitted over the crowned patch's half-edges), and
+holds the patch and its mirror and computes a crown's or a gadget copy's
+entries only when they are read, so this rung times neither), the host
+check the anchored extension makes (`surface.validate_reducing` of the
+patch plus `CrownedHost.validate_crowns`, the part check of its crowns
+from their layout; fitted over the crowned patch's half-edges), and
 `surface.validate_reducing` of the whole doubled host, every entry built
 (`surface.double_with_gadgets`): the scan that check replaces.  On the
 same patches it times the whole closed extension
@@ -249,7 +250,7 @@ def main(argv=None):
             "attach_crowns": lambda: boundary.attach_crowns(patch, {}),
             "doubling": lambda: surface._double_with_gadgets_unchecked(t0),
             "host_check": lambda: (surface.validate_reducing(patch),
-                                   surface.validate_reducing(t0)),
+                                   t0.validate_crowns()),
             "validate_reducing": lambda: surface.validate_reducing(doubled),
             "extend": lambda: boundary.extend_for_harmonization(f, anchor)}))
 

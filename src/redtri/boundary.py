@@ -8,26 +8,38 @@ with tip edges holding the anchored vertices in place.  The first and last
 three crown spokes at every boundary vertex act as guards that no move may
 ever use.
 
-The crowned host extends the input host's tables: each crown is a ring of
-the disk patches' grower, and only boundary and crown vertices have their
-rotations walked.  The host is validated by its parts, the input host
-before it is crowned and the crowned host before it is doubled.  The
-doubled host is then closed and reducing by construction, its mirror and
-gadget copies being offset copies of the checked crowned host and of the
-3-gadget, so the plain routine does not scan it again.  Only the crowned
-host and its mirror are real tables in it (`surface.DoubledHost`); a
-gadget copy's entries are computed when a move first reads them.
+The crowns are described, not built: the crowned host
+(`CrownedHost`) holds the input host's tables and the offsets of
+each boundary vertex's tent and fan, and computes a crown entry when it is
+first read; the spokes and the guards come from the same offsets.  The
+host is validated by its parts: the input host in full before it is
+crowned, then its crowns where they can break a reducing condition, at
+the old boundary vertices (`CrownedHost.validate_crowns`).  The doubled
+host is then closed and reducing by construction, its mirror and gadget
+copies being offset copies of the checked crowned host and of the
+3-gadget, so the plain routine scans neither.  Only the input host and its
+mirror are real tables in it (`surface.DoubledHost`); a crown's, a mirror
+crown's or a gadget copy's entries are computed when a move first reads
+them.
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 from .drawing import Drawing, Graph, check_anchored
 from .harmonizer import HarmonizerError, harmonize
 from .surface import (
+    DEGREE_TOO_LOW,
+    DUAL_NOT_BIPARTITE,
     NO_TWIN,
+    ValidationReport,
+    Violation,
+    _Composed,
+    _ComposedHost,
     _double_with_gadgets_unchecked,
-    _extended,
-    _grow_ring,
+    _SlotIndex,
+    opposite_color,
     validate_reducing,  # perfbench/tracer.py patches this name
 )
 from .walkcalc import Walk
@@ -69,46 +81,224 @@ class Anchor:
                         "anchored vertex %d is not drawn at %d" % (v, x))
 
 
-def _boundary_corner(t, x):
-    """(h_out, h_in): the twin-free half-edges leaving and entering x."""
-    slots = t.vertex_slots[x]
-    h_out = slots[-1]
-    h_in = t.prev(slots[0])
-    if t.twin[h_out] != NO_TWIN or t.twin[h_in] != NO_TWIN:
-        raise BoundaryError("vertex %d is not on the boundary" % x)
-    return h_out, h_in
-
-
 # -- crowns and doubling ---------------------------------------------------
+
+class CrownedHost(_ComposedHost):
+    """t with every boundary cycle closed by a crown, as `surface._grow_ring`
+    grows one on t's columns with fan degrees target(w, k), but described
+    rather than built.
+
+    Boundary position p is the p-th half-edge of t.boundary_cycles(), read
+    cycle by cycle; `_bound`, `_tent`, `_fan` and `_size` give its
+    half-edge, the first half-edge of its tent and of its fan, and the
+    fan's length.  A ring's tents come first, then its fans, and its
+    apexes, then its fans' inner vertices, take the next vertex ids.  The
+    columns read t's tables, t's boundary half-edges twinned to their
+    tents, and hold an entry only once it is read.  A crown entry is
+    computed by the grower's layout rule, and so is the rotation of an old
+    boundary vertex: t's, with its tents and fan spliced in after its
+    outgoing boundary edge.
+
+    Those rotations are the constructor's where t's own rotations are
+    whole and each holds exactly the half-edges out of its vertex, as on
+    any reducing host; `exact` says so.  Every other entry equals that of
+    `materialize()` on any host."""
+
+    def __init__(self, t, target):
+        n, nf, nv = len(t.next), len(t.faces), t.num_vertices
+        nxt, org, slots = t.next, t.origin, t.vertex_slots
+        bound, tent, fan, size = [], [], [], []
+        apex, inner, before, after = [], [], [], []
+        # per crown triangle and per crown vertex: (its position, s); a
+        # tent has s = -1, an apex 0, the s-th vertex of a fan s
+        tri_pos, tri_s, vert_pos, vert_s = [], [], [], []
+        degree = Counter(iter(org))  # a column of t's, not a mapping
+        h_end, v_end = n, nv
+        for cyc in t.boundary_cycles():
+            p0, ring = len(bound), len(cyc)
+            positions = range(p0, p0 + ring)
+            bound += cyc
+            tent += range(h_end, h_end + 3 * ring, 3)
+            apex += range(v_end, v_end + ring)
+            before += [p0 + (i - 1) % ring for i in range(ring)]
+            after += [p0 + (i + 1) % ring for i in range(ring)]
+            tri_pos += positions
+            tri_s += repeat(-1, ring)
+            vert_pos += positions
+            vert_s += repeat(0, ring)
+            h_end, v_end = h_end + 3 * ring, v_end + ring
+            # the grower counts degrees once per ring, with its tents
+            degree.update([org[nxt[h]] for h in cyc] + [org[h] for h in cyc])
+            ks = [degree[org[h]] + 1 for h in cyc]
+            for p, h, k in zip(positions, cyc, ks):
+                j = target(org[h], k) - k + 1
+                fan.append(h_end)
+                size.append(j)
+                inner.append(v_end)
+                tri_pos += repeat(p, j)
+                tri_s += range(j)
+                vert_pos += repeat(p, j - 1)
+                vert_s += range(1, j)
+                h_end, v_end = h_end + 3 * j, v_end + j - 1
+                degree[org[h]] += j
+        self.base = t
+        self._bound, self._tent, self._fan, self._size = bound, tent, fan, size
+        self._before = before
+        at = {org[h]: p for p, h in enumerate(bound)}
+        self.exact = (not t.broken_rotation
+                      and min(t.slot_index, default=0) >= 0
+                      and all(org[g] == w for w in at for g in slots[w]))
+
+        def where(h):
+            """(position, s, side) of crown half-edge h."""
+            c, side = divmod(h - n, 3)
+            return tri_pos[c], tri_s[c], side
+
+        def column(held, crown):
+            """t's column `held`, then the crown's entries by `crown`."""
+            k = len(held)
+            return lambda i: held[i] if i < k else crown(i)
+
+        def twin(h):
+            if h < n:  # t's boundary half-edges are twinned to their tents
+                g = tw0[h]
+                return g if g != NO_TWIN else tent_of[h]
+            p, s, side = where(h)
+            if s < 0:  # the tent on bound[p]
+                if side == 0:
+                    return bound[p]
+                q = after[p]
+                return fan[p] if side == 1 else fan[q] + 3 * size[q] - 2
+            # triangle s of a fan: glued to the one before and after it,
+            # its first to the tent's and its last to the tent before's
+            f = fan[p] + 3 * s
+            if side == 0:
+                return f - 2 if s else tent[p] + 1
+            if side == 1:
+                return f + 3 if s + 1 < size[p] else tent[before[p]] + 2
+            return NO_TWIN
+
+        def vertex(p, s):
+            """Vertex s of fan p, from apex[p] to apex[before[p]]."""
+            if s == 0:
+                return apex[p]
+            return inner[p] + s - 1 if s < size[p] else apex[before[p]]
+
+        def origin(h):
+            p, s, side = where(h)
+            if side == 1:
+                return org[bound[p]]
+            if s < 0:
+                return org[nxt[bound[p]]] if side == 0 else apex[p]
+            return vertex(p, s + side // 2)
+
+        def face_color(f):
+            c = f - nf
+            s, color = tri_s[c], t.color_left(bound[tri_pos[c]])
+            return color if s >= 0 and s % 2 == 0 else opposite_color(color)
+
+        def rotation(v):
+            if v < nv:
+                if not on_boundary[v]:
+                    return slots[v]
+                # an old boundary vertex: its fan after its edge out
+                p, run = at[v], slots[v]
+                i = run.index(min(run))
+                run += (tent[p] + 1, *range(fan[p] + 1, fan[p] + 3 * size[p],
+                                            3), tent[before[p]])
+                return run[i:] + run[:i]
+            p, s = vert_pos[v - nv], vert_s[v - nv]
+            if s:
+                return fan[p] + 3 * s, fan[p] + 3 * s - 1
+            q = after[p]
+            return fan[p], tent[p] + 2, fan[q] + 3 * size[q] - 1
+
+        tw0, tent_of = t.twin, dict(zip(bound, tent))
+        on_boundary = t._vertex_on_boundary
+        nfaces = nf + (h_end - n) // 3
+        self.next = _Composed((), h_end, column(
+            nxt, lambda h: h + 1 if (h - n) % 3 < 2 else h - 2))
+        self.twin = _Composed((), h_end, twin)
+        self.origin = _Composed((), h_end, column(org, origin))
+        self.face_of = _Composed((), h_end, column(
+            t.face_of, lambda h: nf + (h - n) // 3))
+        self.faces = _Composed((), nfaces, column(t.faces, lambda f: tuple(
+            range(n + 3 * (f - nf), n + 3 * (f - nf) + 3))))
+        self.face_color = _Composed((), nfaces, column(t.face_color,
+                                                       face_color))
+        self.num_vertices = v_end
+        self.vertex_slots = _Composed((), v_end, rotation)
+        self.slot_index = _SlotIndex((), h_end, self.vertex_slots,
+                                     self.origin)
+        self._boundary_half_edges = tuple([
+            g for f, j in zip(fan, size) for g in range(f + 2, f + 3 * j, 3)])
+        self._vertex_on_boundary = (False,) * nv + (True,) * (v_end - nv)
+        self.broken_rotation = frozenset()
+
+    def _runs(self):
+        """(vertex, spokes, their twins) per old boundary vertex: its crown
+        half-edges clockwise from its outgoing boundary edge, the tent's
+        side and then its fan's, each twinned to the fan side after it,
+        and the last to the side of the tent before."""
+        org, tent = self.base.origin, self._tent
+        for h, t, f, j, b in zip(self._bound, tent, self._fan, self._size,
+                                 self._before):
+            yield (org[h], (t + 1, *range(f + 1, f + 3 * j, 3)),
+                   (*range(f, f + 3 * j, 3), tent[b] + 2))
+
+    def spokes(self):
+        """Per old boundary vertex, its spokes, from the offsets."""
+        return dict(sorted([(w, run) for w, run, _ in self._runs()]))
+
+    def guard_half_edges(self, k):
+        """The first and last k spokes at every old boundary vertex, and
+        their twins, from the offsets."""
+        return [h for _, run, twins in self._runs()
+                for h in run[:k] + run[-k:] + twins[:k] + twins[-k:]]
+
+    def validate_crowns(self):
+        """The reducing conditions that a crown, glued to a reducing host,
+        can break, checked where it can break them, from the layout: an old
+        boundary vertex of degree below 6, and one color on both sides of
+        the seam where a fan closes against the tent before it.  A tent
+        takes the other color than its boundary half-edge's face, and fan
+        triangle s that color for even s, so the crowns' own faces
+        alternate, and their rotations close by construction; with the
+        input host reducing this gives the verdict of `validate_reducing`
+        on the crowned host, without reading a crown entry."""
+        t, tent = self.base, self._tent
+        violations = []
+        for h, f, j, b in zip(self._bound, self._fan, self._size,
+                              self._before):
+            w = t.origin[h]
+            if len(t.vertex_slots[w]) + 2 + j < 6:
+                violations.append(Violation(DEGREE_TOO_LOW, w))
+            # the fan's last triangle, j - 1, takes h's color where j is
+            # odd, and the tent before the other color than its half-edge's
+            if (t.color_left(h) == t.color_left(self._bound[b])) != j % 2:
+                violations.append(Violation(DUAL_NOT_BIPARTITE, tuple(
+                    sorted((f + 3 * j - 2, tent[b] + 2)))))
+        return ValidationReport(not violations, tuple(violations))
+
+
 
 def attach_crowns(t, need):
     """Close every boundary cycle of t with a fitted crown.
 
     Returns (t0, spokes) where spokes maps each old boundary vertex to its
     crown-interior half-edges, clockwise from the old outgoing boundary edge.
-    t0 keeps t's vertex and half-edge ids; it is t's tables extended by the
-    crowns (`surface._extended`), rings grown on copies of t's columns.
-    """
-    cols = (list(t.next), list(t.twin), list(t.origin),
-            list(map(t.face_color.__getitem__, t.face_of)))
-    nverts, cycles = t.num_vertices, t.boundary_cycles()
+    t0 keeps t's vertex and half-edge ids.  It is a `CrownedHost`:
+    t's tables and a description of the crowns, whose entries are computed
+    when first read.  Where t's rotations do not hold the half-edges out of
+    their vertices, t0 is instead the constructor's host of those tables."""
 
     def target(w, k):
         # n anchored vertices at w leave it at least n + 6 crown spokes
         d = max(6, k, k + need.get(w, 0) + 4)
         return d + d % 2
 
-    for cyc in cycles:
-        nverts = _grow_ring(cols, cyc, nverts, target)[1]
-    t0 = _extended(t, cols, nverts)
-    spokes = {}
-    for x in sorted({t.origin[h] for cyc in cycles for h in cyc}):
-        h_out, h_in = _boundary_corner(t, x)
-        slots = t0.vertex_slots[x]
-        i = t0.slot_index[h_out] + 1
-        run = slots[i:] + slots[:i]
-        spokes[x] = run[:run.index(t0.twin[h_in])]
-    return t0, spokes
+    t0 = CrownedHost(t, target)
+    return t0 if t0.exact else t0.materialize(), t0.spokes()
 
 
 @dataclass(frozen=True)
@@ -117,8 +307,8 @@ class GuardData:
     stem_edges: dict     # G•-edge id -> its fixed image half-edge
 
 
-def _require_reducing(t):
-    if not validate_reducing(t).ok:
+def _require(report):
+    if not report.ok:
         raise HarmonizerError("host must be a closed reducing triangulation")
 
 
@@ -128,16 +318,18 @@ def extend_for_harmonization(f, anchor):
     Returns (f_closed, guard) where f_closed is a drawing on a closed
     reducing host and guard records the stems and guard edges.  G's ids
     come first, then the tips', then those of G's mirror copy.  Raises
-    HarmonizerError if f's host or its crowned host is not reducing."""
+    HarmonizerError if f's host is not reducing, or its crowns break a
+    reducing condition where they meet it."""
     t = f.host
     if t.is_closed():
         raise BoundaryError("host is already closed")
     anchor.validate(f)
-    _require_reducing(t)
+    _require(validate_reducing(t))
     t0, spokes = attach_crowns(
         t, {x: len(vs) for x, vs in anchor.orders.items()})
-    # the doubled host is closed, and reducing because t0 is
-    _require_reducing(t0)
+    # t0 is reducing if its crowns are where they meet t, and the doubled
+    # host is closed, and reducing because t0 is
+    _require(t0.validate_crowns())
     tdot, mirr = _double_with_gadgets_unchecked(t0)
 
     def mirror(h):
@@ -157,7 +349,7 @@ def extend_for_harmonization(f, anchor):
             vmap.append(tdot.origin[tdot.next[e]])
     # mirror copy of G at offset m; tip vertices are shared
     m = len(vmap)
-    vmap += [tdot.origin[mirror(t0.vertex_slots[x][0])] for x in f.vertex_map]
+    vmap += [tdot.origin[mirror(t.vertex_slots[x][0])] for x in f.vertex_map]
     triples += [(u + m, v + m if v < n else v, tuple(map(mirror, hes)))
                 for u, v, hes in triples]
     fdot = Drawing(Graph(len(vmap), [(u, v) for u, v, _ in triples]), tdot,
@@ -165,9 +357,8 @@ def extend_for_harmonization(f, anchor):
                           for u, _, hes in triples])
     stem_edges = {e: hes[0] for e, (_, v, hes) in enumerate(triples)
                   if n <= v < m}
-    guard = frozenset(g for run in spokes.values()
-                      for e in run[:3] + run[-3:]
-                      for h in (e, t0.twin[e]) for g in (h, mirr + h))
+    guard = t0.guard_half_edges(3)
+    guard = frozenset(guard + [mirr + h for h in guard])
     return fdot, GuardData(guard, stem_edges)
 
 

@@ -9,10 +9,11 @@ never identified by vertex pairs.
 
 import json
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 
 RED = "r"
@@ -246,10 +247,21 @@ class Triangulation:
         return len(self.boundary_cycles())
 
     def _boundary_successor(self, h):
-        # next boundary half-edge along the boundary walk (interior on the left)
-        s = self.next[h]
-        while self.twin[s] != NO_TWIN:
-            s = self.next[self.twin[s]]
+        # next boundary half-edge along the boundary walk (interior on the
+        # left): the last slot of h's head, whose rotation walk is this
+        # walk, unless it broke; broken twins can send the walk round a
+        # cycle of its own
+        v = self.origin[self.next[h]]
+        if v not in self.broken_rotation:
+            return self.vertex_slots[v][-1]
+        nxt, twin = self.next, self.twin
+        s, steps = nxt[h], len(nxt)
+        while twin[s] != NO_TWIN:
+            s = nxt[twin[s]]
+            steps -= 1
+            if not steps:
+                raise StructureError("the boundary walk from half-edge %d "
+                                     "does not reach the boundary" % h)
         return s
 
     def boundary_cycles(self):
@@ -549,42 +561,6 @@ def _grow_ring(cols, boundary, nverts, target):
     return out, nverts
 
 
-def _extended(t, cols, num_vertices):
-    """The Triangulation of cols = (next, twin, origin, color per half-edge):
-    t's tables with triangles (h, h + 1, h + 2) from h = len(t.next) on glued
-    to its boundary, on new vertices from t.num_vertices on.  Only t's
-    boundary and new vertices are walked, which gives the constructor's
-    result where t's twins join the ends of its half-edges, as a reducing
-    host's do; if a rotation breaks, the constructor builds it."""
-    next_, twin, origin, color = cols
-    n, size, b = len(t.next), len(next_), t._boundary_half_edges
-    new = num_vertices - t.num_vertices
-    degree = Counter(origin)
-    first = dict(zip(reversed(origin), range(size - 1, -1, -1)))
-    walked = [*{origin[h] for h in b}, *range(t.num_vertices, num_vertices)]
-    boundary = tuple([h for h in b if twin[h] == NO_TWIN]
-                     + [h for h in range(n, size) if twin[h] == NO_TWIN])
-    slots = list(t.vertex_slots) + [None] * new
-    on_boundary = list(t._vertex_on_boundary) + [False] * new
-    slot_index = list(t.slot_index) + [-1] * (size - n)
-    walks = zip(walked, map(degree.get, walked), map(first.get, walked))
-    if t.broken_rotation or _walk_rotations(
-            next_, twin, origin, boundary, walks, slots, slot_index,
-            on_boundary):
-        return Triangulation(next_, twin, origin, dict(enumerate(color)))
-    t0 = object.__new__(Triangulation)
-    faces = range(len(t.faces), len(t.faces) + (size - n) // 3)
-    vars(t0).update(
-        next=tuple(next_), twin=tuple(twin), origin=tuple(origin),
-        faces=t.faces + tuple(zip(*[range(n + i, size, 3) for i in range(3)])),
-        face_of=t.face_of + tuple(sorted([*faces] * 3)),
-        face_color=t.face_color + tuple(color[n::3]),
-        _boundary_half_edges=boundary, num_vertices=num_vertices,
-        vertex_slots=tuple(slots), slot_index=tuple(slot_index),
-        _vertex_on_boundary=tuple(on_boundary), broken_rotation=frozenset())
-    return t0
-
-
 def _slit(t, h):
     """Cut the interior edge carried by half-edge h open into two boundary edges."""
     g = t.twin[h]
@@ -660,7 +636,10 @@ class _Composed(dict):
 
     A held entry is read at the speed of a dict.  Otherwise the column
     reads like a tuple: len() is `size`, iteration yields the entries in
-    order, and an index outside 0..size-1 raises IndexError."""
+    order, and an index outside 0..size-1 raises IndexError.  `entry(i)`
+    gives every entry, held or not, and keeps none: a host composed from
+    another reads the other's entries through it, so that each is kept
+    once."""
 
     __slots__ = ("size", "entry")
 
@@ -681,7 +660,41 @@ class _Composed(dict):
         return map(self.__getitem__, range(self.size))
 
 
-class DoubledHost(Triangulation):
+class _SlotIndex(_Composed):
+    """A slot_index column of a host's rotations and origins: the first
+    read of a half-edge's entry reads its tail's rotation and sets the
+    entries of all of it that are not set yet.  It holds the two columns,
+    not the host, so that a host is freed as soon as it is dropped."""
+
+    __slots__ = ("rotations", "origins")
+
+    def __init__(self, held, size, rotations, origins):
+        super().__init__(held, size,
+                         lambda h: rotations[origins[h]].index(h))
+        self.rotations, self.origins = rotations, origins
+
+    def __missing__(self, h):
+        if not 0 <= h < self.size:
+            raise IndexError("index %r out of range(%d)" % (h, self.size))
+        rotation = self.rotations[self.origins[h]]
+        if h not in rotation:  # the parts' rotations are broken
+            raise StructureError("half-edge %d not in its rotation" % h)
+        for i, g in enumerate(rotation):
+            self.setdefault(g, i)
+        return self[h]
+
+
+class _ComposedHost(Triangulation):
+    """A host whose columns are `_Composed`: the tables of its parts, held
+    or computed when first read."""
+
+    def materialize(self):
+        """The Triangulation of the glued tables: every entry computed."""
+        return Triangulation(self.next, self.twin, self.origin, dict(
+            enumerate(map(self.color_left, range(len(self.next))))))
+
+
+class DoubledHost(_ComposedHost):
     """The closed host of gluing a bounded triangulation t0, its mirror and
     a 3-gadget copy per seam, composed at fixed offsets.
 
@@ -691,41 +704,52 @@ class DoubledHost(Triangulation):
     t0's ids; the other mirror, then inner gadget, vertices take the next.
 
     The columns next, twin, origin, face_of and face_color hold the entries
-    of t0 and its mirror, which the moves read most; faces, vertex_slots and
-    slot_index hold t0's, but at seam vertices.  Every other entry is
-    computed when it is first read, and kept: a gadget copy's is an offset
-    of the one 3-gadget's, a mirror vertex's rotation the twins of its t0
-    vertex's reversed, and a seam vertex's that of t0 with the mirror's and
-    the gadget corners' spliced in.  Sizes, and so genus() and num_edges(),
-    are arithmetic on the parts.  Every entry equals that of `materialize()`,
-    exact on any host, but the lazy rotations only where t0 is reducing.
+    of t0's real tables and of their mirror, which the moves read most: all
+    of t0, or of a crowned host only its input host.  faces, vertex_slots
+    and slot_index hold the real tables' own, but at the vertices whose
+    rotation the gluing changes: the seams', and a crowned host's old
+    boundary vertices.  Every other entry is computed when it is first
+    read, and kept: a crown's, or its mirror copy's, by the crowned host's
+    rule, a gadget copy's as an offset of the one 3-gadget's, a mirror
+    vertex's rotation the twins of its t0 vertex's reversed, and a seam
+    vertex's that of t0 with the mirror's and the gadget corners' spliced
+    in.  Sizes, and so genus() and num_edges(), are arithmetic on the
+    parts.  Every entry equals that of `materialize()`, exact on any host,
+    but the lazy rotations and slot indices only where t0 is reducing.
     """
 
     def __init__(self, t0):
         g3 = build_three_gadget()
         red, blue = gadget_boundary_edges(g3)
         n, m, nf, fm = len(t0.next), len(g3.next), len(t0.faces), len(g3.faces)
-        nxt0, twin0, org0, nv = t0.next, t0.twin, t0.origin, t0.num_vertices
-        seams = t0.boundary_half_edges()
+        # t0's entries, a crowned host's by the rules of its columns: this
+        # host keeps what it reads, so they are not kept twice
+        nxt0, twin0, org0, fof0, faces0, color0 = [
+            getattr(col, "entry", col.__getitem__) for col in (
+                t0.next, t0.twin, t0.origin, t0.face_of, t0.faces,
+                t0.face_color)]
+        nv, seams = t0.num_vertices, t0.boundary_half_edges()
         size = 2 * n + m * len(seams)
         nfaces = 2 * nf + fm * len(seams)
-        # per seam, the gadget half-edge x of the other color, glued to it,
-        # which runs head -> tail; the other boundary half-edge runs back
-        xs = [blue if t0.color_left(h) == RED else red for h in seams]
-        twins = list(twin0) + [g if g == NO_TWIN else g + n for g in twin0]
-        for q, (h, x) in enumerate(zip(seams, xs)):
-            off = 2 * n + q * m
-            twins[h], twins[n + h] = off + x, off + red + blue - x
-        on_seam = {org0[g] for h in seams for g in (h, nxt0[h])}
-        # t0's vertices off the seams; the mirror copy of kept[i] is nv + i
-        kept = [v for v in range(nv) if v not in on_seam]
+        src = getattr(t0, "base", t0)
+        if src is not t0:
+            # a crowned host (`boundary.CrownedHost`): the real tables are
+            # its input host's, which the seams, round the crowns, do not
+            # touch; only its boundary vertices' rotations and twins changed
+            on_seam = range(src.num_vertices, nv)
+            kept = range(src.num_vertices)
+            fixed = [v for v in kept if not src._vertex_on_boundary[v]]
+        else:
+            on_seam = {t0.origin[g] for h in seams for g in (h, t0.next[h])}
+            kept = fixed = [v for v in range(nv) if v not in on_seam]
+        r, rf = len(src.next), len(src.faces)
+        # t0's mirror copy of kept[i] is nv + i
         vid = list(range(nv))
         for w, v in enumerate(kept, nv):
             vid[v] = w
         k = nv + len(kept)  # the id of the first inner gadget vertex
         corners = (g3.origin[red], g3.origin[blue])
         inner = [j for j in range(g3.num_vertices) if j not in corners]
-        prev = sorted(range(n), key=nxt0.__getitem__)  # next[prev[h]] == h
 
         def part(i, first, step):
             """(copy, its half-edge offset, index in the gadget) of entry i
@@ -733,34 +757,66 @@ class DoubledHost(Triangulation):
             q, r = divmod(i - first, step)
             return q, 2 * n + q * m, r
 
+        def prev0(h):
+            g = h
+            while nxt0(g) != h:
+                g = nxt0(g)
+            return g
+
+        # per seam, the gadget half-edge x of the other color, glued to it,
+        # which runs head -> tail; the other boundary half-edge runs back
+        xs = _Composed((), len(seams), lambda q: (
+            blue if color0(fof0(seams[q])) == RED else red))
+
         def next_(i):
+            if i < 2 * n:
+                return nxt0(i) if i < n else n + prev0(i - n)
             q, off, r = part(i, 2 * n, m)
             return off + g3.next[r]
 
         def twin(i):
+            if i < 2 * n:
+                g = twin0(i % n)
+                if g != NO_TWIN:
+                    return g if i < n else n + g
+                q = bisect_left(seams, i % n)
+                x = xs[q]
+                return 2 * n + q * m + (x if i < n else red + blue - x)
             q, off, r = part(i, 2 * n, m)
             if g3.twin[r] != NO_TWIN:
                 return off + g3.twin[r]
             return seams[q] if r == xs[q] else n + seams[q]
 
         def origin(i):
+            if i < 2 * n:
+                return org0(i) if i < n else vid[org0(nxt0(i - n))]
             q, off, r = part(i, 2 * n, m)
             j = g3.origin[r]
             if j not in corners:
                 return k + len(inner) * q + inner.index(j)
             h = seams[q]
-            return org0[nxt0[h]] if j == g3.origin[xs[q]] else org0[h]
+            return org0(nxt0(h)) if j == g3.origin[xs[q]] else org0(h)
 
         def face_of(i):
+            if i < 2 * n:
+                return fof0(i) if i < n else nf + fof0(i - n)
             q, off, r = part(i, 2 * n, m)
             return 2 * nf + q * fm + g3.face_of[r]
 
         def faces(f):
+            if f < nf:
+                return faces0(f)
             if f < 2 * nf:
-                o = t0.faces[f - nf]
+                o = faces0(f - nf)
                 return tuple([n + g for g in o[:1] + o[:0:-1]])
             q, off, r = part(f, 2 * nf, fm)
             return tuple([off + g for g in g3.faces[r]])
+
+        def face_color(f):
+            if f < 2 * nf:
+                c = color0(f % nf)
+                return c if f < nf else opposite_color(c)
+            return g3.face_color[(f - 2 * nf) % fm]
 
         def corner(h):
             """The slots of the gadget corner that seam half-edge h's twin
@@ -775,53 +831,52 @@ class DoubledHost(Triangulation):
                 return tuple([off + g for g in g3.vertex_slots[inner[j]]])
             if v >= nv:
                 slots = t0.vertex_slots[kept[v - nv]]
-                run = [n + twin0[h] for h in reversed(slots)]
+                run = [n + twin0(h) for h in reversed(slots)]
                 i = run.index(min(run))
                 return tuple(run[i:] + run[:i])
+            if v not in on_seam:
+                return t0.vertex_slots[v]
             # a seam vertex: clockwise, t0's slots end at the boundary
             # half-edge out of v and start after b_in, the one into v; the
             # gadget corner glued to the first, the mirror's slots back to
             # n + b_in, and the corner glued to that come between them
             slots = t0.vertex_slots[v]
-            b_in = t0.prev(slots[0])
+            b_in = prev0(slots[0])
             i = slots.index(min(slots))
             return (slots[i:] + corner(slots[-1])
-                    + tuple([n + twin0[h] for h in slots[-2::-1]])
+                    + tuple([n + twin0(h) for h in slots[-2::-1]])
                     + (n + b_in,) + corner(n + b_in) + slots[:i])
 
-        self.next = _Composed(enumerate(nxt0 + tuple(
-            [g + n for g in prev])), size, next_)
-        self.twin = _Composed(enumerate(twins), size, twin)
-        self.origin = _Composed(enumerate(org0 + tuple(
-            [vid[org0[g]] for g in nxt0])), size, origin)
-        self.face_of = _Composed(enumerate(t0.face_of + tuple(
-            [f + nf for f in t0.face_of])), size, face_of)
-        self.faces = _Composed(enumerate(t0.faces), nfaces, faces)
-        self.face_color = _Composed(enumerate(t0.face_color + tuple(
-            map(opposite_color, t0.face_color))), nfaces,
-            lambda f: g3.face_color[(f - 2 * nf) % fm])
+        # the real part, closed under next, and its mirror; a twin it
+        # lacks is t0's, a seam's or a tent's, read when first read
+        nxt, org, fof = src.next, src.origin, src.face_of
+        colors = src.face_color
+        mirrors = range(n, n + r)
+        twinned = [(h, g) for h, g in enumerate(src.twin) if g != NO_TWIN]
+        self.next = _Composed(chain(enumerate(nxt), zip(mirrors, [
+            n + h for h in sorted(range(r), key=nxt.__getitem__)])),
+            size, next_)
+        self.twin = twins = _Composed(chain(twinned, [
+            (n + h, n + g) for h, g in twinned]), size, twin)
+        self.origin = _Composed(chain(enumerate(org), zip(
+            mirrors, [vid[org[g]] for g in nxt])), size, origin)
+        self.face_of = _Composed(chain(enumerate(fof), zip(
+            mirrors, [nf + f for f in fof])), size, face_of)
+        self.faces = _Composed(enumerate(src.faces), nfaces, faces)
+        self.face_color = _Composed(chain(enumerate(colors), zip(
+            range(nf, nf + rf), [BLUE if c == RED else RED for c in colors])),
+            nfaces, face_color)
         self.num_vertices = k + len(inner) * len(seams)
-        rotations = self.vertex_slots = _Composed(
-            {v: t0.vertex_slots[v] for v in kept}, self.num_vertices,
+        self.vertex_slots = _Composed(
+            {v: src.vertex_slots[v] for v in fixed}, self.num_vertices,
             vertex_slots)
-        origins = self.origin
-
-        def slot_index(h):
-            if h not in rotations[origins[h]]:  # t0's rotations are broken
-                raise StructureError("half-edge %d not in its rotation" % h)
-            return rotations[origins[h]].index(h)
-
-        self.slot_index = _Composed(
-            {h: t0.slot_index[h] for h in range(n) if org0[h] not in on_seam},
-            size, slot_index)
+        fixed = set(fixed)
+        self.slot_index = _SlotIndex(
+            {h: i for h, i in enumerate(src.slot_index) if org[h] in fixed},
+            size, self.vertex_slots, self.origin)
         self._boundary_half_edges = ()
         self._vertex_on_boundary = (False,) * self.num_vertices
         self.broken_rotation = frozenset()
-
-    def materialize(self):
-        """The Triangulation of the glued tables: every entry computed."""
-        return Triangulation(self.next, self.twin, self.origin, dict(
-            enumerate(map(self.color_left, range(len(self.next))))))
 
 
 # -- text formats ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import faulthandler
 import os
 import random
 
@@ -11,6 +12,25 @@ from redtri.walkcalc import Walk
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 # the characters that mutate the inputs of the fuzz tests
 FUZZ_ALPHABET = "0123456789-=,>#\n abfhilnortvw"
+
+
+# the run's own stderr, copied while output capture is off between test
+# phases; fd 2 itself is a capture file while a test runs
+_STDERR = []
+
+
+def pytest_configure(config):
+    _STDERR.append(os.fdopen(os.dup(2), "w"))
+
+
+@pytest.fixture(autouse=True)
+def hang_guard():
+    """A test that runs for three minutes dumps every thread's traceback
+    to the run's stderr and ends the run, so that a hang fails fast and
+    says where."""
+    faulthandler.dump_traceback_later(180, exit=True, file=_STDERR[0])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def fixture_path(name):

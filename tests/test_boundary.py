@@ -87,6 +87,28 @@ def test_attach_crowns_on_annulus():
     assert rep.kinds() <= {surface.DEGREE_TOO_LOW}
 
 
+def test_spokes_and_guards_come_from_the_offsets(patch):
+    """The spokes at each old boundary vertex, and the guard half-edges,
+    computed from the crowns' offsets, are those the crowned host's
+    rotations and twins give: the crown half-edges clockwise from the
+    vertex's outgoing boundary edge to the tent before, and the first and
+    last three of them with their twins."""
+    ends = sorted({patch.tail(h) for h in patch.boundary_half_edges()})
+    for need in ({}, {x: x % 3 for x in ends}):
+        t0, spokes = attach_crowns(patch, need)
+        assert sorted(spokes) == ends
+        for x, run in spokes.items():
+            slots = patch.vertex_slots[x]
+            h_out, h_in = slots[-1], patch.prev(slots[0])
+            rotation = t0.vertex_slots[x]
+            i = rotation.index(h_out) + 1
+            assert (rotation[i:] + rotation[:i])[:len(run) + 1] == (
+                *run, t0.twin[h_in])
+        assert sorted(t0.guard_half_edges(3)) == sorted(
+            h for run in spokes.values() for e in run[:3] + run[-3:]
+            for h in (e, t0.twin[e]))
+
+
 def test_extension_host_valid(patch):
     f = boundary_path_drawing(patch)
     a = anchored_ends(f)
@@ -97,21 +119,67 @@ def test_extension_host_valid(patch):
 
 
 def test_anchored_run_validates_its_parts(monkeypatch, patch):
-    """The input host, then the crowned host, are validated once each, and
-    the doubled host not at all."""
-    sizes = []
+    """The input host is validated in full once, its crowns by their parts
+    once, and neither the crowned nor the doubled host is scanned."""
+    sizes, parts = [], []
+    validate_crowns = boundary.CrownedHost.validate_crowns
 
     def counted(t):
         sizes.append(len(t.next))
         return validate_reducing(t)
 
+    def counted_parts(t0):
+        parts.append(len(t0.next))
+        return validate_crowns(t0)
+
     monkeypatch.setattr(boundary, "validate_reducing", counted)
     monkeypatch.setattr(harmonizer, "validate_reducing", counted)
+    monkeypatch.setattr(boundary.CrownedHost, "validate_crowns", counted_parts)
     f = boundary_path_drawing(patch)
     a = anchored_ends(f)
     harmonize_rel_anchor(f, a)
     t0 = attach_crowns(patch, {x: len(vs) for x, vs in a.orders.items()})[0]
-    assert sizes == [len(patch.next), len(t0.next)]
+    assert sizes == [len(patch.next)]
+    assert parts == [len(t0.next)]
+
+
+def test_anchored_run_reads_few_crown_entries(monkeypatch, patch):
+    """An anchored run keeps the entries of the crowns, and of their mirror
+    copies, that it computes, and it computes only those it reads, with
+    the rest of a rotation's slot indices: 141 here, 70 of them slot
+    indices, against the crowns' 402 half-edges.  A scan of the crowned
+    host, or of one of its columns, would compute them all."""
+    built = []
+    double = boundary._double_with_gadgets_unchecked
+
+    def recording_double(t0):
+        doubled = double(t0)
+        built.append((t0, doubled[0]))
+        return doubled
+
+    monkeypatch.setattr(boundary, "_double_with_gadgets_unchecked",
+                        recording_double)
+    f = boundary_path_drawing(patch)
+    harmonize_rel_anchor(f, anchored_ends(f))
+    [(t0, d)] = built
+    r, n = len(patch.next), len(t0.next)
+    rf, nf = len(patch.faces), len(t0.faces)
+    rv, nv = patch.num_vertices, t0.num_vertices
+    # per column, the crown ids: in t0 from the input host's sizes on, and
+    # in the doubled host also their mirror copies', but for the crown
+    # vertices, which are the seams' and have none
+    count = 0
+    for host in (t0, d):
+        for names, (real, size) in ((
+                ("next", "twin", "origin", "face_of", "slot_index"), (r, n)),
+                (("faces", "face_color"), (rf, nf)),
+                (("vertex_slots",), (rv, nv))):
+            for name in names:
+                mirrored = host is d and name != "vertex_slots"
+                count += sum(real <= i < size
+                             or mirrored and size + real <= i < 2 * size
+                             for i in dict.keys(getattr(host, name)))
+    assert 0 < count < (n - r) / 2
 
 
 def test_extension_rejects_non_reducing_host_before_crowning(monkeypatch):

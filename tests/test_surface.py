@@ -1,12 +1,13 @@
 import functools
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from redtri import surface
-from redtri.boundary import attach_crowns
+from redtri import boundary, surface
+from redtri.boundary import BoundaryError, attach_crowns
 from redtri.surface import (
     BLUE,
     DEGREE_TOO_LOW,
@@ -528,52 +529,184 @@ PART_CHECK_HOSTS = {**DOUBLING_HOSTS, "degree-4 disk": lambda: fan_disk(4),
                     "crown5": lambda: surface.crown(5), "bowtie": bowtie}
 
 
+def _grown(t, need):
+    """The crowned host of t as the ring grower builds it: crowns grown on
+    copies of t's columns, then the constructor."""
+    cols = (list(t.next), list(t.twin), list(t.origin),
+            list(map(t.color_left, range(len(t.next)))))
+
+    def target(w, k):
+        d = max(6, k, k + need.get(w, 0) + 4)
+        return d + d % 2
+
+    nverts = t.num_vertices
+    for cyc in t.boundary_cycles():
+        nverts = surface._grow_ring(cols, cyc, nverts, target)[1]
+    return surface.Triangulation(*cols[:3], dict(enumerate(cols[3])))
+
+
+def _materialized(t0):
+    return t0.materialize() if isinstance(t0, boundary.CrownedHost) else t0
+
+
+def _crowned_verdict(t, t0):
+    """The anchored extension's verdict: t's full check, then the part
+    check of its crowns."""
+    return validate_reducing(t).ok and t0.validate_crowns().ok
+
+
 @pytest.mark.parametrize("name", sorted(PART_CHECK_HOSTS))
 def test_part_checks_agree_with_doubled_scan(name):
-    """The anchored extension validates a host and its crowned host instead
-    of the doubled host; all three are reducing or none is."""
+    """The anchored extension validates a host in full and its crowns by
+    their parts instead of the doubled host; the part check gives the
+    verdict of the full scans of the crowned and doubled hosts."""
     t = PART_CHECK_HOSTS[name]()
     t0 = attach_crowns(t, {})[0]
     doubled = surface._double_with_gadgets_unchecked(t0)[0].materialize()
-    assert (validate_reducing(t).ok == validate_reducing(t0).ok
+    verdict = validate_reducing(_materialized(t0)).ok
+    assert (validate_reducing(t).ok == verdict
             == validate_reducing(doubled).ok)
+    if isinstance(t0, boundary.CrownedHost):
+        assert _crowned_verdict(t, t0) == verdict
 
 
-def _own_columns(t):
-    """The Triangulation of t's own columns and face colors."""
-    return surface.Triangulation(t.next, t.twin, t.origin, dict(
-        enumerate(map(t.color_left, range(len(t.next))))))
+@pytest.mark.parametrize("fan", ["fitted", "least", "one more"])
+def test_part_check_finds_what_the_full_scan_finds(fan):
+    """On reducing patches crowned with fans that leave old boundary
+    vertices of low or odd degree, the part check reports the violations
+    that validate_reducing finds on the materialized crowned host."""
+    target = {"fitted": lambda w, k: max(6, k) + max(6, k) % 2,
+              "least": lambda w, k: k, "one more": lambda w, k: k + 1}[fan]
+    found = set()
+    for seed in range(20):
+        t = surface.build_disk_patch(1 + seed % 3, random.Random(seed))
+        t0 = boundary.CrownedHost(t, target)
+        parts = set(t0.validate_crowns().violations)
+        assert parts == set(validate_reducing(t0.materialize()).violations)
+        found |= {v.kind for v in parts}
+    assert found == {"fitted": set(), "least": {DEGREE_TOO_LOW,
+                                                DUAL_NOT_BIPARTITE},
+                     "one more": {DUAL_NOT_BIPARTITE}}[fan]
 
 
 @pytest.mark.parametrize("name", sorted(PART_CHECK_HOSTS))
 def test_crowned_host_matches_constructor(name):
-    """attach_crowns builds t0 from t's tables and walks only t's boundary
-    vertices and the crowns'; every table is the constructor's."""
+    """Materialized, attach_crowns' host has every table of growing the
+    crowns on t's columns; on a host whose rotations it describes, each
+    entry, read one at a time in random order, is the materialized one, and
+    without needs and up to 1,300 half-edges its doubling is the doubling
+    of the grown host."""
     t = PART_CHECK_HOSTS[name]()
+    rng = random.Random(name)
     for need in ({}, {x: 1 + x % 4 for x in range(t.num_vertices)
                       if t.is_boundary_vertex(x)}):
         t0 = attach_crowns(t, need)[0]
-        assert vars(t0) == vars(_own_columns(t0))
+        grown = _grown(t, need)
+        assert vars(_materialized(t0)) == vars(grown)
+        if not isinstance(t0, boundary.CrownedHost):
+            assert t.broken_rotation
+            continue
+        for column in ("next", "twin", "origin", "face_of", "slot_index",
+                       "faces", "face_color", "vertex_slots",
+                       "_vertex_on_boundary"):
+            got, want = getattr(t0, column), getattr(grown, column)
+            order = list(range(len(want)))
+            rng.shuffle(order)
+            assert len(got) == len(want)
+            assert [got[i] for i in order] == [want[i] for i in order], column
+        assert ((t0.num_vertices, t0.boundary_half_edges(), t0.broken_rotation)
+                == (grown.num_vertices, grown.boundary_half_edges(),
+                    grown.broken_rotation))
+        # the benchmark's crowned patches have about 1,200 half-edges
+        if not need and len(grown.next) <= 1300:
+            doubled = surface._double_with_gadgets_unchecked
+            assert (vars(doubled(t0)[0].materialize())
+                    == vars(doubled(grown)[0].materialize()))
 
 
 def test_crowned_patches_match_constructor(monkeypatch):
     """The same on 240 seeded patches of radius 1-4, with needs of 0-4 on
-    up to three boundary vertices; none of them takes the constructor."""
+    up to three boundary vertices: attach_crowns calls no constructor, its
+    host materializes to the grown one, which is reducing, and the part
+    check agrees.  The lazy doubling of every eighth equals the doubling of
+    the grown host."""
     built = []
     init = surface.Triangulation.__init__
-    monkeypatch.setattr(surface.Triangulation, "__init__",
-                        lambda self, *args: built.append(init(self, *args)))
     rng = random.Random(20)
     for seed in range(240):
         t = surface.build_disk_patch(1 + seed % 4, random.Random(seed))
         ends = sorted({t.origin[h] for h in t.boundary_half_edges()})
         need = {x: rng.randrange(5)
                 for x in rng.sample(ends, rng.randrange(4))}
-        del built[:]
-        t0 = attach_crowns(t, need)[0]
+        with monkeypatch.context() as m:
+            m.setattr(surface.Triangulation, "__init__",
+                      lambda self, *args: built.append(init(self, *args)))
+            t0 = attach_crowns(t, need)[0]
         assert not built
-        assert vars(t0) == vars(_own_columns(t0)), seed
-        assert validate_reducing(t0).ok
+        grown = _grown(t, need)
+        assert vars(t0.materialize()) == vars(grown), seed
+        assert validate_reducing(grown).ok
+        assert _crowned_verdict(t, t0)
+        if seed % 8 == 0:
+            doubled = surface._double_with_gadgets_unchecked
+            assert (vars(doubled(t0)[0].materialize())
+                    == vars(doubled(grown)[0].materialize())), seed
+
+
+def _swap_twins(twin, a, b):
+    """Swap the twins of a and b, and point their old partners back."""
+    ta, tb = twin[a], twin[b]
+    twin[a], twin[b] = tb, ta
+    twin[ta], twin[tb] = b, a
+
+
+def _twin_swapped_patch(s):
+    """build_disk_patch(1 + s % 2, Random(s)) with 1 + s % 2 swaps of
+    interior twins drawn from a fresh Random(s)."""
+    p = surface.build_disk_patch(1 + s % 2, random.Random(s))
+    rng = random.Random(s)
+    inner = [h for h in range(len(p.next)) if p.twin[h] != NO_TWIN]
+    twin = list(p.twin)
+    for _ in range(1 + s % 2):
+        _swap_twins(twin, *rng.sample(inner, 2))
+    return surface.Triangulation(p.next, twin, p.origin, dict(
+        enumerate(map(p.color_left, range(len(p.next))))))
+
+
+def test_boundary_walk_of_broken_twins_raises_structure_error():
+    """Seed 353 of the sweep below: swapping the twins of (12, 11), then of
+    (54, 11), sends the boundary walk from a half-edge round a cycle of
+    interior half-edges, where it used to loop forever."""
+    t = _twin_swapped_patch(353)
+    p = surface.build_disk_patch(2, random.Random(353))
+    twin = list(p.twin)
+    _swap_twins(twin, 12, 11)
+    _swap_twins(twin, 54, 11)
+    assert t.twin == tuple(twin)
+    for call in (t.boundary_cycles, t.genus, t.num_boundary_components,
+                 lambda: attach_crowns(t, {})):
+        with pytest.raises(surface.StructureError,
+                           match="does not reach the boundary$"):
+            call()
+
+
+def test_twin_swapped_patches_crown_or_raise():
+    """attach_crowns on 1,330 seeded patches with one or two interior twin
+    swaps returns or raises StructureError or BoundaryError, never a bare
+    ValueError, and never hangs; where it returns, its host has the
+    tables of the grown one."""
+    outcomes = Counter()
+    for s in range(1330):
+        t = _twin_swapped_patch(s)
+        try:
+            t0 = attach_crowns(t, {})[0]
+        except (surface.StructureError, BoundaryError) as exc:
+            outcomes[type(exc).__name__] += 1
+            continue
+        outcomes["crowned"] += 1
+        if s % 10 == 0:
+            assert vars(_materialized(t0)) == vars(_grown(t, {})), s
+    assert outcomes["crowned"] > 1000 and outcomes["StructureError"] >= 1
 
 
 def test_doubled_host_of_broken_rotations_raises_structure_error():
