@@ -9,8 +9,9 @@ here.  WALK_GOLDEN_SHA256 does the same for walk reduction: the
 STEP2_GOLDEN_SHA256 pins the cyclic flips of step 2, which the harmonizer
 corpus never reaches, on the seeds whose harmonization flips there.
 OUTPUT_GOLDEN_SHA256 covers the constructors: every `redtri fixtures`
-output, `write_tri` of seeded disk patches and of their crowned closures,
-and one `redtri stress` sweep.  CHART_GOLDEN_SHA256 covers cover charts:
+output, `write_tri` of the crowns up to 12 triangles, of four
+subdivisions, of seeded disk patches and of their crowned closures, and
+one `redtri stress` sweep.  CHART_GOLDEN_SHA256 covers cover charts:
 their half-edge tables, and the line windows and escape probes of the
 chart-growing oracle.  PROBE_GOLDEN_SHA256 covers the library's line
 windows and escape probes, which walk the base host, on the same cases.  A
@@ -259,17 +260,27 @@ def test_walk_golden_outputs():
 # -- constructors and the stress sweep ---------------------------------------
 
 OUTPUT_GOLDEN_SHA256 = (
-    "ec59521a51d268559970619409323e67c940a6d55adaf70caa72187a604a5f4d")
+    "1aa47a6f6a94251f48d57d3635be32341e0d91a7a547bc6a80ed7ba8e9389ee8")
 
 
 def output_corpus():
-    """(case name, text) for the built-in fixtures, disk patches and
-    crowned patches."""
+    """(case name, text) for the built-in fixtures, crowns, subdivisions,
+    disk patches and crowned patches."""
     from redtri.boundary import attach_crowns
     from redtri.cli import FIXTURES
 
     for name in sorted(FIXTURES):
         yield "fixture %s" % name, FIXTURES[name]()
+    # the crowns and subdivisions that no fixture writes
+    for k in (5, 7, 8, 9, 10, 11, 12):
+        yield "crown %d" % k, surface.write_tri(surface.crown(k))
+    torus = surface.build_torus()
+    for name, t in (("torus", torus),
+                    ("subdivided torus", surface.subdivide(torus)),
+                    ("crown4", surface.crown(4)),
+                    ("doubled crown4",
+                     surface.double_with_gadgets(surface.crown(4)))):
+        yield "subdivided %s" % name, surface.write_tri(surface.subdivide(t))
     # radius 6 is the size of the benchmark's patches
     for radius, seeds in [(r, range(10)) for r in range(1, 5)] + [
             (5, range(3)), (6, range(3))]:
