@@ -1,7 +1,8 @@
 """Universal-cover charts and line windows of closed reducing triangulations.
 
-A chart is a growing plane triangulation, built with `MapBuilder`, and its
-projection onto the base: `proj` for half-edges, `proj_v` for vertices.
+A chart is a growing plane triangulation, whose columns next, twin, origin
+and color `surface.new_face` and `surface.glue` write, and its projection
+onto the base: `proj` for half-edges, `proj_v` for vertices.
 Slot i of chart vertex v lies over slot i of base vertex proj_v[v], and
 `rot[v][i]` is that chart half-edge, or None until it exists.  Growth
 attaches one triangle per frontier slot and never merges chart vertices,
@@ -17,7 +18,7 @@ x_i by its index i.
 
 from dataclasses import dataclass
 
-from .surface import NO_TWIN, RED, MapBuilder, validate_reducing
+from .surface import NO_TWIN, RED, glue, new_face, validate_reducing
 
 LEFT = "left"
 RIGHT = "right"
@@ -35,12 +36,13 @@ def _check_base(base, basepoint):
         raise CoverError("basepoint %d out of range" % basepoint)
 
 
-class CoverChart(MapBuilder):
+class CoverChart:
     def __init__(self, base, basepoint=0):
         """A chart whose vertex 0 lies over the base vertex basepoint."""
         _check_base(base, basepoint)
-        super().__init__()
         self.base = base
+        self.cols = self.next, self.twin, self.origin, self.color = (
+            [], [], [], [])
         self.proj = []      # chart half-edge -> base half-edge
         self.proj_v = []    # chart vertex -> base vertex
         self.rot = []       # chart vertex -> its slots by base position
@@ -61,7 +63,7 @@ class CoverChart(MapBuilder):
                 raise CoverError("chart vertex %d has two slots over base "
                                  "half-edge %d" % (v, g))
             ids.append(v)
-        hs = self.new_face(*ids, b.color_left(base_he))
+        hs = new_face(self.cols, *ids, b.color_left(base_he))
         for h, g, v in zip(hs, bhs, ids):
             self.rot[v][b.slot_index[g]] = h
         self.proj.extend(bhs)
@@ -90,14 +92,17 @@ class CoverChart(MapBuilder):
         last = rot[i]
         for _ in range(d - 1 - k):
             last = self._attach(v, last, None)
-        self.glue(self._attach(v, last, self.origin[ib]), ib)
+        glue(self.cols, self._attach(v, last, self.origin[ib]), ib)
 
     def _attach(self, v, last, third):
         """Attach the face right of v's cw-last slot; returns its v slot."""
         bh = self.base.twin[self.proj[last]]
         c0, c1, _ = self._new_triangle(bh, (self.head(last), v, third))
-        self.glue(c0, last)
+        glue(self.cols, c0, last)
         return c1
+
+    def head(self, h):
+        return self.origin[self.next[h]]
 
     # -- public operations -------------------------------------------------
 

@@ -325,81 +325,37 @@ def validate_reducing(t):
     return ValidationReport(not violations, tuple(violations))
 
 
-class MapBuilder(UnionFind):
-    """Mutable half-edge scratchpad used by the constructors.
+def new_face(cols, v0, v1, v2, color):
+    """Append a triangle with CCW corners v0, v1, v2 to the columns cols =
+    (next, twin, origin, color per half-edge); returns its free sides
+    v0->v1, v1->v2 and v2->v0."""
+    next_, twin, origin, colors = cols
+    h = len(next_)
+    next_ += (h + 1, h + 2, h)
+    twin += (NO_TWIN,) * 3
+    origin += (v0, v1, v2)
+    colors += (color,) * 3
+    return h, h + 1, h + 2
 
-    Vertices are labels chosen by the caller (`new_face`) or allocated per
-    added triangulation (`add`).  Gluing two sides merges the labels of
-    their endpoints in the union-find, and `build` numbers the roots (the
-    smallest label of each class) densely in label order.
-    """
 
-    def __init__(self):
-        super().__init__()
-        self.next = []
-        self.twin = []
-        self.origin = []
-        self.color = []  # per half-edge; faces get the color of their members
-
-    def new_face(self, v0, v1, v2, color):
-        """Add a triangle with CCW vertex sequence v0,v1,v2; returns its sides."""
-        base = len(self.next)
-        h01, h12, h20 = base, base + 1, base + 2
-        self.next.extend([h12, h20, h01])
-        self.twin.extend([NO_TWIN, NO_TWIN, NO_TWIN])
-        self.origin.extend([v0, v1, v2])
-        self.color.extend([color, color, color])
-        return h01, h12, h20
-
-    def add(self, t):
-        """Copy t with fresh vertex labels; returns the offsets of its
-        half-edges and labels."""
-        hoff = len(self.next)
-        voff = len(self.parent)
-        self.parent.extend(range(voff, voff + t.num_vertices))
-        self.next.extend(g + hoff for g in t.next)
-        self.origin.extend(v + voff for v in t.origin)
-        self.color.extend(t.face_color[f] for f in t.face_of)
-        self.twin.extend(NO_TWIN if g == NO_TWIN else g + hoff for g in t.twin)
-        return hoff, voff
-
-    def glue(self, h, g):
-        if self.twin[h] != NO_TWIN or self.twin[g] != NO_TWIN:
-            raise StructureError("double glue")
-        # h runs a -> b, so its twin g runs b -> a
-        for a, b in ((self.origin[h], self.head(g)),
-                     (self.origin[g], self.head(h))):
-            if a != b:
-                top = max(a, b) + 1
-                self.parent.extend(range(len(self.parent), top))
-                self.union(a, b)
-        self.twin[h] = g
-        self.twin[g] = h
-
-    def head(self, h):
-        return self.origin[self.next[h]]
-
-    def build(self):
-        top = max(self.origin, default=-1) + 1
-        self.parent.extend(range(len(self.parent), top))
-        root = [self.find(v) for v in range(top)]
-        used = sorted({root[v] for v in self.origin})
-        dense = {v: i for i, v in enumerate(used)}
-        origin = [dense[root[v]] for v in self.origin]
-        return Triangulation(self.next, self.twin, origin,
-                             dict(enumerate(self.color)))
+def glue(cols, h, g):
+    """Twin the free sides h and g of the columns cols, which must join the
+    same two vertices the opposite way round: no vertex is ever merged."""
+    next_, twin, origin = cols[:3]
+    if twin[h] != NO_TWIN or twin[g] != NO_TWIN:
+        raise StructureError("double glue")
+    if origin[h] != origin[next_[g]] or origin[g] != origin[next_[h]]:
+        raise StructureError("sides %d and %d do not join the same vertices"
+                             % (h, g))
+    twin[h], twin[g] = g, h
 
 
 def build_torus():
     """The 2-triangle torus: one vertex of degree six, three edges."""
-    b = MapBuilder()
-    # red face: east, north, southwest; blue face: northeast, west, south
-    r = b.new_face(0, 0, 0, RED)
-    u = b.new_face(0, 0, 0, BLUE)
-    b.glue(r[0], u[1])  # east / west
-    b.glue(r[1], u[2])  # north / south
-    b.glue(r[2], u[0])  # southwest / northeast
-    return b.build()
+    # red face: east, north, southwest; blue face: northeast, west, south,
+    # glued east / west, north / south and southwest / northeast
+    return Triangulation((1, 2, 0, 4, 5, 3), (4, 5, 3, 2, 0, 1), (0,) * 6,
+                         {0: RED, 3: BLUE})
 
 
 def subdivide(t):
@@ -408,47 +364,36 @@ def subdivide(t):
     if not rep.ok:
         raise ValueError("subdivide requires a reducing triangulation: %s"
                          % (sorted(rep.kinds()),))
+    # a midpoint vertex per edge, keyed by its smaller or only half-edge
+    edges = [h for h, g in enumerate(t.twin) if g == NO_TWIN or h < g]
     nv = t.num_vertices
-    # midpoint vertex per undirected edge
-    mid = {}
-    counter = nv
-    for h in range(len(t.next)):
-        g = t.twin[h]
-        key = h if (g == NO_TWIN or h < g) else g
-        if key not in mid:
-            mid[key] = counter
-            counter += 1
-
-    def midpoint(h):
-        g = t.twin[h]
-        return mid[h if (g == NO_TWIN or h < g) else g]
-
-    b = MapBuilder()
+    mid = dict(zip(edges, range(nv, nv + len(edges))))
+    cols = next_, twin, origin, color = [], [], [], []
     corner_sides = {}  # (face, h) -> subdivided sides of the corner triangle
     for fi, orbit in enumerate(t.faces):
         col = t.face_color[fi]
         h0, h1, h2 = orbit[0], t.next[orbit[0]], t.next[t.next[orbit[0]]]
-        m0, m1, m2 = midpoint(h0), midpoint(h1), midpoint(h2)
+        m0, m1, m2 = [mid[h] if h in mid else mid[t.twin[h]]
+                      for h in (h0, h1, h2)]
         v0, v1, v2 = t.origin[h0], t.origin[h1], t.origin[h2]
-        s0 = b.new_face(v0, m0, m2, col)
-        s1 = b.new_face(v1, m1, m0, col)
-        s2 = b.new_face(v2, m2, m1, col)
-        c = b.new_face(m0, m1, m2, opposite_color(col))
-        b.glue(s0[1], c[2])
-        b.glue(s1[1], c[0])
-        b.glue(s2[1], c[1])
+        s0 = new_face(cols, v0, m0, m2, col)
+        s1 = new_face(cols, v1, m1, m0, col)
+        s2 = new_face(cols, v2, m2, m1, col)
+        c = new_face(cols, m0, m1, m2, opposite_color(col))
+        glue(cols, s0[1], c[2])
+        glue(cols, s1[1], c[0])
+        glue(cols, s2[1], c[1])
         corner_sides[h0] = (s0[0], s1[2])  # (first half, second half) along h0
         corner_sides[h1] = (s1[0], s2[2])
         corner_sides[h2] = (s2[0], s0[2])
-    for h in range(len(t.next)):
+    for h in edges:
         g = t.twin[h]
-        if g == NO_TWIN or h > g:
-            continue
-        ha, hb = corner_sides[h]
-        ga, gb = corner_sides[g]
-        b.glue(ha, gb)
-        b.glue(hb, ga)
-    return b.build()
+        if g != NO_TWIN:
+            ha, hb = corner_sides[h]
+            ga, gb = corner_sides[g]
+            glue(cols, ha, gb)
+            glue(cols, hb, ga)
+    return Triangulation(next_, twin, origin, dict(enumerate(color)))
 
 
 def crown(k):
@@ -459,30 +404,27 @@ def crown(k):
     """
     if k < 2:
         raise ValueError("crown needs k >= 2")
-    b = MapBuilder()
+    cols = next_, twin, origin, color = [], [], [], []
     # strip triangles D_t = (u_t, u_{t+1}, w_t), U_t = (u_{t+1}, w_{t+1}, w_t)
-    # vertex ids: u_t = 2t, w_t = 2t+1
+    # vertex ids: u_t = 2t, w_t = 2t+1, but closing the strip onto D_0's
+    # left side w_0 -> u_0 makes the last two, k and k+1, 0 and 1, or for
+    # odd k, whose last side is a diagonal u -> w, 1 and 0
+    vid = list(range(k)) + ([0, 1] if k % 2 == 0 else [1, 0])
     faces = []
     for i in range(k):
         t = i // 2
-        col = RED if i % 2 == 0 else BLUE
         if i % 2 == 0:
-            faces.append(b.new_face(2 * t, 2 * (t + 1), 2 * t + 1, col))
+            v, col = (2 * t, 2 * t + 2, 2 * t + 1), RED
         else:
-            faces.append(b.new_face(2 * (t + 1), 2 * (t + 1) + 1, 2 * t + 1, col))
+            v, col = (2 * t + 2, 2 * t + 3, 2 * t + 1), BLUE
+        faces.append(new_face(cols, *[vid[x] for x in v], col))
     for i in range(k - 1):
-        if i % 2 == 0:
-            b.glue(faces[i][1], faces[i + 1][2])  # diag of D_t / diag of U_t
-        else:
-            b.glue(faces[i][0], faces[i + 1][2])  # right of U_t / left of D_{t+1}
-    # close, identifying the endpoints of the glued sides
-    if k % 2 == 0:
-        # right side of U_{n-1} (u_n, w_n) ~ left side of D_0 (w_0, u_0)
-        b.glue(faces[k - 1][0], faces[0][2])
-    else:
-        # diag of D_n (u_{n+1}, w_n) ~ left side of D_0 (w_0, u_0)
-        b.glue(faces[k - 1][1], faces[0][2])
-    return b.build()
+        # the diagonal of D_t to U_t's, or the right side of U_t to the
+        # left of D_{t+1}
+        glue(cols, faces[i][1 if i % 2 == 0 else 0], faces[i + 1][2])
+    # close: the last right side (even k) or diagonal (odd k) ~ left of D_0
+    glue(cols, faces[k - 1][0 if k % 2 == 0 else 1], faces[0][2])
+    return Triangulation(next_, twin, origin, dict(enumerate(color)))
 
 
 def build_disk_patch(radius, rng):
@@ -606,11 +548,24 @@ def build_three_gadget():
     Every doubling uses the same immutable gadget, so it is built once."""
     g1 = build_one_gadget()
     red, blue = gadget_boundary_edges(g1)
-    d = MapBuilder()
-    offs = [d.add(g1)[0] for _ in range(3)]
-    d.glue(offs[0] + blue, offs[1] + red)
-    d.glue(offs[1] + blue, offs[2] + red)
-    return d.build()
+    n, nv = len(g1.next), g1.num_vertices
+    # copy q is glued by its red side to copy q - 1's blue side, so copies
+    # 1 and 2 share copy 0's two corners; their other vertices follow
+    # copy 0's, copy by copy
+    corners = (g1.origin[red], g1.origin[blue])
+    inner = [v for v in range(nv) if v not in corners]
+    vid = list(range(nv))
+    cols = next_, twin, origin, color = [], [], [], []
+    for q in range(3):
+        next_ += [g + q * n for g in g1.next]
+        twin += [NO_TWIN if g == NO_TWIN else g + q * n for g in g1.twin]
+        origin += [vid[v] for v in g1.origin]
+        color += [g1.face_color[f] for f in g1.face_of]
+        for i, v in enumerate(inner, nv + q * len(inner)):
+            vid[v] = i
+    glue(cols, blue, n + red)
+    glue(cols, n + blue, 2 * n + red)
+    return Triangulation(next_, twin, origin, dict(enumerate(color)))
 
 
 def double_with_gadgets(t0):

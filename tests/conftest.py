@@ -78,15 +78,21 @@ def backwards_boundary_drawing(p):
     return f, {u: [0], v: [1]}
 
 
+def chart_snapshot(chart):
+    """The Triangulation of a cover chart's columns as they stand."""
+    return surface.Triangulation(chart.next, chart.twin, chart.origin,
+                                 dict(enumerate(chart.color)))
+
+
 def fan_disk(k):
     """A disk of k triangles around a center vertex of degree k."""
-    b = surface.MapBuilder()
-    tris = [b.new_face(0, 1 + i, 1 + (i + 1) % k,
-                       surface.RED if i % 2 == 0 else surface.BLUE)
+    cols = next_, twin, origin, color = [], [], [], []
+    tris = [surface.new_face(cols, 0, 1 + i, 1 + (i + 1) % k,
+                             surface.RED if i % 2 == 0 else surface.BLUE)
             for i in range(k)]
     for i in range(k):
-        b.glue(tris[i][2], tris[(i + 1) % k][0])
-    return b.build()
+        surface.glue(cols, tris[i][2], tris[(i + 1) % k][0])
+    return surface.Triangulation(next_, twin, origin, dict(enumerate(color)))
 
 
 def bowtie():
@@ -163,11 +169,11 @@ def pinched_sphere(color):
     1).  The loop's turn into itself is 2 with a `color` face on its left,
     so a one-edge closed walk can have a bad corner, which no other test
     host allows."""
-    from redtri.surface import BLUE, MapBuilder
-    b = MapBuilder()
-    h, x, y = b.new_face(0, 0, 1, color)
-    h2, x2, y2 = b.new_face(0, 0, 2, BLUE)
-    b.glue(x, y)
-    b.glue(x2, y2)
-    b.glue(h, h2)
-    return b.build()
+    from redtri.surface import BLUE, Triangulation, glue, new_face
+    cols = next_, twin, origin, colors = [], [], [], []
+    h, x, y = new_face(cols, 0, 0, 1, color)
+    h2, x2, y2 = new_face(cols, 0, 0, 2, BLUE)
+    glue(cols, x, y)
+    glue(cols, x2, y2)
+    glue(cols, h, h2)
+    return Triangulation(next_, twin, origin, dict(enumerate(colors)))

@@ -50,14 +50,15 @@ def test_validate_odd_crown(capsys, tmp_path):
 
 def test_validate_degree_too_low(capsys, tmp_path):
     # the triangular pillow: every vertex has degree two
-    b = surface.MapBuilder()
-    f1 = b.new_face(0, 1, 2, surface.RED)
-    f2 = b.new_face(0, 2, 1, surface.BLUE)
-    b.glue(f1[0], f2[2])
-    b.glue(f1[1], f2[1])
-    b.glue(f1[2], f2[0])
+    cols = next_, twin, origin, color = [], [], [], []
+    f1 = surface.new_face(cols, 0, 1, 2, surface.RED)
+    f2 = surface.new_face(cols, 0, 2, 1, surface.BLUE)
+    surface.glue(cols, f1[0], f2[2])
+    surface.glue(cols, f1[1], f2[1])
+    surface.glue(cols, f1[2], f2[0])
     p = tmp_path / "pillow.tri"
-    p.write_text(surface.write_tri(b.build()))
+    p.write_text(surface.write_tri(surface.Triangulation(
+        next_, twin, origin, dict(enumerate(color)))))
     code, out, _ = run(capsys, "validate", str(p))
     assert code == 1
     assert "DegreeTooLow" in out

@@ -15,7 +15,7 @@ from redtri.cover import (
 from redtri.walkcalc import Walk, turn_at
 
 import probe_oracle
-from conftest import random_drawing
+from conftest import chart_snapshot, random_drawing
 
 
 @pytest.fixture
@@ -38,14 +38,14 @@ def test_chart_basepoint_range_checked(torus, basepoint):
 def test_expand_radius_zero(chart):
     chart.expand(0)
     assert chart.star_complete(0)
-    snap = chart.build()
+    snap = chart_snapshot(chart)
     assert snap.degree(0) == 6
     assert not snap.is_boundary_vertex(0)
 
 
 def test_expand_radius_two_degrees(chart):
     chart.expand(2)
-    snap = chart.build()
+    snap = chart_snapshot(chart)
     dist = chart._distances()
     for v in range(snap.num_vertices):
         if dist[v] is not None and dist[v] <= 2:

@@ -44,6 +44,7 @@ from redtri.walkcalc import (
 
 from conftest import (
     boundary_path_drawing,
+    chart_snapshot,
     make_patch,
     random_closed_walk,
     random_drawing,
@@ -342,7 +343,7 @@ def chart_corpus():
         yield "chart %s" % name, repr((chart.next, chart.twin, chart.origin,
                                        chart.proj, chart.proj_v))
         yield "chart %s snapshot" % name, surface.write_tri(
-            chart.build())
+            chart_snapshot(chart))
         for side in (LEFT, RIGHT):
             yield ("chart %s line %s" % (name, side),
                    repr(chart_line_window(chart, 0, side, 6).edges))

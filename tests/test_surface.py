@@ -88,6 +88,22 @@ def test_crown_odd_fails_bipartite_only(k):
     assert rep.kinds() == {DUAL_NOT_BIPARTITE}
 
 
+def test_glue_rejects_sides_whose_ends_differ():
+    cols = [], [], [], []
+    a = surface.new_face(cols, 0, 1, 2, RED)
+    b = surface.new_face(cols, 1, 0, 3, BLUE)
+    # 1 -> 2 with 0 -> 3 share no end, 0 -> 1 with 0 -> 3 (either way
+    # round) one, and 0 -> 1 with itself runs the same way
+    for h, g in ((a[1], b[1]), (a[0], b[1]), (b[1], a[0]), (a[0], a[0])):
+        with pytest.raises(surface.StructureError, match="same vertices"):
+            surface.glue(cols, h, g)
+    assert cols[1] == [NO_TWIN] * 6  # nothing glued, no vertex merged
+    surface.glue(cols, a[0], b[0])  # 0 -> 1 and 1 -> 0
+    assert (cols[1][a[0]], cols[1][b[0]]) == (b[0], a[0])
+    with pytest.raises(surface.StructureError, match="double glue"):
+        surface.glue(cols, a[0], b[0])
+
+
 def test_one_gadget_shape():
     g = surface.build_one_gadget()
     assert g.euler_characteristic() == -1
@@ -154,14 +170,14 @@ def square():
 
 def two_pillows():
     """Two disjoint spheres, each two triangles glued along all sides."""
-    b = surface.MapBuilder()
+    cols = next_, twin, origin, color = [], [], [], []
     for base in (0, 3):
-        f1 = b.new_face(base, base + 1, base + 2, RED)
-        f2 = b.new_face(base + 1, base, base + 2, BLUE)
-        b.glue(f1[0], f2[0])
-        b.glue(f1[1], f2[2])
-        b.glue(f1[2], f2[1])
-    return b.build()
+        f1 = surface.new_face(cols, base, base + 1, base + 2, RED)
+        f2 = surface.new_face(cols, base + 1, base, base + 2, BLUE)
+        surface.glue(cols, f1[0], f2[0])
+        surface.glue(cols, f1[1], f2[2])
+        surface.glue(cols, f1[2], f2[1])
+    return surface.Triangulation(next_, twin, origin, dict(enumerate(color)))
 
 
 def test_degree_too_low_detected():

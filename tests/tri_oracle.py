@@ -1,7 +1,7 @@
 """Code that `redtri.surface` replaced with faster code, kept as test
-oracles: the record-by-record `.tri` reader, the doubling glued face by
-face through `MapBuilder`, and the validator that checks one element at a
-time.
+oracles: the record-by-record `.tri` reader, the doubling glued side by
+side through a union-find of vertex labels, and the validator that checks
+one element at a time.
 
 The reader is the one `surface` used before it read `write_tri`'s layout
 column by column.
@@ -20,7 +20,11 @@ It is slow, but simple enough to trust; `test_surface.py` checks that
 `double_with_gadgets_glued` and `validate_reducing` are the doubling and
 the validator as they were before the doubling was composed by offset
 arithmetic and the validator went column by column; `test_surface.py`
-checks that the new ones give equal tables and equal reports.
+checks that the new ones give equal tables and equal reports.  The
+doubling glues each seam of t0 and of its mirror to a gadget copy, which
+identifies the copies' vertices at its ends, so `Gluing` merges the labels
+at the ends of each glued pair of sides; `surface.glue`, which the
+constructors use, merges none and rejects sides whose ends differ.
 """
 
 from redtri.surface import (
@@ -33,8 +37,8 @@ from redtri.surface import (
     RED,
     TWIN_BROKEN,
     FormatError,
-    MapBuilder,
     StructureError,
+    UnionFind,
     ValidationReport,
     Violation,
     build_three_gadget,
@@ -42,6 +46,7 @@ from redtri.surface import (
     gadget_boundary_edges,
     opposite_color,
 )
+from redtri.surface import Triangulation as GluedTriangulation
 
 
 class Triangulation:
@@ -234,9 +239,48 @@ def _read_tables(text, t=None):
 
 # -- the doubling, glued face by face ----------------------------------------
 
+class Gluing(UnionFind):
+    """Half-edge columns of copies of triangulations, glued side by side.
+
+    Gluing two sides merges the labels of their ends in the union-find, and
+    `build` numbers the roots (the smallest label of each class) densely
+    in label order."""
+
+    def __init__(self):
+        super().__init__()
+        self.next, self.twin, self.origin, self.color = [], [], [], []
+
+    def add(self, t):
+        """Copy t with fresh vertex labels; returns the offset of its
+        half-edges."""
+        hoff = len(self.next)
+        voff = len(self.parent)
+        self.parent.extend(range(voff, voff + t.num_vertices))
+        self.next.extend(g + hoff for g in t.next)
+        self.origin.extend(v + voff for v in t.origin)
+        self.color.extend(t.face_color[f] for f in t.face_of)
+        self.twin.extend(NO_TWIN if g == NO_TWIN else g + hoff
+                         for g in t.twin)
+        return hoff
+
+    def glue(self, h, g):
+        # h runs a -> b, so its twin g runs b -> a
+        head = self.origin[self.next[g]], self.origin[self.next[h]]
+        self.union(self.origin[h], head[0])
+        self.union(self.origin[g], head[1])
+        self.twin[h], self.twin[g] = g, h
+
+    def build(self):
+        root = [self.find(v) for v in range(len(self.parent))]
+        dense = {v: i for i, v in enumerate(sorted(set(root)))}
+        return GluedTriangulation(self.next, self.twin,
+                                  [dense[root[v]] for v in self.origin],
+                                  dict(enumerate(self.color)))
+
+
 def add_mirror(d, t):
-    """Copy t into the MapBuilder d reversed and recolored, with fresh
-    vertex labels; returns the offsets of its half-edges and labels."""
+    """Copy t into the Gluing d reversed and recolored, with fresh vertex
+    labels; returns the offset of its half-edges."""
     hoff = len(d.next)
     voff = len(d.parent)
     d.parent.extend(range(voff, voff + t.num_vertices))
@@ -249,7 +293,7 @@ def add_mirror(d, t):
     d.origin.extend(t.origin[g] + voff for g in t.next)
     d.color.extend(opposite_color(t.face_color[f]) for f in t.face_of)
     d.twin.extend(NO_TWIN if g == NO_TWIN else g + hoff for g in t.twin)
-    return hoff, voff
+    return hoff
 
 
 def double_with_gadgets_glued(t0):
@@ -257,11 +301,11 @@ def double_with_gadgets_glued(t0):
     keep their ids, and half-edge h of the mirror copy is mirror offset + h."""
     g3 = build_three_gadget()
     g3_red, g3_blue = gadget_boundary_edges(g3)
-    d = MapBuilder()
+    d = Gluing()
     d.add(t0)
-    mirr_off = add_mirror(d, t0)[0]
+    mirr_off = add_mirror(d, t0)
     for h in t0.boundary_half_edges():
-        goff = d.add(g3)[0]
+        goff = d.add(g3)
         hm = h + mirr_off  # mirrored copy of the same boundary half-edge
         # the slit digon is (h, hm): h sees color c on its left, hm sees
         # the opposite; glue the gadget digon so adjacent faces differ.
