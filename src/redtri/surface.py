@@ -342,7 +342,7 @@ def glue(cols, h, g):
     """Twin the free sides h and g of the columns cols, which must join the
     same two vertices the opposite way round: no vertex is ever merged."""
     next_, twin, origin = cols[:3]
-    if twin[h] != NO_TWIN or twin[g] != NO_TWIN:
+    if h == g or twin[h] != NO_TWIN or twin[g] != NO_TWIN:
         raise StructureError("double glue")
     if origin[h] != origin[next_[g]] or origin[g] != origin[next_[h]]:
         raise StructureError("sides %d and %d do not join the same vertices"

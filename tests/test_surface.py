@@ -93,8 +93,8 @@ def test_glue_rejects_sides_whose_ends_differ():
     a = surface.new_face(cols, 0, 1, 2, RED)
     b = surface.new_face(cols, 1, 0, 3, BLUE)
     # 1 -> 2 with 0 -> 3 share no end, 0 -> 1 with 0 -> 3 (either way
-    # round) one, and 0 -> 1 with itself runs the same way
-    for h, g in ((a[1], b[1]), (a[0], b[1]), (b[1], a[0]), (a[0], a[0])):
+    # round) one
+    for h, g in ((a[1], b[1]), (a[0], b[1]), (b[1], a[0])):
         with pytest.raises(surface.StructureError, match="same vertices"):
             surface.glue(cols, h, g)
     assert cols[1] == [NO_TWIN] * 6  # nothing glued, no vertex merged
@@ -102,6 +102,9 @@ def test_glue_rejects_sides_whose_ends_differ():
     assert (cols[1][a[0]], cols[1][b[0]]) == (b[0], a[0])
     with pytest.raises(surface.StructureError, match="double glue"):
         surface.glue(cols, a[0], b[0])
+    loop = surface.new_face(cols, 4, 4, 4, RED)[0]
+    with pytest.raises(surface.StructureError, match="double glue"):
+        surface.glue(cols, loop, loop)  # a loop's ends match its own
 
 
 def test_one_gadget_shape():
