@@ -1,8 +1,8 @@
 """Universal-cover charts and line windows of closed reducing triangulations.
 
-A chart is a growing plane triangulation, whose columns next, twin, origin
-and color `surface.new_face` and `surface.glue` write, and its projection
-onto the base: `proj` for half-edges, `proj_v` for vertices.
+A chart is a growing plane triangulation, held in next, twin, origin and
+color columns that `surface.new_face` and `surface.glue` write, and its
+projection onto the base: `proj` for half-edges, `proj_v` for vertices.
 Slot i of chart vertex v lies over slot i of base vertex proj_v[v], and
 `rot[v][i]` is that chart half-edge, or None until it exists.  Growth
 attaches one triangle per frontier slot and never merges chart vertices,

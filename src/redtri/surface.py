@@ -366,8 +366,7 @@ def subdivide(t):
                          % (sorted(rep.kinds()),))
     # a midpoint vertex per edge, keyed by its smaller or only half-edge
     edges = [h for h, g in enumerate(t.twin) if g == NO_TWIN or h < g]
-    nv = t.num_vertices
-    mid = dict(zip(edges, range(nv, nv + len(edges))))
+    mid = {h: t.num_vertices + i for i, h in enumerate(edges)}
     cols = next_, twin, origin, color = [], [], [], []
     corner_sides = {}  # (face, h) -> subdivided sides of the corner triangle
     for fi, orbit in enumerate(t.faces):
@@ -406,9 +405,9 @@ def crown(k):
         raise ValueError("crown needs k >= 2")
     cols = next_, twin, origin, color = [], [], [], []
     # strip triangles D_t = (u_t, u_{t+1}, w_t), U_t = (u_{t+1}, w_{t+1}, w_t)
-    # vertex ids: u_t = 2t, w_t = 2t+1, but closing the strip onto D_0's
-    # left side w_0 -> u_0 makes the last two, k and k+1, 0 and 1, or for
-    # odd k, whose last side is a diagonal u -> w, 1 and 0
+    # vertex ids: u_t = 2t, w_t = 2t+1, except that closing the strip onto
+    # D_0's left side w_0 -> u_0 names the last two, k and k+1, 0 and 1;
+    # for odd k, whose last side is a diagonal u -> w, 1 and 0
     vid = list(range(k)) + ([0, 1] if k % 2 == 0 else [1, 0])
     faces = []
     for i in range(k):
