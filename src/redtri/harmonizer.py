@@ -15,11 +15,11 @@ balancing moves each vertex of a component across slot l2 of its corner
 (counterclockwise) or l1 (clockwise).
 
 The searches do not scan the drawing.  `State` records which clusters each
-move touches, and a search first re-examines just those, in one pass that
-lists each touched cluster's darts once.  The list decides the cluster's
-flip and its shortening at once, and it waits for the split graphs of the
-two cycle colors, which rebuild the cluster's corner copies from it when a
-balancing is next searched.  A split graph keeps only the components that
+move touches, and a search first re-examines just those, listing each
+one's darts once.  One short pass over the list classifies the cluster's
+corner for its flip and its shortening; when a balancing is next searched,
+one more splits the darts into corner copies for the split graphs of both
+cycle colors at once.  A split graph keeps only the components that
 qualify for a balancing; it drops the others once it has gathered them.
 """
 
@@ -74,9 +74,9 @@ class State(UnionFind):
     darts once, and so keeps the move indexes up to date: `flips` and
     `shortenings`, the clusters where such a move applies, and `splits`,
     the split graph of each cycle color.  The split graphs catch up only
-    when a balancing is searched; until then `pending` keeps, for both of
-    them, each re-examined root's dart list, and None for each vertex that
-    is no longer a root.
+    when a balancing is searched, both in one pass per cluster
+    (`_split_clusters`); until then `pending` keeps each re-examined
+    root's dart list, and None for each vertex that is no longer a root.
 
     Code that writes `image`, `parent` or `target` directly bypasses the
     indexes and must not call `darts` or a search afterwards.
@@ -191,10 +191,9 @@ def _refresh(state):
     """Re-examine the clusters of the dirty vertices: list each root's
     darts once, reclassify its corner for `flips` and `shortenings` now,
     and leave the list in `pending` for the split graphs."""
-    dirty = state.dirty
-    if not dirty:
+    if not state.dirty:
         return
-    state.dirty = set()
+    dirty, state.dirty = state.dirty, set()
     pending = state.pending
     roots = set()
     for v in dirty:
@@ -243,34 +242,32 @@ CW = "clockwise"
 CCW = "counterclockwise"
 
 
-def _has_loop(state, r):
-    """Does some non-collapsed edge have both ends in cluster r?"""
-    ends = state.dart_index.get(r, ())
-    return len({e for e, _ in ends}) < len(ends)
-
-
 def _corner_moves(state, r, darts):
     """The fields of cluster r's flip, (target, s1, s2), and of its
     shortening, (target, run), each None unless it applies; `darts` are
     r's.  Both need one to three used slots and no loop.  The run is the
-    used slots in clockwise order from the widest gap between them: a
-    shortening needs them consecutive at a vertex of degree at least six,
-    a flip two of them with one empty slot between, the blue face first."""
-    used = {h for (_, _, h) in darts}
-    if not 1 <= len(used) <= 3 or _has_loop(state, r):
+    used slots in clockwise order from the widest gap between them, the
+    later on a tie: a shortening needs them consecutive at a vertex of
+    degree at least six, a flip two of them with one empty slot between,
+    the blue face first."""
+    used = {g for _, _, g in darts}
+    n = len(used)
+    if not 1 <= n <= 3 or len({e for e, _, _ in darts}) < len(darts):
         return None, None
     t = state.host
     slots, pos = t.vertex_slots[state.target[r]], t.slot_index
-    d, n = len(slots), len(used)
-    ps = sorted(pos[h] for h in used)
-    # a lone slot's gap is the whole circle
-    gap, i = max(((ps[k] - ps[k - 1]) % d or d, k) for k in range(n))
-    run = tuple(slots[ps[(i + k) % n]] for k in range(n))
+    d, ps = len(slots), sorted([pos[g] for g in used])
+    i, gap = 0, ps[0] - ps[-1] + d      # a lone slot's gap is the circle
+    for k in range(1, n):
+        if ps[k] - ps[k - 1] >= gap:
+            i, gap = k, ps[k] - ps[k - 1]
     width = d + 1 - gap
     if width == n:
+        run = tuple([slots[p] for p in ps[i:] + ps[:i]])
         return None, ((t.head(_pivot(run)), run) if d >= 6 else None)
-    if n == 2 and width == 3 and t.color_left(run[0]) == BLUE:
-        return (t.head(t.next[t.twin[run[0]]]), *run), None
+    s1 = slots[ps[i]]
+    if n == 2 and width == 3 and t.color_left(s1) == BLUE:
+        return (t.head(t.next[t.twin[s1]]), s1, slots[ps[1 - i]]), None
     return None, None
 
 
@@ -349,16 +346,6 @@ def apply_shortening(state, m):
 
 # -- balancing -------------------------------------------------------------
 
-def _corner_of(t, x, g, cycle_color):
-    """The a-slot of the corner that the dart with outgoing half-edge g
-    occupies, for cycles whose turns carry the given subscript color."""
-    slots, pos = t.vertex_slots[x], t.slot_index
-    d = len(slots)
-    if t.color_left(g) == cycle_color:
-        return slots[(pos[g] - 3) % d]   # forward (b) dart
-    return g                             # backward (a) dart
-
-
 class _SplitGraph:
     """The corner-copy split graph of one cycle color, kept up to date.
 
@@ -375,10 +362,10 @@ class _SplitGraph:
     them.  Any other component is dropped once its breadth-first search
     is done.
 
-    `refresh` takes the dart lists that `_refresh` left pending, rebuilds
-    the copies of those clusters and gathers the components of the new
-    copies.  A component that holds no touched copy is unchanged, so a
-    dropped one stays dropped and a kept one stays kept."""
+    `_split_clusters` rebuilds the touched clusters' copies of both colors
+    in one pass, then gathers each color's components of the new copies.
+    A component that holds no touched copy is unchanged, so a dropped one
+    stays dropped and a kept one stays kept."""
 
     def __init__(self, color):
         self.color = color
@@ -396,46 +383,6 @@ class _SplitGraph:
         while heap and heap[0] not in self.found:
             heapq.heappop(heap)
         return self.found[heap[0]] if heap else None
-
-    def refresh(self, state, pending):
-        """Catch up with `pending`: vertex -> its darts, or None once it is
-        no longer a root."""
-        for v in pending:
-            for c in self.at.pop(v, ()):
-                key = self.comp.get(c)     # None unless it qualified
-                if key is not None:
-                    for m in self.found.pop(key)[1]:
-                        del self.comp[m]
-                for e, end, _ in self.darts.pop(c):
-                    del self.copy_of[(e, end)]
-                del self.mark[c]
-        new = [c for r, darts in pending.items() if darts is not None
-               for c in self._copies(state, r, darts)]
-        # an untouched copy of a changed component kept its edges to the
-        # touched clusters, so the new copies reach it; a component with a
-        # red copy never qualifies, so none is gathered from one
-        seen = set()
-        for c in new:
-            if c not in seen and self.mark[c] != "red":
-                self._component(state, c, seen)
-
-    def _copies(self, state, r, darts):
-        """Split cluster r's darts into copies and mark them."""
-        t, x = state.host, state.target[r]
-        pos, d = t.slot_index, len(t.vertex_slots[x])
-        copies = {}
-        for dart in darts:
-            c = (r, _corner_of(t, x, dart[2], self.color))
-            copies.setdefault(c, []).append(dart)
-            self.copy_of[dart[:2]] = c
-        ps = {pos[g] for _, _, g in darts}
-        for c, ds in copies.items():
-            self.darts[c] = ds
-            steps = {(p - pos[c[1]]) % d for p in ps}
-            self.mark[c] = ("red" if steps - {0, 1, 2, 3} else
-                            "green" if steps & {1, 2} else "plain")
-        self.at[r] = list(copies)
-        return copies
 
     def _component(self, state, c0, seen):
         """Gather the component of copy c0 into `seen`, and keep it if it
@@ -470,13 +417,66 @@ class _SplitGraph:
         return c[0], self.darts[c][0][:2]
 
 
+def _split_clusters(state, splits, pending):
+    """Bring `splits`, the red and the blue split graph, up to date with
+    `pending` (vertex -> its darts, or None once it is no longer a root),
+    one pass per cluster: drop its old copies, then file each dart under
+    its a-slot for both colors (its own slot, or three back for the color
+    on its left) and mark the copies from one set of slot positions."""
+    for v in pending:
+        for split in splits:
+            for c in split.at.pop(v, ()):
+                key = split.comp.get(c)     # None unless it qualified
+                if key is not None:
+                    for m in split.found.pop(key)[1]:
+                        del split.comp[m]
+                for e, end, _ in split.darts.pop(c):
+                    del split.copy_of[(e, end)]
+                del split.mark[c]
+    t = state.host
+    pos, color_left = t.slot_index, t.color_left
+    for r, darts in pending.items():
+        if darts is None:
+            continue
+        slots = t.vertex_slots[state.target[r]]
+        d = len(slots)
+        spots, red, blue = set(), {}, {}    # a-slot position -> its darts
+        for dart in darts:
+            p = pos[dart[2]]
+            spots.add(p)
+            if color_left(dart[2]) == RED:
+                red.setdefault((p - 3) % d, []).append(dart)
+                blue.setdefault(p, []).append(dart)
+            else:
+                red.setdefault(p, []).append(dart)
+                blue.setdefault((p - 3) % d, []).append(dart)
+        for split, copies in zip(splits, (red, blue)):
+            split.at[r] = []
+            for a, ds in copies.items():
+                c = (r, slots[a])
+                split.at[r].append(c)
+                split.darts[c] = ds
+                for e, end, _ in ds:
+                    split.copy_of[(e, end)] = c
+                steps = {(p - a) % d for p in spots}
+                split.mark[c] = ("red" if max(steps) > 3 else "green"
+                                 if 1 in steps or 2 in steps else "plain")
+    # an untouched copy of a changed component kept its edges to the
+    # touched clusters, so the new copies reach it; a component with a
+    # red copy never qualifies, so none is gathered from one
+    for split in splits:
+        seen = set()
+        for r in pending:
+            for c in split.at.get(r, ()):
+                if c not in seen and split.mark[c] != "red":
+                    split._component(state, c, seen)
+
+
 def find_balancing(state):
     """A balancing of the first qualifying component, red cycles first."""
     _refresh(state)
-    if state.pending:
-        for split in state.splits:
-            split.refresh(state, state.pending)
-        state.pending = {}
+    _split_clusters(state, state.splits, state.pending)
+    state.pending = {}
     for split in state.splits:
         found = split.first()
         if found is None:

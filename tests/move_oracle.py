@@ -1,6 +1,6 @@
 """The full-scan move searches that `redtri.harmonizer` used before its
-incremental indexes, kept as test oracles, the per-cluster shortening
-query, the state's invariant check and the ordering checker.
+incremental indexes, kept as test oracles, with their own copies of the
+corner formulas, the state's invariant check and the ordering checker.
 
 `scan_flip` and `scan_shortening` try every cluster in sorted order;
 `scan_balancing` rebuilds the corner-copy split graph of each color from
@@ -8,26 +8,64 @@ scratch, numbering the copies in order of cluster and first dart.  They
 cost time linear in the drawing per search, but they read nothing but the
 state's source of truth (`image`, `parent`, `target`) and its dart index;
 `test_acceptance.py` checks after every move of a harmonization that the
-indexed searches return exactly what these return.
+indexed searches return exactly what these return.  They classify a
+corner with `corner_moves` and `corner_of`, the formulas as the library
+first wrote them, not with the library's own.
 """
 
 from redtri.harmonizer import (
     CCW,
     CW,
     Balancing,
+    Flip,
     InvariantError,
     Shortening,
-    _corner_moves,
-    _corner_of,
     _rotation_shortens,
-    flip_at,
 )
 from redtri.surface import BLUE, RED, UnionFind
 
 
-def shortening_at(state, r):
-    fields = _corner_moves(state, r, state.darts(r))[1]
-    return None if fields is None else Shortening(r, *fields, state.version)
+def has_loop(state, r):
+    """Does some non-collapsed edge have both ends in cluster r?"""
+    ends = state.dart_index.get(r, ())
+    return len({e for e, _ in ends}) < len(ends)
+
+
+def corner_moves(state, r):
+    """The fields of cluster r's flip, (target, s1, s2), and of its
+    shortening, (target, run), each None unless it applies.  Both need one
+    to three used slots and no loop.  The run is the used slots in
+    clockwise order from the widest gap between them, the later one on a
+    tie: a shortening needs them consecutive at a vertex of degree at least
+    six, a flip two of them with one empty slot between, the blue face
+    first."""
+    used = {h for (_, _, h) in state.darts(r)}
+    if not 1 <= len(used) <= 3 or has_loop(state, r):
+        return None, None
+    t = state.host
+    slots, pos = t.vertex_slots[state.target[r]], t.slot_index
+    d, n = len(slots), len(used)
+    ps = sorted(pos[h] for h in used)
+    # a lone slot's gap is the whole circle
+    gap, i = max(((ps[k] - ps[k - 1]) % d or d, k) for k in range(n))
+    run = tuple(slots[ps[(i + k) % n]] for k in range(n))
+    width = d + 1 - gap
+    if width == n:
+        pivot = run[(n - 1) // 2]
+        return None, ((t.head(pivot), run) if d >= 6 else None)
+    if n == 2 and width == 3 and t.color_left(run[0]) == BLUE:
+        return (t.head(t.next[t.twin[run[0]]]), *run), None
+    return None, None
+
+
+def corner_of(t, x, g, cycle_color):
+    """The a-slot of the corner that the dart with outgoing half-edge g
+    occupies, for cycles whose turns carry the given subscript color."""
+    slots, pos = t.vertex_slots[x], t.slot_index
+    d = len(slots)
+    if t.color_left(g) == cycle_color:
+        return slots[(pos[g] - 3) % d]   # forward (b) dart
+    return g                             # backward (a) dart
 
 
 def check_consistent(state):
@@ -48,17 +86,17 @@ def scan_flip(state, skip=()):
     for r in state.cluster_vertices():
         if r in skip:
             continue
-        m = flip_at(state, r)
-        if m is not None:
-            return m
+        fields = corner_moves(state, r)[0]
+        if fields is not None:
+            return Flip(r, *fields, state.version)
     return None
 
 
 def scan_shortening(state):
     for r in state.cluster_vertices():
-        m = shortening_at(state, r)
-        if m is not None:
-            return m
+        fields = corner_moves(state, r)[1]
+        if fields is not None:
+            return Shortening(r, *fields, state.version)
     return None
 
 
@@ -81,7 +119,7 @@ def _balancing_pass(state, color):
     for r in verts:
         gs = used[r] = [g for (_, _, g) in state.darts(r)]
         for g in gs:
-            key = (r, _corner_of(t, state.target[r], g, color))
+            key = (r, corner_of(t, state.target[r], g, color))
             if key not in copies:
                 copies[key] = len(copy_list)
                 copy_list.append(key)
@@ -100,9 +138,9 @@ def _balancing_pass(state, color):
         if h is None:
             continue
         ru, rv = state.find(u), state.find(v)
-        cu = copies[(ru, _corner_of(t, state.target[ru], h, color))]
+        cu = copies[(ru, corner_of(t, state.target[ru], h, color))]
         hv = t.twin[h]
-        cv = copies[(rv, _corner_of(t, state.target[rv], hv, color))]
+        cv = copies[(rv, corner_of(t, state.target[rv], hv, color))]
         if t.color_left(h) == color:
             edges.append((cu, cv, e))
         else:

@@ -711,11 +711,13 @@ def test_indexed_searches_match_scans(monkeypatch):
         mine = hz.find_balancing(state)
         assert mine == scan_balancing(state)
         assert (mine is None) == (balancing_oracle(state) is None)
-        for split in state.splits:      # every component, not just the first
-            fresh = hz._SplitGraph(split.color)
-            fresh.refresh(state, {r: state.darts(r)
-                                  for r in state.cluster_vertices()})
-            assert split_state(split) == split_state(fresh)
+        # every component of both colors, not just the first
+        fresh = (hz._SplitGraph(RED), hz._SplitGraph(surface.BLUE))
+        roots = state.cluster_vertices()
+        hz._split_clusters(state, fresh, {r: state.darts(r) for r in roots})
+        for split, built in zip(state.splits, fresh):
+            assert split.color == built.color
+            assert split_state(split) == split_state(built)
 
     def audited(f, budget=None, audit=None, host_checked=False):
         def both(state, move):

@@ -13,6 +13,7 @@ from redtri.harmonizer import (
     HarmonizerError,
     InvariantError,
     MoveTrace,
+    Shortening,
     StaleMoveError,
     State,
     apply_balancing,
@@ -26,11 +27,16 @@ from redtri.harmonizer import (
     proper_monotonic_ordering,
     write_trace,
 )
-from redtri.surface import BLUE, RED
+from redtri.surface import BLUE, RED, Triangulation, glue, new_face
 from redtri.walkcalc import Walk
 
 from conftest import closed_left_cycle, random_drawing
-from move_oracle import check_consistent, is_proper_monotonic, shortening_at
+from move_oracle import (
+    check_consistent,
+    corner_moves,
+    has_loop,
+    is_proper_monotonic,
+)
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +46,11 @@ def doubled():
 
 def state_of(f):
     return State(factor_simplicial(f))
+
+
+def shortening_at(state, r):
+    fields = harmonizer._corner_moves(state, r, state.darts(r))[1]
+    return None if fields is None else Shortening(r, *fields, state.version)
 
 
 def blue_corner(t):
@@ -262,6 +273,46 @@ def test_corner_classifier_exhaustive(doubled):
                 [want[s] for s in used]
             shortenings += 1
     assert flips and shortenings
+
+
+def octahedron():
+    """The octahedron, faces colored alternately: every vertex has degree
+    four.  It is not reducing, but the corner classifier reads only its
+    rotations."""
+    cols = [], [], [], []
+    sides = {}
+    for i in range(4):
+        a, b = 2 + i, 2 + (i + 1) % 4
+        for vs, color in (((0, a, b), (RED, BLUE)[i % 2]),
+                          ((1, b, a), (BLUE, RED)[i % 2])):
+            sides.update(zip(zip(vs, vs[1:] + vs[:1]),
+                             new_face(cols, *vs, color)))
+    for (v, w), h in sides.items():
+        if v < w:
+            glue(cols, h, sides[w, v])
+    return Triangulation(*cols[:3], dict(enumerate(cols[3])))
+
+
+def test_corner_gap_tie_goes_to_the_later_slot():
+    """Two opposite slots at a vertex of degree four leave two gaps of the
+    same width, and the run starts after the later one: the flip turns
+    from the later slot.  On every 1-3 slots of the octahedron the
+    classifier agrees with the oracle's copy of its first formula."""
+    t = octahedron()
+    flips = 0
+    for x in range(t.num_vertices):
+        slots = t.vertex_slots[x]
+        for k in (1, 2, 3):
+            for used in itertools.combinations(slots, k):
+                st = fan_state(t, x, list(used))
+                moves = harmonizer._corner_moves(st, 0, st.darts(0))
+                assert moves == corner_moves(st, 0), (x, used)
+                if moves[0] is not None:
+                    s1, s2 = moves[0][1:]
+                    assert (s1, s2) == (used[1], used[0])
+                    assert t.color_left(s1) == BLUE
+                    flips += 1
+    assert flips == t.num_vertices
 
 
 def old_remap(t, rotation, step, other_moves, h, l1, l2, other_l):
@@ -634,6 +685,43 @@ def test_one_dart_listing_per_root_and_search(doubled, monkeypatch):
     assert counts["listings"] > 0 and counts["repeats"] == 0, counts
 
 
+class Walked(list):
+    """A dart list that counts the passes made over it."""
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_one_corner_split_per_pending_cluster(doubled, monkeypatch):
+    """Within one balancing search, each pending cluster's darts are split
+    into the corner copies of both cycle colors in one pass over its dart
+    list, not in one pass per color.  Counted over eight seeded
+    harmonizations."""
+    walked = []
+    find = harmonizer.find_balancing
+
+    def search(state):
+        # re-examine the touched clusters first, so that only the split
+        # graphs' passes over the pending lists are counted
+        harmonizer._refresh(state)
+        pending = state.pending
+        for r, darts in pending.items():
+            if darts is not None:
+                pending[r] = Walked(darts)
+                walked.append(pending[r])
+        return find(state)
+
+    monkeypatch.setattr(harmonizer, "find_balancing", search)
+    for seed in range(8):
+        harmonize(random_drawing(doubled, random.Random(seed),
+                                 max_vertices=16, detour=8))
+    assert walked
+    assert {w.passes for w in walked} == {1}, \
+        sorted({w.passes for w in walked})
+
+
 # -- dart index ------------------------------------------------------------
 
 def scan_darts(state, r):
@@ -657,10 +745,16 @@ def scan_has_loop(state, r):
 
 
 def assert_index_matches_scan(state):
+    """The dart index and the loop test agree with scans over every edge,
+    and the classifier, which reads its loop from the dart list, agrees
+    with the oracle's, which reads it from the index."""
     check_consistent(state)
     for r in state.cluster_vertices():
-        assert state.darts(r) == scan_darts(state, r)
-        assert harmonizer._has_loop(state, r) == scan_has_loop(state, r)
+        darts = state.darts(r)
+        assert darts == scan_darts(state, r)
+        assert has_loop(state, r) == scan_has_loop(state, r)
+        assert harmonizer._corner_moves(state, r, darts) == \
+            corner_moves(state, r)
 
 
 @pytest.fixture(scope="module")
@@ -685,7 +779,7 @@ def test_dart_index_matches_scan(request, host_name, seed):
         kinds.append(type(move).__name__)
         assert_index_matches_scan(state)
         loops.extend(r for r in state.cluster_vertices()
-                     if harmonizer._has_loop(state, r))
+                     if has_loop(state, r))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")     # the torus warning
