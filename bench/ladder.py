@@ -33,9 +33,10 @@ crown4 followed by a shortest way home.  The harmonize ladder runs
 `harmonizer.harmonize` on doubled crown4 over eight seeded
 `drawing.random_drawing`s per rung of G = 8..64 (at most G vertices and
 G/4 extra edges, detour 8).  It records the
-time per move and, from one more run with the move searches and
-applications wrapped, the search and apply time and the number of moves
-per move kind (a flip's search includes the step-2 `flip_at`).  Per rung
+time per move and, from nine more runs with the move searches and
+applications wrapped, the least search and the least apply time and the
+number of moves per move kind (a flip's search includes the step-2
+`flip_at`); the nine runs must make the same moves.  Per rung
 it records the least
 time of nine runs and, from a separate run under `tracemalloc`, the peak
 of memory allocated during the call.  The least time, not the median,
@@ -169,14 +170,13 @@ def clusters_times_edges(f):
 
 
 def move_split(drawings):
-    """Per move kind, the moves and the seconds spent searching for and
-    applying them over one harmonization of each drawing."""
-    split = {kind: {"moves": 0, "search_s": 0.0, "apply_s": 0.0}
-             for kind in ("flip", "short", "bal")}
+    """Per move kind, the moves made over one harmonization of each
+    drawing, and the least seconds spent searching for and applying them
+    over REPEATS such passes.  Every pass must make the same moves."""
     saved = {name: getattr(harmonizer, name)
              for name in (*SEARCHES, *APPLIES)}
 
-    def timed(name, fn):
+    def timed(split, name, fn):
         kind, key = (SEARCHES[name], "search_s") if name in SEARCHES else (
             APPLIES[name], "apply_s")
 
@@ -189,15 +189,27 @@ def move_split(drawings):
                 split[kind]["moves"] += key == "apply_s"
         return call
 
+    passes = []
     try:
-        for name, fn in saved.items():
-            setattr(harmonizer, name, timed(name, fn))
-        for f in drawings:
-            harmonizer.harmonize(f)
+        for _ in range(REPEATS):
+            split = {kind: {"moves": 0, "search_s": 0.0, "apply_s": 0.0}
+                     for kind in ("flip", "short", "bal")}
+            for name, fn in saved.items():
+                setattr(harmonizer, name, timed(split, name, fn))
+            gc.collect()
+            for f in drawings:
+                harmonizer.harmonize(f)
+            passes.append(split)
     finally:
         for name, fn in saved.items():
             setattr(harmonizer, name, fn)
-    return split
+    moves = [{kind: split[kind]["moves"] for kind in split}
+             for split in passes]
+    if any(m != moves[0] for m in moves):
+        raise AssertionError("passes made different moves: %s" % moves)
+    least = {kind: {key: min(split[kind][key] for split in passes)
+                    for key in ("search_s", "apply_s")} for kind in moves[0]}
+    return {kind: {"moves": n, **least[kind]} for kind, n in moves[0].items()}
 
 
 def measure(rung, calls):

@@ -19,8 +19,8 @@ move touches, and a search first re-examines just those, listing each
 one's darts once.  One short pass over the list classifies the cluster's
 corner for its flip and its shortening; when a balancing is next searched,
 one more splits the darts into corner copies for the split graphs of both
-cycle colors at once.  A split graph keeps only the components that
-qualify for a balancing; it drops the others once it has gathered them.
+cycle colors at once.  A split graph stores only the copies that can join
+a balancing, and keeps only the components that qualify for one.
 """
 
 import heapq
@@ -73,10 +73,11 @@ class State(UnionFind):
     the clusters of the dirty vertices (`_refresh`), listing each one's
     darts once, and so keeps the move indexes up to date: `flips` and
     `shortenings`, the clusters where such a move applies, and `splits`,
-    the split graph of each cycle color.  The split graphs catch up only
-    when a balancing is searched, both in one pass per cluster
-    (`_split_clusters`); until then `pending` keeps each re-examined
-    root's dart list, and None for each vertex that is no longer a root.
+    the split graph of each cycle color, which stores no red copy.  The
+    split graphs catch up only when a balancing is searched, both in one
+    pass per cluster (`_split_clusters`); until then `pending` keeps each
+    re-examined root's dart list, and None for each vertex that is no
+    longer a root.
 
     Code that writes `image`, `parent` or `target` directly bypasses the
     indexes and must not call `darts` or a search afterwards.
@@ -354,13 +355,14 @@ class _SplitGraph:
     the copies of its two darts, directed away from the dart with the
     cycle color on its left.  A copy is red with a dart of r right of its
     corner, green with one on its left (1 or 2 clockwise steps from the
-    a-slot; 0 and 3 are the corner).  A component qualifies for a
-    balancing when it has no red copy, some green one and a directed
-    cycle.  Every copy is kept, but only the qualifying components are:
-    each waits in a min-heap under its smallest (root, first dart) key,
-    the order in which a scan over the clusters and their darts meets
-    them.  Any other component is dropped once its breadth-first search
-    is done.
+    a-slot; 0 and 3 are the corner), and plain otherwise.  A component
+    qualifies for a balancing when it has no red copy, some green one and
+    a directed cycle.  A red copy is not stored: its darts have no
+    `copy_of` entry, and a component that reaches one is gathered whole
+    and dropped.  Only the qualifying components are kept: each waits in
+    a min-heap under its smallest (root, first dart) key, the order in
+    which a scan over the clusters and their darts meets them.  Any other
+    component is dropped once its breadth-first search is done.
 
     `_split_clusters` rebuilds the touched clusters' copies of both colors
     in one pass, then gathers each color's components of the new copies.
@@ -372,7 +374,7 @@ class _SplitGraph:
         self.at = {}        # root -> its copies
         self.darts = {}     # copy -> its darts, in (edge id, end) order
         self.copy_of = {}   # (edge id, end) -> copy
-        self.mark = {}      # copy -> "red", "green" or "plain"
+        self.mark = {}      # copy -> "green" or "plain"
         self.comp = {}      # copy of a qualifying component -> its key
         self.found = {}     # qualifying component's key -> (cycle, movers)
         self.heap = []      # keys of qualifying components
@@ -387,16 +389,19 @@ class _SplitGraph:
     def _component(self, state, c0, seen):
         """Gather the component of copy c0 into `seen`, and keep it if it
         qualifies."""
-        members = [c0]
+        members, red, ends = [c0], False, 0
         seen.add(c0)
         for c in members:
+            ends += len(self.darts[c])
             for e, end, _ in self.darts[c]:
-                o = self.copy_of[(e, 1 - end)]
-                if o not in seen:
+                o = self.copy_of.get((e, 1 - end))
+                if o is None:       # its far end is a red copy
+                    red = True
+                elif o not in seen:
                     seen.add(o)
                     members.append(o)
-        marks = {self.mark[c] for c in members}
-        if "red" in marks or "green" not in marks:
+        if (red or ends < 2 * len(members)     # a tree has no cycle
+                or all(self.mark[c] == "plain" for c in members)):
             return
         members.sort(key=self._key)
         t = state.host
@@ -420,9 +425,12 @@ class _SplitGraph:
 def _split_clusters(state, splits, pending):
     """Bring `splits`, the red and the blue split graph, up to date with
     `pending` (vertex -> its darts, or None once it is no longer a root),
-    one pass per cluster: drop its old copies, then file each dart under
-    its a-slot for both colors (its own slot, or three back for the color
-    on its left) and mark the copies from one set of slot positions."""
+    one pass over each cluster's darts: drop its old copies, group the
+    darts by slot, and file each slot's under its a-slot for both colors
+    (the slot itself, or three back for the color on its left).  A copy
+    is stored only when every used slot lies 0-3 steps clockwise of its
+    a-slot: used slot u is one when the gap that ends at u spans at least
+    d - 3 steps, and u - 3 is when the gap from u does."""
     for v in pending:
         for split in splits:
             for c in split.at.pop(v, ()):
@@ -438,37 +446,39 @@ def _split_clusters(state, splits, pending):
     for r, darts in pending.items():
         if darts is None:
             continue
-        slots = t.vertex_slots[state.target[r]]
-        d = len(slots)
-        spots, red, blue = set(), {}, {}    # a-slot position -> its darts
+        at = {}                 # used slot position -> its darts
         for dart in darts:
-            p = pos[dart[2]]
-            spots.add(p)
-            if color_left(dart[2]) == RED:
-                red.setdefault((p - 3) % d, []).append(dart)
-                blue.setdefault(p, []).append(dart)
-            else:
-                red.setdefault(p, []).append(dart)
-                blue.setdefault((p - 3) % d, []).append(dart)
-        for split, copies in zip(splits, (red, blue)):
-            split.at[r] = []
-            for a, ds in copies.items():
+            at.setdefault(pos[dart[2]], []).append(dart)
+        slots = t.vertex_slots[state.target[r]]
+        d, ps = len(slots), sorted(at)
+        copies = ({}, {})       # red, blue: a-slot position -> its darts
+        for k, p in enumerate(ps):
+            # the gaps from p to the next used slot and from the one before
+            ahead = (ps[k + 1 - len(ps)] - p) % d or d
+            behind = (p - ps[k - 1]) % d or d
+            if ahead < d - 3 and behind < d - 3:    # no copy holds p's darts
+                continue
+            f = color_left(slots[p]) != RED     # index of p's left color
+            for cs, a, g in ((copies[f], (p - 3) % d, ahead),
+                             (copies[not f], p, behind)):
+                if g >= d - 3:      # a copy's darts in (edge id, end) order
+                    cs[a] = sorted(cs[a] + at[p]) if a in cs else at[p]
+        for split, cs in zip(splits, copies):
+            for a, ds in cs.items():
                 c = (r, slots[a])
-                split.at[r].append(c)
+                split.at.setdefault(r, []).append(c)
                 split.darts[c] = ds
                 for e, end, _ in ds:
                     split.copy_of[(e, end)] = c
-                steps = {(p - a) % d for p in spots}
-                split.mark[c] = ("red" if max(steps) > 3 else "green"
-                                 if 1 in steps or 2 in steps else "plain")
+                split.mark[c] = ("green" if (a + 1) % d in at
+                                 or (a + 2) % d in at else "plain")
     # an untouched copy of a changed component kept its edges to the
-    # touched clusters, so the new copies reach it; a component with a
-    # red copy never qualifies, so none is gathered from one
+    # touched clusters, so the new copies reach it
     for split in splits:
         seen = set()
         for r in pending:
             for c in split.at.get(r, ()):
-                if c not in seen and split.mark[c] != "red":
+                if c not in seen:
                     split._component(state, c, seen)
 
 

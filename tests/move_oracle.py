@@ -4,9 +4,10 @@ corner formulas, the state's invariant check and the ordering checker.
 
 `scan_flip` and `scan_shortening` try every cluster in sorted order;
 `scan_balancing` rebuilds the corner-copy split graph of each color from
-scratch, numbering the copies in order of cluster and first dart.  They
-cost time linear in the drawing per search, but they read nothing but the
-state's source of truth (`image`, `parent`, `target`) and its dart index;
+scratch, with every copy that `corner_copies` lists, red ones too,
+numbered in order of cluster and first dart.  They cost time linear in
+the drawing per search, but they read nothing but the state's source of
+truth (`image`, `parent`, `target`) and its dart index;
 `test_acceptance.py` checks after every move of a harmonization that the
 indexed searches return exactly what these return.  They classify a
 corner with `corner_moves` and `corner_of`, the formulas as the library
@@ -108,29 +109,33 @@ def scan_balancing(state):
     return None
 
 
-def _balancing_pass(state, color):
+def corner_copies(state, color):
+    """Every corner copy of the split graph of one cycle color, in order of
+    cluster and first dart, with its mark: red with a dart right of its
+    corner, green with one on its left (1 or 2 clockwise steps from the
+    a-slot; 0 and 3 are the corner), plain otherwise."""
     t = state.host
     pos = t.slot_index
-    verts = state.cluster_vertices()
-    # split graph: one copy per occupied corner
-    copies = {}          # (vertex, a-slot) -> copy id
-    copy_list = []
-    used = {}            # vertex -> outgoing half-edges of its darts
-    for r in verts:
-        gs = used[r] = [g for (_, _, g) in state.darts(r)]
-        for g in gs:
-            key = (r, corner_of(t, state.target[r], g, color))
-            if key not in copies:
-                copies[key] = len(copy_list)
-                copy_list.append(key)
-    # a copy is red with a dart right of its corner, green with one on its
-    # left (1 or 2 clockwise steps from the a-slot; 0 and 3 are the corner)
-    marks = []
-    for r, a in copy_list:
+    marks = {}
+    for r in state.cluster_vertices():
+        gs = [g for (_, _, g) in state.darts(r)]
         d = len(t.vertex_slots[state.target[r]])
-        steps = {(pos[g] - pos[a]) % d for g in used[r]}
-        marks.append("red" if steps - {0, 1, 2, 3} else
-                     "green" if steps & {1, 2} else "plain")
+        for g in gs:
+            a = corner_of(t, state.target[r], g, color)
+            if (r, a) not in marks:
+                steps = {(pos[h] - pos[a]) % d for h in gs}
+                marks[r, a] = ("red" if steps - {0, 1, 2, 3} else
+                               "green" if steps & {1, 2} else "plain")
+    return marks
+
+
+def _balancing_pass(state, color):
+    t = state.host
+    # split graph: one copy per occupied corner
+    marked = corner_copies(state, color)
+    copy_list = list(marked)
+    copies = {c: i for i, c in enumerate(copy_list)}
+    marks = list(marked.values())
     # directed split edges: tail at the dart whose image face has the cycle color
     edges = []
     for e, (u, v) in enumerate(state.gbar.edges):

@@ -39,6 +39,8 @@ from conftest import (
 )
 from move_oracle import (
     check_consistent,
+    corner_copies,
+    corner_of,
     scan_balancing,
     scan_flip,
     scan_shortening,
@@ -485,16 +487,6 @@ def test_flip_phase_bounds():
 
 # -- balancing detector equivalence ----------------------------------------
 
-def oracle_corner_of(t, x, g, cycle_color):
-    """The a-slot of the corner that the dart with outgoing half-edge g
-    occupies at x: the slot three counterclockwise steps back for a forward
-    dart (cycle color on its left), g itself for a backward one."""
-    slots = t.vertex_slots[x]
-    if t.color_left(g) == cycle_color:
-        return slots[(slots.index(g) - 3) % len(slots)]
-    return g
-
-
 def oracle_left_right(t, x, a):
     """The slot sets left of the corner at a-slot a (one and two steps
     clockwise) and right of it (every slot but those and the corner a, b)."""
@@ -515,7 +507,7 @@ def balancing_oracle(state):
     darts = {r: state.darts(r) for r in roots}
     for color in (RED, surface.BLUE):
         def corner(r, g):
-            return oracle_corner_of(t, state.target[r], g, color)
+            return corner_of(t, state.target[r], g, color)
 
         adj = {}
         und = {}
@@ -693,13 +685,37 @@ def split_state(split):
     return split.darts, split.mark, split.copy_of, split.found, split.comp
 
 
+def audit_corpora(monkeypatch, check, monotone=True):
+    """Run `check(state, move)` after every move of the golden and step-2
+    corpora, of the monotone corpus unless `monotone` is false, and of 100
+    geodesic drawings.  The extra searches leave the golden digests
+    unchanged."""
+    def audited(f, budget=None, audit=None, host_checked=False):
+        def both(state, move):
+            if audit is not None:
+                audit(state, move)
+            check(state, move)
+        return hz.harmonize(f, budget=budget, audit=both,
+                            host_checked=host_checked)
+
+    monkeypatch.setattr(test_golden, "harmonize", audited)
+    monkeypatch.setattr(boundary, "harmonize", audited)
+    assert test_golden.corpus_digest() == test_golden.GOLDEN_SHA256
+    assert test_golden.step2_digest() == test_golden.STEP2_GOLDEN_SHA256
+    if monotone:
+        for _, f in monotone_corpus():
+            audited(f)
+    for f in geodesic_corpus(100):
+        audited(f)
+
+
 def test_indexed_searches_match_scans(monkeypatch):
     """After every move of the golden, step-2, monotone and geodesic
     corpora, the indexed searches return exactly what the full scans over
     every cluster and the from-scratch split graph return, a balancing
     exists exactly when the exhaustive oracle finds one, and the kept split
     graphs have the copies and qualifying components of freshly built
-    ones.  The extra searches leave the golden digests unchanged."""
+    ones."""
     kinds = {}
 
     def check(state, move):
@@ -719,24 +735,34 @@ def test_indexed_searches_match_scans(monkeypatch):
             assert split.color == built.color
             assert split_state(split) == split_state(built)
 
-    def audited(f, budget=None, audit=None, host_checked=False):
-        def both(state, move):
-            if audit is not None:
-                audit(state, move)
-            check(state, move)
-        return hz.harmonize(f, budget=budget, audit=both,
-                            host_checked=host_checked)
-
-    monkeypatch.setattr(test_golden, "harmonize", audited)
-    monkeypatch.setattr(boundary, "harmonize", audited)
-    assert test_golden.corpus_digest() == test_golden.GOLDEN_SHA256
-    assert test_golden.step2_digest() == test_golden.STEP2_GOLDEN_SHA256
-    for _, f in monotone_corpus():
-        audited(f)
-    for f in geodesic_corpus(100):
-        audited(f)
+    audit_corpora(monkeypatch, check)
     assert kinds["Flip"] and kinds["Shortening"] and kinds["Balancing"] >= 20
     print("indexed searches: %s moves checked" % kinds)
+
+
+def test_split_graphs_store_no_red_copy(monkeypatch):
+    """After every move of the golden, step-2 and geodesic corpora, each
+    kept split graph stores a copy, with the oracle's mark, for exactly the
+    corner copies that the oracle marks green or plain, and files every
+    dart of those copies and no other."""
+    counts = {"stored": 0, "red": 0}
+
+    def check(state, move):
+        hz.find_balancing(state)
+        for split in state.splits:
+            marks = corner_copies(state, split.color)
+            kept = {c: m for c, m in marks.items() if m != "red"}
+            assert split.mark == kept
+            assert split.darts.keys() == kept.keys()
+            assert split.copy_of == {(e, end): c for c in kept
+                                     for e, end, _ in split.darts[c]}
+            counts["stored"] += len(kept)
+            counts["red"] += len(marks) - len(kept)
+
+    audit_corpora(monkeypatch, check, monotone=False)
+    assert counts["stored"] and counts["red"]
+    print("split graphs: %(stored)d copies stored, %(red)d red ones not"
+          % counts)
 
 
 # -- boundary guard --------------------------------------------------------

@@ -474,6 +474,30 @@ def test_balancing_stale_rejected(doubled):
         apply_balancing(st, m)
 
 
+def test_opposite_darts_at_degree_six_get_both_copies(doubled):
+    """Two darts on opposite slots of a degree-6 vertex fit in four
+    consecutive slots from either: both gaps between them span d - 3
+    steps.  So the cluster keeps a plain copy of both darts in each split
+    graph, at a different a-slot per color."""
+    t = doubled
+    x = next(v for v in range(t.num_vertices) if len(t.vertex_slots[v]) == 6)
+    slots = t.vertex_slots[x]
+    ends = (slots[0], slots[3])
+    f = Drawing(Graph(3, [(0, 1), (0, 2)]), t,
+                [x] + [t.head(h) for h in ends],
+                [Walk.from_half_edges(t, (h,), start=x) for h in ends])
+    st = state_of(f)
+    assert find_balancing(st) is None
+    r = st.find(0)
+    a_slots = set()
+    for split in st.splits:
+        (c,) = split.at[r]
+        assert [g for _, _, g in split.darts[c]] == list(ends)
+        assert split.mark[c] == "plain"
+        a_slots.add(c[1])
+    assert a_slots == set(ends)
+
+
 def test_balancing_with_a_repeated_mover_raises(doubled, monkeypatch):
     """A component that holds two corner copies of one cluster is no
     balancing: the search raises, also under `python -O`."""
