@@ -104,15 +104,21 @@ class CoverChart:
     def head(self, h):
         return self.origin[self.next[h]]
 
+    def _check_vertex(self, v):
+        if not 0 <= v < len(self.proj_v):
+            raise CoverError("chart vertex %d out of range" % v)
+
     # -- public operations -------------------------------------------------
 
     def slots_cw(self, v):
         """The slots of chart vertex v by base position, star completed."""
+        self._check_vertex(v)
         self.complete_star(v)
         return self.rot[v]
 
     def slot_over(self, v, base_he):
         """The outgoing slot of chart vertex v projecting to base_he."""
+        self._check_vertex(v)
         if self.base.origin[base_he] != self.proj_v[v]:
             raise CoverError("no slot over base half-edge %d" % base_he)
         return self.slots_cw(v)[self.base.slot_index[base_he]]
@@ -148,8 +154,7 @@ class CoverChart:
     def lift_walk(self, w, start):
         """Lift the base Walk w from chart vertex start, expanding on
         demand; returns chart half-edges."""
-        if not 0 <= start < len(self.proj_v):
-            raise CoverError("chart vertex %d out of range" % start)
+        self._check_vertex(start)
         if self.proj_v[start] != w.start:
             raise CoverError("lift point does not project to the walk start")
         cur = start
@@ -175,6 +180,8 @@ def line_window(base, v, side, L):
         raise CoverError("side must be left or right")
     if L < 0:
         raise CoverError("window L must be >= 0, not %d" % L)
+    if not 0 <= v < base.num_vertices:
+        raise CoverError("base vertex %d out of range" % v)
     slots, pos, twin, origin = (base.vertex_slots, base.slot_index,
                                 base.twin, base.origin)
     k = 3 if side == LEFT else -3

@@ -23,7 +23,6 @@ cycle colors at once.  A split graph stores only the copies that can join
 a balancing, and keeps only the components that qualify for one.
 """
 
-import heapq
 import warnings
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
@@ -93,8 +92,8 @@ class State(UnionFind):
         self.version = 0
         self.length = len(self.image) - self.image.count(None)
         self.dirty = set(range(self.gbar.num_vertices))
-        self.flips = _Candidates()
-        self.shortenings = _Candidates()
+        self.flips = {}         # root -> (target, s1, s2) of its flip
+        self.shortenings = {}   # root -> (target, run) of its shortening
         self.splits = (_SplitGraph(RED), _SplitGraph(BLUE))
         self.pending = {}
         self.dart_index = {v: set() for v in range(self.gbar.num_vertices)}
@@ -156,38 +155,6 @@ class State(UnionFind):
                                  % (v, self.version))
 
 
-class _Candidates:
-    """The clusters where one kind of move applies: `live` maps each root
-    to its move's fields, and `heap` holds the roots with lazy deletion: a
-    root that left `live` stays in the heap until it comes to the top."""
-
-    def __init__(self):
-        self.live = {}
-        self.heap = []
-
-    def update(self, r, fields):
-        if fields is None:
-            self.live.pop(r, None)
-            return
-        if r not in self.live:
-            heapq.heappush(self.heap, r)
-        self.live[r] = fields
-
-    def first(self, skip=()):
-        """The smallest live root outside `skip` and its move's fields, or
-        None."""
-        heap, live = self.heap, self.live
-        held = []
-        while heap and (heap[0] not in live or heap[0] in skip):
-            r = heapq.heappop(heap)
-            if r in live:
-                held.append(r)
-        found = (heap[0], live[heap[0]]) if heap else None
-        for r in held:
-            heapq.heappush(heap, r)
-        return found
-
-
 def _refresh(state):
     """Re-examine the clusters of the dirty vertices: list each root's
     darts once, reclassify its corner for `flips` and `shortenings` now,
@@ -200,15 +167,18 @@ def _refresh(state):
     for v in dirty:
         r = state.find(v)
         if r != v:      # not a root (any more)
-            state.flips.update(v, None)
-            state.shortenings.update(v, None)
+            state.flips.pop(v, None)
+            state.shortenings.pop(v, None)
             pending[v] = None
         roots.add(r)
     for r in roots:
         darts = pending[r] = state.darts(r)
-        flip, shortening = _corner_moves(state, r, darts)
-        state.flips.update(r, flip)
-        state.shortenings.update(r, shortening)
+        for index, fields in zip((state.flips, state.shortenings),
+                                 _corner_moves(state, r, darts)):
+            if fields is None:
+                index.pop(r, None)
+            else:
+                index[r] = fields
 
 
 # -- moves -----------------------------------------------------------------
@@ -301,14 +271,15 @@ def _move(state, r, pivot, target):
 def find_flip(state, skip=()):
     """The flip at the smallest cluster outside `skip` that has one."""
     _refresh(state)
-    found = state.flips.first(skip)
-    return None if found is None else Flip(found[0], *found[1], state.version)
+    r = min(state.flips.keys() - skip, default=None)
+    return None if r is None else Flip(r, *state.flips[r], state.version)
 
 
 def flip_at(state, r):
     """The flip at cluster r, or None: a shortening across the empty
     (pivot) slot between two used ones."""
-    fields = _corner_moves(state, r, state.darts(r))[0]
+    _refresh(state)
+    fields = state.flips.get(r)
     return None if fields is None else Flip(r, *fields, state.version)
 
 
@@ -323,9 +294,10 @@ def apply_flip(state, m):
 def find_shortening(state):
     """The shortening at the smallest cluster that has one."""
     _refresh(state)
-    found = state.shortenings.first()
-    return None if found is None else Shortening(found[0], *found[1],
-                                                 state.version)
+    if not state.shortenings:
+        return None
+    r = min(state.shortenings)
+    return Shortening(r, *state.shortenings[r], state.version)
 
 
 def _pivot(run):
@@ -359,10 +331,10 @@ class _SplitGraph:
     qualifies for a balancing when it has no red copy, some green one and
     a directed cycle.  A red copy is not stored: its darts have no
     `copy_of` entry, and a component that reaches one is gathered whole
-    and dropped.  Only the qualifying components are kept: each waits in
-    a min-heap under its smallest (root, first dart) key, the order in
-    which a scan over the clusters and their darts meets them.  Any other
-    component is dropped once its breadth-first search is done.
+    and dropped.  Only the qualifying components are kept, in `found`
+    under their smallest (root, first dart) keys: a scan over the clusters
+    and their darts meets them in key order.  Any other component is
+    dropped once its breadth-first search is done.
 
     `_split_clusters` rebuilds the touched clusters' copies of both colors
     in one pass, then gathers each color's components of the new copies.
@@ -377,14 +349,10 @@ class _SplitGraph:
         self.mark = {}      # copy -> "green" or "plain"
         self.comp = {}      # copy of a qualifying component -> its key
         self.found = {}     # qualifying component's key -> (cycle, movers)
-        self.heap = []      # keys of qualifying components
 
     def first(self):
         """(cycle, movers) of the first qualifying component, or None."""
-        heap = self.heap
-        while heap and heap[0] not in self.found:
-            heapq.heappop(heap)
-        return self.found[heap[0]] if heap else None
+        return self.found[min(self.found)] if self.found else None
 
     def _component(self, state, c0, seen):
         """Gather the component of copy c0 into `seen`, and keep it if it
@@ -414,7 +382,6 @@ class _SplitGraph:
         movers = tuple(sorted(members))
         self.found[key] = (tuple(c[0] for c in cyc), movers)
         self.comp.update(dict.fromkeys(movers, key))
-        heapq.heappush(self.heap, key)
 
     def _key(self, c):
         """(root, first dart): a scan over the clusters and their darts

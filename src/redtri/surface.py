@@ -685,17 +685,15 @@ class DoubledHost(_ComposedHost):
         nv, seams = t0.num_vertices, t0.boundary_half_edges()
         size = 2 * n + m * len(seams)
         nfaces = 2 * nf + fm * len(seams)
+        # the real tables: t0's, or a crowned host's (`boundary.CrownedHost`)
+        # input host's, which the seams, round the crowns, do not touch;
+        # only its boundary vertices' rotations changed, so the vertices off
+        # both boundaries keep their real slots
         src = getattr(t0, "base", t0)
-        if src is not t0:
-            # a crowned host (`boundary.CrownedHost`): the real tables are
-            # its input host's, which the seams, round the crowns, do not
-            # touch; only its boundary vertices' rotations and twins changed
-            on_seam = range(src.num_vertices, nv)
-            kept = range(src.num_vertices)
-            fixed = [v for v in kept if not src._vertex_on_boundary[v]]
-        else:
-            on_seam = {t0.origin[g] for h in seams for g in (h, t0.next[h])}
-            kept = fixed = [v for v in range(nv) if v not in on_seam]
+        on_seam = t0._vertex_on_boundary
+        kept = [v for v in range(nv) if not on_seam[v]]
+        fixed = [v for v in kept if v < src.num_vertices
+                 and not src._vertex_on_boundary[v]]
         r, rf = len(src.next), len(src.faces)
         # t0's mirror copy of kept[i] is nv + i
         vid = list(range(nv))
@@ -788,7 +786,7 @@ class DoubledHost(_ComposedHost):
                 run = [n + twin0(h) for h in reversed(slots)]
                 i = run.index(min(run))
                 return tuple(run[i:] + run[:i])
-            if v not in on_seam:
+            if not on_seam[v]:
                 return t0.vertex_slots[v]
             # a seam vertex: clockwise, t0's slots end at the boundary
             # half-edge out of v and start after b_in, the one into v; the

@@ -40,6 +40,7 @@ from conftest import (
 from move_oracle import (
     check_consistent,
     corner_copies,
+    corner_moves,
     corner_of,
     scan_balancing,
     scan_flip,
@@ -711,11 +712,11 @@ def audit_corpora(monkeypatch, check, monotone=True):
 
 def test_indexed_searches_match_scans(monkeypatch):
     """After every move of the golden, step-2, monotone and geodesic
-    corpora, the indexed searches return exactly what the full scans over
-    every cluster and the from-scratch split graph return, a balancing
-    exists exactly when the exhaustive oracle finds one, and the kept split
-    graphs have the copies and qualifying components of freshly built
-    ones."""
+    corpora, the indexed searches, and `flip_at` at every vertex, return
+    exactly what the full scans over every cluster and the from-scratch
+    split graph return, a balancing exists exactly when the exhaustive
+    oracle finds one, and the kept split graphs have the copies and
+    qualifying components of freshly built ones."""
     kinds = {}
 
     def check(state, move):
@@ -724,6 +725,11 @@ def test_indexed_searches_match_scans(monkeypatch):
         assert hz.find_flip(state) == scan_flip(state)
         pinned = {state.find(0)}
         assert hz.find_flip(state, pinned) == scan_flip(state, pinned)
+        # a vertex that is no longer a root has no darts, so no flip
+        for v in range(state.gbar.num_vertices):
+            fields = corner_moves(state, v)[0]
+            assert hz.flip_at(state, v) == (None if fields is None else
+                                            hz.Flip(v, *fields, state.version))
         mine = hz.find_balancing(state)
         assert mine == scan_balancing(state)
         assert (mine is None) == (balancing_oracle(state) is None)

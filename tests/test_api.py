@@ -11,9 +11,12 @@ only its own test calls belongs in `tests/` or nowhere.
 
 Every name a test module imports is read in that module, or imported from
 it by another test module (as `conftest` passes on `random_drawing`).
+
+Every function that `perfbench/tracer.py` patches by name exists.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -130,6 +133,28 @@ def test_library_api_entries_exist():
     quals = {qual for p in SOURCES
              for qual, _, _ in _definitions(ast.parse(p.read_text()))}
     assert set(LIBRARY_API) <= quals
+
+
+def _tracer_patches():
+    """(namespace, attribute) of each entry of the tracer's PATCHES, read
+    from its source: the namespace as dotted names, such as
+    ("cover", "CoverChart")."""
+    tree = ast.parse(TRACER.read_text(), str(TRACER))
+    table = next(n.value for n in tree.body if isinstance(n, ast.Assign)
+                 and [ast.unparse(t) for t in n.targets] == ["PATCHES"])
+    return [(tuple(ast.unparse(ns).split(".")), attr.value)
+            for ns, attr, *_ in (e.elts for e in table.elts)]
+
+
+def test_tracer_patch_targets_exist():
+    # the traced benchmark run patches each by name, so a rename breaks it
+    patches = _tracer_patches()
+    assert len(patches) > 20
+    for ns, attr in patches:
+        obj = importlib.import_module("redtri." + ns[0])
+        for name in ns[1:]:
+            obj = getattr(obj, name)
+        assert callable(getattr(obj, attr, None)), (ns, attr)
 
 
 def _unused_test_imports():

@@ -151,6 +151,28 @@ def test_line_window_rejects_negative_length(torus, L):
         line_window(torus, 0, LEFT, L)
 
 
+def test_line_window_vertex_range_checked():
+    # -1 would silently read the last vertex's window, 28 index past the end
+    host = surface.double_with_gadgets(surface.crown(4))
+    assert host.num_vertices == 28
+    for v in (-1, host.num_vertices):
+        with pytest.raises(cover.CoverError, match="base vertex %d" % v):
+            line_window(host, v, LEFT, 2)
+
+
+@pytest.mark.parametrize("method", ["slots_cw", "slot_over"])
+def test_chart_vertex_range_checked(chart, torus, method):
+    # a bad vertex raises before the chart grows: -1 would otherwise
+    # complete the star of the last chart vertex, half-glued
+    chart.expand(1)
+    before = [list(col) for col in chart.cols]
+    for v in (-1, len(chart.proj_v)):
+        args = (v,) if method == "slots_cw" else (v, torus.vertex_slots[0][0])
+        with pytest.raises(cover.CoverError, match="chart vertex %d" % v):
+            getattr(chart, method)(*args)
+    assert [list(col) for col in chart.cols] == before
+
+
 def test_line_windows_match_chart_oracle():
     # every basepoint, both sides; the base window is the projection of
     # the chart window the chart-growing code returned
