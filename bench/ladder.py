@@ -5,7 +5,9 @@ the growth.
 
 For each radius r = 4..10, builds `surface.build_disk_patch(r)` from a
 fixed seed and times `surface.read_tri` on its `write_tri` text and
-`surface.Triangulation` on its tables.  The anchored-extension ladder,
+`surface.Triangulation` on its tables, and counts the cyclic garbage
+collector's passes during one read (`read_tri_gc_passes`, after a full
+collection).  The anchored-extension ladder,
 r = 2..6, times crowning each patch (`boundary.attach_crowns`, which
 describes the crowns by their offsets, a `boundary.CrownedHost` that
 computes a crown entry only when it is read; fitted over the crowned
@@ -29,7 +31,11 @@ the time.  The walk ladder times `walkcalc.reduce_open` of an open walk of
 L = 400..6400 random steps through the vertices of a radius-10 disk patch
 at least three rings from its rim (so no rewrite reaches the rim), and
 `walkcalc.reduce_closed` of a closed walk of L random steps on doubled
-crown4 followed by a shortest way home.  The harmonize ladder runs
+crown4 followed by a shortest way home.  For each walk it also records the
+reduction's two phases: its corners and the least time of its set-up
+(`walkcalc._Reduction`, which classifies every corner), and its steps and
+the least time of those steps from a fresh set-up, as microseconds per
+corner and per step.  The harmonize ladder runs
 `harmonizer.harmonize` on doubled crown4 over eight seeded
 `drawing.random_drawing`s per rung of G = 8..64 (at most G vertices and
 G/4 extra edges, detour 8).  It records the
@@ -100,6 +106,39 @@ def least_s(call):
         call()
         times.append(time.perf_counter() - t0)
     return min(times)
+
+
+def gc_passes(call):
+    """The collections the cyclic garbage collector starts during call."""
+    passes = []
+    gc.collect()
+    gc.callbacks.append(lambda phase, info: passes.append(phase))
+    try:
+        call()
+    finally:
+        gc.callbacks.pop()
+    return passes.count("start")
+
+
+def reduction_phases(t, w, name):
+    """The corners, set-up time, steps and step time of reducing w on t,
+    each time the least of REPEATS runs, keyed by name."""
+    corners = len(w) - (not w.closed)
+    steps = walkcalc._reduce(w, t, None)[0].steps
+
+    def run_steps():
+        r = walkcalc._Reduction(t, w)
+        gc.collect()
+        t0 = time.perf_counter()
+        for _ in range(steps):
+            r.step()
+        return time.perf_counter() - t0
+
+    setup_s = least_s(lambda: walkcalc._Reduction(t, w))
+    step_s = min(run_steps() for _ in range(REPEATS))
+    return {name + "_corners": corners, name + "_steps": steps,
+            name + "_setup_us_per_corner": setup_s * 1e6 / corners,
+            name + "_us_per_step": step_s * 1e6 / steps}
 
 
 def peak_mb(call):
@@ -246,6 +285,8 @@ def main(argv=None):
         rungs.append(measure({"radius": r, "half_edges": len(tables[0])}, {
             "read_tri": lambda: surface.read_tri(text),
             "triangulation": lambda: surface.Triangulation(*tables)}))
+        rungs[-1]["read_tri_gc_passes"] = gc_passes(
+            lambda: surface.read_tri(text))
 
     # the closed extension of harmonize --anchors: the crowned patch t0, its
     # mirror and a 3-gadget per seam; sized by the doubled host without
@@ -282,6 +323,8 @@ def main(argv=None):
         walks.append(measure({"L": L, "closed_L": len(c)}, {
             "reduce_open": lambda w=w: walkcalc.reduce_open(w, patch),
             "reduce_closed": lambda c=c: walkcalc.reduce_closed(c, doubled4)}))
+        walks[-1].update(reduction_phases(patch, w, "reduce_open"))
+        walks[-1].update(reduction_phases(doubled4, c, "reduce_closed"))
 
     # harmonize against the size of the drawing; the host stays doubled
     # crown4

@@ -119,6 +119,8 @@ class CoverChart:
     def slot_over(self, v, base_he):
         """The outgoing slot of chart vertex v projecting to base_he."""
         self._check_vertex(v)
+        if not 0 <= base_he < len(self.base.next):
+            raise CoverError("base half-edge %d out of range" % base_he)
         if self.base.origin[base_he] != self.proj_v[v]:
             raise CoverError("no slot over base half-edge %d" % base_he)
         return self.slots_cw(v)[self.base.slot_index[base_he]]

@@ -14,7 +14,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, repeat
-from operator import itemgetter
 
 RED = "r"
 BLUE = "b"
@@ -82,14 +81,15 @@ class UnionFind:
 def face_orbits(next_):
     """The orbits of the permutation next_, each starting at its smallest
     member, in order of that member, and the orbit index of every element."""
-    face_of = [-1] * len(next_)
-    faces = []
-    for h in range(len(next_)):
-        if face_of[h] != -1:
-            continue
-        orbit = [h]
+    face_of, faces = [-1] * len(next_), []
+    find, h = face_of.index, 0
+    while True:
+        try:
+            h = find(-1, h)  # the least element of no orbit yet
+        except ValueError:
+            return tuple(faces), face_of
+        orbit, g = [h], next_[h]
         face_of[h] = len(faces)
-        g = next_[h]
         while g != h:
             if face_of[g] != -1:
                 raise StructureError("next is not a permutation")
@@ -97,42 +97,70 @@ def face_orbits(next_):
             orbit.append(g)
             g = next_[g]
         faces.append(tuple(orbit))
-    return tuple(faces), face_of
 
 
-def _walk_rotations(next_, twin, origin, boundary, vertices, slots,
-                    slot_index, on_boundary):
-    """Walk each vertex of `vertices`, (v, its half-edge count, the
-    smallest), into slots[v], on_boundary[v] and slot_index: the clockwise
-    chain h -> next(twin(h)) from the next of the boundary half-edge into v
-    to a twin-less one, else from v's smallest round.  Returns the broken
-    ones, left unset: two boundary half-edges in, or another chain length."""
-    starts_at = {}
-    for g in [next_[h] for h in boundary]:
-        starts_at.setdefault(origin[g], []).append(g)
-    broken = set()
-    for v, d, h0 in vertices:
-        starts = starts_at.get(v)
-        h0 = starts[0] if starts else h0
-        stop = None if starts else h0
+def _walk_rotations(next_, twin, origin, starts, slots, slot_index,
+                    on_boundary):
+    """Walk each vertex v's rotation into slots[v], on_boundary[v] and
+    slot_index, taking the vertices by their smallest half-edge h: the
+    chain h -> next(twin(h)) from starts[v] to a twin-less half-edge, else
+    from h round to h.  False once a chain meets another vertex's half-edge,
+    one walked before or a wrong end, or a vertex has no half-edge."""
+    find, h = slot_index.index, 0
+    while True:
+        try:
+            h = find(-1, h)  # the least half-edge no chain holds yet
+        except ValueError:
+            return None not in slots
+        v = origin[h]
+        h0 = starts.get(v, h)
         rotation, i, t = [h0], 1, twin[h0]
         slot_index[h0] = 0
         while t != NO_TWIN:
             g = next_[t]
-            if g == stop or i > d:
+            if slot_index[g] >= 0 or origin[g] != v:
                 break
             rotation.append(g)
             slot_index[g] = i
             i += 1
             t = twin[g]
-        else:
-            g = NO_TWIN
-        if i == d and (len(starts) == 1 if starts else g == h0):
-            slots[v] = tuple(rotation)
-            on_boundary[v] = bool(starts)
-        else:
-            broken.add(v)
-    return broken
+        if slots[v] is not None or (  # only an interior one broke off
+                t != NO_TWIN if v in starts else t == NO_TWIN or g != h0):
+            return False
+        slots[v] = tuple(rotation)
+        on_boundary[v] = t == NO_TWIN
+
+
+def _count_rotations(next_, twin, origin, boundary, vertices):
+    """(slots, slot_index, on_boundary, broken) where `_walk_rotations`
+    fails: v's chain runs at most its half-edge count d of steps, and v is
+    broken (its slots its half-edges) unless it ends as there after d."""
+    out = [[] for _ in range(vertices)]
+    for h, v in enumerate(origin):
+        out[v].append(h)
+    if not all(out):
+        raise StructureError("vertex %d has no half-edge" % out.index([]))
+    starts_at = {}
+    for g in [next_[h] for h in boundary]:
+        starts_at.setdefault(origin[g], []).append(g)
+    slots, on_boundary, broken = [], [], set()
+    for v, hs in enumerate(out):
+        starts = starts_at.get(v, [])
+        rotation = [starts[0] if starts else hs[0]]
+        while len(rotation) <= len(hs) and twin[rotation[-1]] != NO_TWIN:
+            g = next_[twin[rotation[-1]]]
+            if g == rotation[0] and not starts:
+                break
+            rotation.append(g)
+        if len(rotation) != len(hs) or (  # an interior one breaks off
+                len(starts) != 1 if starts else twin[rotation[-1]] == NO_TWIN):
+            broken.add(v)  # its walk may have run over others' half-edges
+            rotation, starts = hs, [h for h in hs if twin[h] == NO_TWIN]
+        slots.append(tuple(rotation))
+        on_boundary.append(bool(starts))
+    at = {h: i for rotation in slots for i, h in enumerate(rotation)}
+    slot_index = [at.get(h, -1) for h in range(len(next_))]
+    return slots, slot_index, on_boundary, broken
 
 
 class Triangulation:
@@ -140,7 +168,10 @@ class Triangulation:
 
     Construct from parallel half-edge arrays plus a dict of colors in
     which the smallest half-edge id of each face orbit gives the face's
-    color (other keys are ignored).
+    color (other keys are ignored).  Construction checks the arrays' range
+    (a min and a max of each), then walks the face orbits and the vertex
+    rotations, each from the least half-edge no walk holds yet; only tables
+    whose rotations that walk cannot close are counted out vertex by vertex.
     """
 
     def __init__(self, next_, twin, origin, face_colors):
@@ -167,26 +198,13 @@ class Triangulation:
                                  % (face_color[i], faces[i][0]))
 
         boundary = tuple([h for h, t in enumerate(twin) if t == NO_TWIN])
-        out = [[] for _ in range(vertices)]
-        for h, v in enumerate(origin):
-            out[v].append(h)
+        starts = {origin[g]: g for g in [next_[h] for h in boundary]}
         slots, on_boundary = [None] * vertices, [False] * vertices
-        slot_index = [-1] * n
-        if not all(out):
-            raise StructureError("vertex %d has no half-edge" % out.index([]))
-        broken = _walk_rotations(
-            next_, twin, origin, boundary,
-            zip(range(vertices), map(len, out), map(itemgetter(0), out)),
-            slots, slot_index, on_boundary)
-        if broken:
-            # v's half-edges in order; its walk may have run over others'
-            for v in broken:
-                slots[v] = tuple(out[v])
-                on_boundary[v] = any(twin[h] == NO_TWIN for h in out[v])
-            slot_index = [-1] * n
-            for rotation in slots:
-                for i, h in enumerate(rotation):
-                    slot_index[h] = i
+        slot_index, broken = [-1] * n, ()
+        if len(starts) < len(boundary) or not _walk_rotations(
+                next_, twin, origin, starts, slots, slot_index, on_boundary):
+            slots, slot_index, on_boundary, broken = _count_rotations(
+                next_, twin, origin, boundary, vertices)
         self.next, self.twin, self.origin = next_, twin, origin
         self.faces, self.face_of = faces, tuple(face_of)
         self.face_color = face_color
@@ -206,7 +224,7 @@ class Triangulation:
         return self.origin[h]
 
     def prev(self, h):
-        g = h
+        g = self.next[self.next[h]]  # a triangle's, else it goes on round
         while self.next[g] != h:
             g = self.next[g]
         return g
@@ -902,12 +920,12 @@ def read_tri(text):
     """The Triangulation of a `.tri` text.
 
     Text in the layout `write_tri` emits is read in time linear in its
-    size (`_tri_columns`): its bytes, translated, are one JSON list, parsed
-    once, whose slices are the columns.  Text in any other layout (comments,
-    blank lines, other key orders, extra or duplicate keys, numbers that
-    int() reads but write_tri does not write) goes record by record through
-    `records` (`_tri_records`), which gives every FormatError.  Both read
-    the same text into the same tables.
+    size (`_tri_columns`): its bytes, translated twice, give its layout and
+    one JSON list, parsed once, whose slices are the columns.  Text in any
+    other layout (comments, blank lines, other key orders, extra or
+    duplicate keys, numbers that int() reads but write_tri does not write)
+    goes record by record through `records` (`_tri_records`), which gives
+    every FormatError.  Both read the same text into the same tables.
 
     A face has one record, for its smallest half-edge: any other leaves
     more colors than faces, and only then is the text read again to name it.
@@ -974,7 +992,7 @@ def _tri_records(text, t=None):
     return next_, twin, origin, face_colors
 
 
-# the lines write_tri emits, with their digits deleted
+# the lines write_tri emits, with their digits and `-` deleted
 _TRI_SHAPE = b"tri \n"
 _HE_SHAPE = b"he  next= twin= origin=\n"
 _FACE_SHAPE = b"face  color=r he=\n"
@@ -990,14 +1008,15 @@ def _tri_columns(text):
 
     The layout is the header `tri n`, the n lines `he h next=.. twin=..
     origin=..` for h = 0..n-1 in order, then lines `face i color=.. he=..`,
-    each ending in a newline.  With its digits deleted, the text must be
-    that skeleton, with `twin=-` for a boundary half-edge and the colors r
-    and b, which give the face colors; and no value may be empty.  Then one
-    translation (_JSON_LIST) of the text after `tri `, with each `-` spelled
-    `-1 `, is a JSON list for one json.loads: n, four numbers per half-edge,
-    and three per face, the second the 0 of `color`.  A digit in a key, next
-    to a color or to a `-` leaves two numbers side by side or a number other
-    than that 0; json.loads rejects the first, and leading zeros.
+    each ending in a newline.  With its digits and `-` deleted, the text
+    must be that skeleton but for the colors; and no value may be empty.
+    Then one translation (_JSON_LIST) of the text after `tri `, with each
+    `-` spelled `-1 `, is a JSON list for one json.loads: n, four numbers
+    per half-edge, and three per face, the second the 0 of `color`.  A
+    digit in a key, next to a color or to a `-` leaves two numbers side by
+    side or a number other than that 0, which json.loads or a check here
+    rejects, as it does leading zeros and a lone `-` off a twin.  Colors
+    are left to the constructor's check, as in `_tri_records`.
     """
     if not (text.isascii() and text.startswith("tri ")):
         return None
@@ -1005,30 +1024,32 @@ def _tri_columns(text):
         n = int(text[4:text.index("\n")])
     except ValueError:
         return None
-    shape = text.encode().translate(None, b"0123456789").replace(
-        b"twin=-", b"twin=")
+    shape = bytearray(text.encode().translate(None, b"0123456789-"))
     faces, rest = divmod(len(shape) - len(_TRI_SHAPE) - n * len(_HE_SHAPE),
                          len(_FACE_SHAPE))
-    if n < 1 or faces < 0 or rest or (
-            shape.replace(b"color=b", b"color=r")
-            != _TRI_SHAPE + n * _HE_SHAPE + faces * _FACE_SHAPE
+    if n < 1 or faces < 0 or rest:
+        return None
+    at = slice(len(shape) - faces * len(_FACE_SHAPE)  # the face colors
+               + _FACE_SHAPE.index(b"r "), None, len(_FACE_SHAPE))
+    colors, shape[at] = shape[at].decode(), b"r" * faces
+    if (shape != _TRI_SHAPE + n * _HE_SHAPE + faces * _FACE_SHAPE
             or _NO_VALUE.search(text)):
         return None
-    colors = shape[len(shape) - faces * len(_FACE_SHAPE)
-                   + _FACE_SHAPE.index(b"r ")::len(_FACE_SHAPE)].decode()
+    del shape  # the JSON text, a str, and its list alone make the peak
     try:
-        values = json.loads(b"[%s]" % text[4:].encode()
-                            .translate(*_JSON_LIST).replace(b"-", b"-1 "))
+        values = json.loads((b"[%s]" % text[4:].encode().translate(
+            *_JSON_LIST).replace(b"-", b"-1 ")).decode())
     except ValueError:
         return None
     m = 1 + 4 * n  # the faces' numbers start here
+    next_, origin = values[2:m:4], values[4:m:4]
     if (len(values) != m + 3 * faces or values[1:m:4] != list(range(n))
-            or any(values[m + 1::3])):
+            or any(values[m + 1::3]) or min(next_) < 0 or min(origin) < 0):
         return None
     index, hes = values[m::3], values[m + 2::3]
     if faces and not (0 <= min(index) and max(index) < n
                       and 0 <= min(hes) and max(hes) < n):
         return None
     colors = dict(zip(hes, colors))
-    return ((values[2:m:4], values[3:m:4], values[4:m:4], colors)
+    return ((tuple(next_), tuple(values[3:m:4]), tuple(origin), colors)
             if len(colors) == faces else None)

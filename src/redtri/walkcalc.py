@@ -21,12 +21,14 @@ Cost: the walk is a doubly linked list whose labels increase along it; a
 rewrite puts its at most two new edges under the labels of the two it
 replaces, so labels keep the order of the walk.  A lazy-deletion heap of
 corner labels per bad kind (and one for corners that raise) finds the next
-corner; only the corners next to a rewrite are classified again, from the
-integers of `_turn_steps`.  A state key (length plus a sum over consecutive
-edge pairs, cyclic for closed walks, of a 64-bit mix of the pair) is kept
-in O(1), and a replay confirms a key hit exactly.  CPython's hash((e1, e2))
-of small ints is near additive: a sum of it collides whenever edge-id sums
-agree.  Set-up is O(L), a step O(log L); only the budget bounds the steps.
+corner.  Set-up classifies the corners in label order, so each kind's list
+is a heap as it grows; a step classifies again only the corners next to
+its rewrite, each turn from two slot indices (`_turn_steps` names errors).
+A state key (length plus a sum over consecutive edge pairs, cyclic for
+closed walks, of a 64-bit mix of the pair) is kept in O(1), and a replay
+confirms a key hit exactly.  CPython's hash((e1, e2)) of small ints is
+near additive: a sum of it collides whenever edge-id sums agree.  Set-up
+is O(L), a step O(log L); only the budget bounds the steps.
 """
 
 from dataclasses import dataclass
@@ -65,14 +67,6 @@ class Turn:
         return "%d_%s" % (self.signed_value, self.subscript)
 
 
-def _check_range(t, hes):
-    """Raise on the first half-edge id that is not on the host."""
-    n = len(t.next)
-    for h in hes:
-        if not 0 <= h < n:
-            raise WalkError("half-edge %d out of range" % h)
-
-
 @dataclass(frozen=True)
 class Walk:
     start: int
@@ -82,7 +76,9 @@ class Walk:
     @classmethod
     def from_half_edges(cls, t, hes, closed=False, start=None):
         hes = tuple(hes)
-        _check_range(t, hes)
+        for h in hes:
+            if not 0 <= h < len(t.next):
+                raise WalkError("half-edge %d out of range" % h)
         origin, nxt = t.origin, t.next
         for a, b in zip(hes, hes[1:]):
             if origin[nxt[a]] != origin[b]:
@@ -104,33 +100,21 @@ class Walk:
         return t.head(self.half_edges[-1]) if self.half_edges else self.start
 
 
-def _slot_position(slots, h):
-    """Position of h among `slots`, where the slot index has it elsewhere;
-    WalkError if it is not one of them, as when the host's twins are
-    inconsistent."""
-    try:
-        return slots.index(h)
-    except ValueError:
-        raise WalkError("half-edge %d is not in the rotation at the turn"
-                        % h) from None
-
-
 def _turn_steps(t, e1, e2):
     """(clockwise steps, degree) of the turn from e1 into e2, the one turn
-    computation of turn_at and the reduction."""
+    computation of turn_at and the reduction's corners it cannot take.
+    WalkError for a half-edge no slot holds, as when the twins disagree."""
     v = t.origin[t.next[e1]]
     if t.origin[e2] != v:
         raise WalkError("edges not incident")
     if t.is_boundary_vertex(v):
         raise BoundaryTurnError("turn at boundary vertex %d" % v)
-    slots, at, enter = t.vertex_slots[v], t.slot_index, t.twin[e1]
-    d, i = len(slots), at[e2]
-    if not (i < d and slots[i] == e2):
-        i = _slot_position(slots, e2)
-    j = at[enter]
-    if not (j < d and slots[j] == enter):
-        j = _slot_position(slots, enter)
-    return (i - j) % d, d
+    slots, enter = t.vertex_slots[v], t.twin[e1]
+    for h in (e2, enter):
+        if h not in slots:
+            raise WalkError("half-edge %d is not in the rotation at the turn"
+                            % h)
+    return (slots.index(e2) - slots.index(enter)) % len(slots), len(slots)
 
 
 def turn_at(t, e1, e2):
@@ -139,11 +123,8 @@ def turn_at(t, e1, e2):
 
 def classify(turn_):
     k = turn_.signed_value
-    if k in (0, 1, -1):
-        return BAD
-    if abs(k) == 2 and turn_.subscript == RED:
-        return BAD
-    return GOOD
+    bad = k in (0, 1, -1) or abs(k) == 2 and turn_.subscript == RED
+    return BAD if bad else GOOD
 
 
 def is_reduced(t, w):
@@ -185,9 +166,7 @@ class _Reduction:
     """
 
     def __init__(self, t, w):
-        self.t = t
-        self.walk = w
-        self.closed = w.closed
+        self.t, self.walk, self.closed = t, w, w.closed
         n = len(w.half_edges)
         self.edge = list(w.half_edges)
         self.nxt = list(range(1, n + 1))
@@ -196,44 +175,56 @@ class _Reduction:
             self.nxt[-1] = 0 if w.closed else -1
             self.prv[0] = n - 1 if w.closed else -1
         self.first = 0 if n else -1
-        self.size = n
-        self.start = w.start
-        self.steps = 0
-        self.kind = [None] * n
-        self.value = [None] * n
-        self.pair = [0] * n
+        self.size, self.start, self.steps = n, w.start, 0
+        self.kind, self.value, self.pair = [None] * n, [None] * n, [0] * n
         self.pair_sum = 0
         self.heaps = ([], [], [], [])
-        for x in range(n):
-            self._classify(x)
+        # in ascending order, each kind's list is a heap as it grows
+        self._classify(range(n), list.append)
 
-    def _classify(self, x):
-        """Classify the corner at label x afresh (none at an open start)."""
-        self.pair_sum -= self.pair[x]
-        p = self.prv[x]
-        if p < 0:
-            self.pair[x] = 0
-            self.kind[x] = None
-            return
-        e1, e2 = self.edge[p], self.edge[x]
-        # the 64-bit mix of the pair: a multiply-xorshift of e1 * 2**32 + e2
-        z = (e1 << 32 | e2) * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF
-        self.pair[x] = h = z ^ z >> 29
-        self.pair_sum += h
-        try:
-            k, d = _turn_steps(self.t, e1, e2)
-        except (BoundaryTurnError, WalkError, ValueError) as exc:
-            kind, k = RAISES, exc
-        else:
+    def _classify(self, labels, push):
+        """Classify the corners at these labels afresh (none at an open
+        start), and push(heap, label) each bad or raising one; `_turn_steps`
+        takes a turn only where its slots cannot, to name its error."""
+        t, edge, prv, pair, kinds, value = (
+            self.t, self.edge, self.prv, self.pair, self.kind, self.value)
+        origin, nxt, twin, at = t.origin, t.next, t.twin, t.slot_index
+        on_boundary, heaps = t._vertex_on_boundary, self.heaps
+        for x in labels:
+            self.pair_sum -= pair[x]
+            p = prv[x]
+            if p < 0:
+                pair[x] = 0
+                kinds[x] = None
+                continue
+            e1, e2 = edge[p], edge[x]
+            # the pair's 64-bit mix: a multiply-xorshift of e1 * 2**32 + e2
+            z = (e1 << 32 | e2) * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF
+            pair[x] = h = z ^ z >> 29
+            self.pair_sum += h
+            k, v = None, origin[nxt[e1]]
+            if origin[e2] == v and not on_boundary[v]:
+                slots, i = t.vertex_slots[v], at[e2]
+                d = len(slots)
+                if i < d and slots[i] == e2:
+                    j = at[twin[e1]]
+                    if j < d and slots[j] == twin[e1]:
+                        k = (i - j) % d
+            if k is None:
+                try:
+                    k, d = _turn_steps(t, e1, e2)
+                except (BoundaryTurnError, WalkError) as exc:
+                    kinds[x], value[x] = RAISES, exc
+                    push(heaps[RAISES], x)
+                    continue
             if 2 * k > d:
                 k -= d
             kind = abs(k)
-            if kind > 2 or kind == 2 and self.t.color_left(e1) != RED:
-                kind = k = None
-        self.kind[x] = kind
-        self.value[x] = k
-        if kind is not None:
-            heappush(self.heaps[kind], x)
+            if kind > 2 or kind == 2 and t.color_left(e1) != RED:
+                kinds[x] = value[x] = None
+            else:
+                kinds[x], value[x] = kind, k
+                push(heaps[kind], x)
 
     def _unlink(self, x):
         p, q = self.prv[x], self.nxt[x]
@@ -275,61 +266,59 @@ class _Reduction:
                 b = heap[0]
         if b is None:
             return False
-        edge, nxt = self.edge, self.nxt
+        t, edge, nxt = self.t, self.edge, self.nxt
         a = self.prv[b]
-        repl = _rewrite(self.t, edge[a], edge[b], self.value[b])
+        if self.size <= 2 and self.steps:  # read only once it is empty
+            self.start = t.origin[edge[self.first]]
+        repl = _rewrite(t, edge[a], edge[b], self.value[b])
+        for h in repl:  # Walk.from_half_edges's checks on the new walk
+            if not 0 <= h < len(t.next):
+                raise WalkError("half-edge %d out of range" % h)
         # the new edges take the labels of a then b, in walk order; the
-        # wrap corner of a closed walk (b first, a last) is no exception
+        # wrap corner of a closed walk (b first, a last) is no exception.
+        # The touched labels follow a in the walk, and go in label order
         if a == b:  # the one corner of a one-edge closed walk
             if len(repl) == 2:
                 edge[b] = repl[1]
-                touched = [b, self._grow(b, repl[0])]
+                touched = (b, self._grow(b, repl[0]))
             elif repl:
                 edge[b] = repl[0]
-                touched = [b]
+                touched = (b,)
             else:
                 self._unlink(b)
-                touched = []
+                touched = ()
         elif len(repl) == 2:
             edge[a], edge[b] = repl
-            touched = [a, b, nxt[b]]
+            c = nxt[b]
+            touched = ((a, b) if c < 0 or c == a and a < b
+                       else (b, a) if c == a
+                       else (b, c, a) if b < a
+                       else (c, a, b) if c < b else (a, b, c))
         elif repl:
             edge[a] = repl[0]
             self._unlink(b)
-            touched = [a, nxt[a]]
+            c = nxt[a]
+            touched = (a,) if c < 0 or c == a else (a, c) if a < c else (c, a)
         else:
             self._unlink(a)
             self._unlink(b)
-            touched = [nxt[b]] if self.size else []
-        touched = sorted({x for x in touched if x >= 0})
-        self._check_junctions(touched, repl)
+            touched = (nxt[b],) if self.size and nxt[b] >= 0 else ()
+        origin, hnxt, prv, wraps = t.origin, t.next, self.prv, True
         for x in touched:
-            self._classify(x)
-        if self.size:
-            self.start = self.t.tail(edge[self.first])
-        self.steps += 1
-        return True
-
-    def _check_junctions(self, labels, new):
-        """Raise what Walk.from_half_edges raises on the new walk: the new
-        edges must be on the host, and only the edge pairs ending at these
-        labels (in walk order) are new."""
-        t, edge, prv = self.t, self.edge, self.prv
-        _check_range(t, new)
-        wraps = True
-        for x in labels:
             p = prv[x]
-            if p >= 0 and t.origin[t.next[edge[p]]] != t.origin[edge[x]]:
+            if p >= 0 and origin[hnxt[edge[p]]] != origin[edge[x]]:
                 if x != self.first:
                     raise WalkError("half-edges %d,%d not consecutive"
                                     % (edge[p], edge[x]))
                 wraps = False
         if not wraps:
             raise WalkError("closed walk does not wrap")
+        self._classify(touched, heappush)
+        self.steps += 1
+        return True
 
     def half_edges(self):
-        out = []
-        x = self.first
+        out, x = [], self.first
         for _ in range(self.size):
             out.append(self.edge[x])
             x = self.nxt[x]
@@ -377,14 +366,18 @@ def _reduce(w, t, budget):
     if budget is None:
         budget = 4 * (len(w) + 1) * (len(t.next) + 1)
     r = _Reduction(t, w)
-    seen = {r.key(): [0]}
+    # each key's step, or once it repeats, the list of its steps
+    seen = {r.key(): 0}
     for step in range(1, budget + 1):
         if not r.step():
             return r, None
-        earlier = seen.setdefault(r.key(), [])
-        if earlier and _recurs(t, w, earlier, r.half_edges()):
+        earlier = seen.setdefault(r.key(), step)
+        if earlier == step:
+            continue
+        earlier = earlier if isinstance(earlier, list) else [earlier]
+        if _recurs(t, w, earlier, r.half_edges()):
             return r, "cycle"
-        earlier.append(step)
+        seen[r.key()] = earlier + [step]
     return r, "budget"
 
 

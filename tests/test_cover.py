@@ -173,6 +173,18 @@ def test_chart_vertex_range_checked(chart, torus, method):
     assert [list(col) for col in chart.cols] == before
 
 
+def test_slot_over_base_half_edge_range_checked(chart, torus):
+    # -1 used to wrap to the slot over base half-edge 5, and 6 to raise a
+    # bare IndexError
+    chart.expand(1)
+    before = [list(col) for col in chart.cols]
+    for h in (-1, len(torus.next)):
+        with pytest.raises(cover.CoverError,
+                           match="base half-edge %d out of range" % h):
+            chart.slot_over(0, h)
+    assert [list(col) for col in chart.cols] == before
+
+
 def test_line_windows_match_chart_oracle():
     # every basepoint, both sides; the base window is the projection of
     # the chart window the chart-growing code returned

@@ -332,6 +332,12 @@ TRI_VARIANTS = {
     "other color": lambda ls, rng: _somewhere(
         ls, rng, r"(?<=color=)[rb]", lambda c: rng.choice(
             ("g", "R", "", "0", "1", "rr", "rb", "1r", "r0", "b5"))),
+    # what the column reader's skeleton lets through, for the JSON list or
+    # the constructor to reject
+    "lone -": lambda ls, rng: _somewhere(
+        ls, rng, r"(?<=[ =])\d+\b", lambda d: "-"),
+    "color the JSON list deletes": lambda ls, rng: _somewhere(
+        ls, rng, r"(?<=color=)[rb]", lambda c: rng.choice("aefhinotwx=-")),
 }
 
 
@@ -386,14 +392,18 @@ def variant_text(name, variants, rng, end="\n"):
 
 
 def read_outcome(read, text):
-    """The tables a reader fills, or the type and message of what it
-    raises."""
+    """Every table a reader fills, or the type and message of what it
+    raises.  The oracle keeps no boundary list: its boundary half-edges are
+    those without a twin."""
     try:
         t = read(text)
     except (surface.FormatError, surface.StructureError) as exc:
         return "raise", type(exc), str(exc)
-    return ("return", t.next, t.twin, t.origin, t.face_color, t.vertex_slots,
-            t.slot_index, t.broken_rotation)
+    boundary = (t.boundary_half_edges() if isinstance(t, surface.Triangulation)
+                else tuple(h for h, g in enumerate(t.twin) if g == NO_TWIN))
+    return ("return", t.next, t.twin, t.origin, t.faces, t.face_of,
+            t.face_color, t.num_vertices, t.vertex_slots, t.slot_index,
+            t._vertex_on_boundary, t.broken_rotation, boundary)
 
 
 @given(st.sampled_from(sorted(TRI_HOSTS)),
@@ -433,6 +443,28 @@ def test_read_tri_variant_matches_record_oracle(variant):
             text = variant_text(name, [variant], rng, "\n" if seed else "")
             assert (read_outcome(surface.read_tri, text)
                     == read_outcome(tri_oracle.read_tri, text)), (name, seed)
+
+
+@pytest.mark.parametrize("name", sorted(TRI_HOSTS))
+def test_moved_origins_match_oracle(name):
+    """A half-edge's origin moved to another vertex: the rotation walk of
+    its old vertex reaches a half-edge of another vertex, and both
+    vertices' half-edge counts change.  Every table, or the error, is the
+    oracle's, for the first, a middle and the last half-edge, moved to
+    each neighbouring vertex id."""
+    t = TRI_HOSTS[name]()
+    colors = {orbit[0]: t.face_color[i] for i, orbit in enumerate(t.faces)}
+    n = len(t.next)
+    for h in sorted({0, n // 2, n - 1}):
+        for v in {t.origin[h] - 1, t.origin[h] + 1} - {-1, t.num_vertices}:
+            origin = list(t.origin)
+            origin[h] = v
+
+            def build(cls):
+                return cls(t.next, t.twin, origin, colors)
+            assert (read_outcome(lambda _: build(surface.Triangulation), "")
+                    == read_outcome(lambda _: build(tri_oracle.Triangulation),
+                                    "")), (h, v)
 
 
 def test_read_tri_rejects_a_second_face_record():

@@ -328,8 +328,10 @@ def test_one_edge_closed_walk_grows(budget):
         assert reduce_closed(w, t) == Reduced(Walk(1, (), True))
 
 
-def test_long_walks_match_oracle():
-    """Walks a few hundred edges long, where the heaps hold many corners."""
+def long_walks():
+    """(host, walk): closed walks of about 250 edges on doubled crown4 and
+    open walks of 300 edges through the deep interior of a radius-5 patch,
+    where the heaps hold many corners."""
     doubled, _ = host_and_short_walks("doubled crown4")
     p = make_patch(7, radius=5)
     deep = {v for v in range(p.num_vertices)
@@ -338,8 +340,7 @@ def test_long_walks_match_oracle():
     for seed in range(3):
         rng = random.Random(seed)
         hes = random_closed_walk(doubled, rng, 250)
-        assert_matches_oracle(
-            Walk.from_half_edges(doubled, hes, closed=True), doubled, None)
+        yield doubled, Walk.from_half_edges(doubled, hes, closed=True)
         x = rng.choice(sorted(deep))
         hes = []
         while len(hes) < 300:
@@ -347,7 +348,13 @@ def test_long_walks_match_oracle():
             if p.head(h) in deep:
                 hes.append(h)
                 x = p.head(h)
-        assert_matches_oracle(Walk.from_half_edges(p, hes), p, None)
+        yield p, Walk.from_half_edges(p, hes)
+
+
+def test_long_walks_match_oracle():
+    """Walks a few hundred edges long, where the heaps hold many corners."""
+    for t, w in long_walks():
+        assert_matches_oracle(w, t, None)
 
 
 # -- rare paths of the engine against the scan reducer ----------------------
@@ -356,19 +363,41 @@ BROKEN_HOSTS = {"broken torus": broken_twin_torus,
                 "broken doubled crown4": broken_doubled_crown4}
 
 
+def broken_walks(t):
+    """Every open walk of two edges and every closed walk of one to three
+    edges on t."""
+    walks = [Walk.from_half_edges(t, (h, g)) for h in range(len(t.next))
+             for g in t.vertex_slots[t.head(h)]]
+    return walks + [Walk.from_half_edges(t, hes, closed=True)
+                    for n in (1, 2, 3) for hes in short_closed_walks(t, n)]
+
+
 @pytest.mark.parametrize("name", sorted(BROKEN_HOSTS))
 def test_broken_twins_match_oracle(name):
     """On a host whose twins disagree with its rotations: every open walk
     of two edges and every closed walk of one to three edges, among them
     turns that read a half-edge the rotation does not hold."""
     t = BROKEN_HOSTS[name]()
-    walks = [Walk.from_half_edges(t, (h, g)) for h in range(len(t.next))
-             for g in t.vertex_slots[t.head(h)]]
-    walks += [Walk.from_half_edges(t, hes, closed=True)
-              for n in (1, 2, 3) for hes in short_closed_walks(t, n)]
-    raised = {assert_matches_oracle(w, t, None)[1] for w in walks}
+    raised = {assert_matches_oracle(w, t, None)[1] for w in broken_walks(t)}
     # the torus's broken rotation lists all six half-edges, sorted
     assert (WalkError in raised) == (name == "broken doubled crown4")
+
+
+@pytest.mark.parametrize("swaps", [((2, 21), (10, 15), (17, 3)), ((2, 22),)])
+def test_two_bad_junctions_name_the_first_in_walk_order(swaps):
+    """On the subdivided torus with twins redirected (twin[a], twin[b] = b,
+    a for each swap), closed walks whose rewrite at the wrap corner leaves
+    two junctions that do not meet: the error names the first from the
+    walk's first edge, as Walk.from_half_edges does."""
+    t0 = surface.subdivide(surface.build_torus())
+    twin = list(t0.twin)
+    for a, b in swaps:
+        twin[a], twin[b] = b, a
+    t = surface.Triangulation(t0.next, twin, t0.origin, dict(
+        enumerate(map(t0.color_left, range(len(t0.next))))))
+    for hes in ((16, 7, 4), (1, 17, 0)):
+        w = Walk.from_half_edges(t, hes, closed=True)
+        assert assert_matches_oracle(w, t, None)[1] is WalkError
 
 
 def rim_corner(p):
@@ -466,3 +495,113 @@ def test_no_replays_on_benchmark_shaped_walks(monkeypatch):
                 reduce_closed(Walk.from_half_edges(doubled, hes, closed=True),
                               doubled)
     assert replays == []
+
+
+# -- the engine's corner index against a scan -------------------------------
+
+def corner_scan(r):
+    """(label, kind, value) of every corner of the reduction r, in walk
+    order, from the scan reducer's turn and classify: the kind and signed
+    value of a bad corner, None and None for a good one or an open walk's
+    first edge, RAISES and (type, message) for a turn that raises."""
+    out, x = [], r.first
+    for _ in range(r.size):
+        p = r.prv[x]
+        kind = value = None
+        if p >= 0:
+            try:
+                tu = walk_oracle.turn_at(r.t, r.edge[p], r.edge[x])
+            except (BoundaryTurnError, WalkError) as exc:
+                kind, value = walkcalc.RAISES, (type(exc), str(exc))
+            else:
+                if classify(tu) == BAD:
+                    value = tu.signed_value
+                    kind = abs(value)
+        out.append((x, kind, value))
+        x = r.nxt[x]
+    return out
+
+
+def assert_index_matches_scan(r):
+    """Each live corner's kind, and the value of one with a kind, are the
+    scan's, and each kind's heap is a heap holding every label of that
+    kind."""
+    for x, kind, value in corner_scan(r):
+        got = r.value[x] if r.kind[x] is not None else None  # else stale
+        if kind == walkcalc.RAISES:
+            got = type(got), str(got)
+        assert (r.kind[x], got) == (kind, value), x
+        if kind is not None:
+            assert x in r.heaps[kind]
+    for heap in r.heaps:
+        assert all(heap[(i - 1) // 2] <= heap[i]
+                   for i in range(1, len(heap)))
+
+
+def non_incident_walks():
+    """Walks built directly, not through Walk.from_half_edges, with a
+    corner whose half-edges do not meet at an interior vertex of a patch:
+    alone, on a closed walk, and right of a spur whose rewrite removes
+    it."""
+    p = make_patch(2, radius=3)
+    inner = [h for h in range(len(p.next))
+             if not p.is_boundary_vertex(p.tail(h))
+             and not p.is_boundary_vertex(p.head(h))]
+    h = inner[0]
+    g = next(g for g in inner if p.tail(g) not in (p.tail(h), p.head(h)))
+    return [(p, Walk(p.tail(h), (h, g), False)),
+            (p, Walk(p.tail(h), (h, g), True)),
+            (p, Walk(p.tail(h), (h, p.twin[h], g), False))]
+
+
+def misstarted_walks():
+    """Walks built directly whose start is not the tail of their first
+    half-edge: a spur whose rewrite empties the walk keeps that start, but
+    after an earlier rewrite the walk starts at its first tail."""
+    p = make_patch(2, radius=3)
+    h = next(h for h in range(len(p.next))
+             if not p.is_boundary_vertex(p.head(h)))
+    start = (p.tail(h) + 1) % p.num_vertices
+    return [(p, Walk(start, (h, p.twin[h]), False)),
+            (p, Walk(start, (h, p.twin[h], h, p.twin[h]), False))]
+
+
+@pytest.mark.parametrize("source", ["long", "broken", "non-incident",
+                                    "misstarted"])
+def test_corner_index_matches_scan(source):
+    """After set-up and after every step: each corner's kind and value as
+    the scan reducer's turn and classify give them (or the exception the
+    turn raises), and every label of a kind in that kind's heap.  Walks
+    with a non-incident corner, built without Walk.from_half_edges, also
+    reduce as the scan reducer does: only the fallback names that error;
+    so do walks built with another start, which an empty walk can keep."""
+    if source == "long":
+        walks = list(long_walks())
+    elif source == "broken":
+        walks = [(t, w) for make in BROKEN_HOSTS.values()
+                 for t in [make()] for w in broken_walks(t)]
+    elif source == "non-incident":
+        walks = non_incident_walks()
+        assert [assert_matches_oracle(w, t, None)[1] for t, w in walks][:2] \
+            == [WalkError] * 2
+    else:
+        walks = misstarted_walks()
+        (t, w), (_, w2) = walks
+        assert assert_matches_oracle(w, t, None) == (
+            "return", Walk(w.start, (), False))
+        assert assert_matches_oracle(w2, t, None) == (
+            "return", Walk(t.tail(w2.half_edges[0]), (), False))
+    for t, w in walks:
+        try:
+            steps = walkcalc._reduce(w, t, None)[0].steps
+        except (BoundaryTurnError, WalkError):
+            steps = None  # replay until the step that raises
+        r = walkcalc._Reduction(t, w)
+        assert_index_matches_scan(r)
+        while steps is None or r.steps < steps:
+            try:
+                if not r.step():
+                    break
+            except (BoundaryTurnError, WalkError):
+                break
+            assert_index_matches_scan(r)
