@@ -101,7 +101,8 @@ class CrownedHost(_ComposedHost):
 
     Those rotations are the constructor's where t's own rotations are
     whole and each holds exactly the half-edges out of its vertex, as on
-    any reducing host; `exact` says so.  Every other entry equals that of
+    any reducing host; `exact` says so, and a host whose rotations are not
+    broken has them (`test_unbroken_rotations_hold_their_half_edges`).  Every other entry equals that of
     `materialize()` on any host."""
 
     def __init__(self, t, target):
@@ -109,50 +110,43 @@ class CrownedHost(_ComposedHost):
         nxt, org, slots = t.next, t.origin, t.vertex_slots
         bound, tent, fan, size = [], [], [], []
         apex, inner, before, after = [], [], [], []
-        # per crown triangle and per crown vertex: (its position, s); a
-        # tent has s = -1, an apex 0, the s-th vertex of a fan s
-        tri_pos, tri_s, vert_pos, vert_s = [], [], [], []
+        tri_pos, vert_pos = [], []  # per crown triangle and vertex
         degree = Counter(iter(org))  # a column of t's, not a mapping
         h_end, v_end = n, nv
         for cyc in t.boundary_cycles():
             p0, ring = len(bound), len(cyc)
-            positions = range(p0, p0 + ring)
             bound += cyc
             tent += range(h_end, h_end + 3 * ring, 3)
             apex += range(v_end, v_end + ring)
             before += [p0 + (i - 1) % ring for i in range(ring)]
             after += [p0 + (i + 1) % ring for i in range(ring)]
-            tri_pos += positions
-            tri_s += repeat(-1, ring)
-            vert_pos += positions
-            vert_s += repeat(0, ring)
+            tri_pos += range(p0, p0 + ring)
+            vert_pos += range(p0, p0 + ring)
             h_end, v_end = h_end + 3 * ring, v_end + ring
             # the grower counts degrees once per ring, with its tents
             degree.update([org[nxt[h]] for h in cyc] + [org[h] for h in cyc])
-            ks = [degree[org[h]] + 1 for h in cyc]
-            for p, h, k in zip(positions, cyc, ks):
+            for p, h, k in [(p, h, degree[org[h]] + 1)
+                            for p, h in enumerate(cyc, p0)]:
                 j = target(org[h], k) - k + 1
+                tri_pos += repeat(p, j)
+                vert_pos += repeat(p, j - 1)
                 fan.append(h_end)
                 size.append(j)
                 inner.append(v_end)
-                tri_pos += repeat(p, j)
-                tri_s += range(j)
-                vert_pos += repeat(p, j - 1)
-                vert_s += range(1, j)
                 h_end, v_end = h_end + 3 * j, v_end + j - 1
                 degree[org[h]] += j
         self.base = t
         self._bound, self._tent, self._fan, self._size = bound, tent, fan, size
         self._before = before
         at = {org[h]: p for p, h in enumerate(bound)}
-        self.exact = (not t.broken_rotation
-                      and min(t.slot_index, default=0) >= 0
-                      and all(org[g] == w for w in at for g in slots[w]))
+        self.exact = not t.broken_rotation
 
         def where(h):
-            """(position, s, side) of crown half-edge h."""
+            """(position, s, side) of crown half-edge h: the s-th triangle
+            of a fan, or a tent for s < 0, a ring's tents preceding its fans."""
             c, side = divmod(h - n, 3)
-            return tri_pos[c], tri_s[c], side
+            p = tri_pos[c]
+            return p, (h - fan[p]) // 3, side
 
         def column(held, crown):
             """t's column `held`, then the crown's entries by `crown`."""
@@ -193,8 +187,8 @@ class CrownedHost(_ComposedHost):
             return vertex(p, s + side // 2)
 
         def face_color(f):
-            c = f - nf
-            s, color = tri_s[c], t.color_left(bound[tri_pos[c]])
+            p, s, _ = where(n + 3 * (f - nf))
+            color = t.color_left(bound[p])
             return color if s >= 0 and s % 2 == 0 else opposite_color(color)
 
         def rotation(v):
@@ -207,8 +201,9 @@ class CrownedHost(_ComposedHost):
                 run += (tent[p] + 1, *range(fan[p] + 1, fan[p] + 3 * size[p],
                                             3), tent[before[p]])
                 return run[i:] + run[:i]
-            p, s = vert_pos[v - nv], vert_s[v - nv]
-            if s:
+            p = vert_pos[v - nv]  # an apex, or inner vertex s of p's fan
+            if v != apex[p]:
+                s = v - inner[p] + 1
                 return fan[p] + 3 * s, fan[p] + 3 * s - 1
             q = after[p]
             return fan[p], tent[p] + 2, fan[q] + 3 * size[q] - 1
@@ -235,26 +230,24 @@ class CrownedHost(_ComposedHost):
         self._vertex_on_boundary = (False,) * nv + (True,) * (v_end - nv)
         self.broken_rotation = frozenset()
 
-    def _runs(self):
-        """(vertex, spokes, their twins) per old boundary vertex: its crown
-        half-edges clockwise from its outgoing boundary edge, the tent's
-        side and then its fan's, each twinned to the fan side after it,
-        and the last to the side of the tent before."""
-        org, tent = self.base.origin, self._tent
-        for h, t, f, j, b in zip(self._bound, tent, self._fan, self._size,
-                                 self._before):
-            yield (org[h], (t + 1, *range(f + 1, f + 3 * j, 3)),
-                   (*range(f, f + 3 * j, 3), tent[b] + 2))
-
     def spokes(self):
-        """Per old boundary vertex, its spokes, from the offsets."""
-        return dict(sorted([(w, run) for w, run, _ in self._runs()]))
+        """Per old boundary vertex, its spokes, from the offsets: its crown
+        half-edges clockwise from its outgoing boundary edge, the tent's
+        side and then its fan's."""
+        org = self.base.origin
+        return {org[h]: (t + 1, *range(f + 1, f + 3 * j, 3)) for h, t, f, j
+                in zip(self._bound, self._tent, self._fan, self._size)}
 
     def guard_half_edges(self, k):
         """The first and last k spokes at every old boundary vertex, and
-        their twins, from the offsets."""
-        return [h for _, run, twins in self._runs()
-                for h in run[:k] + run[-k:] + twins[:k] + twins[-k:]]
+        their twins, from the offsets: each spoke is twinned to the fan
+        side after it, and the last to the side of the tent before."""
+        tent, guard = self._tent, []
+        for t, f, j, b in zip(tent, self._fan, self._size, self._before):
+            run = (t + 1, *range(f + 1, f + 3 * j, 3))
+            twins = (*range(f, f + 3 * j, 3), tent[b] + 2)
+            guard += run[:k] + run[-k:] + twins[:k] + twins[-k:]
+        return guard
 
     def validate_crowns(self):
         """The reducing conditions that a crown, glued to a reducing host,
@@ -334,7 +327,7 @@ def extend_for_harmonization(f, anchor):
 
     def mirror(h):
         """The mirror copy of h, running the same way as h."""
-        return mirr + t0.twin[h]
+        return mirr + tdot.twin[h]
 
     # t0 and tdot keep t's ids, so the base copy of G is drawn as in f
     n = f.graph.num_vertices

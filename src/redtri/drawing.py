@@ -54,13 +54,16 @@ class Drawing:
         self.edge_map = tuple(edge_map)
         if len(self.vertex_map) != graph.num_vertices:
             raise DrawingError("vertex_map size mismatch")
-        if any(not 0 <= x < host.num_vertices for x in self.vertex_map):
+        if self.vertex_map and not (0 <= min(self.vertex_map) and max(
+                self.vertex_map) < host.num_vertices):
             raise DrawingError("vertex image out of range")
         if len(self.edge_map) != graph.num_edges():
             raise DrawingError("edge_map size mismatch")
-        for i, (u, v) in enumerate(graph.edges):
-            w = self.edge_map[i]
-            if w.start != self.vertex_map[u] or w.end(host) != self.vertex_map[v]:
+        vmap, origin, nxt = self.vertex_map, host.origin, host.next
+        for i, ((u, v), w) in enumerate(zip(graph.edges, self.edge_map)):
+            hes = w.half_edges
+            if w.start != vmap[u] or vmap[v] != (
+                    origin[nxt[hes[-1]]] if hes else w.start):
                 raise DrawingError("edge %d walk endpoints do not match" % i)
             if w.closed:
                 raise DrawingError("edge images must be open walks")

@@ -162,23 +162,26 @@ def _refresh(state):
     if not state.dirty:
         return
     dirty, state.dirty = state.dirty, set()
-    pending = state.pending
+    pending, flips, shortenings = state.pending, state.flips, state.shortenings
     roots = set()
     for v in dirty:
         r = state.find(v)
         if r != v:      # not a root (any more)
-            state.flips.pop(v, None)
-            state.shortenings.pop(v, None)
+            flips.pop(v, None)
+            shortenings.pop(v, None)
             pending[v] = None
         roots.add(r)
     for r in roots:
         darts = pending[r] = state.darts(r)
-        for index, fields in zip((state.flips, state.shortenings),
-                                 _corner_moves(state, r, darts)):
-            if fields is None:
-                index.pop(r, None)
-            else:
-                index[r] = fields
+        flip, shortening = _corner_moves(state, r, darts)
+        if flip is None:
+            flips.pop(r, None)
+        else:
+            flips[r] = flip
+        if shortening is None:
+            shortenings.pop(r, None)
+        else:
+            shortenings[r] = shortening
 
 
 # -- moves -----------------------------------------------------------------
@@ -359,10 +362,11 @@ class _SplitGraph:
         qualifies."""
         members, red, ends = [c0], False, 0
         seen.add(c0)
+        darts, copy_of = self.darts, self.copy_of
         for c in members:
-            ends += len(self.darts[c])
-            for e, end, _ in self.darts[c]:
-                o = self.copy_of.get((e, 1 - end))
+            ends += len(darts[c])
+            for e, end, _ in darts[c]:
+                o = copy_of.get((e, 1 - end))
                 if o is None:       # its far end is a red copy
                     red = True
                 elif o not in seen:
@@ -393,52 +397,58 @@ def _split_clusters(state, splits, pending):
     """Bring `splits`, the red and the blue split graph, up to date with
     `pending` (vertex -> its darts, or None once it is no longer a root),
     one pass over each cluster's darts: drop its old copies, group the
-    darts by slot, and file each slot's under its a-slot for both colors
-    (the slot itself, or three back for the color on its left).  A copy
-    is stored only when every used slot lies 0-3 steps clockwise of its
-    a-slot: used slot u is one when the gap that ends at u spans at least
-    d - 3 steps, and u - 3 is when the gap from u does."""
-    for v in pending:
-        for split in splits:
-            for c in split.at.pop(v, ()):
-                key = split.comp.get(c)     # None unless it qualified
+    darts by slot, and file the copies of both colors.  A copy is stored
+    only when every used slot lies 0-3 steps clockwise of its a-slot, so
+    only where the gap from used slot q round to used slot p spans at
+    least d - 3 steps: then p is the a-slot of the copy of the color on
+    p's right, q three steps on the a-slot of the copy of q's left color,
+    and the two are one copy when q is p + 3."""
+    for split in splits:
+        at, darts, copy_of, mark, comp = (split.at, split.darts, split.copy_of,
+                                          split.mark, split.comp)
+        for v in pending:
+            for c in at.pop(v, ()):
+                key = comp.get(c)     # None unless it qualified
                 if key is not None:
                     for m in split.found.pop(key)[1]:
-                        del split.comp[m]
-                for e, end, _ in split.darts.pop(c):
-                    del split.copy_of[(e, end)]
-                del split.mark[c]
+                        del comp[m]
+                for e, end, _ in darts.pop(c):
+                    del copy_of[e, end]
+                del mark[c]
     t = state.host
-    pos, color_left = t.slot_index, t.color_left
-    for r, darts in pending.items():
-        if darts is None:
+    pos, rotations, target = t.slot_index, t.vertex_slots, state.target
+    color, face_of = t.face_color, t.face_of
+    for r, ds in pending.items():
+        if ds is None:
             continue
         at = {}                 # used slot position -> its darts
-        for dart in darts:
+        for dart in ds:
             at.setdefault(pos[dart[2]], []).append(dart)
-        slots = t.vertex_slots[state.target[r]]
+        if not at:
+            continue
+        slots = rotations[target[r]]
         d, ps = len(slots), sorted(at)
-        copies = ({}, {})       # red, blue: a-slot position -> its darts
-        for k, p in enumerate(ps):
-            # the gaps from p to the next used slot and from the one before
-            ahead = (ps[k + 1 - len(ps)] - p) % d or d
-            behind = (p - ps[k - 1]) % d or d
-            if ahead < d - 3 and behind < d - 3:    # no copy holds p's darts
-                continue
-            f = color_left(slots[p]) != RED     # index of p's left color
-            for cs, a, g in ((copies[f], (p - 3) % d, ahead),
-                             (copies[not f], p, behind)):
-                if g >= d - 3:      # a copy's darts in (edge id, end) order
-                    cs[a] = sorted(cs[a] + at[p]) if a in cs else at[p]
-        for split, cs in zip(splits, copies):
-            for a, ds in cs.items():
-                c = (r, slots[a])
-                split.at.setdefault(r, []).append(c)
-                split.darts[c] = ds
-                for e, end, _ in ds:
-                    split.copy_of[(e, end)] = c
-                split.mark[c] = ("green" if (a + 1) % d in at
-                                 or (a + 2) % d in at else "plain")
+        q = ps[-1]
+        for p in ps:
+            span = (q - p) % d  # q is the used slot before p
+            if span <= 3:
+                # green: a used slot 1 or 2 steps from the a-slot
+                mark = "green" if len(ps) > 1 + (span == 3) else "plain"
+                left = color[face_of[slots[p]]] == RED
+                if span == 3:
+                    copies = ((splits[left], p, sorted(at[p] + at[q])),)
+                else:
+                    copies = ((splits[left], p, at[p]), (
+                        splits[color[face_of[slots[q]]] != RED],
+                        (q - 3) % d, at[q]))
+                for split, a, cds in copies:
+                    c = (r, slots[a])
+                    split.at.setdefault(r, []).append(c)
+                    split.darts[c] = cds
+                    for e, end, _ in cds:
+                        split.copy_of[e, end] = c
+                    split.mark[c] = mark
+            q = p
     # an untouched copy of a changed component kept its edges to the
     # touched clusters, so the new copies reach it
     for split in splits:

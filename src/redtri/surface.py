@@ -635,7 +635,7 @@ class _Composed(dict):
 class _SlotIndex(_Composed):
     """A slot_index column of a host's rotations and origins: the first
     read of a half-edge's entry reads its tail's rotation and sets the
-    entries of all of it that are not set yet.  It holds the two columns,
+    entries of all of it.  It holds the two columns,
     not the host, so that a host is freed as soon as it is dropped."""
 
     __slots__ = ("rotations", "origins")
@@ -651,8 +651,7 @@ class _SlotIndex(_Composed):
         rotation = self.rotations[self.origins[h]]
         if h not in rotation:  # the parts' rotations are broken
             raise StructureError("half-edge %d not in its rotation" % h)
-        for i, g in enumerate(rotation):
-            self.setdefault(g, i)
+        self.update(zip(rotation, range(len(rotation))))
         return self[h]
 
 
@@ -728,7 +727,7 @@ class DoubledHost(_ComposedHost):
             return q, 2 * n + q * m, r
 
         def prev0(h):
-            g = h
+            g = nxt0(nxt0(h))  # a triangle's, else it goes on round
             while nxt0(g) != h:
                 g = nxt0(g)
             return g
@@ -799,9 +798,10 @@ class DoubledHost(_ComposedHost):
             if v >= k:
                 q, off, j = part(v, k, len(inner))
                 return tuple([off + g for g in g3.vertex_slots[inner[j]]])
-            if v >= nv:
-                slots = t0.vertex_slots[kept[v - nv]]
-                run = [n + twin0(h) for h in reversed(slots)]
+            if v >= nv:  # the twins of t0's slots, read where held
+                slots = t0.vertex_slots[kept[v - nv]][::-1]
+                run = [n + (twin0(h) if g is None else g)
+                       for h, g in zip(slots, map(twins.get, slots))]
                 i = run.index(min(run))
                 return tuple(run[i:] + run[:i])
             if not on_seam[v]:

@@ -75,18 +75,17 @@ class Walk:
 
     @classmethod
     def from_half_edges(cls, t, hes, closed=False, start=None):
-        hes = tuple(hes)
-        for h in hes:
-            if not 0 <= h < len(t.next):
-                raise WalkError("half-edge %d out of range" % h)
-        origin, nxt = t.origin, t.next
+        hes, origin, nxt = tuple(hes), t.origin, t.next
+        if hes and not (0 <= min(hes) and max(hes) < len(nxt)):
+            raise WalkError("half-edge %d out of range" % next(
+                h for h in hes if not 0 <= h < len(nxt)))
         for a, b in zip(hes, hes[1:]):
             if origin[nxt[a]] != origin[b]:
                 raise WalkError("half-edges %d,%d not consecutive" % (a, b))
         if hes:
-            if closed and t.head(hes[-1]) != t.tail(hes[0]):
+            start = origin[hes[0]]
+            if closed and origin[nxt[hes[-1]]] != start:
                 raise WalkError("closed walk does not wrap")
-            start = t.tail(hes[0])
         elif start is None:
             raise WalkError("empty walk needs a start vertex")
         elif not 0 <= start < t.num_vertices:

@@ -21,11 +21,13 @@ constant.
 
 import hashlib
 import random
+import re
+from collections import Counter
 
 import pytest
 
 from redtri import surface
-from redtri.boundary import Anchor, harmonize_rel_anchor
+from redtri.boundary import Anchor, GuardViolation, harmonize_rel_anchor
 from redtri.cover import LEFT, RIGHT, CoverChart, escape_probe, line_window
 from redtri.drawing import Drawing, Graph, read_drawing, write_drawing
 from redtri.harmonizer import harmonize, write_trace
@@ -126,6 +128,55 @@ def test_anchored_outputs_reread_on_input_host():
         assert f2.host is f.host, name
         f3, _ = read_drawing(write_drawing(f2), f.host)
         assert (f3.vertex_map, f3.edge_map) == (f2.vertex_map, f2.edge_map)
+
+
+ANCHORED_SWEEP_SHA256 = (
+    "be84b52709179ace4639125a28efa1d2bc5be1cfc1ca889272b6fc9f26d6d71b")
+
+
+def anchored_sweep():
+    """(seed, drawing, anchor orders) for ROADMAP item 6's sweep: on
+    build_disk_patch(2, rng) with rng = Random(s), s = 0-149, a
+    random_drawing(max_vertices=6, detour=4) from the same rng, its first
+    two G-vertices drawn on the boundary anchored where they are drawn;
+    the 107 drawings that have two such vertices."""
+    for s in range(150):
+        rng = random.Random(s)
+        p = surface.build_disk_patch(2, rng)
+        f = random_drawing(p, rng, max_vertices=6, detour=4)
+        on = [v for v, x in enumerate(f.vertex_map)
+              if p.is_boundary_vertex(x)][:2]
+        if len(on) == 2:
+            orders = {}
+            for v in on:
+                orders.setdefault(f.vertex_map[v], []).append(v)
+            yield s, f, orders
+
+
+def test_anchored_sweep_pins_todays_defects():
+    """Item 6's sweep, pinned as it runs today, defects included: 83 of
+    the 107 drawings harmonize, and 24 raise GuardViolation, the 5 whose
+    two anchors share a boundary vertex with `stem edge k was rewritten`
+    and 19 with `edge e left the host at half-edge h`, an image run
+    backwards along a boundary edge.  The digest covers each case's
+    write_trace and write_drawing output or its message.  Fixing item 6
+    changes it, case by case and with the reason in CHANGES.md; any other
+    change to the anchored extension must leave it as it is."""
+    sha, outcomes = hashlib.sha256(), Counter()
+    for s, f, orders in anchored_sweep():
+        sha.update(("# seed %d\n" % s).encode())
+        try:
+            f2, trace = harmonize_rel_anchor(f, Anchor(orders))
+        except GuardViolation as exc:
+            outcomes[re.sub(r"\d+", "N", str(exc))] += 1
+            sha.update(("GuardViolation: %s\n" % exc).encode())
+            continue
+        outcomes["harmonized"] += 1
+        sha.update(write_trace(trace).encode())
+        sha.update(write_drawing(f2).encode())
+    assert outcomes == {"harmonized": 83, "stem edge N was rewritten": 5,
+                        "edge N left the host at half-edge N": 19}
+    assert sha.hexdigest() == ANCHORED_SWEEP_SHA256
 
 
 # seeds of random_drawing(doubled crown4) at its default sizes whose

@@ -760,6 +760,29 @@ def test_twin_swapped_patches_crown_or_raise():
     assert outcomes["crowned"] > 1000 and outcomes["StructureError"] >= 1
 
 
+def test_unbroken_rotations_hold_their_half_edges():
+    """`CrownedHost.exact` is `not t.broken_rotation`: on ROADMAP item
+    16's 172 bounded hosts (disk patches of radius 1-4 with seeds 0-39,
+    crown(3) to crown(12), fan_disk(4) and bowtie) and on the 1,330
+    twin-swapped patches above, every host whose rotations are not broken
+    gives each half-edge a slot and holds in each rotation only half-edges
+    out of its vertex, which the crowned host's rotations need."""
+    sample = [surface.build_disk_patch(r, random.Random(s))
+              for r in range(1, 5) for s in range(40)]
+    sample += [surface.crown(k) for k in range(3, 13)]
+    sample += [fan_disk(4), bowtie()]
+    unbroken = Counter()
+    for name, hosts in (("sample", sample), ("twin-swapped", map(
+            _twin_swapped_patch, range(1330)))):
+        for t in hosts:
+            exact = (min(t.slot_index) >= 0 and all(
+                t.origin[g] == v for v, run in enumerate(t.vertex_slots)
+                for g in run))
+            assert exact or t.broken_rotation
+            unbroken[name] += not t.broken_rotation
+    assert unbroken == {"sample": 171, "twin-swapped": 1}
+
+
 def test_doubled_host_of_broken_rotations_raises_structure_error():
     """On a host whose rotations are broken, a lazy slot_index entry that
     is not in its vertex's rotation raises StructureError naming it."""
