@@ -22,7 +22,11 @@ from their layout; fitted over the crowned patch's half-edges), and
 (`surface.double_with_gadgets`): the scan that check replaces.  On the
 same patches it times the whole closed extension
 (`boundary.extend_for_harmonization`) of a path along four boundary
-edges, anchored at both ends.  Each rung's `half_edges` is the doubled
+edges, anchored at both ends, and counts exactly what one harmonization
+of that path relative to its anchors does (`anchored_counts`): the
+composed hosts' entries computed and slot-index fills, the balancing
+searches, the clusters they file and the components they gather, and the
+walks and drawings built.  Each rung's `half_edges` is the doubled
 host's.  The probe ladder times
 `cover.escape_probe` of a fixed three-vertex path drawn on doubled crown4,
 with windows L = 3072..49152: from there on the window walk, not the
@@ -73,7 +77,14 @@ import tracemalloc
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from redtri import boundary, cover, harmonizer, surface, walkcalc  # noqa: E402
+from redtri import (  # noqa: E402
+    boundary,
+    cover,
+    drawing,
+    harmonizer,
+    surface,
+    walkcalc,
+)
 from redtri.drawing import (  # noqa: E402
     Drawing,
     Graph,
@@ -165,6 +176,54 @@ def anchored_path(t, steps=4):
     f = Drawing(Graph(len(verts), [(i, i + 1) for i in range(steps)]), t,
                 verts, [Walk.from_half_edges(t, (h,)) for h in hes])
     return f, boundary.Anchor({verts[0]: [0], verts[-1]: [steps]})
+
+
+def anchored_counts(f, anchor):
+    """What one `boundary.harmonize_rel_anchor(f, anchor)` does, counted by
+    wrapping the functions that do it: the entries the composed hosts
+    compute (`surface._Composed.__missing__`) and their slot-index fills
+    (`surface._SlotIndex.__missing__`), the balancing searches
+    (`harmonizer._split_clusters`), the clusters whose darts they file and
+    the components they gather (`harmonizer._SplitGraph._component`), and
+    the walks (`walkcalc.Walk.from_half_edges`) and drawings
+    (`drawing.Drawing`) built."""
+    counts = dict.fromkeys(("composed_entries", "slot_fills",
+                            "balancing_searches", "clusters_filed",
+                            "components_gathered", "walks", "drawings"), 0)
+
+    def counted(key, fn, filed=False):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            if filed:  # _split_clusters(state, splits, pending)
+                counts["clusters_filed"] += sum(
+                    darts is not None for darts in args[2].values())
+            return fn(*args, **kwargs)
+        return call
+
+    walk = walkcalc.Walk.from_half_edges.__func__
+    patches = [
+        (surface._Composed, "__missing__", counted(
+            "composed_entries", surface._Composed.__missing__)),
+        (surface._SlotIndex, "__missing__", counted(
+            "slot_fills", surface._SlotIndex.__missing__)),
+        (harmonizer, "_split_clusters", counted(
+            "balancing_searches", harmonizer._split_clusters, filed=True)),
+        (harmonizer._SplitGraph, "_component", counted(
+            "components_gathered", harmonizer._SplitGraph._component)),
+        (walkcalc.Walk, "from_half_edges", classmethod(counted(
+            "walks", walk))),
+        (drawing.Drawing, "__init__", counted(
+            "drawings", drawing.Drawing.__init__)),
+    ]
+    saved = [(owner, name, owner.__dict__[name]) for owner, name, _ in patches]
+    try:
+        for owner, name, fn in patches:
+            setattr(owner, name, fn)
+        boundary.harmonize_rel_anchor(f, anchor)
+    finally:
+        for owner, name, fn in saved:
+            setattr(owner, name, fn)
+    return {"anchored_" + key: n for key, n in counts.items()}
 
 
 def probe_path(t):
@@ -306,6 +365,7 @@ def main(argv=None):
                                    t0.validate_crowns()),
             "validate_reducing": lambda: surface.validate_reducing(doubled),
             "extend": lambda: boundary.extend_for_harmonization(f, anchor)}))
+        extension[-1].update(anchored_counts(f, anchor))
 
     # the escape probe against its window; the host stays doubled crown4
     doubled4 = surface.double_with_gadgets(surface.crown(4))

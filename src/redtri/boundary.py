@@ -111,7 +111,7 @@ class CrownedHost(_ComposedHost):
         bound, tent, fan, size = [], [], [], []
         apex, inner, before, after = [], [], [], []
         tri_pos, vert_pos = [], []  # per crown triangle and vertex
-        degree = Counter(iter(org))  # a column of t's, not a mapping
+        degree = Counter()  # crown half-edges out of t's vertices so far
         h_end, v_end = n, nv
         for cyc in t.boundary_cycles():
             p0, ring = len(bound), len(cyc)
@@ -125,7 +125,7 @@ class CrownedHost(_ComposedHost):
             h_end, v_end = h_end + 3 * ring, v_end + ring
             # the grower counts degrees once per ring, with its tents
             degree.update([org[nxt[h]] for h in cyc] + [org[h] for h in cyc])
-            for p, h, k in [(p, h, degree[org[h]] + 1)
+            for p, h, k in [(p, h, len(slots[org[h]]) + degree[org[h]] + 1)
                             for p, h in enumerate(cyc, p0)]:
                 j = target(org[h], k) - k + 1
                 tri_pos += repeat(p, j)
@@ -148,16 +148,13 @@ class CrownedHost(_ComposedHost):
             p = tri_pos[c]
             return p, (h - fan[p]) // 3, side
 
-        def column(held, crown):
-            """t's column `held`, then the crown's entries by `crown`."""
-            k = len(held)
-            return lambda i: held[i] if i < k else crown(i)
-
         def twin(h):
             if h < n:  # t's boundary half-edges are twinned to their tents
                 g = tw0[h]
                 return g if g != NO_TWIN else tent_of[h]
-            p, s, side = where(h)
+            c, side = divmod(h - n, 3)  # where(h), inline: twin is read most
+            p = tri_pos[c]
+            s = (h - fan[p]) // 3
             if s < 0:  # the tent on bound[p]
                 if side == 0:
                     return bound[p]
@@ -179,6 +176,8 @@ class CrownedHost(_ComposedHost):
             return inner[p] + s - 1 if s < size[p] else apex[before[p]]
 
         def origin(h):
+            if h < n:
+                return org[h]
             p, s, side = where(h)
             if side == 1:
                 return org[bound[p]]
@@ -187,6 +186,8 @@ class CrownedHost(_ComposedHost):
             return vertex(p, s + side // 2)
 
         def face_color(f):
+            if f < nf:
+                return t.face_color[f]
             p, s, _ = where(n + 3 * (f - nf))
             color = t.color_left(bound[p])
             return color if s >= 0 and s % 2 == 0 else opposite_color(color)
@@ -211,16 +212,17 @@ class CrownedHost(_ComposedHost):
         tw0, tent_of = t.twin, dict(zip(bound, tent))
         on_boundary = t._vertex_on_boundary
         nfaces = nf + (h_end - n) // 3
-        self.next = _Composed((), h_end, column(
-            nxt, lambda h: h + 1 if (h - n) % 3 < 2 else h - 2))
+        # each column's entry reads t's below t's sizes, else the crown's
+        self.next = _Composed((), h_end, lambda h: nxt[h] if h < n else (
+            h + 1 if (h - n) % 3 < 2 else h - 2))
         self.twin = _Composed((), h_end, twin)
-        self.origin = _Composed((), h_end, column(org, origin))
-        self.face_of = _Composed((), h_end, column(
-            t.face_of, lambda h: nf + (h - n) // 3))
-        self.faces = _Composed((), nfaces, column(t.faces, lambda f: tuple(
-            range(n + 3 * (f - nf), n + 3 * (f - nf) + 3))))
-        self.face_color = _Composed((), nfaces, column(t.face_color,
-                                                       face_color))
+        self.origin = _Composed((), h_end, origin)
+        self.face_of = _Composed((), h_end, lambda h: t.face_of[h] if h < n
+                                 else nf + (h - n) // 3)
+        self.faces = _Composed((), nfaces, lambda f: t.faces[f] if f < nf
+                               else tuple(range(n + 3 * (f - nf),
+                                                n + 3 * (f - nf) + 3)))
+        self.face_color = _Composed((), nfaces, face_color)
         self.num_vertices = v_end
         self.vertex_slots = _Composed((), v_end, rotation)
         self.slot_index = _SlotIndex((), h_end, self.vertex_slots,
@@ -282,8 +284,9 @@ def attach_crowns(t, need):
     crown-interior half-edges, clockwise from the old outgoing boundary edge.
     t0 keeps t's vertex and half-edge ids.  It is a `CrownedHost`:
     t's tables and a description of the crowns, whose entries are computed
-    when first read.  Where t's rotations do not hold the half-edges out of
-    their vertices, t0 is instead the constructor's host of those tables."""
+    when first read.  Where t's rotations are broken, and so do not hold
+    the half-edges out of their vertices, t0 is instead the constructor's
+    host of those tables."""
 
     def target(w, k):
         # n anchored vertices at w leave it at least n + 6 crown spokes
@@ -365,15 +368,17 @@ def harmonize_rel_anchor(f, anchor, budget=None):
     GuardViolation."""
     fdot, guard = extend_for_harmonization(f, anchor)
 
+    stems, guard_hes = guard.stem_edges, guard.guard_hes
+
     def audit(state, move):
         # the extension starts clean, and a move changes only the edges at
         # the vertices it marks dirty
         incident, origin = state.gbar.incident, state.fbar.edge_origin
         for e in sorted({e for v in state.dirty for e, _ in incident(v)}):
             base, h = origin[e][0], state.image[e]
-            if base in guard.stem_edges and h != guard.stem_edges[base]:
+            if stems.get(base, h) != h:
                 raise GuardViolation("stem edge %d was rewritten" % base)
-            if h is not None and h in guard.guard_hes:
+            if h in guard_hes:  # never None, a collapsed image
                 raise GuardViolation("edge %d moved onto a guard edge" % base)
 
     f2, trace = harmonize(fdot, budget=budget, audit=audit, host_checked=True)

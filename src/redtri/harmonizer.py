@@ -333,8 +333,8 @@ class _SplitGraph:
     a-slot; 0 and 3 are the corner), and plain otherwise.  A component
     qualifies for a balancing when it has no red copy, some green one and
     a directed cycle.  A red copy is not stored: its darts have no
-    `copy_of` entry, and a component that reaches one is gathered whole
-    and dropped.  Only the qualifying components are kept, in `found`
+    `copy_of` entry, no search starts at a copy next to one, and a
+    component that reaches one is gathered whole and dropped.  Only the qualifying components are kept, in `found`
     under their smallest (root, first dart) keys: a scan over the clusters
     and their darts meets them in key order.  Any other component is
     dropped once its breadth-first search is done.
@@ -450,12 +450,18 @@ def _split_clusters(state, splits, pending):
                     split.mark[c] = mark
             q = p
     # an untouched copy of a changed component kept its edges to the
-    # touched clusters, so the new copies reach it
+    # touched clusters, so the new copies reach it; no search starts at a
+    # copy next to a red one, whose component does not qualify
     for split in splits:
-        seen = set()
+        seen, copy_of = set(), split.copy_of
         for r in pending:
             for c in split.at.get(r, ()):
-                if c not in seen:
+                if c in seen:
+                    continue
+                for e, end, _ in split.darts[c]:
+                    if (e, 1 - end) not in copy_of:
+                        break
+                else:
                     split._component(state, c, seen)
 
 

@@ -823,9 +823,9 @@ class DoubledHost(_ComposedHost):
         colors = src.face_color
         mirrors = range(n, n + r)
         twinned = [(h, g) for h, g in enumerate(src.twin) if g != NO_TWIN]
-        self.next = _Composed(chain(enumerate(nxt), zip(mirrors, [
-            n + h for h in sorted(range(r), key=nxt.__getitem__)])),
-            size, next_)
+        # the mirror's next runs back along its face: next(n + next(h)) = n + h
+        self.next = _Composed(chain(enumerate(nxt), zip(
+            [n + g for g in nxt], mirrors)), size, next_)
         self.twin = twins = _Composed(chain(twinned, [
             (n + h, n + g) for h, g in twinned]), size, twin)
         self.origin = _Composed(chain(enumerate(org), zip(
