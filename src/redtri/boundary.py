@@ -102,8 +102,8 @@ class CrownedHost(_ComposedHost):
     Those rotations are the constructor's where t's own rotations are
     whole and each holds exactly the half-edges out of its vertex, as on
     any reducing host; `exact` says so, and a host whose rotations are not
-    broken has them (`test_unbroken_rotations_hold_their_half_edges`).  Every other entry equals that of
-    `materialize()` on any host."""
+    broken has them (`test_unbroken_rotations_hold_their_half_edges`).
+    Every other entry equals that of `materialize()` on any host."""
 
     def __init__(self, t, target):
         n, nf, nv = len(t.next), len(t.faces), t.num_vertices
@@ -143,7 +143,8 @@ class CrownedHost(_ComposedHost):
 
         def where(h):
             """(position, s, side) of crown half-edge h: the s-th triangle
-            of a fan, or a tent for s < 0, a ring's tents preceding its fans."""
+            of a fan, or a tent for s < 0, a ring's tents preceding its
+            fans."""
             c, side = divmod(h - n, 3)
             p = tri_pos[c]
             return p, (h - fan[p]) // 3, side
@@ -378,7 +379,7 @@ def harmonize_rel_anchor(f, anchor, budget=None):
             base, h = origin[e][0], state.image[e]
             if stems.get(base, h) != h:
                 raise GuardViolation("stem edge %d was rewritten" % base)
-            if h in guard_hes:  # never None, a collapsed image
+            if h in guard_hes:  # a collapsed image, None, is in none
                 raise GuardViolation("edge %d moved onto a guard edge" % base)
 
     f2, trace = harmonize(fdot, budget=budget, audit=audit, host_checked=True)

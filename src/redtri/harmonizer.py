@@ -334,10 +334,11 @@ class _SplitGraph:
     qualifies for a balancing when it has no red copy, some green one and
     a directed cycle.  A red copy is not stored: its darts have no
     `copy_of` entry, no search starts at a copy next to one, and a
-    component that reaches one is gathered whole and dropped.  Only the qualifying components are kept, in `found`
-    under their smallest (root, first dart) keys: a scan over the clusters
-    and their darts meets them in key order.  Any other component is
-    dropped once its breadth-first search is done.
+    component that reaches one is gathered whole and dropped.  Only the
+    qualifying components are kept, in `found` under their smallest
+    (root, first dart) keys: a scan over the clusters and their darts
+    meets them in key order.  Any other component is dropped once its
+    breadth-first search is done.
 
     `_split_clusters` rebuilds the touched clusters' copies of both colors
     in one pass, then gathers each color's components of the new copies.

@@ -635,8 +635,8 @@ class _Composed(dict):
 class _SlotIndex(_Composed):
     """A slot_index column of a host's rotations and origins: the first
     read of a half-edge's entry reads its tail's rotation and sets the
-    entries of all of it.  It holds the two columns,
-    not the host, so that a host is freed as soon as it is dropped."""
+    entries of all of it.  It holds the two columns, not the host, so that
+    a host is freed as soon as it is dropped."""
 
     __slots__ = ("rotations", "origins")
 
