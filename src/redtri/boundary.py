@@ -379,7 +379,7 @@ def harmonize_rel_anchor(f, anchor, budget=None):
             base, h = origin[e][0], state.image[e]
             if stems.get(base, h) != h:
                 raise GuardViolation("stem edge %d was rewritten" % base)
-            if h in guard_hes:  # a collapsed image, None, is in none
+            if h in guard_hes:  # a collapsed image (None) is no guard edge
                 raise GuardViolation("edge %d moved onto a guard edge" % base)
 
     f2, trace = harmonize(fdot, budget=budget, audit=audit, host_checked=True)
