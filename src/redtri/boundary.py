@@ -23,7 +23,6 @@ crown's or a gadget copy's entries are computed when a move first reads
 them.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -38,6 +37,7 @@ from .surface import (
     _Composed,
     _ComposedHost,
     _double_with_gadgets_unchecked,
+    _require_whole_rotations,
     _SlotIndex,
     opposite_color,
     validate_reducing,  # perfbench/tracer.py patches this name
@@ -97,21 +97,16 @@ class CrownedHost(_ComposedHost):
     tents, and hold an entry only once it is read.  A crown entry is
     computed by the grower's layout rule, and so is the rotation of an old
     boundary vertex: t's, with its tents and fan spliced in after its
-    outgoing boundary edge.
-
-    Those rotations are the constructor's where t's own rotations are
-    whole and each holds exactly the half-edges out of its vertex, as on
-    any reducing host; `exact` says so, and a host whose rotations are not
-    broken has them (`test_unbroken_rotations_hold_their_half_edges`).
-    Every other entry equals that of `materialize()` on any host."""
+    outgoing boundary edge.  Every entry equals that of `materialize()`.
+    A host t with a broken rotation raises StructureError when built."""
 
     def __init__(self, t, target):
+        _require_whole_rotations(t)
         n, nf, nv = len(t.next), len(t.faces), t.num_vertices
         nxt, org, slots = t.next, t.origin, t.vertex_slots
         bound, tent, fan, size = [], [], [], []
         apex, inner, before, after = [], [], [], []
         tri_pos, vert_pos = [], []  # per crown triangle and vertex
-        degree = Counter()  # crown half-edges out of t's vertices so far
         h_end, v_end = n, nv
         for cyc in t.boundary_cycles():
             p0, ring = len(bound), len(cyc)
@@ -123,10 +118,11 @@ class CrownedHost(_ComposedHost):
             tri_pos += range(p0, p0 + ring)
             vert_pos += range(p0, p0 + ring)
             h_end, v_end = h_end + 3 * ring, v_end + ring
-            # the grower counts degrees once per ring, with its tents
-            degree.update([org[nxt[h]] for h in cyc] + [org[h] for h in cyc])
-            for p, h, k in [(p, h, len(slots[org[h]]) + degree[org[h]] + 1)
-                            for p, h in enumerate(cyc, p0)]:
+            # the grower's degree k: an old boundary vertex is the tail of
+            # one boundary half-edge and the head of one, so it has its slots,
+            # a side of each of its two tents, and the edge to the apex before
+            for p, h in enumerate(cyc, p0):
+                k = len(slots[org[h]]) + 3
                 j = target(org[h], k) - k + 1
                 tri_pos += repeat(p, j)
                 vert_pos += repeat(p, j - 1)
@@ -134,12 +130,10 @@ class CrownedHost(_ComposedHost):
                 size.append(j)
                 inner.append(v_end)
                 h_end, v_end = h_end + 3 * j, v_end + j - 1
-                degree[org[h]] += j
         self.base = t
         self._bound, self._tent, self._fan, self._size = bound, tent, fan, size
         self._before = before
         at = {org[h]: p for p, h in enumerate(bound)}
-        self.exact = not t.broken_rotation
 
         def where(h):
             """(position, s, side) of crown half-edge h: the s-th triangle
@@ -285,9 +279,7 @@ def attach_crowns(t, need):
     crown-interior half-edges, clockwise from the old outgoing boundary edge.
     t0 keeps t's vertex and half-edge ids.  It is a `CrownedHost`:
     t's tables and a description of the crowns, whose entries are computed
-    when first read.  Where t's rotations are broken, and so do not hold
-    the half-edges out of their vertices, t0 is instead the constructor's
-    host of those tables."""
+    when first read."""
 
     def target(w, k):
         # n anchored vertices at w leave it at least n + 6 crown spokes
@@ -295,7 +287,7 @@ def attach_crowns(t, need):
         return d + d % 2
 
     t0 = CrownedHost(t, target)
-    return t0 if t0.exact else t0.materialize(), t0.spokes()
+    return t0, t0.spokes()
 
 
 @dataclass(frozen=True)

@@ -221,7 +221,8 @@ def read_drawing(text, host):
         vmap[v] = int(x)
 
     def edge(e, u, v, fields):
-        int(e)  # edge ids follow the order of the lines
+        if int(e) != len(edges):  # edge ids follow the order of the lines
+            raise ValueError("expected edge id %d, got %s" % (len(edges), e))
         edges.append((int(u), int(v)))
         walks.append(int_list(fields["walk"], len(host.next)))
 

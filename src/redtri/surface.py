@@ -641,18 +641,20 @@ class _SlotIndex(_Composed):
     __slots__ = ("rotations", "origins")
 
     def __init__(self, held, size, rotations, origins):
-        super().__init__(held, size,
-                         lambda h: rotations[origins[h]].index(h))
+        super().__init__(held, size, None)
         self.rotations, self.origins = rotations, origins
 
     def __missing__(self, h):
-        if not 0 <= h < self.size:
-            raise IndexError("index %r out of range(%d)" % (h, self.size))
-        rotation = self.rotations[self.origins[h]]
-        if h not in rotation:  # the parts' rotations are broken
-            raise StructureError("half-edge %d not in its rotation" % h)
+        rotation = self.rotations[self.origins[h]]  # range-checks h
         self.update(zip(rotation, range(len(rotation))))
         return self[h]
+
+
+def _require_whole_rotations(t):
+    """A composed host reads t's rotations as whole: refuse broken ones."""
+    if t.broken_rotation:
+        raise StructureError("host has a broken rotation at vertex %d"
+                             % min(t.broken_rotation))
 
 
 class _ComposedHost(Triangulation):
@@ -685,11 +687,12 @@ class DoubledHost(_ComposedHost):
     vertex's rotation the twins of its t0 vertex's reversed, and a seam
     vertex's that of t0 with the mirror's and the gadget corners' spliced
     in.  Sizes, and so genus() and num_edges(), are arithmetic on the
-    parts.  Every entry equals that of `materialize()`, exact on any host,
-    but the lazy rotations and slot indices only where t0 is reducing.
+    parts.  Every entry equals that of `materialize()`.  A host t0 with a
+    broken rotation raises StructureError when built.
     """
 
     def __init__(self, t0):
+        _require_whole_rotations(t0)
         g3 = build_three_gadget()
         red, blue = gadget_boundary_edges(g3)
         n, m, nf, fm = len(t0.next), len(g3.next), len(t0.faces), len(g3.faces)

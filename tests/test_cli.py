@@ -499,6 +499,14 @@ MALFORMED = [
      ["harmonize", "{tri}", "{file}"]),
     ("drw-vertex-gap", "x.drw", "vertex 0 at 0\nvertex 2 at 0\n",
      ["harmonize", "{tri}", "{file}"]),
+    # edge ids follow the order of the records, as write_drawing writes them
+    ("drw-edge-ids-out-of-order", "x.drw",
+     DRW.replace("edge 0", "edge 1") + "edge 0 1 0 walk=5\n",
+     ["harmonize", "{tri}", "{file}"],
+     "line 3: expected edge id 0, got 1 in 'edge 1 0 1 walk=5'"),
+    ("drw-edge-id-given-twice", "x.drw", DRW + "edge 0 1 0 walk=5\n",
+     ["harmonize", "{tri}", "{file}"],
+     "line 4: expected edge id 1, got 0 in 'edge 0 1 0 walk=5'"),
     ("drw-negative-half-edges", "x.drw",
      "vertex 0 at 0\nvertex 1 at 0\nedge 0 0 1 walk=-2,-5\n",
      ["harmonize", "{tri}", "{file}"]),

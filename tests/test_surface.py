@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from redtri import boundary, surface
-from redtri.boundary import BoundaryError, attach_crowns
+from redtri.boundary import attach_crowns
 from redtri.surface import (
     BLUE,
     DEGREE_TOO_LOW,
@@ -149,8 +149,14 @@ def test_double_with_gadgets_crown4():
 
 
 def test_double_requires_boundary(torus):
-    with pytest.raises(ValueError):
-        surface.double_with_gadgets(torus)
+    """The public doubling refuses a closed host, and validates a bounded
+    one with ValueError before the doubled host checks its rotations."""
+    for t, message in ((torus, "host already closed"),
+                       (surface.crown(3),
+                        "host must be reducing: ['DualNotBipartite']"),
+                       (bowtie(), "host must be reducing: ['TwinBroken']")):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            surface.double_with_gadgets(t)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -516,7 +522,8 @@ DOUBLING_HOSTS = {
         make_patch(1, radius=2), {})[0],
     "boundary annulus crowned": lambda: attach_crowns(
         surface.crown(6), {})[0],
-    # broken hosts: rotations the walk cannot close, a square face
+    # broken hosts: rotations the walk cannot close, which the doubled
+    # host refuses, and a square face
     "broken twin": broken_twin_torus,
     "square": square,
 }
@@ -524,8 +531,13 @@ DOUBLING_HOSTS = {
 
 @pytest.mark.parametrize("name", sorted(DOUBLING_HOSTS))
 def test_doubling_matches_glued_oracle(name):
-    """Every table, and the mirror offset, of gluing the parts face by face."""
+    """Every table, and the mirror offset, of gluing the parts face by face;
+    a host with a broken rotation is refused when the doubling is built."""
     t0 = DOUBLING_HOSTS[name]()
+    if name == "broken twin":
+        with _refused(0):
+            surface._double_with_gadgets_unchecked(t0)
+        return
     composed, mirror = surface._double_with_gadgets_unchecked(t0)
     glued, glued_mirror = tri_oracle.double_with_gadgets_glued(t0)
     assert mirror == glued_mirror
@@ -596,8 +608,11 @@ def _grown(t, need):
     return surface.Triangulation(*cols[:3], dict(enumerate(cols[3])))
 
 
-def _materialized(t0):
-    return t0.materialize() if isinstance(t0, boundary.CrownedHost) else t0
+def _refused(vertex):
+    """The StructureError of building a composed host on a host whose
+    least broken vertex is `vertex`."""
+    return pytest.raises(surface.StructureError, match=(
+        "^host has a broken rotation at vertex %d$" % vertex))
 
 
 def _crowned_verdict(t, t0):
@@ -610,15 +625,21 @@ def _crowned_verdict(t, t0):
 def test_part_checks_agree_with_doubled_scan(name):
     """The anchored extension validates a host in full and its crowns by
     their parts instead of the doubled host; the part check gives the
-    verdict of the full scans of the crowned and doubled hosts."""
+    verdict of the full scans of the crowned and doubled hosts.  A host
+    with a broken rotation fails the full check, and the crowns refuse it
+    when built."""
     t = PART_CHECK_HOSTS[name]()
+    if name in ("bowtie", "broken twin"):
+        assert not validate_reducing(t).ok
+        with _refused(0):
+            attach_crowns(t, {})
+        return
     t0 = attach_crowns(t, {})[0]
     doubled = surface._double_with_gadgets_unchecked(t0)[0].materialize()
-    verdict = validate_reducing(_materialized(t0)).ok
+    verdict = validate_reducing(t0.materialize()).ok
     assert (validate_reducing(t).ok == verdict
             == validate_reducing(doubled).ok)
-    if isinstance(t0, boundary.CrownedHost):
-        assert _crowned_verdict(t, t0) == verdict
+    assert _crowned_verdict(t, t0) == verdict
 
 
 @pytest.mark.parametrize("fan", ["fitted", "least", "one more"])
@@ -643,20 +664,21 @@ def test_part_check_finds_what_the_full_scan_finds(fan):
 @pytest.mark.parametrize("name", sorted(PART_CHECK_HOSTS))
 def test_crowned_host_matches_constructor(name):
     """Materialized, attach_crowns' host has every table of growing the
-    crowns on t's columns; on a host whose rotations it describes, each
-    entry, read one at a time in random order, is the materialized one, and
-    without needs and up to 1,300 half-edges its doubling is the doubling
-    of the grown host."""
+    crowns on t's columns; each entry, read one at a time in random order,
+    is the materialized one, and without needs and up to 1,300 half-edges
+    its doubling is the doubling of the grown host.  A host with a broken
+    rotation is refused when built, with needs or without."""
     t = PART_CHECK_HOSTS[name]()
     rng = random.Random(name)
     for need in ({}, {x: 1 + x % 4 for x in range(t.num_vertices)
                       if t.is_boundary_vertex(x)}):
+        if name in ("bowtie", "broken twin"):
+            with _refused(0):
+                attach_crowns(t, need)
+            continue
         t0 = attach_crowns(t, need)[0]
         grown = _grown(t, need)
-        assert vars(_materialized(t0)) == vars(grown)
-        if not isinstance(t0, boundary.CrownedHost):
-            assert t.broken_rotation
-            continue
+        assert vars(t0.materialize()) == vars(grown)
         for column in ("next", "twin", "origin", "face_of", "slot_index",
                        "faces", "face_color", "vertex_slots",
                        "_vertex_on_boundary"):
@@ -727,46 +749,50 @@ def _twin_swapped_patch(s):
 def test_boundary_walk_of_broken_twins_raises_structure_error():
     """Seed 353 of the sweep below: swapping the twins of (12, 11), then of
     (54, 11), sends the boundary walk from a half-edge round a cycle of
-    interior half-edges, where it used to loop forever."""
+    interior half-edges, where it used to loop forever.  The crowns refuse
+    the host for its broken rotations before they walk its boundary."""
     t = _twin_swapped_patch(353)
     p = surface.build_disk_patch(2, random.Random(353))
     twin = list(p.twin)
     _swap_twins(twin, 12, 11)
     _swap_twins(twin, 54, 11)
     assert t.twin == tuple(twin)
-    for call in (t.boundary_cycles, t.genus, t.num_boundary_components,
-                 lambda: attach_crowns(t, {})):
+    for call in (t.boundary_cycles, t.genus, t.num_boundary_components):
         with pytest.raises(surface.StructureError,
                            match="does not reach the boundary$"):
             call()
+    with _refused(0):
+        attach_crowns(t, {})
 
 
 def test_twin_swapped_patches_crown_or_raise():
     """attach_crowns on 1,330 seeded patches with one or two interior twin
-    swaps returns or raises StructureError or BoundaryError, never a bare
-    ValueError, and never hangs; where it returns, its host has the
-    tables of the grown one."""
+    swaps: the 1,329 whose rotations break raise StructureError when their
+    crowned host is built, naming the least broken vertex, and the one
+    left unbroken crowns to the tables of the grown host."""
     outcomes = Counter()
     for s in range(1330):
         t = _twin_swapped_patch(s)
-        try:
-            t0 = attach_crowns(t, {})[0]
-        except (surface.StructureError, BoundaryError) as exc:
-            outcomes[type(exc).__name__] += 1
+        if t.broken_rotation:
+            with _refused(min(t.broken_rotation)):
+                attach_crowns(t, {})
+            outcomes["refused"] += 1
             continue
+        t0 = attach_crowns(t, {})[0]
+        assert vars(t0.materialize()) == vars(_grown(t, {})), s
         outcomes["crowned"] += 1
-        if s % 10 == 0:
-            assert vars(_materialized(t0)) == vars(_grown(t, {})), s
-    assert outcomes["crowned"] > 1000 and outcomes["StructureError"] >= 1
+    assert outcomes == {"refused": 1329, "crowned": 1}
 
 
 def test_unbroken_rotations_hold_their_half_edges():
-    """`CrownedHost.exact` is `not t.broken_rotation`: on ROADMAP item
-    16's 172 bounded hosts (disk patches of radius 1-4 with seeds 0-39,
+    """What the composed hosts read in a host they take, an unbroken one:
+    on 172 bounded hosts (disk patches of radius 1-4 with seeds 0-39,
     crown(3) to crown(12), fan_disk(4) and bowtie) and on the 1,330
     twin-swapped patches above, every host whose rotations are not broken
-    gives each half-edge a slot and holds in each rotation only half-edges
-    out of its vertex, which the crowned host's rotations need."""
+    gives each half-edge a slot, holds in each rotation only half-edges
+    out of its vertex, and has boundary half-edges of distinct tails and
+    distinct heads, so that the crowned host counts each old boundary
+    vertex's crown degree from its slots alone."""
     sample = [surface.build_disk_patch(r, random.Random(s))
               for r in range(1, 5) for s in range(40)]
     sample += [surface.crown(k) for k in range(3, 13)]
@@ -775,32 +801,26 @@ def test_unbroken_rotations_hold_their_half_edges():
     for name, hosts in (("sample", sample), ("twin-swapped", map(
             _twin_swapped_patch, range(1330)))):
         for t in hosts:
-            exact = (min(t.slot_index) >= 0 and all(
+            if t.broken_rotation:
+                continue
+            assert min(t.slot_index) >= 0 and all(
                 t.origin[g] == v for v, run in enumerate(t.vertex_slots)
-                for g in run))
-            assert exact or t.broken_rotation
-            unbroken[name] += not t.broken_rotation
+                for g in run)
+            bound = t.boundary_half_edges()
+            assert (len({t.origin[h] for h in bound})
+                    == len({t.head(h) for h in bound}) == len(bound))
+            unbroken[name] += 1
     assert unbroken == {"sample": 171, "twin-swapped": 1}
 
 
 def test_doubled_host_of_broken_rotations_raises_structure_error():
-    """On a host whose rotations are broken, a lazy slot_index entry that
-    is not in its vertex's rotation raises StructureError naming it."""
-    doubled = surface._double_with_gadgets_unchecked(broken_twin_torus())[0]
-    errors = []
-    for column in ("next", "twin", "origin", "face_of", "slot_index",
-                   "faces", "face_color", "vertex_slots"):
-        entries = getattr(doubled, column)
-        for i in range(len(entries)):
-            try:
-                entries[i]
-            except Exception as exc:  # record every kind of error
-                errors.append((column, i, type(exc), str(exc)))
-    assert errors and all(kind is surface.StructureError
-                          for _, _, kind, _ in errors)
-    assert all(column == "slot_index"
-               and msg == "half-edge %d not in its rotation" % i
-               for column, i, _, msg in errors)
+    """A host whose rotations are broken is refused when the doubled host
+    is built, before any entry can be read: StructureError names its least
+    broken vertex, on a closed host and on a bounded one."""
+    for t, vertex in ((broken_twin_torus(), 0), (_twin_swapped_patch(3), 1)):
+        assert min(t.broken_rotation) == vertex
+        with _refused(vertex):
+            surface._double_with_gadgets_unchecked(t)
 
 
 VALIDATION_HOSTS = {
