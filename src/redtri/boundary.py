@@ -37,7 +37,6 @@ from .surface import (
     _Composed,
     _ComposedHost,
     _double_with_gadgets_unchecked,
-    _require_whole_rotations,
     _SlotIndex,
     opposite_color,
     validate_reducing,  # perfbench/tracer.py patches this name
@@ -97,11 +96,9 @@ class CrownedHost(_ComposedHost):
     tents, and hold an entry only once it is read.  A crown entry is
     computed by the grower's layout rule, and so is the rotation of an old
     boundary vertex: t's, with its tents and fan spliced in after its
-    outgoing boundary edge.  Every entry equals that of `materialize()`.
-    A host t with a broken rotation raises StructureError when built."""
+    outgoing boundary edge.  Every entry equals that of `materialize()`."""
 
     def __init__(self, t, target):
-        _require_whole_rotations(t)
         n, nf, nv = len(t.next), len(t.faces), t.num_vertices
         nxt, org, slots = t.next, t.origin, t.vertex_slots
         bound, tent, fan, size = [], [], [], []
@@ -225,7 +222,6 @@ class CrownedHost(_ComposedHost):
         self._boundary_half_edges = tuple([
             g for f, j in zip(fan, size) for g in range(f + 2, f + 3 * j, 3)])
         self._vertex_on_boundary = (False,) * nv + (True,) * (v_end - nv)
-        self.broken_rotation = frozenset()
 
     def spokes(self):
         """Per old boundary vertex, its spokes, from the offsets: its crown

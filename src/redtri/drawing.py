@@ -216,7 +216,7 @@ def read_drawing(text, host):
 
     def vertex(v, at, x, fields):
         v = int(v)
-        if at != "at" or fields or v in vmap:
+        if at != "at" or v in vmap:
             raise ValueError("expected one vertex V at X per vertex")
         vmap[v] = int(x)
 
@@ -224,13 +224,13 @@ def read_drawing(text, host):
         if int(e) != len(edges):  # edge ids follow the order of the lines
             raise ValueError("expected edge id %d, got %s" % (len(edges), e))
         edges.append((int(u), int(v)))
-        walks.append(int_list(fields["walk"], len(host.next)))
+        walks.append(int_list(fields.pop("walk"), len(host.next)))
 
     def anchor_at(x, fields):
         x = int(x)
         if x in anchor:
             raise ValueError("a second anchor at %d" % x)
-        anchor[x] = list(int_list(fields["order"]))
+        anchor[x] = list(int_list(fields.pop("order")))
 
     records(text, {"vertex": (3, vertex), "edge": (3, edge),
                    "anchor": (1, anchor_at)})

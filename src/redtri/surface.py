@@ -29,7 +29,8 @@ TWIN_BROKEN = "TwinBroken"
 
 
 class StructureError(Exception):
-    """Malformed half-edge tables (bad indices, broken vertex chains)."""
+    """Malformed half-edge tables: bad indices, or a vertex whose rotation
+    does not close."""
 
 
 class FormatError(Exception):
@@ -104,14 +105,15 @@ def _walk_rotations(next_, twin, origin, starts, slots, slot_index,
     """Walk each vertex v's rotation into slots[v], on_boundary[v] and
     slot_index, taking the vertices by their smallest half-edge h: the
     chain h -> next(twin(h)) from starts[v] to a twin-less half-edge, else
-    from h round to h.  False once a chain meets another vertex's half-edge,
-    one walked before or a wrong end, or a vertex has no half-edge."""
+    from h round to h.  None, or the first vertex with a second chain or
+    whose chain meets another vertex's half-edge, one walked before or a
+    wrong end."""
     find, h = slot_index.index, 0
     while True:
         try:
             h = find(-1, h)  # the least half-edge no chain holds yet
         except ValueError:
-            return None not in slots
+            return None
         v = origin[h]
         h0 = starts.get(v, h)
         rotation, i, t = [h0], 1, twin[h0]
@@ -126,41 +128,9 @@ def _walk_rotations(next_, twin, origin, starts, slots, slot_index,
             t = twin[g]
         if slots[v] is not None or (  # only an interior one broke off
                 t != NO_TWIN if v in starts else t == NO_TWIN or g != h0):
-            return False
+            return v
         slots[v] = tuple(rotation)
         on_boundary[v] = t == NO_TWIN
-
-
-def _count_rotations(next_, twin, origin, boundary, vertices):
-    """(slots, slot_index, on_boundary, broken) where `_walk_rotations`
-    fails: v's chain runs at most its half-edge count d of steps, and v is
-    broken (its slots its half-edges) unless it ends as there after d."""
-    out = [[] for _ in range(vertices)]
-    for h, v in enumerate(origin):
-        out[v].append(h)
-    if not all(out):
-        raise StructureError("vertex %d has no half-edge" % out.index([]))
-    starts_at = {}
-    for g in [next_[h] for h in boundary]:
-        starts_at.setdefault(origin[g], []).append(g)
-    slots, on_boundary, broken = [], [], set()
-    for v, hs in enumerate(out):
-        starts = starts_at.get(v, [])
-        rotation = [starts[0] if starts else hs[0]]
-        while len(rotation) <= len(hs) and twin[rotation[-1]] != NO_TWIN:
-            g = next_[twin[rotation[-1]]]
-            if g == rotation[0] and not starts:
-                break
-            rotation.append(g)
-        if len(rotation) != len(hs) or (  # an interior one breaks off
-                len(starts) != 1 if starts else twin[rotation[-1]] == NO_TWIN):
-            broken.add(v)  # its walk may have run over others' half-edges
-            rotation, starts = hs, [h for h in hs if twin[h] == NO_TWIN]
-        slots.append(tuple(rotation))
-        on_boundary.append(bool(starts))
-    at = {h: i for rotation in slots for i, h in enumerate(rotation)}
-    slot_index = [at.get(h, -1) for h in range(len(next_))]
-    return slots, slot_index, on_boundary, broken
 
 
 class Triangulation:
@@ -170,8 +140,8 @@ class Triangulation:
     which the smallest half-edge id of each face orbit gives the face's
     color (other keys are ignored).  Construction checks the arrays' range
     (a min and a max of each), then walks the face orbits and the vertex
-    rotations, each from the least half-edge no walk holds yet; only tables
-    whose rotations that walk cannot close are counted out vertex by vertex.
+    rotations, each from the least half-edge no walk holds yet, and raises
+    StructureError naming a vertex whose rotation does not close.
     """
 
     def __init__(self, next_, twin, origin, face_colors):
@@ -200,11 +170,18 @@ class Triangulation:
         boundary = tuple([h for h, t in enumerate(twin) if t == NO_TWIN])
         starts = {origin[g]: g for g in [next_[h] for h in boundary]}
         slots, on_boundary = [None] * vertices, [False] * vertices
-        slot_index, broken = [-1] * n, ()
-        if len(starts) < len(boundary) or not _walk_rotations(
-                next_, twin, origin, starts, slots, slot_index, on_boundary):
-            slots, slot_index, on_boundary, broken = _count_rotations(
-                next_, twin, origin, boundary, vertices)
+        slot_index = [-1] * n
+        if len(starts) < len(boundary):  # two boundary half-edges into one
+            broken = min(v for v, k in Counter(
+                [origin[next_[h]] for h in boundary]).items() if k > 1)
+        else:
+            broken = _walk_rotations(next_, twin, origin, starts, slots,
+                                     slot_index, on_boundary)
+        if broken is not None or None in slots:
+            missing = set(range(vertices)).difference(origin)
+            if missing:
+                raise StructureError("vertex %d has no half-edge" % min(missing))
+            raise StructureError("vertex %d has a broken rotation" % broken)
         self.next, self.twin, self.origin = next_, twin, origin
         self.faces, self.face_of = faces, tuple(face_of)
         self.face_color = face_color
@@ -213,7 +190,6 @@ class Triangulation:
         # the slots, and the position of every half-edge in those of its tail
         self.vertex_slots, self.slot_index = tuple(slots), tuple(slot_index)
         self._vertex_on_boundary = tuple(on_boundary)
-        self.broken_rotation = frozenset(broken)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -266,21 +242,8 @@ class Triangulation:
 
     def _boundary_successor(self, h):
         # next boundary half-edge along the boundary walk (interior on the
-        # left): the last slot of h's head, whose rotation walk is this
-        # walk, unless it broke; broken twins can send the walk round a
-        # cycle of its own
-        v = self.origin[self.next[h]]
-        if v not in self.broken_rotation:
-            return self.vertex_slots[v][-1]
-        nxt, twin = self.next, self.twin
-        s, steps = nxt[h], len(nxt)
-        while twin[s] != NO_TWIN:
-            s = nxt[twin[s]]
-            steps -= 1
-            if not steps:
-                raise StructureError("the boundary walk from half-edge %d "
-                                     "does not reach the boundary" % h)
-        return s
+        # left): the last slot of h's head, whose rotation walk is this walk
+        return self.vertex_slots[self.origin[self.next[h]]][-1]
 
     def boundary_cycles(self):
         """Boundary components as lists of boundary half-edges, in walk order."""
@@ -313,8 +276,6 @@ def validate_reducing(t):
                   if g != NO_TWIN and (g == h or twin[g] != h
                                        or origin[g] != head[h]
                                        or origin[h] != head[g])]
-    violations += [Violation(TWIN_BROKEN, ("vertex", v))
-                   for v in sorted(t.broken_rotation)]
     violations += [Violation(NON_TRIANGLE_FACE, i)
                    for i, k in enumerate(map(len, t.faces)) if k != 3]
     face_color = t.face_color
@@ -650,13 +611,6 @@ class _SlotIndex(_Composed):
         return self[h]
 
 
-def _require_whole_rotations(t):
-    """A composed host reads t's rotations as whole: refuse broken ones."""
-    if t.broken_rotation:
-        raise StructureError("host has a broken rotation at vertex %d"
-                             % min(t.broken_rotation))
-
-
 class _ComposedHost(Triangulation):
     """A host whose columns are `_Composed`: the tables of its parts, held
     or computed when first read."""
@@ -687,12 +641,10 @@ class DoubledHost(_ComposedHost):
     vertex's rotation the twins of its t0 vertex's reversed, and a seam
     vertex's that of t0 with the mirror's and the gadget corners' spliced
     in.  Sizes, and so genus() and num_edges(), are arithmetic on the
-    parts.  Every entry equals that of `materialize()`.  A host t0 with a
-    broken rotation raises StructureError when built.
+    parts.  Every entry equals that of `materialize()`.
     """
 
     def __init__(self, t0):
-        _require_whole_rotations(t0)
         g3 = build_three_gadget()
         red, blue = gadget_boundary_edges(g3)
         n, m, nf, fm = len(t0.next), len(g3.next), len(t0.faces), len(g3.faces)
@@ -849,7 +801,6 @@ class DoubledHost(_ComposedHost):
             size, self.vertex_slots, self.origin)
         self._boundary_half_edges = ()
         self._vertex_on_boundary = (False,) * self.num_vertices
-        self.broken_rotation = frozenset()
 
 
 # -- text formats ------------------------------------------------------------
@@ -863,11 +814,11 @@ def records(text, handlers):
     A record is a non-blank line with its `#` comment cut off: a keyword,
     k positional fields, then `key=value` fields, where `handlers[keyword]`
     is (k, handler).  The handler gets the positional fields and a dict of
-    the `key=value` fields, all strings, and converts and checks them
-    itself.  A malformed record raises FormatError naming its line: an
+    the `key=value` fields, all strings, and pops, converts and checks
+    them itself.  A malformed record raises FormatError naming its line: an
     unknown keyword, too few fields, a field after the positional ones
-    without exactly one `=`, or a ValueError (a bad value) or KeyError (a
-    missing key) raised by the handler.
+    without exactly one `=`, a ValueError (a bad value) or KeyError (a
+    missing key) raised by the handler, or a field it did not pop.
     """
     for n, line in enumerate(text.splitlines(), 1):
         if "#" in line:
@@ -883,7 +834,10 @@ def records(text, handlers):
                 raise ValueError("too few fields")
             k += 1
             # field.split("="), which dict() rejects unless it has two parts
-            handle(*parts[1:k], dict(map(str.split, parts[k:], _EQUALS)))
+            fields = dict(map(str.split, parts[k:], _EQUALS))
+            handle(*parts[1:k], fields)
+            if fields:
+                raise ValueError("unknown field %r" % next(iter(fields)))
         except KeyError as exc:
             raise FormatError("line %d: no %s= in %r"
                               % (n, exc.args[0], line.strip())) from None
@@ -925,8 +879,8 @@ def read_tri(text):
     Text in the layout `write_tri` emits is read in time linear in its
     size (`_tri_columns`): its bytes, translated twice, give its layout and
     one JSON list, parsed once, whose slices are the columns.  Text in any
-    other layout (comments, blank lines, other key orders, extra or
-    duplicate keys, numbers that int() reads but write_tri does not write)
+    other layout (comments, blank lines, other key orders, duplicate or
+    unknown keys, numbers that int() reads but write_tri does not write)
     goes record by record through `records` (`_tri_records`), which gives
     every FormatError.  Both read the same text into the same tables.
 
@@ -967,10 +921,10 @@ def _tri_records(text, t=None):
         if given[h]:
             raise ValueError("half-edge %d given twice" % h)
         given[h] = 1
-        next_[h] = int(fields["next"])
-        tw = fields["twin"]
+        next_[h] = int(fields.pop("next"))
+        tw = fields.pop("twin")
         twin[h] = NO_TWIN if tw == "-" else int(tw)
-        origin[h] = int(fields["origin"])
+        origin[h] = int(fields.pop("origin"))
 
     def face(i, fields):
         i = int(i)
@@ -979,14 +933,14 @@ def _tri_records(text, t=None):
         # a face has at least one half-edge
         if not 0 <= i < len(next_):
             raise ValueError("face %d out of range" % i)
-        h = int(fields["he"])
+        h = int(fields.pop("he"))
         if not 0 <= h < len(next_):
             raise ValueError("half-edge %d out of range" % h)
         if h in face_colors:
             raise ValueError("a second face record for half-edge %d" % h)
         if t is not None and t.faces[t.face_of[h]][0] != h:
             raise ValueError("half-edge %d is not its face's smallest" % h)
-        face_colors[h] = fields["color"]
+        face_colors[h] = fields.pop("color")
 
     records(text, {"tri": (1, header), "he": (1, half_edge),
                    "face": (1, face)})

@@ -203,12 +203,10 @@ class _Reduction:
             self.pair_sum += h
             k, v = None, origin[nxt[e1]]
             if origin[e2] == v and not on_boundary[v]:
-                slots, i = t.vertex_slots[v], at[e2]
+                slots, j = t.vertex_slots[v], at[twin[e1]]
                 d = len(slots)
-                if i < d and slots[i] == e2:
-                    j = at[twin[e1]]
-                    if j < d and slots[j] == twin[e1]:
-                        k = (i - j) % d
+                if j < d and slots[j] == twin[e1]:
+                    k = (at[e2] - j) % d
             if k is None:
                 try:
                     k, d = _turn_steps(t, e1, e2)
@@ -439,16 +437,17 @@ def read_walk(text, t):
     walks = []
 
     def walk(fields):
-        if fields["closed"] not in ("0", "1"):
+        closed = fields.pop("closed")
+        if closed not in ("0", "1"):
             raise ValueError("closed must be 0 or 1")
-        start = int(fields["start"])
+        start = int(fields.pop("start"))
         if not 0 <= start < t.num_vertices:
             raise ValueError("start vertex %d out of range" % start)
-        hes = int_list(fields["he"], len(t.next))
+        hes = int_list(fields.pop("he"), len(t.next))
         if hes and t.tail(hes[0]) != start:
             raise ValueError("start %d is not the tail of half-edge %d"
                              % (start, hes[0]))
-        walks.append(Walk.from_half_edges(t, hes, fields["closed"] == "1",
+        walks.append(Walk.from_half_edges(t, hes, closed == "1",
                                           start=start))
 
     records(text, {"walk": (0, walk)})

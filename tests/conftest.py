@@ -1,6 +1,7 @@
 import faulthandler
 import os
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -96,11 +97,22 @@ def fan_disk(k):
 
 
 def bowtie():
-    """Two triangles sharing only vertex 0, no side glued: vertex 0 is a
-    pinched boundary vertex, whose rotation the slot walk cannot close."""
-    return surface.Triangulation([1, 2, 0, 4, 5, 3], [surface.NO_TWIN] * 6,
-                                 [0, 1, 2, 0, 3, 4],
-                                 {0: surface.RED, 3: surface.BLUE})
+    """The tables (next, twin, origin, face colors) of two triangles
+    sharing only vertex 0, no side glued: vertex 0 is pinched, two boundary
+    half-edges enter it, so its rotation does not close and the tables make
+    no Triangulation."""
+    return ((1, 2, 0, 4, 5, 3), (surface.NO_TWIN,) * 6, (0, 1, 2, 0, 3, 4),
+            {0: surface.RED, 3: surface.BLUE})
+
+
+def tri_text(next_, twin, origin, colors):
+    """write_tri's text of half-edge tables that need not make a
+    Triangulation; colors maps the least half-edge of each face to its
+    color."""
+    faces = surface.face_orbits(next_)[0]
+    return surface.write_tri(SimpleNamespace(
+        next=next_, twin=twin, origin=origin, faces=faces,
+        face_color=[colors[orbit[0]] for orbit in faces]))
 
 
 def closed_left_cycle(t, seed_he):
@@ -142,25 +154,58 @@ def short_closed_walks(t, length):
         yield from extend([h])
 
 
+def tables_of(t, twin=None):
+    """t's tables (next, twin, origin, face colors), with twin in place of
+    t's twin column if given."""
+    return t.next, tuple(t.twin if twin is None else twin), t.origin, dict(
+        enumerate(map(t.color_left, range(len(t.next)))))
+
+
 def broken_twin_torus():
-    """The torus with half-edges 0 and 4 both claiming 5 as their twin."""
+    """The tables of the torus with half-edges 0 and 4 both claiming 5 as
+    their twin: the rotation of its one vertex does not close, so they
+    make no Triangulation."""
     t = surface.build_torus()
     twin = list(t.twin)
     twin[0], twin[4] = 5, 5  # he 0 points at 5 whose twin is 1
-    return surface.Triangulation(t.next, twin, t.origin,
-                                 {0: surface.RED, 3: surface.BLUE})
+    return tables_of(t, twin)
 
 
 def broken_doubled_crown4():
-    """Doubled crown4 with 0 and 10, and 92 and 240, made twins: its
-    rotations no longer hold every half-edge at its vertex, so the turn
-    of the walk 0, 1 reads a half-edge (10) that is not in the rotation."""
+    """The tables of doubled crown4 with 0 and 10, and 92 and 240, made
+    twins: the rotations of vertices 0 to 3 no longer close."""
     t = surface.double_with_gadgets(surface.crown(4))
     twin = list(t.twin)
     for h, g in ((0, 10), (92, 240)):
         twin[h], twin[g] = g, h
-    return surface.Triangulation(t.next, twin, t.origin, dict(
-        enumerate(map(t.color_left, range(len(t.next))))))
+    return tables_of(t, twin)
+
+
+def rotated_twins(t, *rotations):
+    """t with the twins of each rotation's half-edges a, b, c rotated: a
+    takes b's twin, b takes c's and c takes a's.  Rotated among half-edges
+    out of one vertex, each twin still ends at its half-edge's tail, so
+    the rotations can still close while the twins disagree with them."""
+    twin = list(t.twin)
+    for a, b, c in rotations:
+        twin[a], twin[b], twin[c] = twin[b], twin[c], twin[a]
+    return surface.Triangulation(*tables_of(t, twin))
+
+
+def twin_mismatch_torus():
+    """The subdivided torus with the twins of 22, 1 and 5 rotated: every
+    rotation closes, but twin 15 of half-edge 1 leaves vertex 0, not 1's
+    head 3, so the turn of the walk 1, 2 reads a half-edge (15) that is
+    not in the rotation, and validate_reducing reports TwinBroken."""
+    return rotated_twins(surface.subdivide(surface.build_torus()), (22, 1, 5))
+
+
+def twin_mismatch_doubled_crown4():
+    """Doubled crown4 with the twins of 0, 90 and 78 rotated: every
+    rotation closes, but the turn of the walk 0, 1 reads half-edge 0's
+    twin 80, which is not in the rotation."""
+    return rotated_twins(surface.double_with_gadgets(surface.crown(4)),
+                         (0, 90, 78))
 
 
 def pinched_sphere(color):

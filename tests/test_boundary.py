@@ -17,7 +17,6 @@ from redtri.walkcalc import Walk
 from conftest import (
     backwards_boundary_drawing,
     boundary_path_drawing,
-    bowtie,
     fan_disk,
     make_patch,
 )
@@ -187,7 +186,7 @@ def test_extension_rejects_non_reducing_host_before_crowning(monkeypatch):
         raise AssertionError("a host that is not reducing was crowned")
 
     monkeypatch.setattr(boundary, "attach_crowns", crown)
-    for t in (fan_disk(4), bowtie()):
+    for t in (fan_disk(4), surface.crown(5)):
         h = t.boundary_cycles()[0][0]
         f = Drawing(Graph(1, []), t, [t.tail(h)], [])
         with pytest.raises(HarmonizerError, match="^host must be a closed "

@@ -13,8 +13,9 @@ from redtri.cli import build_parser, main
 from redtri.walkcalc import Walk
 
 from conftest import (FUZZ_ALPHABET, backwards_boundary_drawing, bowtie,
-                      boundary_path_drawing, edit_char, fan_disk,
-                      fixture_path, make_patch)
+                      boundary_path_drawing, broken_twin_torus, edit_char,
+                      fan_disk, fixture_path, make_patch, tri_text,
+                      twin_mismatch_torus)
 
 
 def run(capsys, *argv):
@@ -129,20 +130,45 @@ def test_reduce_off_the_rim(capsys, tmp_path):
 
 
 def test_reduce_on_broken_twins(capsys, tmp_path):
-    """A host whose twins disagree with its rotations is malformed input
-    to a reduction: exit 2 with one error line, no traceback."""
-    t = surface.double_with_gadgets(surface.crown(4))
-    lines = surface.write_tri(t).splitlines(keepends=True)
-    for h, g in ((0, 10), (10, 0), (92, 240), (240, 92)):
-        lines[1 + h] = "he %d next=%d twin=%d origin=%d\n" % (
-            h, t.next[h], g, t.origin[h])
+    """A host whose twins disagree with its rotations, which close, is
+    malformed input to a reduction: exit 2 with one error line, no
+    traceback."""
     tri = tmp_path / "broken.tri"
-    tri.write_text("".join(lines))
+    tri.write_text(surface.write_tri(twin_mismatch_torus()))
     w = tmp_path / "w.walk"
-    w.write_text("walk closed=0 start=0 he=0,1\n")
+    w.write_text("walk closed=0 start=1 he=1,2\n")
     code, out, err = run(capsys, "reduce", str(tri), str(w))
     assert code == 2 and out == ""
-    assert err == "error: half-edge 10 is not in the rotation at the turn\n"
+    assert err == "error: half-edge 15 is not in the rotation at the turn\n"
+
+
+# command lines that read a `.tri` first, with {tri}, {drw} and {walk} for
+# the host and a drawing and a walk on the torus fixture
+READERS_OF_TRI = {
+    "validate": ["validate", "{tri}"],
+    "reduce": ["reduce", "{tri}", "{walk}"],
+    "harmonize": ["harmonize", "{tri}", "{drw}"],
+    "harmonize-anchors": ["harmonize", "{tri}", "{drw}", "--anchors"],
+    "probe": ["probe", "{tri}", "{drw}", "--vertex", "0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(READERS_OF_TRI))
+@pytest.mark.parametrize("tables", [broken_twin_torus, bowtie],
+                         ids=["broken twin torus", "bowtie"])
+def test_broken_rotations_exit_2(capsys, tmp_path, tables, command):
+    """A `.tri` whose rotations do not close is malformed input to every
+    command, validate included: exit 2 with one error line naming the
+    vertex, no traceback."""
+    paths = {"tri": tmp_path / "broken.tri", "drw": tmp_path / "f.drw",
+             "walk": tmp_path / "w.walk"}
+    paths["tri"].write_text(tri_text(*tables()))
+    paths["drw"].write_text(DRW + "anchor 0 order=0\n")
+    paths["walk"].write_text("walk closed=0 start=0 he=0\n")
+    argv = [a.format(**paths) for a in READERS_OF_TRI[command]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: vertex 0 has a broken rotation\n"
 
 
 def test_main_leaves_no_argparse_garbage(capsys, tmp_path):
@@ -304,12 +330,10 @@ def test_harmonize_anchors(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("name,host", [("degree-4 disk", lambda: fan_disk(4)),
-                                       ("crown5", lambda: surface.crown(5)),
-                                       ("bowtie", bowtie)])
+                                       ("crown5", lambda: surface.crown(5))])
 def test_harmonize_anchors_on_non_reducing_host(capsys, tmp_path, name, host):
     """A host that is not reducing fails validation before it is crowned:
-    exit 1 with one line, no traceback, also when it is too malformed to
-    crown (the bowtie's pinched vertex)."""
+    exit 1 with one line, no traceback."""
     p = host()
     h = p.boundary_cycles()[0][0]
     g = drawing.Graph(2, [(0, 1)])
@@ -514,6 +538,19 @@ MALFORMED = [
      ["reduce", "{tri}", "{file}"]),
     ("walk-stray-field", "x.walk", "walk closed=0 start=0 he=0 junk\n",
      ["reduce", "{tri}", "{file}"]),
+    # a key=value field that no record has is named, not dropped
+    ("tri-unknown-field", "x.tri", TORUS_TRI.replace(
+        "origin=0\n", "origin=0 junk=1\n", 1), ["validate", "{file}"],
+     "line 2: unknown field 'junk' in 'he 0 next=1 twin=4 origin=0 junk=1'"),
+    ("drw-unknown-field", "x.drw", DRW.replace("walk=5", "walk=5 colour=red"),
+     ["harmonize", "{tri}", "{file}"],
+     "line 3: unknown field 'colour' in 'edge 0 0 1 walk=5 colour=red'"),
+    ("drw-anchor-unknown-field", "x.drw", DRW + "anchor 0 order=0 foo=1\n",
+     ["harmonize", "{tri}", "{file}"],
+     "line 4: unknown field 'foo' in 'anchor 0 order=0 foo=1'"),
+    ("walk-unknown-field", "x.walk", "walk closed=0 start=0 he=0 junk=1\n",
+     ["reduce", "{tri}", "{file}"],
+     "line 1: unknown field 'junk' in 'walk closed=0 start=0 he=0 junk=1'"),
     ("drw-field-with-two-equals", "x.drw", DRW.replace("walk=5", "walk=5=5"),
      ["probe", "{tri}", "{file}", "--vertex", "0"]),
     ("walk-unknown-record", "x.walk", "walk closed=0 start=0 he=0\nbogus 1\n",

@@ -23,7 +23,8 @@ from redtri.surface import (
 import tri_oracle
 from conftest import (FUZZ_ALPHABET, bowtie, broken_doubled_crown4,
                       broken_twin_torus, edit_char, fan_disk, fixture_path,
-                      make_patch)
+                      make_patch, tables_of, tri_text,
+                      twin_mismatch_torus)
 
 
 def test_torus_counts(torus):
@@ -149,12 +150,13 @@ def test_double_with_gadgets_crown4():
 
 
 def test_double_requires_boundary(torus):
-    """The public doubling refuses a closed host, and validates a bounded
-    one with ValueError before the doubled host checks its rotations."""
+    """The public doubling refuses a closed host, and validates a host
+    with ValueError before it looks at its boundary."""
     for t, message in ((torus, "host already closed"),
                        (surface.crown(3),
                         "host must be reducing: ['DualNotBipartite']"),
-                       (bowtie(), "host must be reducing: ['TwinBroken']")):
+                       (twin_mismatch_torus(),
+                        "host must be reducing: ['TwinBroken']")):
         with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
             surface.double_with_gadgets(t)
 
@@ -201,7 +203,10 @@ def test_non_triangle_face_detected():
 
 
 def test_twin_broken_detected():
-    assert TWIN_BROKEN in validate_reducing(broken_twin_torus()).kinds()
+    """Twins that disagree with rotations that close are a violation;
+    rotations that do not close make no host at all."""
+    assert TWIN_BROKEN in validate_reducing(twin_mismatch_torus()).kinds()
+    assert _refusal(broken_twin_torus()) == 0
 
 
 def test_disconnected_detected():
@@ -252,16 +257,25 @@ TRI_HOSTS = {
     **{"patch r%d" % r: lambda r=r: make_patch(r, radius=r)
        for r in range(1, 5)},
     "doubled crown4": lambda: surface.double_with_gadgets(surface.crown(4)),
-    # hosts whose rotations the constructor's walk cannot close
-    "broken twin torus": broken_twin_torus,
-    "broken doubled crown4": broken_doubled_crown4,
-    "bowtie": bowtie,
 }
+# tables whose rotations do not close, which make no host
+BROKEN_TABLES = {"broken twin torus": broken_twin_torus,
+                 "broken doubled crown4": broken_doubled_crown4,
+                 "bowtie": bowtie}
+TRI_NAMES = sorted(TRI_HOSTS.keys() | BROKEN_TABLES.keys())
+
+
+def host_tables(name):
+    """The tables of a host of TRI_HOSTS, or the broken tables of
+    BROKEN_TABLES."""
+    if name in BROKEN_TABLES:
+        return BROKEN_TABLES[name]()
+    return tables_of(TRI_HOSTS[name]())
 
 
 @functools.cache
 def tri_lines(name):
-    return tuple(surface.write_tri(TRI_HOSTS[name]()).splitlines())
+    return tuple(tri_text(*host_tables(name)).splitlines())
 
 
 def _respell(line, rng, spell, pattern=r"\d+"):
@@ -398,21 +412,37 @@ def variant_text(name, variants, rng, end="\n"):
 
 
 def read_outcome(read, text):
-    """Every table a reader fills, or the type and message of what it
-    raises.  The oracle keeps no boundary list: its boundary half-edges are
-    those without a twin."""
+    """Every table a reader fills, the type and message of what it raises,
+    or the oracle's broken vertices.  The oracle keeps no boundary list:
+    its boundary half-edges are those without a twin."""
     try:
         t = read(text)
+    except tri_oracle.BrokenRotations as exc:
+        return "broken", exc.broken
     except (surface.FormatError, surface.StructureError) as exc:
         return "raise", type(exc), str(exc)
     boundary = (t.boundary_half_edges() if isinstance(t, surface.Triangulation)
                 else tuple(h for h, g in enumerate(t.twin) if g == NO_TWIN))
     return ("return", t.next, t.twin, t.origin, t.faces, t.face_of,
             t.face_color, t.num_vertices, t.vertex_slots, t.slot_index,
-            t._vertex_on_boundary, t.broken_rotation, boundary)
+            t._vertex_on_boundary, boundary)
 
 
-@given(st.sampled_from(sorted(TRI_HOSTS)),
+def assert_reads_as_oracle(read, oracle_read, text):
+    """The outcome of read is the oracle's; where the oracle finds broken
+    rotations, read raises StructureError naming one broken vertex."""
+    got, want = read_outcome(read, text), read_outcome(oracle_read, text)
+    if want[0] == "broken":
+        named = re.fullmatch(r"vertex (\d+) has a broken rotation",
+                             str(got[-1]))
+        assert got[:2] == ("raise", surface.StructureError), (got, want)
+        assert named and int(named[1]) in want[1], (got, want)
+    else:
+        assert got == want
+    return want[0]
+
+
+@given(st.sampled_from(TRI_NAMES),
        st.lists(st.sampled_from(sorted(TRI_VARIANTS)), max_size=3),
        st.sampled_from(("\n", "")),
        st.lists(st.tuples(st.integers(min_value=0),
@@ -427,50 +457,52 @@ def test_read_tri_matches_record_oracle(name, variants, end, edits, seed):
     text = variant_text(name, variants, random.Random(seed), end)
     for i, kind, c in edits:
         text = edit_char(text, i % (len(text) + 1), kind, c)
-    assert (read_outcome(surface.read_tri, text)
-            == read_outcome(tri_oracle.read_tri, text))
+    assert_reads_as_oracle(surface.read_tri, tri_oracle.read_tri, text)
 
 
-@pytest.mark.parametrize("name", sorted(TRI_HOSTS))
+@pytest.mark.parametrize("name", TRI_NAMES)
 def test_write_tri_output_is_read_by_columns(name):
-    """write_tri's layout takes the column path, with the oracle's tables."""
+    """write_tri's layout takes the column path, with the oracle's tables;
+    broken tables in that layout are refused as the oracle refuses them."""
     text = variant_text(name, (), None)
+    if name in TRI_HOSTS:
+        assert text == surface.write_tri(TRI_HOSTS[name]())
     assert surface._tri_columns(text) is not None
-    assert (read_outcome(surface.read_tri, text)
-            == read_outcome(tri_oracle.read_tri, text))
+    outcome = assert_reads_as_oracle(surface.read_tri, tri_oracle.read_tri,
+                                     text)
+    assert (outcome == "broken") == (name in BROKEN_TABLES)
 
 
 @pytest.mark.parametrize("variant", sorted(TRI_VARIANTS))
 def test_read_tri_variant_matches_record_oracle(variant):
-    """Each variant, on every host, with a few fixed seeds."""
-    for name in sorted(TRI_HOSTS):
+    """Each variant, on every host and broken table, with a few fixed
+    seeds."""
+    for name in TRI_NAMES:
         for seed in range(6):
             rng = random.Random("%s %d" % (name, seed))
             text = variant_text(name, [variant], rng, "\n" if seed else "")
-            assert (read_outcome(surface.read_tri, text)
-                    == read_outcome(tri_oracle.read_tri, text)), (name, seed)
+            assert_reads_as_oracle(surface.read_tri, tri_oracle.read_tri,
+                                   text)
 
 
-@pytest.mark.parametrize("name", sorted(TRI_HOSTS))
+@pytest.mark.parametrize("name", TRI_NAMES)
 def test_moved_origins_match_oracle(name):
     """A half-edge's origin moved to another vertex: the rotation walk of
     its old vertex reaches a half-edge of another vertex, and both
     vertices' half-edge counts change.  Every table, or the error, is the
     oracle's, for the first, a middle and the last half-edge, moved to
     each neighbouring vertex id."""
-    t = TRI_HOSTS[name]()
-    colors = {orbit[0]: t.face_color[i] for i, orbit in enumerate(t.faces)}
-    n = len(t.next)
+    next_, twin, origin0, colors = host_tables(name)
+    n, vertices = len(next_), max(origin0) + 1
     for h in sorted({0, n // 2, n - 1}):
-        for v in {t.origin[h] - 1, t.origin[h] + 1} - {-1, t.num_vertices}:
-            origin = list(t.origin)
+        for v in {origin0[h] - 1, origin0[h] + 1} - {-1, vertices}:
+            origin = list(origin0)
             origin[h] = v
 
             def build(cls):
-                return cls(t.next, t.twin, origin, colors)
-            assert (read_outcome(lambda _: build(surface.Triangulation), "")
-                    == read_outcome(lambda _: build(tri_oracle.Triangulation),
-                                    "")), (h, v)
+                return lambda _: cls(next_, twin, origin, colors)
+            assert_reads_as_oracle(build(surface.Triangulation),
+                                   build(tri_oracle.Triangulation), "")
 
 
 def test_read_tri_rejects_a_second_face_record():
@@ -522,8 +554,8 @@ DOUBLING_HOSTS = {
         make_patch(1, radius=2), {})[0],
     "boundary annulus crowned": lambda: attach_crowns(
         surface.crown(6), {})[0],
-    # broken hosts: rotations the walk cannot close, which the doubled
-    # host refuses, and a square face
+    # broken tables: a rotation that does not close, which make no host
+    # to double, and a square face
     "broken twin": broken_twin_torus,
     "square": square,
 }
@@ -532,12 +564,11 @@ DOUBLING_HOSTS = {
 @pytest.mark.parametrize("name", sorted(DOUBLING_HOSTS))
 def test_doubling_matches_glued_oracle(name):
     """Every table, and the mirror offset, of gluing the parts face by face;
-    a host with a broken rotation is refused when the doubling is built."""
-    t0 = DOUBLING_HOSTS[name]()
+    tables with a broken rotation are refused before there is a host."""
     if name == "broken twin":
-        with _refused(0):
-            surface._double_with_gadgets_unchecked(t0)
+        assert _refusal(DOUBLING_HOSTS[name]()) == 0
         return
+    t0 = DOUBLING_HOSTS[name]()
     composed, mirror = surface._double_with_gadgets_unchecked(t0)
     glued, glued_mirror = tri_oracle.double_with_gadgets_glued(t0)
     assert mirror == glued_mirror
@@ -578,7 +609,6 @@ def test_doubled_host_entries_match_glued_oracle(name):
             got[len(want)]
     assert doubled.num_vertices == glued.num_vertices
     assert doubled.boundary_half_edges() == glued.boundary_half_edges() == ()
-    assert doubled.broken_rotation == glued.broken_rotation == frozenset()
     assert ([doubled.degree(v) for v in range(doubled.num_vertices)]
             == [glued.degree(v) for v in range(glued.num_vertices)])
     assert ((doubled.num_edges(), doubled.euler_characteristic(),
@@ -608,11 +638,15 @@ def _grown(t, need):
     return surface.Triangulation(*cols[:3], dict(enumerate(cols[3])))
 
 
-def _refused(vertex):
-    """The StructureError of building a composed host on a host whose
-    least broken vertex is `vertex`."""
-    return pytest.raises(surface.StructureError, match=(
-        "^host has a broken rotation at vertex %d$" % vertex))
+def _refusal(tables):
+    """The vertex that building tables names in its StructureError: one of
+    the oracle's broken vertices."""
+    with pytest.raises(surface.StructureError,
+                       match=r"^vertex \d+ has a broken rotation$") as exc:
+        surface.Triangulation(*tables)
+    vertex = int(str(exc.value).split()[1])
+    assert vertex in tri_oracle.broken_vertices(*tables[:3])
+    return vertex
 
 
 def _crowned_verdict(t, t0):
@@ -625,15 +659,12 @@ def _crowned_verdict(t, t0):
 def test_part_checks_agree_with_doubled_scan(name):
     """The anchored extension validates a host in full and its crowns by
     their parts instead of the doubled host; the part check gives the
-    verdict of the full scans of the crowned and doubled hosts.  A host
-    with a broken rotation fails the full check, and the crowns refuse it
-    when built."""
-    t = PART_CHECK_HOSTS[name]()
+    verdict of the full scans of the crowned and doubled hosts.  Tables
+    with a broken rotation are refused before there is a host to check."""
     if name in ("bowtie", "broken twin"):
-        assert not validate_reducing(t).ok
-        with _refused(0):
-            attach_crowns(t, {})
+        assert _refusal(PART_CHECK_HOSTS[name]()) == 0
         return
+    t = PART_CHECK_HOSTS[name]()
     t0 = attach_crowns(t, {})[0]
     doubled = surface._double_with_gadgets_unchecked(t0)[0].materialize()
     verdict = validate_reducing(t0.materialize()).ok
@@ -666,16 +697,15 @@ def test_crowned_host_matches_constructor(name):
     """Materialized, attach_crowns' host has every table of growing the
     crowns on t's columns; each entry, read one at a time in random order,
     is the materialized one, and without needs and up to 1,300 half-edges
-    its doubling is the doubling of the grown host.  A host with a broken
-    rotation is refused when built, with needs or without."""
+    its doubling is the doubling of the grown host.  Tables with a broken
+    rotation are refused before there is a host to crown."""
+    if name in ("bowtie", "broken twin"):
+        assert _refusal(PART_CHECK_HOSTS[name]()) == 0
+        return
     t = PART_CHECK_HOSTS[name]()
     rng = random.Random(name)
     for need in ({}, {x: 1 + x % 4 for x in range(t.num_vertices)
                       if t.is_boundary_vertex(x)}):
-        if name in ("bowtie", "broken twin"):
-            with _refused(0):
-                attach_crowns(t, need)
-            continue
         t0 = attach_crowns(t, need)[0]
         grown = _grown(t, need)
         assert vars(t0.materialize()) == vars(grown)
@@ -687,9 +717,8 @@ def test_crowned_host_matches_constructor(name):
             rng.shuffle(order)
             assert len(got) == len(want)
             assert [got[i] for i in order] == [want[i] for i in order], column
-        assert ((t0.num_vertices, t0.boundary_half_edges(), t0.broken_rotation)
-                == (grown.num_vertices, grown.boundary_half_edges(),
-                    grown.broken_rotation))
+        assert ((t0.num_vertices, t0.boundary_half_edges())
+                == (grown.num_vertices, grown.boundary_half_edges()))
         # the benchmark's crowned patches have about 1,200 half-edges
         if not need and len(grown.next) <= 1300:
             doubled = surface._double_with_gadgets_unchecked
@@ -734,50 +763,45 @@ def _swap_twins(twin, a, b):
 
 
 def _twin_swapped_patch(s):
-    """build_disk_patch(1 + s % 2, Random(s)) with 1 + s % 2 swaps of
-    interior twins drawn from a fresh Random(s)."""
+    """The tables of build_disk_patch(1 + s % 2, Random(s)) with 1 + s % 2
+    swaps of interior twins drawn from a fresh Random(s)."""
     p = surface.build_disk_patch(1 + s % 2, random.Random(s))
     rng = random.Random(s)
     inner = [h for h in range(len(p.next)) if p.twin[h] != NO_TWIN]
     twin = list(p.twin)
     for _ in range(1 + s % 2):
         _swap_twins(twin, *rng.sample(inner, 2))
-    return surface.Triangulation(p.next, twin, p.origin, dict(
-        enumerate(map(p.color_left, range(len(p.next))))))
+    return tables_of(p, twin)
 
 
 def test_boundary_walk_of_broken_twins_raises_structure_error():
     """Seed 353 of the sweep below: swapping the twins of (12, 11), then of
-    (54, 11), sends the boundary walk from a half-edge round a cycle of
-    interior half-edges, where it used to loop forever.  The crowns refuse
-    the host for its broken rotations before they walk its boundary."""
-    t = _twin_swapped_patch(353)
+    (54, 11), sent the boundary walk from a half-edge round a cycle of
+    interior half-edges, where it once looped forever.  The constructor
+    refuses the tables, naming a broken vertex, before any boundary walk."""
+    tables = _twin_swapped_patch(353)
     p = surface.build_disk_patch(2, random.Random(353))
     twin = list(p.twin)
     _swap_twins(twin, 12, 11)
     _swap_twins(twin, 54, 11)
-    assert t.twin == tuple(twin)
-    for call in (t.boundary_cycles, t.genus, t.num_boundary_components):
-        with pytest.raises(surface.StructureError,
-                           match="does not reach the boundary$"):
-            call()
-    with _refused(0):
-        attach_crowns(t, {})
+    assert tables[1] == tuple(twin)
+    assert _refusal(tables) == 0
 
 
 def test_twin_swapped_patches_crown_or_raise():
-    """attach_crowns on 1,330 seeded patches with one or two interior twin
-    swaps: the 1,329 whose rotations break raise StructureError when their
-    crowned host is built, naming the least broken vertex, and the one
-    left unbroken crowns to the tables of the grown host."""
+    """The tables of 1,330 seeded patches with one or two interior twin
+    swaps: the 1,329 whose rotations break, by the oracle's chain rule, are
+    refused when built, naming one of the oracle's broken vertices, and
+    the one left unbroken builds and crowns to the tables of the grown
+    host."""
     outcomes = Counter()
     for s in range(1330):
-        t = _twin_swapped_patch(s)
-        if t.broken_rotation:
-            with _refused(min(t.broken_rotation)):
-                attach_crowns(t, {})
+        tables = _twin_swapped_patch(s)
+        if tri_oracle.broken_vertices(*tables[:3]):
+            _refusal(tables)
             outcomes["refused"] += 1
             continue
+        t = surface.Triangulation(*tables)
         t0 = attach_crowns(t, {})[0]
         assert vars(t0.materialize()) == vars(_grown(t, {})), s
         outcomes["crowned"] += 1
@@ -785,24 +809,27 @@ def test_twin_swapped_patches_crown_or_raise():
 
 
 def test_unbroken_rotations_hold_their_half_edges():
-    """What the composed hosts read in a host they take, an unbroken one:
-    on 172 bounded hosts (disk patches of radius 1-4 with seeds 0-39,
-    crown(3) to crown(12), fan_disk(4) and bowtie) and on the 1,330
-    twin-swapped patches above, every host whose rotations are not broken
-    gives each half-edge a slot, holds in each rotation only half-edges
-    out of its vertex, and has boundary half-edges of distinct tails and
-    distinct heads, so that the crowned host counts each old boundary
-    vertex's crown degree from its slots alone."""
+    """What the composed hosts read in a host, an unbroken one: on the
+    tables of 172 bounded hosts (disk patches of radius 1-4 with seeds
+    0-39, crown(3) to crown(12), fan_disk(4) and bowtie) and of the 1,330
+    twin-swapped patches above, the constructor refuses exactly the tables
+    whose rotations break by the oracle's chain rule, and every host it
+    builds gives each half-edge a slot, holds in each rotation only
+    half-edges out of its vertex, and has boundary half-edges of distinct
+    tails and distinct heads, so that the crowned host counts each old
+    boundary vertex's crown degree from its slots alone."""
     sample = [surface.build_disk_patch(r, random.Random(s))
               for r in range(1, 5) for s in range(40)]
-    sample += [surface.crown(k) for k in range(3, 13)]
-    sample += [fan_disk(4), bowtie()]
+    sample += [surface.crown(k) for k in range(3, 13)] + [fan_disk(4)]
+    sample = [tables_of(t) for t in sample] + [bowtie()]
     unbroken = Counter()
     for name, hosts in (("sample", sample), ("twin-swapped", map(
             _twin_swapped_patch, range(1330)))):
-        for t in hosts:
-            if t.broken_rotation:
+        for tables in hosts:
+            if tri_oracle.broken_vertices(*tables[:3]):
+                _refusal(tables)
                 continue
+            t = surface.Triangulation(*tables)
             assert min(t.slot_index) >= 0 and all(
                 t.origin[g] == v for v, run in enumerate(t.vertex_slots)
                 for g in run)
@@ -814,13 +841,11 @@ def test_unbroken_rotations_hold_their_half_edges():
 
 
 def test_doubled_host_of_broken_rotations_raises_structure_error():
-    """A host whose rotations are broken is refused when the doubled host
-    is built, before any entry can be read: StructureError names its least
-    broken vertex, on a closed host and on a bounded one."""
-    for t, vertex in ((broken_twin_torus(), 0), (_twin_swapped_patch(3), 1)):
-        assert min(t.broken_rotation) == vertex
-        with _refused(vertex):
-            surface._double_with_gadgets_unchecked(t)
+    """Tables whose rotations are broken are refused when built, so no
+    doubled host is ever composed of them: StructureError names a broken
+    vertex, on closed tables and on bounded ones."""
+    assert _refusal(broken_twin_torus()) == 0
+    assert _refusal(_twin_swapped_patch(3)) == 1
 
 
 VALIDATION_HOSTS = {
@@ -831,7 +856,7 @@ VALIDATION_HOSTS = {
     "odd crown": lambda: surface.crown(5),
     "degree-4 disk": lambda: fan_disk(4),
     "disconnected union": two_pillows,
-    "broken twin": broken_twin_torus,
+    "broken twin": twin_mismatch_torus,
     "non-triangle face": square,
     "doubled odd crown": lambda: surface._double_with_gadgets_unchecked(
         attach_crowns(surface.crown(5), {})[0])[0].materialize(),
@@ -843,7 +868,8 @@ VALIDATION_HOSTS = {
 @pytest.mark.parametrize("name", sorted(VALIDATION_HOSTS))
 def test_validate_reducing_matches_element_oracle(name):
     """The same violations in the same order as checking one element at a
-    time, on valid hosts and on broken ones."""
+    time, on valid hosts and on broken ones; on "broken twin" twins that
+    disagree with rotations that close."""
     t = VALIDATION_HOSTS[name]()
     report = surface.validate_reducing(t)
     assert report == tri_oracle.validate_reducing(t)

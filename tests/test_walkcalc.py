@@ -28,13 +28,14 @@ from redtri.walkcalc import (
 import walk_oracle
 from walk_oracle import corner_positions, turn
 from conftest import (
-    broken_doubled_crown4,
-    broken_twin_torus,
     make_patch,
     pinched_sphere,
     random_closed_walk,
     random_path,
     short_closed_walks,
+    tables_of,
+    twin_mismatch_doubled_crown4,
+    twin_mismatch_torus,
 )
 
 
@@ -359,8 +360,9 @@ def test_long_walks_match_oracle():
 
 # -- rare paths of the engine against the scan reducer ----------------------
 
-BROKEN_HOSTS = {"broken torus": broken_twin_torus,
-                "broken doubled crown4": broken_doubled_crown4}
+# hosts whose twins disagree with their rotations, which close
+BROKEN_HOSTS = {"broken torus": twin_mismatch_torus,
+                "broken doubled crown4": twin_mismatch_doubled_crown4}
 
 
 def broken_walks(t):
@@ -379,25 +381,37 @@ def test_broken_twins_match_oracle(name):
     turns that read a half-edge the rotation does not hold."""
     t = BROKEN_HOSTS[name]()
     raised = {assert_matches_oracle(w, t, None)[1] for w in broken_walks(t)}
-    # the torus's broken rotation lists all six half-edges, sorted
-    assert (WalkError in raised) == (name == "broken doubled crown4")
+    assert WalkError in raised
 
 
-@pytest.mark.parametrize("swaps", [((2, 21), (10, 15), (17, 3)), ((2, 22),)])
+# per host, swaps of twins, and its closed walks whose rewrite leaves two
+# junctions that do not meet, with the error each raises
+TWO_BAD_JUNCTIONS = {
+    ((0, 15), (15, 3), (1, 9), (9, 5)): {
+        (16, 7, 4): "half-edges 7,20 not consecutive",
+        (0, 22, 14): "half-edges 13,20 not consecutive"},
+    ((0, 15), (15, 3), (1, 9), (9, 20)): {
+        (4, 5, 18): "half-edges 20,20 not consecutive",
+        (5, 18, 4): "half-edges 18,20 not consecutive"},
+}
+
+
+@pytest.mark.parametrize("swaps", list(TWO_BAD_JUNCTIONS))
 def test_two_bad_junctions_name_the_first_in_walk_order(swaps):
-    """On the subdivided torus with twins redirected (twin[a], twin[b] = b,
-    a for each swap), closed walks whose rewrite at the wrap corner leaves
-    two junctions that do not meet: the error names the first from the
-    walk's first edge, as Walk.from_half_edges does."""
+    """On the subdivided torus with twins swapped (twin[a], twin[b] =
+    twin[b], twin[a] for each swap) among half-edges out of one vertex, so
+    that every rotation still closes, closed walks whose rewrite at the
+    wrap corner leaves two junctions that do not meet: the error names the
+    first from the walk's first edge, as Walk.from_half_edges does."""
     t0 = surface.subdivide(surface.build_torus())
     twin = list(t0.twin)
     for a, b in swaps:
-        twin[a], twin[b] = b, a
-    t = surface.Triangulation(t0.next, twin, t0.origin, dict(
-        enumerate(map(t0.color_left, range(len(t0.next))))))
-    for hes in ((16, 7, 4), (1, 17, 0)):
+        twin[a], twin[b] = twin[b], twin[a]
+    t = surface.Triangulation(*tables_of(t0, twin))
+    for hes, message in TWO_BAD_JUNCTIONS[swaps].items():
         w = Walk.from_half_edges(t, hes, closed=True)
-        assert assert_matches_oracle(w, t, None)[1] is WalkError
+        assert (assert_matches_oracle(w, t, None)
+                == ("raise", WalkError, message))
 
 
 def rim_corner(p):

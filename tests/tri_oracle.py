@@ -11,9 +11,12 @@ column by column.
 boundary chain starts with loops over single half-edges.  The checks that
 the reader gained since (an empty host rejected, the face index and its
 half-edge range-checked, a half-edge given twice rejected, a face record
-only for the smallest half-edge of its face, and only once, and a field
-that is not `key=value` named in its message) are added in the same
-per-record style.
+only for the smallest half-edge of its face, and only once, a field
+that is not `key=value` named in its message, and a key its record does
+not have) are added in the same per-record style.  Tables whose
+rotations do not close raise `BrokenRotations`, which holds the set of
+broken vertices by the oracle's own chain rule (`broken_vertices`):
+`surface.Triangulation` names one of them in its StructureError.
 It is slow, but simple enough to trust; `test_surface.py` checks that
 `surface.read_tri` returns and raises exactly what this code does.
 
@@ -85,59 +88,83 @@ class Triangulation:
         self._build_vertex_slots()
 
     def _build_vertex_slots(self):
-        n = len(self.next)
-        twin = self.twin
-        # clockwise successor of every slot; -1 past the last slot of a
-        # boundary vertex, whose chain starts at the half-edge after a
-        # twin-less one
-        succ = [-1] * n
         out = [[] for _ in range(self.num_vertices)]
-        starts_at = {}
         for h, v in enumerate(self.origin):
             out[v].append(h)
-            t = twin[h]
-            if t == NO_TWIN:
-                g = self.next[h]
-                starts_at.setdefault(self.origin[g], []).append(g)
-            else:
-                succ[h] = self.next[t]
-        slots = []
-        slot_index = [-1] * n
-        boundary = []
-        broken = set()
         for v, hs in enumerate(out):
             if not hs:
                 raise StructureError("vertex %d has no half-edge" % v)
-            # clockwise chain; a vertex is interior iff the chain is cyclic
-            starts = starts_at.get(v)
-            h0 = starts[0] if starts else hs[0]
-            chain = [h0]
-            g = succ[h0]
-            while g != -1 and len(chain) <= len(hs):
-                if g == h0 and not starts:
-                    break
-                chain.append(g)
-                g = succ[g]
-            if starts:
-                ok = len(starts) == 1 and len(chain) == len(hs)
-            else:
-                ok = g == h0 and len(chain) == len(hs)
-            is_bnd = bool(starts)
-            if not ok:
-                # twin structure is damaged; keep a usable slot list anyway so
-                # the validator can still report what is wrong
-                broken.add(v)
-                chain = hs
-                is_bnd = any(twin[h] == NO_TWIN for h in hs)
+        broken = broken_vertices(self.next, self.twin, self.origin)
+        if broken:
+            raise BrokenRotations(broken)
+        chains = rotation_chains(self.next, self.twin, self.origin)
+        self.vertex_slots = tuple(tuple(chain) for chain, _ in chains)
+        # position of every half-edge within the slots of its tail
+        slot_index = [-1] * len(self.next)
+        for chain, _ in chains:
             for i, h in enumerate(chain):
                 slot_index[h] = i
-            slots.append(tuple(chain))
-            boundary.append(is_bnd)
-        self.vertex_slots = tuple(slots)
-        # position of every half-edge within the slots of its tail
         self.slot_index = tuple(slot_index)
-        self._vertex_on_boundary = tuple(boundary)
-        self.broken_rotation = frozenset(broken)
+        self._vertex_on_boundary = tuple(bnd for _, bnd in chains)
+
+
+class BrokenRotations(StructureError):
+    """The oracle's verdict on tables whose rotations do not close: the
+    set of broken vertices, of which `surface.Triangulation` names one."""
+
+    def __init__(self, broken):
+        super().__init__("broken rotations at %s" % sorted(broken))
+        self.broken = frozenset(broken)
+
+
+def rotation_chains(next_, twin, origin):
+    """Per vertex v, (chain, on boundary): the clockwise chain h ->
+    next(twin(h)) of half-edges out of v.  If twin-less half-edges enter
+    v, v is on the boundary and the chain starts at the half-edge after
+    the first of them and ends at a twin-less half-edge; else it starts at
+    v's least half-edge and ends on coming back to it.  The chain stops
+    early, holding [] in place of what it walked, where it meets a
+    half-edge of another vertex or one it holds, or where v has two
+    twin-less half-edges entering it; so v's rotation closes exactly when
+    its chain holds each half-edge out of v once."""
+    first, starts = {}, {}
+    for h, v in enumerate(origin):
+        first.setdefault(v, h)
+        if twin[h] == NO_TWIN:
+            starts.setdefault(origin[next_[h]], []).append(next_[h])
+    chains = []
+    for v in range(max(origin, default=-1) + 1):
+        if len(starts.get(v, ())) > 1:
+            chains.append(([], True))
+            continue
+        h0 = starts[v][0] if v in starts else first[v]
+        chain, held = [h0], {h0}
+        while True:
+            t = twin[chain[-1]]
+            if t == NO_TWIN:  # the end of a boundary vertex's chain only
+                whole = v in starts
+                break
+            g = next_[t]
+            if g == h0 and v not in starts:
+                whole = True
+                break
+            if g in held or origin[g] != v:
+                whole = False
+                break
+            chain.append(g)
+            held.add(g)
+        chains.append((chain if whole else [], v in starts))
+    return chains
+
+
+def broken_vertices(next_, twin, origin):
+    """The vertices whose rotation does not close: those whose chain does
+    not hold each of their half-edges once."""
+    out = {}
+    for h, v in enumerate(origin):
+        out.setdefault(v, []).append(h)
+    return {v for v, (chain, _) in enumerate(rotation_chains(
+        next_, twin, origin)) if sorted(chain) != out[v]}
 
 
 def records(text, handlers):
@@ -145,12 +172,12 @@ def records(text, handlers):
 
     A record is a non-blank line with its `#` comment cut off: a keyword,
     k positional fields, then `key=value` fields, where `handlers[keyword]`
-    is (k, handler).  The handler gets the positional fields and a dict of
-    the `key=value` fields, all strings, and converts and checks them
-    itself.  A malformed record raises FormatError naming its line: an
+    is (k, handler, keys).  The handler gets the positional fields and a
+    dict of the `key=value` fields, all strings, and converts and checks
+    them itself.  A malformed record raises FormatError naming its line: an
     unknown keyword, too few fields, a field after the positional ones
-    without exactly one `=`, or a ValueError (a bad value) or KeyError (a
-    missing key) raised by the handler.
+    without exactly one `=`, a ValueError (a bad value) or KeyError (a
+    missing key) raised by the handler, or then a key not in keys.
     """
     for n, line in enumerate(text.splitlines(), 1):
         if "#" in line:
@@ -158,7 +185,7 @@ def records(text, handlers):
         parts = line.split()
         if not parts:
             continue
-        k, handle = handlers.get(parts[0], (0, None))
+        k, handle, keys = handlers.get(parts[0], (0, None, ()))
         try:
             if handle is None:
                 raise ValueError("unknown record")
@@ -169,6 +196,10 @@ def records(text, handlers):
                 if field.count("=") != 1:
                     raise ValueError("field %r is not key=value" % field)
             handle(*parts[1:k], dict(f.split("=") for f in parts[k:]))
+            for field in parts[k:]:
+                key = field.split("=")[0]
+                if key not in keys:
+                    raise ValueError("unknown field %r" % key)
         except KeyError as exc:
             raise FormatError("line %d: no %s= in %r"
                               % (n, exc.args[0], line.strip())) from None
@@ -230,8 +261,9 @@ def _read_tables(text, t=None):
                              % h)
         face_colors[h] = fields["color"]
 
-    records(text, {"tri": (1, header), "he": (1, half_edge),
-                   "face": (1, face)})
+    records(text, {"tri": (1, header, ()),
+                   "he": (1, half_edge, ("next", "twin", "origin")),
+                   "face": (1, face, ("color", "he"))})
     if next_ is None:
         raise FormatError("missing tri header")
     return next_, twin, origin, face_colors
@@ -333,9 +365,6 @@ def validate_reducing(t):
             violations.append(Violation(TWIN_BROKEN, h))
         elif t.origin[g] != t.head(h) or t.origin[h] != t.head(g):
             violations.append(Violation(TWIN_BROKEN, h))
-
-    for v in sorted(t.broken_rotation):
-        violations.append(Violation(TWIN_BROKEN, ("vertex", v)))
 
     for i, orbit in enumerate(t.faces):
         if len(orbit) != 3:
