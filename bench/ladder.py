@@ -186,7 +186,10 @@ def anchored_counts(f, anchor):
     (`harmonizer._split_clusters`), the clusters whose darts they file and
     the components they gather (`harmonizer._SplitGraph._component`), and
     the walks (`walkcalc.Walk.from_half_edges`) and drawings
-    (`drawing.Drawing`) built."""
+    (`drawing.Drawing`) built.  The extension is factored from its
+    half-edges with neither built, so the walks are G's, one per edge, read
+    back from the state, and the drawings G's on the extension's host and
+    the output on the input host."""
     counts = dict.fromkeys(("composed_entries", "slot_fills",
                             "balancing_searches", "clusters_filed",
                             "components_gathered", "walks", "drawings"), 0)

@@ -26,8 +26,9 @@ them.
 from dataclasses import dataclass
 from itertools import repeat
 
-from .drawing import Drawing, Graph, check_anchored
-from .harmonizer import HarmonizerError, harmonize
+from .drawing import Drawing, check_anchored, factor_triples
+from .harmonizer import HarmonizerError, State, state_to_drawing
+from .harmonizer import run as harmonize  # perfbench/tracer.py patches this name
 from .surface import (
     DEGREE_TOO_LOW,
     DUAL_NOT_BIPARTITE,
@@ -41,7 +42,6 @@ from .surface import (
     opposite_color,
     validate_reducing,  # perfbench/tracer.py patches this name
 )
-from .walkcalc import Walk
 
 
 class BoundaryError(Exception):
@@ -300,9 +300,10 @@ def _require(report):
 def extend_for_harmonization(f, anchor):
     """Close the host and the drawing: crowns, mirror, gadgets, tip edges.
 
-    Returns (f_closed, guard) where f_closed is a drawing on a closed
-    reducing host and guard records the stems and guard edges.  G's ids
-    come first, then the tips', then those of G's mirror copy.  Raises
+    Returns (fbar, guard) where fbar is the closed drawing on a closed
+    reducing host, factored with no walk built and G as its base graph,
+    and guard records the stems and guard edges.  G's ids come first, then
+    the tips', then those of G's mirror copy.  Raises
     HarmonizerError if f's host is not reducing, or its crowns break a
     reducing condition where they meet it."""
     t = f.host
@@ -337,25 +338,24 @@ def extend_for_harmonization(f, anchor):
     vmap += [tdot.origin[mirror(t.vertex_slots[x][0])] for x in f.vertex_map]
     triples += [(u + m, v + m if v < n else v, tuple(map(mirror, hes)))
                 for u, v, hes in triples]
-    fdot = Drawing(Graph(len(vmap), [(u, v) for u, v, _ in triples]), tdot,
-                   vmap, [Walk.from_half_edges(tdot, hes, start=vmap[u])
-                          for u, _, hes in triples])
+    fbar = factor_triples(tdot, vmap, f.graph, triples)
     stem_edges = {e: hes[0] for e, (_, v, hes) in enumerate(triples)
                   if n <= v < m}
     guard = t0.guard_half_edges(3)
     guard = frozenset(guard + [mirr + h for h in guard])
-    return fdot, GuardData(guard, stem_edges)
+    return fbar, GuardData(guard, stem_edges)
 
 
 def harmonize_rel_anchor(f, anchor, budget=None):
     """Harmonize keeping anchored vertices pinned to the boundary.
 
-    Runs the plain routine on the closed extension under a guard audit, then
-    restricts back to G on f's host.  A stem rewrite or a guard-edge use
+    Runs the move loop (`harmonizer.run`) on the factored closed extension
+    under a guard audit, then reads G's drawing back from the state and
+    restricts it to f's host.  A stem rewrite or a guard-edge use
     contradicts the construction, and an image off f's host (an edge run
     backwards along a boundary edge) cannot be written on it: each raises
     GuardViolation."""
-    fdot, guard = extend_for_harmonization(f, anchor)
+    fbar, guard = extend_for_harmonization(f, anchor)
 
     stems, guard_hes = guard.stem_edges, guard.guard_hes
 
@@ -370,21 +370,21 @@ def harmonize_rel_anchor(f, anchor, budget=None):
             if h in guard_hes:  # a collapsed image (None) is no guard edge
                 raise GuardViolation("edge %d moved onto a guard edge" % base)
 
-    f2, trace = harmonize(fdot, budget=budget, audit=audit, host_checked=True)
-    g = f.graph
-    vmap, emap = f2.vertex_map[:g.num_vertices], f2.edge_map[:g.num_edges()]
+    state = State(fbar)
+    trace = harmonize(state, budget, audit=audit)
+    f2 = state_to_drawing(state)  # G's drawing, on the extension's host
     for vs in anchor.orders.values():
         for v in vs:
-            if vmap[v] != f.vertex_map[v]:
+            if f2.vertex_map[v] != f.vertex_map[v]:
                 raise GuardViolation("anchored vertex %d moved" % v)
-    for e, w in enumerate(emap):
+    for e, w in enumerate(f2.edge_map):
         if len(w) > len(f.edge_map[e]):
             raise GuardViolation("edge %d grew" % e)
         for h in w.half_edges:
             if h >= len(f.host.next):
                 raise GuardViolation(
                     "edge %d left the host at half-edge %d" % (e, h))
-    for v, x in enumerate(vmap):
+    for v, x in enumerate(f2.vertex_map):
         if x >= f.host.num_vertices:
             raise GuardViolation("vertex %d left the host" % v)
-    return Drawing(g, f.host, vmap, emap), trace
+    return Drawing(f.graph, f.host, f2.vertex_map, f2.edge_map), trace

@@ -77,9 +77,9 @@ class Drawing:
 class SimplicialDrawing:
     """Subdivided graph with one vertex per unit of image length.
 
-    Vertices 0..n-1 are the original G-vertices; subdivision vertices
-    follow, edge by edge.  Every edge maps to a single half-edge or to a
-    vertex (image None).
+    The drawn graph's vertices come first, base_graph's before the rest;
+    subdivision vertices follow, edge by edge.  Every edge maps to a
+    single half-edge or to a vertex (image None).
     """
 
     graph: object            # the subdivided graph
@@ -92,43 +92,46 @@ class SimplicialDrawing:
 
 def factor_simplicial(f):
     """Subdivide every edge whose image walk has length >= 2."""
-    g, t = f.graph, f.host
-    vmap = list(f.vertex_map)
+    return factor_triples(f.host, f.vertex_map, f.graph, [
+        (u, v, w.half_edges) for (u, v), w in zip(f.graph.edges, f.edge_map)])
+
+
+def factor_triples(t, vertex_map, base_graph, triples):
+    """Subdivide the edges given as (u, v, half-edges) triples on t, with no
+    walk built; base_graph is the first triples' graph, the one `unfactor`
+    gives back."""
+    vmap = list(vertex_map)
     edges = []
     eimg = []
     eorig = []
-    for i, (u, v) in enumerate(g.edges):
-        w = f.edge_map[i]
-        n = len(w)
-        if n == 0:
-            edges.append((u, v))
-            eimg.append(None)
-            eorig.append((i, 0))
-            continue
-        prev = u
-        for j, h in enumerate(w.half_edges):
-            if j == n - 1:
-                nxt = v
-            else:
+    for i, (u, v, hes) in enumerate(triples):
+        # a walk of length n >= 1 becomes n edges through n - 1 new
+        # vertices, one of length 0 a single edge with no image
+        prev, last = u, len(hes) - 1
+        for j, h in enumerate(hes or (None,)):
+            if j < last:
                 nxt = len(vmap)
                 vmap.append(t.head(h))
+            else:
+                nxt = v
             edges.append((prev, nxt))
             eimg.append(h)
             eorig.append((i, j))
             prev = nxt
     gbar = Graph(len(vmap), edges)
     return SimplicialDrawing(gbar, t, tuple(vmap), tuple(eimg), tuple(eorig),
-                             g)
+                             base_graph)
 
 
 def unfactor(fbar):
-    """Rebuild the plain drawing from a simplicial factorization."""
+    """Rebuild the plain drawing of the base graph, whose edges come first,
+    from a simplicial factorization; later edges are left out."""
     g0 = fbar.base_graph
     t = fbar.host
     vmap = fbar.vertex_map[:g0.num_vertices]
     walks = [[] for _ in g0.edges]
     for (b, _), h in zip(fbar.edge_origin, fbar.edge_image):
-        if h is not None:
+        if h is not None and b < len(walks):
             walks[b].append(h)
     emap = [Walk.from_half_edges(t, hes, start=vmap[u])
             for (u, _), hes in zip(g0.edges, walks)]

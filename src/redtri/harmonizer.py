@@ -693,27 +693,29 @@ def state_to_drawing(state):
                             edge_image=tuple(state.image)))
 
 
-def harmonize(f, budget=None, audit=None, *, host_checked=False):
-    """Run the three-step routine until no move applies.
-
-    Returns (drawing, trace).  Shortenings and balancings interrupt at every
-    point and restart the routine; flips never touch the pinned root in
-    step 1.  Raises HarmonizerError unless f's host is a closed reducing
-    triangulation, and BudgetExhausted when the move budget runs out.
-    `host_checked=True` skips the host check, for a caller that built the
-    host from parts it has already checked (the anchored extension).
-    """
+def harmonize(f, budget=None, audit=None):
+    """Check f's host and `run` the routine on f; returns (drawing, trace).
+    Raises HarmonizerError unless f's host is a closed reducing
+    triangulation."""
     host = f.host
-    if not host_checked and (not validate_reducing(host).ok
-                             or not host.is_closed()):
+    if not validate_reducing(host).ok or not host.is_closed():
         raise HarmonizerError("host must be a closed reducing triangulation")
     if host.genus() == 1:
         warnings.warn("torus host: harmonization may not terminate; "
                       "budget applies", stacklevel=2)
-    fbar = factor_simplicial(f)
-    state = State(fbar)
+    state = State(factor_simplicial(f))
+    trace = run(state, budget, audit)
+    return state_to_drawing(state), trace
+
+
+def run(state, budget=None, audit=None):
+    """Run the three-step routine on state until no move applies; returns
+    the trace.  Shortenings and balancings interrupt at every point and
+    restart the routine; flips never touch the pinned root in step 1.
+    `audit(state, move)` runs after every move, and BudgetExhausted ends a
+    run of more than budget moves.  The caller checks the host."""
     if budget is None:
-        budget = default_budget(host, fbar.graph)
+        budget = default_budget(state.host, state.gbar)
     trace = MoveTrace()
 
     def do(move, kind, phase):
@@ -784,7 +786,7 @@ def harmonize(f, budget=None, audit=None, *, host_checked=False):
         if not (flip_all(1, {state.find(0)}) or cyclic_flips()
                 or flip_all(3)):
             break
-    return state_to_drawing(state), trace
+    return trace
 
 
 def is_locally_stable(f):

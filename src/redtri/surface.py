@@ -13,7 +13,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, repeat
+from itertools import chain
 
 RED = "r"
 BLUE = "b"
@@ -805,9 +805,6 @@ class DoubledHost(_ComposedHost):
 
 # -- text formats ------------------------------------------------------------
 
-_EQUALS = repeat("=")
-
-
 def records(text, handlers):
     """Hand each record of a line-oriented text format to its handler.
 
@@ -817,8 +814,9 @@ def records(text, handlers):
     the `key=value` fields, all strings, and pops, converts and checks
     them itself.  A malformed record raises FormatError naming its line: an
     unknown keyword, too few fields, a field after the positional ones
-    without exactly one `=`, a ValueError (a bad value) or KeyError (a
-    missing key) raised by the handler, or a field it did not pop.
+    without exactly one `=` or whose key was given before, a ValueError
+    (a bad value) or KeyError (a missing key) raised by the handler, or a
+    field it did not pop.
     """
     for n, line in enumerate(text.splitlines(), 1):
         if "#" in line:
@@ -833,8 +831,14 @@ def records(text, handlers):
             if len(parts) <= k:
                 raise ValueError("too few fields")
             k += 1
-            # field.split("="), which dict() rejects unless it has two parts
-            fields = dict(map(str.split, parts[k:], _EQUALS))
+            fields = {}
+            for field in parts[k:]:
+                if field.count("=") != 1:
+                    raise ValueError("field %r is not key=value" % field)
+                key, value = field.split("=")
+                if key in fields:
+                    raise ValueError("field %r given twice" % key)
+                fields[key] = value
             handle(*parts[1:k], fields)
             if fields:
                 raise ValueError("unknown field %r" % next(iter(fields)))
@@ -842,10 +846,6 @@ def records(text, handlers):
             raise FormatError("line %d: no %s= in %r"
                               % (n, exc.args[0], line.strip())) from None
         except ValueError as exc:
-            # dict() fails only on a field without exactly one `=`
-            stray = [p for p in parts[k:] if p.count("=") != 1]
-            if handle and stray:
-                exc = "field %r is not key=value" % stray[0]
             raise FormatError("line %d: %s in %r"
                               % (n, exc, line.strip())) from None
 

@@ -46,7 +46,7 @@ from move_oracle import (
     scan_flip,
     scan_shortening,
 )
-from test_boundary import anchored_ends
+from test_boundary import anchored_ends, extension_drawing
 from walk_oracle import turn
 
 
@@ -689,25 +689,27 @@ def split_state(split):
 def audit_corpora(monkeypatch, check, monotone=True):
     """Run `check(state, move)` after every move of the golden and step-2
     corpora, of the monotone corpus unless `monotone` is false, and of 100
-    geodesic drawings.  The extra searches leave the golden digests
-    unchanged."""
-    def audited(f, budget=None, audit=None, host_checked=False):
+    geodesic drawings: the move loop is wrapped where `harmonize` and the
+    anchored routine look it up.  The extra searches leave the golden
+    digests unchanged."""
+    run = hz.run
+
+    def audited(state, budget=None, audit=None):
         def both(state, move):
             if audit is not None:
                 audit(state, move)
             check(state, move)
-        return hz.harmonize(f, budget=budget, audit=both,
-                            host_checked=host_checked)
+        return run(state, budget, audit=both)
 
-    monkeypatch.setattr(test_golden, "harmonize", audited)
+    monkeypatch.setattr(hz, "run", audited)
     monkeypatch.setattr(boundary, "harmonize", audited)
     assert test_golden.corpus_digest() == test_golden.GOLDEN_SHA256
     assert test_golden.step2_digest() == test_golden.STEP2_GOLDEN_SHA256
     if monotone:
         for _, f in monotone_corpus():
-            audited(f)
+            hz.harmonize(f)
     for f in geodesic_corpus(100):
-        audited(f)
+        hz.harmonize(f)
 
 
 def test_indexed_searches_match_scans(monkeypatch):
@@ -813,10 +815,10 @@ def test_boundary_guard():
         last = f.graph.num_vertices - 1
         assert f.vertex_map[0] != f.vertex_map[last]
         a = anchored_ends(f)
-        fdot, guard = extend_for_harmonization(f, a)
+        fbar, guard = extend_for_harmonization(f, a)
         f2, trace = harmonize_rel_anchor(f, a)
         for g in (0, last):
-            assert f2.vertex_map[g] == fdot.vertex_map[g]
+            assert f2.vertex_map[g] == fbar.vertex_map[g]
         for w in f2.edge_map:
             assert all(h < len(f.host.next) for h in w.half_edges)
         # the output lives on the input host and re-reads there
@@ -827,6 +829,30 @@ def test_boundary_guard():
         per2, _ = f2.lengths()
         assert all(b <= a_ for a_, b in zip(per0, per2))
     print("boundary guard: 20 anchored instances, 0 guard violations")
+
+
+def test_extensions_rebuild_as_drawings():
+    """The extension of each anchored golden case and of each of item 6's
+    107 sweep drawings, rebuilt through `unfactor` with the extension graph
+    read off its factored edges, is a `Drawing` of `Walk`s on its host: the
+    checks that the anchored routine no longer makes on every run.  Its
+    base copy is the input drawing, and it factors back to the extension."""
+    cases = [(f, a) for _, f, a in test_golden.anchored_cases()]
+    cases += [(f, Anchor(orders))
+              for _, f, orders in test_golden.anchored_sweep()]
+    assert len(cases) == 8 + 107
+    for f, a in cases:
+        fbar, _ = extend_for_harmonization(f, a)
+        fdot = extension_drawing(fbar)
+        n, ne = f.graph.num_vertices, f.graph.num_edges()
+        assert fdot.host is fbar.host and fbar.base_graph is f.graph
+        assert fdot.vertex_map[:n] == f.vertex_map
+        assert fdot.graph.edges[:ne] == f.graph.edges
+        assert fdot.edge_map[:ne] == f.edge_map
+        again = factor_simplicial(fdot)
+        assert again.graph.edges == fbar.graph.edges
+        assert (again.vertex_map, again.edge_image, again.edge_origin) == (
+            fbar.vertex_map, fbar.edge_image, fbar.edge_origin)
 
 
 def full_scan_audit(guard):
@@ -856,13 +882,13 @@ def test_guard_audit_matches_full_scan(monkeypatch):
     extend = boundary.extend_for_harmonization
 
     def extend_kept(f, anchor):
-        fdot, guard = extend(f, anchor)
+        fbar, guard = extend(f, anchor)
         if trap:
-            used = {h for w in fdot.edge_map for h in w.half_edges}
+            used = set(fbar.edge_image) - {None}
             guard = replace(guard, guard_hes=guard.guard_hes | (
-                frozenset(range(len(fdot.host.next))) - used))
+                frozenset(range(len(fbar.host.next))) - used))
         guards.append(guard)
-        return fdot, guard
+        return fbar, guard
 
     def outcome(audit, state, move):
         try:
@@ -873,7 +899,7 @@ def test_guard_audit_matches_full_scan(monkeypatch):
 
     seen = []
 
-    def side_by_side(f, budget=None, audit=None, host_checked=False):
+    def side_by_side(state, budget=None, audit=None):
         oracle = full_scan_audit(guards[-1])
 
         def both(state, move):
@@ -882,8 +908,7 @@ def test_guard_audit_matches_full_scan(monkeypatch):
             seen.append(got)
             if got is not None:
                 raise boundary.GuardViolation(got)
-        return hz.harmonize(f, budget=budget, audit=both,
-                            host_checked=host_checked)
+        return hz.run(state, budget, audit=both)
 
     monkeypatch.setattr(boundary, "extend_for_harmonization", extend_kept)
     monkeypatch.setattr(boundary, "harmonize", side_by_side)

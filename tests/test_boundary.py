@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from redtri import boundary, harmonizer, surface
@@ -9,7 +11,7 @@ from redtri.boundary import (
     extend_for_harmonization,
     harmonize_rel_anchor,
 )
-from redtri.drawing import Drawing, Graph
+from redtri.drawing import Drawing, Graph, unfactor
 from redtri.harmonizer import HarmonizerError
 from redtri.surface import validate_reducing
 from redtri.walkcalc import Walk
@@ -31,6 +33,29 @@ def anchored_ends(f):
     g = f.graph
     last = g.num_vertices - 1
     return Anchor({f.vertex_map[0]: [0], f.vertex_map[last]: [last]})
+
+
+def extension_edges(fbar):
+    """The factored extension's own edges, read off its segments, in id
+    order: (u, v, half-edges) from the tail of an edge's first segment to
+    the head of its last."""
+    edges = {}
+    for (u, v), (b, _), h in zip(fbar.graph.edges, fbar.edge_origin,
+                                 fbar.edge_image):
+        u0, _, hes = edges.get(b, (u, v, ()))
+        edges[b] = (u0, v, hes if h is None else hes + (h,))
+    return list(edges.values())
+
+
+def extension_drawing(fbar):
+    """The whole extension as a `Drawing`, rebuilt through `unfactor` with
+    the extension graph read off the factored edges.  Its vertices are
+    those before the first subdivision vertex: every segment after an
+    edge's first starts at one."""
+    edges = extension_edges(fbar)
+    new = sum(j > 0 for _, j in fbar.edge_origin)
+    g = Graph(fbar.graph.num_vertices - new, [(u, v) for u, v, _ in edges])
+    return unfactor(replace(fbar, base_graph=g))
 
 
 def test_anchor_validation(patch):
@@ -111,10 +136,10 @@ def test_spokes_and_guards_come_from_the_offsets(patch):
 def test_extension_host_valid(patch):
     f = boundary_path_drawing(patch)
     a = anchored_ends(f)
-    fdot, guard = extend_for_harmonization(f, a)
-    assert fdot.host.is_closed()
-    assert validate_reducing(fdot.host).ok
-    assert fdot.host.genus() >= 2
+    fbar, guard = extend_for_harmonization(f, a)
+    assert fbar.host.is_closed()
+    assert validate_reducing(fbar.host).ok
+    assert fbar.host.genus() >= 2
 
 
 def test_anchored_run_validates_its_parts(monkeypatch, patch):
@@ -204,27 +229,31 @@ def test_extension_rejects_closed_host():
 def test_extension_graph_shape(patch):
     f = boundary_path_drawing(patch)
     a = anchored_ends(f)
-    fdot, guard = extend_for_harmonization(f, a)
+    fbar, guard = extend_for_harmonization(f, a)
+    edges = extension_edges(fbar)
     n, ne = f.graph.num_vertices, f.graph.num_edges()
     k = sum(map(len, a.orders.values()))  # anchored G-vertices
-    assert fdot.graph.num_vertices == 2 * n + k
-    assert fdot.graph.num_edges() == 2 * ne + 2 * k
+    assert fbar.base_graph is f.graph
+    # one subdivision vertex per half-edge of an image after its first
+    assert len(fbar.vertex_map) - sum(
+        max(len(hes) - 1, 0) for _, _, hes in edges) == 2 * n + k
+    assert len(edges) == 2 * ne + 2 * k
     # the base copy is untouched
-    assert fdot.graph.edges[:ne] == f.graph.edges
+    assert [(u, v) for u, v, _ in edges[:ne]] == list(f.graph.edges)
+    assert fbar.vertex_map[:n] == f.vertex_map
     for e in range(ne):
-        assert len(fdot.edge_map[e]) == len(f.edge_map[e])
+        assert edges[e][2] == f.edge_map[e].half_edges
 
 
 def test_extension_mirror_symmetry(patch):
     f = boundary_path_drawing(patch)
     a = anchored_ends(f)
-    fdot, guard = extend_for_harmonization(f, a)
-    t = fdot.host
-    n, ne = f.graph.num_vertices, f.graph.num_edges()
+    fbar, guard = extend_for_harmonization(f, a)
+    t, edges = fbar.host, extension_edges(fbar)
+    ne = f.graph.num_edges()
     k = sum(map(len, a.orders.values()))  # anchored G-vertices
     for e in range(ne):
-        base = fdot.edge_map[e].half_edges
-        mirror = fdot.edge_map[ne + k + e].half_edges
+        base, mirror = edges[e][2], edges[ne + k + e][2]
         assert len(base) == len(mirror)
         for hb, hm in zip(base, mirror):
             # orientation reversal and the color swap cancel out
@@ -233,10 +262,36 @@ def test_extension_mirror_symmetry(patch):
 
 def test_extension_stems_and_guards_disjoint(patch):
     f = boundary_path_drawing(patch)
-    fdot, guard = extend_for_harmonization(f, anchored_ends(f))
+    fbar, guard = extend_for_harmonization(f, anchored_ends(f))
+    edges = extension_edges(fbar)
     for e, h in guard.stem_edges.items():
-        assert fdot.edge_map[e].half_edges == (h,)
+        assert edges[e][2] == (h,)
         assert h not in guard.guard_hes
+
+
+def test_anchored_run_builds_g_walks_only(monkeypatch, patch):
+    """An anchored run builds one walk per edge of G, read back from the
+    state, and two drawings: G's on the extension's host and the output on
+    the input host.  The extension is factored from its half-edges, and
+    neither its walks nor its drawing is built."""
+    f = boundary_path_drawing(patch, steps=4)
+    a = anchored_ends(f)
+    built = []
+    walk, drawing = Walk.from_half_edges.__func__, Drawing.__init__
+
+    def counted_walk(cls, *args, **kwargs):
+        built.append("walk")
+        return walk(cls, *args, **kwargs)
+
+    def counted_drawing(*args):
+        built.append("drawing")
+        drawing(*args)
+
+    monkeypatch.setattr(Walk, "from_half_edges", classmethod(counted_walk))
+    monkeypatch.setattr(Drawing, "__init__", counted_drawing)
+    harmonize_rel_anchor(f, a)
+    assert built.count("walk") == f.graph.num_edges() == 4
+    assert built.count("drawing") == 2
 
 
 def test_harmonize_rel_anchor_path(patch):
@@ -264,8 +319,7 @@ def test_harmonize_rel_anchor_detour(patch):
     a = Anchor({u: [0], patch.head(h): [1]})
     f2, trace = harmonize_rel_anchor(f, a)
     assert f2.lengths()[1] < f.lengths()[1]
-    assert f2.vertex_map == tuple(
-        extend_for_harmonization(f, a)[0].vertex_map[:2])
+    assert f2.vertex_map == extend_for_harmonization(f, a)[0].vertex_map[:2]
 
 
 def test_harmonize_rel_anchor_backwards_along_boundary(patch):

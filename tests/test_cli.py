@@ -15,7 +15,7 @@ from redtri.walkcalc import Walk
 from conftest import (FUZZ_ALPHABET, backwards_boundary_drawing, bowtie,
                       boundary_path_drawing, broken_twin_torus, edit_char,
                       fan_disk, fixture_path, make_patch, tri_text,
-                      twin_mismatch_torus)
+                      twin_mismatch_doubled_crown4, twin_mismatch_torus)
 
 
 def run(capsys, *argv):
@@ -551,6 +551,17 @@ MALFORMED = [
     ("walk-unknown-field", "x.walk", "walk closed=0 start=0 he=0 junk=1\n",
      ["reduce", "{tri}", "{file}"],
      "line 1: unknown field 'junk' in 'walk closed=0 start=0 he=0 junk=1'"),
+    # a key given twice is named, not read twice with the first dropped
+    ("walk-key-given-twice", "x.walk", "walk closed=0 start=0 he=0 he=5\n",
+     ["reduce", "{tri}", "{file}"],
+     "line 1: field 'he' given twice in 'walk closed=0 start=0 he=0 he=5'"),
+    ("drw-key-given-twice", "x.drw", DRW.replace("walk=5", "walk=5 walk=0"),
+     ["harmonize", "{tri}", "{file}"],
+     "line 3: field 'walk' given twice in 'edge 0 0 1 walk=5 walk=0'"),
+    ("tri-key-given-twice", "x.tri", TORUS_TRI.replace(
+        "twin=4 ", "twin=5 twin=4 ", 1), ["validate", "{file}"],
+     "line 2: field 'twin' given twice in "
+     "'he 0 next=1 twin=5 twin=4 origin=0'"),
     ("drw-field-with-two-equals", "x.drw", DRW.replace("walk=5", "walk=5=5"),
      ["probe", "{tri}", "{file}", "--vertex", "0"]),
     ("walk-unknown-record", "x.walk", "walk closed=0 start=0 he=0\nbogus 1\n",
@@ -635,6 +646,28 @@ def test_probe_on_bounded_host_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "probe", tp, dp, "--vertex", "0")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("host", [twin_mismatch_torus,
+                                  twin_mismatch_doubled_crown4])
+def test_host_not_reducing_exit_codes(capsys, tmp_path, host):
+    """On a closed host that is not reducing (twins that disagree with
+    rotations that close), `validate` and `harmonize` report a domain
+    failure, exit 1, and `probe` refuses its base as malformed input, exit
+    2, as it does a bounded host."""
+    g = drawing.Graph(1, [])
+    t = host()
+    tp, dp = write_drawing_files(tmp_path, t, drawing.Drawing(g, t, [0], []))
+    code, out, err = run(capsys, "validate", tp)
+    assert code == 1 and err == ""
+    assert "not-reducing\n" in out and "violation TwinBroken at " in out
+    code, out, err = run(capsys, "harmonize", tp, dp)
+    assert (code, out) == (1, "")
+    assert err == ("harmonize failed: host must be a closed reducing "
+                   "triangulation\n")
+    code, out, err = run(capsys, "probe", tp, dp, "--vertex", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: base must be a closed reducing triangulation\n"
 
 
 def test_harmonize_torus_warns_in_one_line(capsys, tmp_path, torus_path):

@@ -176,7 +176,8 @@ def records(text, handlers):
     dict of the `key=value` fields, all strings, and converts and checks
     them itself.  A malformed record raises FormatError naming its line: an
     unknown keyword, too few fields, a field after the positional ones
-    without exactly one `=`, a ValueError (a bad value) or KeyError (a
+    without exactly one `=` or whose key one of the fields before it has
+    (the first such field), a ValueError (a bad value) or KeyError (a
     missing key) raised by the handler, or then a key not in keys.
     """
     for n, line in enumerate(text.splitlines(), 1):
@@ -192,9 +193,12 @@ def records(text, handlers):
             if len(parts) <= k:
                 raise ValueError("too few fields")
             k += 1
-            for field in parts[k:]:
+            for i, field in enumerate(parts[k:]):
                 if field.count("=") != 1:
                     raise ValueError("field %r is not key=value" % field)
+                key = field.split("=")[0]
+                if key in [f.split("=")[0] for f in parts[k:k + i]]:
+                    raise ValueError("field %r given twice" % key)
             handle(*parts[1:k], dict(f.split("=") for f in parts[k:]))
             for field in parts[k:]:
                 key = field.split("=")[0]
