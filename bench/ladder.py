@@ -181,8 +181,10 @@ def anchored_path(t, steps=4):
 def anchored_counts(f, anchor):
     """What one `boundary.harmonize_rel_anchor(f, anchor)` does, counted by
     wrapping the functions that do it: the entries the composed hosts
-    compute (`surface._Composed.__missing__`) and their slot-index fills
-    (`surface._SlotIndex.__missing__`), the balancing searches
+    compute (`surface._Composed.__missing__`) and, of them, the slot-index
+    entries read before their tail's rotation (`slot_fills`; a doubled
+    host sets a rotation's slot index when it computes the rotation, so
+    these are found in a rotation computed again), the balancing searches
     (`harmonizer._split_clusters`), the clusters whose darts they file and
     the components they gather (`harmonizer._SplitGraph._component`), and
     the walks (`walkcalc.Walk.from_half_edges`) and drawings
@@ -194,21 +196,32 @@ def anchored_counts(f, anchor):
                             "balancing_searches", "clusters_filed",
                             "components_gathered", "walks", "drawings"), 0)
 
+    slot_indexes = []   # the slot_index column of every composed host built
+
     def counted(key, fn, filed=False):
         def call(*args, **kwargs):
             counts[key] += 1
             if filed:  # _split_clusters(state, splits, pending)
                 counts["clusters_filed"] += sum(
                     darts is not None for darts in args[2].values())
+            if key == "composed_entries":  # __missing__(column, i)
+                counts["slot_fills"] += any(args[0] is c for c in slot_indexes)
             return fn(*args, **kwargs)
+        return call
+
+    def built(init):
+        def call(host, *args):
+            init(host, *args)
+            slot_indexes.append(host.slot_index)
         return call
 
     walk = walkcalc.Walk.from_half_edges.__func__
     patches = [
         (surface._Composed, "__missing__", counted(
             "composed_entries", surface._Composed.__missing__)),
-        (surface._SlotIndex, "__missing__", counted(
-            "slot_fills", surface._SlotIndex.__missing__)),
+        (surface.DoubledHost, "__init__", built(surface.DoubledHost.__init__)),
+        (boundary.CrownedHost, "__init__", built(
+            boundary.CrownedHost.__init__)),
         (harmonizer, "_split_clusters", counted(
             "balancing_searches", harmonizer._split_clusters, filed=True)),
         (harmonizer._SplitGraph, "_component", counted(

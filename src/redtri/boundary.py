@@ -38,7 +38,6 @@ from .surface import (
     _Composed,
     _ComposedHost,
     _double_with_gadgets_unchecked,
-    _SlotIndex,
     opposite_color,
     validate_reducing,  # perfbench/tracer.py patches this name
 )
@@ -130,7 +129,7 @@ class CrownedHost(_ComposedHost):
         self.base = t
         self._bound, self._tent, self._fan, self._size = bound, tent, fan, size
         self._before = before
-        at = {org[h]: p for p, h in enumerate(bound)}
+        self._at = at = {org[h]: p for p, h in enumerate(bound)}
 
         def where(h):
             """(position, s, side) of crown half-edge h: the s-th triangle
@@ -217,8 +216,8 @@ class CrownedHost(_ComposedHost):
         self.face_color = _Composed((), nfaces, face_color)
         self.num_vertices = v_end
         self.vertex_slots = _Composed((), v_end, rotation)
-        self.slot_index = _SlotIndex((), h_end, self.vertex_slots,
-                                     self.origin)
+        self.slot_index = _Composed((), h_end,
+                                    lambda h: rotation(origin(h)).index(h))
         self._boundary_half_edges = tuple([
             g for f, j in zip(fan, size) for g in range(f + 2, f + 3 * j, 3)])
         self._vertex_on_boundary = (False,) * nv + (True,) * (v_end - nv)
@@ -241,6 +240,22 @@ class CrownedHost(_ComposedHost):
             twins = (*range(f, f + 3 * j, 3), tent[b] + 2)
             guard += run[:k] + run[-k:] + twins[:k] + twins[-k:]
         return guard
+
+    def slot_twins(self, v):
+        """The twins of v's slots, in their order; at an old boundary
+        vertex, t's and, from the offsets, as in `guard_half_edges`."""
+        p = self._at.get(v)
+        if p is None:
+            return [self.twin.entry(h) for h in self.vertex_slots.entry(v)]
+        t, f, j, b = self.base, self._fan[p], self._size[p], self._before[p]
+        slots = t.vertex_slots[v]
+        i = slots.index(min(slots))
+        # t's boundary edge out of v is twinned to its tent, and the side
+        # of the tent before, v's last crowned slot, to t's edge into v
+        twins = [t.twin[h] for h in slots[:-1]] + [
+            self._tent[p], *range(f, f + 3 * j, 3), self._tent[b] + 2,
+            self._bound[b]]
+        return twins[i:] + twins[:i]
 
     def validate_crowns(self):
         """The reducing conditions that a crown, glued to a reducing host,

@@ -27,6 +27,7 @@ import warnings
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from graphlib import CycleError, TopologicalSorter
+from typing import NamedTuple
 
 from .drawing import factor_simplicial, unfactor
 from .surface import BLUE, RED, UnionFind, validate_reducing
@@ -186,8 +187,8 @@ def _refresh(state):
 
 # -- moves -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Flip:
+# named tuples: a run builds two records a move, at about a tuple's cost
+class Flip(NamedTuple):
     vertex: int
     target: int
     s1: int
@@ -195,16 +196,14 @@ class Flip:
     version: int
 
 
-@dataclass(frozen=True)
-class Shortening:
+class Shortening(NamedTuple):
     vertex: int
     target: int
     run: tuple       # the clockwise-consecutive used slots
     version: int
 
 
-@dataclass(frozen=True)
-class Balancing:
+class Balancing(NamedTuple):
     cycle: tuple        # Ĝ-vertices along the projected directed cycle
     movers: tuple       # (vertex, a-slot) pairs for the whole component
     rotation: str       # "clockwise" | "counterclockwise"
@@ -224,11 +223,24 @@ def _corner_moves(state, r, darts):
     later on a tie: a shortening needs them consecutive at a vertex of
     degree at least six, a flip two of them with one empty slot between,
     the blue face first."""
+    t = state.host
+    if (len(darts) == 2 and darts[0][2] != darts[1][2]
+            and darts[0][0] != darts[1][0]):  # most corners: no set, no sort
+        (_, _, s1), (_, _, s2) = darts
+        slots, pos = t.vertex_slots[state.target[r]], t.slot_index
+        d, p, q = len(slots), pos[s1], pos[s2]
+        span = (q - p) % d  # the steps clockwise from s1's slot to s2's
+        if 2 * span > d or 2 * span == d and q > p:
+            s1, s2, span = s2, s1, d - span     # the run starts at s2
+        if span == 1:
+            return None, ((t.head(s1), (s1, s2)) if d >= 6 else None)
+        if span == 2 and t.color_left(s1) == BLUE:
+            return (t.head(t.next[t.twin[s1]]), s1, s2), None
+        return None, None
     used = {g for _, _, g in darts}
     n = len(used)
     if not 1 <= n <= 3 or len({e for e, _, _ in darts}) < len(darts):
         return None, None
-    t = state.host
     slots, pos = t.vertex_slots[state.target[r]], t.slot_index
     d, ps = len(slots), sorted([pos[g] for g in used])
     i, gap = 0, ps[0] - ps[-1] + d      # a lone slot's gap is the circle
@@ -643,8 +655,7 @@ def proper_monotonic_ordering(state, digraph):
 
 # -- trace and routine -----------------------------------------------------
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     kind: str       # flip | short | bal
     ids: tuple
     before: int

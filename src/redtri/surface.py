@@ -214,6 +214,10 @@ class Triangulation:
     def is_boundary_vertex(self, v):
         return self._vertex_on_boundary[v]
 
+    def slot_twins(self, v):
+        """The twins of v's slots, in their order."""
+        return [self.twin[h] for h in self.vertex_slots[v]]
+
     def degree(self, v):
         """Number of edge-ends at v (loops count twice)."""
         d = len(self.vertex_slots[v])
@@ -593,24 +597,6 @@ class _Composed(dict):
         return map(self.__getitem__, range(self.size))
 
 
-class _SlotIndex(_Composed):
-    """A slot_index column of a host's rotations and origins: the first
-    read of a half-edge's entry reads its tail's rotation and sets the
-    entries of all of it.  It holds the two columns, not the host, so that
-    a host is freed as soon as it is dropped."""
-
-    __slots__ = ("rotations", "origins")
-
-    def __init__(self, held, size, rotations, origins):
-        super().__init__(held, size, None)
-        self.rotations, self.origins = rotations, origins
-
-    def __missing__(self, h):
-        rotation = self.rotations[self.origins[h]]  # range-checks h
-        self.update(zip(rotation, range(len(rotation))))
-        return self[h]
-
-
 class _ComposedHost(Triangulation):
     """A host whose columns are `_Composed`: the tables of its parts, held
     or computed when first read."""
@@ -638,11 +624,10 @@ class DoubledHost(_ComposedHost):
     boundary vertices.  Every other entry is computed when it is first
     read, and kept: a crown's, or its mirror copy's, by the crowned host's
     rule, a gadget copy's as an offset of the one 3-gadget's, a mirror
-    vertex's rotation the twins of its t0 vertex's reversed, and a seam
-    vertex's that of t0 with the mirror's and the gadget corners' spliced
-    in.  Sizes, and so genus() and num_edges(), are arithmetic on the
-    parts.  Every entry equals that of `materialize()`.
-    """
+    vertex's rotation t0's `slot_twins` reversed, a seam vertex's t0's with
+    the mirror's and gadget corners' spliced in, each with its slot index.
+    Sizes, and so genus() and num_edges(), are arithmetic on the parts.
+    Every entry equals that of `materialize()`."""
 
     def __init__(self, t0):
         g3 = build_three_gadget()
@@ -650,10 +635,10 @@ class DoubledHost(_ComposedHost):
         n, m, nf, fm = len(t0.next), len(g3.next), len(t0.faces), len(g3.faces)
         # t0's entries, a crowned host's by the rules of its columns: this
         # host keeps what it reads, so they are not kept twice
-        nxt0, twin0, org0, fof0, faces0, color0 = [
+        nxt0, twin0, org0, fof0, faces0, color0, slots0 = [
             getattr(col, "entry", col.__getitem__) for col in (
                 t0.next, t0.twin, t0.origin, t0.face_of, t0.faces,
-                t0.face_color)]
+                t0.face_color, t0.vertex_slots)]
         nv, seams = t0.num_vertices, t0.boundary_half_edges()
         size = 2 * n + m * len(seams)
         nfaces = 2 * nf + fm * len(seams)
@@ -749,28 +734,31 @@ class DoubledHost(_ComposedHost):
             return tuple([off + g for g in
                           g3.vertex_slots[g3.origin[g3.next[r]]]])
 
-        def vertex_slots(v):
+        def rotation(v):
             if v >= k:
                 q, off, j = part(v, k, len(inner))
                 return tuple([off + g for g in g3.vertex_slots[inner[j]]])
-            if v >= nv:  # the twins of t0's slots, read where held
-                slots = t0.vertex_slots[kept[v - nv]][::-1]
-                run = [n + (twin0(h) if g is None else g)
-                       for h, g in zip(slots, map(twins.get, slots))]
+            if v >= nv:  # the twins of t0's slots, reversed
+                run = [n + g for g in reversed(t0.slot_twins(kept[v - nv]))]
                 i = run.index(min(run))
                 return tuple(run[i:] + run[:i])
             if not on_seam[v]:
-                return t0.vertex_slots[v]
+                return slots0(v)
             # a seam vertex: clockwise, t0's slots end at the boundary
             # half-edge out of v and start after b_in, the one into v; the
             # gadget corner glued to the first, the mirror's slots back to
             # n + b_in, and the corner glued to that come between them
-            slots = t0.vertex_slots[v]
+            slots = slots0(v)
             b_in = prev0(slots[0])
             i = slots.index(min(slots))
-            return (slots[i:] + corner(slots[-1])
-                    + tuple([n + twin0(h) for h in slots[-2::-1]])
-                    + (n + b_in,) + corner(n + b_in) + slots[:i])
+            return (slots[i:] + corner(slots[-1]) + tuple(
+                [n + g for g in t0.slot_twins(v)[-2::-1]])
+                + (n + b_in,) + corner(n + b_in) + slots[:i])
+
+        def vertex_slots(v):  # and the slot index of all of the rotation
+            slots = rotation(v)
+            slot_index.update(zip(slots, range(len(slots))))
+            return slots
 
         # the real part, closed under next, and its mirror; a twin it
         # lacks is t0's, a seam's or a tent's, read when first read
@@ -783,7 +771,7 @@ class DoubledHost(_ComposedHost):
             [n + g for g in nxt], mirrors)), size, next_)
         self.twin = twins = _Composed(chain(twinned, [
             (n + h, n + g) for h, g in twinned]), size, twin)
-        self.origin = _Composed(chain(enumerate(org), zip(
+        self.origin = origins = _Composed(chain(enumerate(org), zip(
             mirrors, [vid[org[g]] for g in nxt])), size, origin)
         self.face_of = _Composed(chain(enumerate(fof), zip(
             mirrors, [nf + f for f in fof])), size, face_of)
@@ -796,9 +784,11 @@ class DoubledHost(_ComposedHost):
             {v: src.vertex_slots[v] for v in fixed}, self.num_vertices,
             vertex_slots)
         fixed = set(fixed)
-        self.slot_index = _SlotIndex(
+        # a rotation's first read sets its slot index, so an entry read
+        # before it, which no move does, is found in a rotation not kept
+        self.slot_index = slot_index = _Composed(
             {h: i for h, i in enumerate(src.slot_index) if org[h] in fixed},
-            size, self.vertex_slots, self.origin)
+            size, lambda h: rotation(origins[h]).index(h))
         self._boundary_half_edges = ()
         self._vertex_on_boundary = (False,) * self.num_vertices
 
@@ -854,10 +844,9 @@ def int_list(text, stop=None):
     """The integers of a comma-separated field ("-" for none), each in
     range(stop) if stop is given; ValueError otherwise."""
     ids = () if text == "-" else tuple(map(int, text.split(",")))
-    if stop is not None:
-        for i in ids:
-            if not 0 <= i < stop:
-                raise ValueError("%d out of range(%d)" % (i, stop))
+    if stop is not None and ids and not (0 <= min(ids) and max(ids) < stop):
+        i = next(i for i in ids if not 0 <= i < stop)
+        raise ValueError("%d out of range(%d)" % (i, stop))
     return ids
 
 

@@ -13,9 +13,9 @@ say) raises its error on the first step at which it lies left of every
 spur.  A walk whose rewrites revisit a state (a closed walk: up to
 rotation) stalls there: `reduce_open` raises ReductionStalled("state
 recurred"), `reduce_closed` returns Stalled(w, "cycle") with the recurring
-state.  After `budget` rewrites (default 4 (L + 1) (H + 1) for L edges on H
-half-edges) both stop with "budget exhausted" / Stalled(w, "budget"), even
-if the last rewrite left the walk reduced.
+state.  A walk that `budget` rewrites (default 4 (L + 1) (H + 1) for L
+edges on H half-edges) leave with a corner to rewrite or raise at stops
+with "budget exhausted" / Stalled(w, "budget").
 
 Cost: the walk is a doubly linked list whose labels increase along it; a
 rewrite puts its at most two new edges under the labels of the two it
@@ -314,6 +314,11 @@ class _Reduction:
         self.steps += 1
         return True
 
+    def corner_left(self):
+        """Whether a corner is left for `step` to rewrite or raise at."""
+        return any(self.kind[x] == kind
+                   for kind, heap in enumerate(self.heaps) for x in heap)
+
     def half_edges(self):
         out, x = [], self.first
         for _ in range(self.size):
@@ -375,7 +380,7 @@ def _reduce(w, t, budget):
         if _recurs(t, w, earlier, r.half_edges()):
             return r, "cycle"
         seen[r.key()] = earlier + [step]
-    return r, "budget"
+    return r, "budget" if r.corner_left() else None
 
 
 def reduce_open(w, t, budget=None):

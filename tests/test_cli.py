@@ -97,6 +97,22 @@ def test_reduce_spur(capsys, tmp_path, torus_path):
     assert "he=-" in out
 
 
+@pytest.mark.parametrize("hes,budget,want", [
+    ((0, 4), "1", " he=-\n"), ((0,), "0", " he=0\n"), ((0, 4), "0", None)])
+def test_reduce_budget_counts_rewrites(capsys, tmp_path, torus_path, hes,
+                                       budget, want):
+    """--budget allows that many rewrites: the torus spur 0, 4 needs one
+    and the one-edge walk 0 none; with too few the reduction stalls."""
+    p = tmp_path / "w.walk"
+    p.write_text("walk closed=0 start=0 he=%s\n" % ",".join(map(str, hes)))
+    code, out, err = run(capsys, "reduce", torus_path, str(p), "--budget",
+                         budget)
+    if want is None:
+        assert code == 1 and "budget exhausted" in err
+    else:
+        assert code == 0 and out.endswith(want)
+
+
 def test_reduce_boundary_turn(capsys, tmp_path):
     """A walk that turns at a rim vertex is malformed input: exit 2 with
     one error line, no traceback."""

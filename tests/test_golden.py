@@ -14,19 +14,24 @@ subdivisions, of seeded disk patches and of their crowned closures, and
 one `redtri stress` sweep.  CHART_GOLDEN_SHA256 covers cover charts:
 their half-edge tables, and the line windows and escape probes of the
 chart-growing oracle.  PROBE_GOLDEN_SHA256 covers the library's line
-windows and escape probes, which walk the base host, on the same cases.  A
+windows and escape probes, which walk the base host, on the same cases.
+BENCHMARK_ROUND1_SHA256 holds, per benchmark workload, the digest that
+`perfbench/run.py` prints for the outputs of its first round at seed 1.  A
 change that is meant to alter the output must say so and update the
 constant.
 """
 
 import hashlib
+import importlib
+import importlib.util
+import os
 import random
 import re
 from collections import Counter
 
 import pytest
 
-from redtri import surface
+from redtri import cli, drawing, surface, walkcalc
 from redtri.boundary import Anchor, GuardViolation, harmonize_rel_anchor
 from redtri.cover import LEFT, RIGHT, CoverChart, escape_probe, line_window
 from redtri.drawing import Drawing, Graph, read_drawing, write_drawing
@@ -59,8 +64,11 @@ from test_boundary import anchored_ends
 
 GOLDEN_SHA256 = (
     "bf96d837dab0f1f0fa3118bca96e425640a8d3821d850dade0374cb630a9d90b")
+# three cases end reduced on the last rewrite their budget allows, or at
+# budget 0 reduced already, and read as reduced: doubled closed seed 18
+# (budget 3) and doubled open seeds 22 (budget 0) and 23 (budget 1)
 WALK_GOLDEN_SHA256 = (
-    "843ea3a7e14a6290574bb1ee5c90d1a7836619dfba2abe970acf994ebf6eabc2")
+    "9c0691966faf07156aee2f5ee62889b48756fb39236e8652dd93ad89c99dd071")
 
 # (max_vertices, detour, seeds) for random drawings on doubled crown4; the
 # seeds after range(30) are ones whose harmonization includes a balancing
@@ -436,3 +444,39 @@ def probe_corpus():
 
 def test_probe_golden_outputs():
     assert corpus_sha256(probe_corpus()) == PROBE_GOLDEN_SHA256
+
+
+# -- the benchmark's first round ---------------------------------------------
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+BENCHMARK_ROUND1_SHA256 = {
+    "harmonize-closed":
+        "a26a3dd530049456c3ff6e9defc3a154df569320075fe2fdf9e42f49d2c3ef2a",
+    "reduce-walks":
+        "329d51584789543476526c51f645c9a33d4df0b2d6f9a9f0f253c5dfc3e65bcd",
+    "probe-window":
+        "3a4392460902cef482e3072960a9cd512b4e0dc4ed693c97eb455080db7640ce",
+    "harmonize-anchored":
+        "74909b55ca59a5a8d79c105066d076032f36afc3b93fe2b5ea788d95bf00145c",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_ROUND1_SHA256))
+def test_benchmark_round1_outputs(workload, tmp_path, monkeypatch):
+    """Round 1 of each benchmark workload at seed 1, set up, run, checked
+    and digested by `perfbench/run.py`'s own code, as its warm-up runs it."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(PERFBENCH, "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    # the names run.py binds once it has put this checkout's src on the path
+    run.checks, run.gen = map(importlib.import_module, ("checks", "gen"))
+    run.cli, run.drawing, run.surface, run.walkcalc = (
+        cli, drawing, surface, walkcalc)
+    setup = run.Setups(run.WORKLOADS[workload][0], 1, str(tmp_path / "work"))
+    _, rounds = setup.first()
+    p = run.run_pass(rounds, cli.main, nrounds=1)
+    assert p.failures == []
+    assert p.round1_digest == BENCHMARK_ROUND1_SHA256[workload]

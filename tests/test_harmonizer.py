@@ -1,6 +1,7 @@
 import itertools
 import random
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -313,6 +314,24 @@ def test_corner_gap_tie_goes_to_the_later_slot():
                     assert t.color_left(s1) == BLUE
                     flips += 1
     assert flips == t.num_vertices
+
+
+@pytest.mark.parametrize("host", ["octahedron", "doubled"])
+def test_two_dart_corners_match_oracle(host, doubled):
+    """Two darts on two slots, the shape most corners have, classified
+    without a set or a sort: every ordered pair of slots at every vertex,
+    so both dart orders and every gap, ties and wraps included, agrees
+    with the oracle's formula."""
+    t = octahedron() if host == "octahedron" else doubled
+    moves = Counter()
+    for x in range(t.num_vertices):
+        for pair in itertools.permutations(t.vertex_slots[x], 2):
+            st = fan_state(t, x, list(pair))
+            got = harmonizer._corner_moves(st, 0, st.darts(0))
+            assert got == corner_moves(st, 0), (x, pair)
+            moves[tuple(m is not None for m in got)] += 1
+    assert moves[True, False] and (
+        moves[False, True] or host == "octahedron")
 
 
 def old_remap(t, rotation, step, other_moves, h, l1, l2, other_l):

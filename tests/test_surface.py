@@ -617,6 +617,46 @@ def test_doubled_host_entries_match_glued_oracle(name):
                 glued.genus(), glued.is_closed(), glued.boundary_cycles()))
 
 
+def _path_anchored(radius, seed):
+    """attach_crowns of a radius-r patch with the needs of three anchors on
+    a four-edge boundary path, at its ends and its middle, as the anchored
+    jobs of the benchmark have them."""
+    t = make_patch(seed, radius=radius)
+    cyc = t.boundary_cycles()[0]
+    first = random.Random(seed).randrange(len(cyc))
+    return attach_crowns(t, {t.origin[cyc[(first + i) % len(cyc)]]: 1
+                             for i in (0, 2, 4)})[0]
+
+
+@pytest.mark.parametrize("radius,seed", [
+    (r, seed) for r in (2, 3, 4) for seed in (5, 6)])
+def test_doubled_anchored_crowns_match_glued_oracle(radius, seed):
+    """The rotations and slot indexes that an anchored run reads, those of
+    the crowned host's vertices (its old boundary and its seam vertices
+    among them) and of their mirrors, equal the glued doubling's, read in
+    random order on a fresh host per column, and on one more in an order
+    that mixes the two columns.  The crowned host's `slot_twins`, which
+    give the mirror's rotations, are the twins of its slots in order."""
+    t0 = _path_anchored(radius, seed)
+    crowned = t0.materialize()
+    assert all(t0.slot_twins(v) == crowned.slot_twins(v)
+               for v in range(t0.num_vertices))
+    glued = tri_oracle.double_with_gadgets_glued(t0)[0]
+    rng = random.Random(seed)
+    kept = [v for v in range(t0.num_vertices) if not t0.is_boundary_vertex(v)]
+    vertices = list(range(t0.num_vertices + len(kept)))
+    half_edges = [h for v in vertices for h in glued.vertex_slots[v]]
+    reads = ([("vertex_slots", v) for v in vertices],
+             [("slot_index", h) for h in half_edges])
+    for order in (*reads, reads[0] + reads[1]):
+        doubled = surface._double_with_gadgets_unchecked(t0)[0]
+        order = list(order)
+        rng.shuffle(order)
+        for column, i in order:
+            assert (getattr(doubled, column)[i]
+                    == getattr(glued, column)[i]), (column, i)
+
+
 # the non-reducing hosts of the anchored CLI tests join the doubling hosts
 PART_CHECK_HOSTS = {**DOUBLING_HOSTS, "degree-4 disk": lambda: fan_disk(4),
                     "crown5": lambda: surface.crown(5), "bowtie": bowtie}

@@ -459,7 +459,58 @@ def test_one_edge_closed_walks_match_oracle(name):
         w = Walk.from_half_edges(t, (h,), closed=True)
         for budget in (None, 0, 1, 2):
             assert assert_matches_oracle(w, t, budget) == (
-                "return", Stalled(w, "budget") if budget == 0 else Reduced(w))
+                "return", Reduced(w))
+
+
+def oracle_states(t, w):
+    """The walks the scan reducer passes through from w until none of
+    their corners is bad: w, then one per rewrite."""
+    states = [w]
+    while (bad := walk_oracle._find_bad(t, states[-1])) is not None:
+        states.append(walk_oracle._apply_at(t, states[-1], *bad))
+    return states
+
+
+def budget_walks(t):
+    """The spur walk 0, 92 on doubled crown4, open and closed, and seeded
+    random walks, open and closed, that need rewrites."""
+    yield Walk.from_half_edges(t, (0, 92))
+    yield Walk.from_half_edges(t, (0, 92), closed=True)
+    for seed in range(12):
+        rng = random.Random(seed)
+        if seed % 2:
+            yield Walk.from_half_edges(t, random_closed_walk(t, rng, 6),
+                                       closed=True)
+        else:
+            u, v = rng.randrange(t.num_vertices), rng.randrange(t.num_vertices)
+            yield Walk.from_half_edges(t, random_path(t, rng, u, v, 6),
+                                       start=u)
+
+
+def test_budget_of_exactly_the_rewrites_reduces():
+    """A walk that needs exactly k rewrites reduces with budget k, where
+    the last allowed rewrite finishes it, and stalls with budget k - 1 in
+    the walk of k - 1 rewrites; with budget 0 a reduced walk is reduced."""
+    t = surface.double_with_gadgets(surface.crown(4))
+    rewrites = []
+    for w in budget_walks(t):
+        states = oracle_states(t, w)
+        k = len(states) - 1
+        rewrites.append(k)
+        if w.closed:
+            assert reduce_closed(w, t, budget=k) == Reduced(states[-1])
+            assert reduce_closed(states[-1], t, budget=0) == Reduced(
+                states[-1])
+            if k:
+                assert reduce_closed(w, t, budget=k - 1) == Stalled(
+                    states[-2], "budget")
+        else:
+            assert reduce_open(w, t, budget=k) == states[-1]
+            assert reduce_open(states[-1], t, budget=0) == states[-1]
+            if k:
+                with pytest.raises(ReductionStalled, match="budget exhausted"):
+                    reduce_open(w, t, budget=k - 1)
+    assert rewrites[:2] == [1, 1] and max(rewrites) >= 5
 
 
 # -- the state key ----------------------------------------------------------

@@ -94,6 +94,14 @@ def _find_bad(t, w):
     return None
 
 
+def _reduced(t, w):
+    """Whether no corner of w is bad or raises."""
+    try:
+        return _find_bad(t, w) is None
+    except (BoundaryTurnError, WalkError):
+        return False
+
+
 def _apply_at(t, w, i, k):
     hes = list(w.half_edges)
     if i == 0:  # wrap corner of a closed walk
@@ -131,6 +139,8 @@ def reduce_open(w, t, budget=None):
         if w.half_edges in seen:
             raise ReductionStalled("state recurred")
         seen.add(w.half_edges)
+    if _reduced(t, w):     # by the last rewrite the budget allows
+        return w
     raise ReductionStalled("budget exhausted")
 
 
@@ -157,4 +167,6 @@ def reduce_closed(w, t, budget=None):
         if key in seen:
             return Stalled(w, "cycle")
         seen.add(key)
+    if _reduced(t, w):     # by the last rewrite the budget allows
+        return Reduced(w)
     return Stalled(w, "budget")
