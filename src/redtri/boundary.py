@@ -244,10 +244,11 @@ class CrownedHost(_ComposedHost):
     def slot_twins(self, v):
         """The twins of v's slots, in their order; at an old boundary
         vertex, t's and, from the offsets, as in `guard_half_edges`."""
-        p = self._at.get(v)
-        if p is None:
-            return [self.twin.entry(h) for h in self.vertex_slots.entry(v)]
-        t, f, j, b = self.base, self._fan[p], self._size[p], self._before[p]
+        t, p = self.base, self._at.get(v)
+        if p is None:  # an inner vertex of t, or a crown vertex
+            return (t.slot_twins(v) if v < t.num_vertices else
+                    [self.twin.entry(h) for h in self.vertex_slots.entry(v)])
+        f, j, b = self._fan[p], self._size[p], self._before[p]
         slots = t.vertex_slots[v]
         i = slots.index(min(slots))
         # t's boundary edge out of v is twinned to its tent, and the side

@@ -187,7 +187,6 @@ def _refresh(state):
 
 # -- moves -----------------------------------------------------------------
 
-# named tuples: a run builds two records a move, at about a tuple's cost
 class Flip(NamedTuple):
     vertex: int
     target: int
