@@ -204,10 +204,12 @@ def anchored_counts(f, anchor):
             if filed:  # _split_clusters(state, splits, pending)
                 counts["clusters_filed"] += sum(
                     darts is not None for darts in args[2].values())
-            if key == "composed_entries":  # __missing__(column, i)
-                counts["slot_fills"] += any(args[0] is c for c in slot_indexes)
             return fn(*args, **kwargs)
         return call
+
+    def missing(column, i):
+        counts["slot_fills"] += any(column is c for c in slot_indexes)
+        return composed_missing(column, i)
 
     def built(init):
         def call(host, *args):
@@ -216,9 +218,10 @@ def anchored_counts(f, anchor):
         return call
 
     walk = walkcalc.Walk.from_half_edges.__func__
+    composed_missing = surface._Composed.__missing__
     patches = [
         (surface._Composed, "__missing__", counted(
-            "composed_entries", surface._Composed.__missing__)),
+            "composed_entries", missing)),
         (surface.DoubledHost, "__init__", built(surface.DoubledHost.__init__)),
         (boundary.CrownedHost, "__init__", built(
             boundary.CrownedHost.__init__)),
